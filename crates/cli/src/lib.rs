@@ -1,8 +1,9 @@
 //! # nonstrict-cli
 //!
 //! The `nonstrict` command-line tool: inspect benchmark class files,
-//! compute first-use orderings, partition global data, and simulate
-//! remote execution — the whole pipeline from one binary.
+//! compute first-use orderings, partition global data, simulate remote
+//! execution, regenerate the paper's tables, and drive the real wire —
+//! the whole pipeline from one binary.
 //!
 //! ```text
 //! nonstrict list
@@ -11,29 +12,51 @@
 //! nonstrict order jhlzip --source scg
 //! nonstrict partition bit
 //! nonstrict simulate jess --link modem --ordering train --transfer interleaved --partitioned
+//! nonstrict paper table7
+//! nonstrict serve hanoi jess --addr 127.0.0.1:0
+//! nonstrict loadgen hanoi --clients 8 --chaos --loss 20000
+//! nonstrict fleet hanoi --mirrors 3 --crash-plan 7:2:400 --epoch-rollover 500
 //! ```
 //!
 //! Argument parsing is hand-rolled (the workspace carries no CLI
-//! dependency); [`run`] is the testable entry point, returning the text
-//! it would print.
+//! dependency): every subcommand declares the flags it accepts and one
+//! parser rejects everything else. [`run`] is the testable entry point,
+//! returning the text it would print.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
+use std::net::SocketAddr;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use nonstrict_bytecode::{Application, Input};
 use nonstrict_classfile::{Attribute, GlobalDataBreakdown};
+use nonstrict_core::experiment::{self, Suite};
 use nonstrict_core::fleet::{run_fleet, AdmissionSettings, FleetClient, FleetSpec};
-use nonstrict_core::metrics::{cycles_to_seconds, normalized_percent, queue_share_percent};
+use nonstrict_core::metrics::{cycles_to_seconds, mean, normalized_percent, queue_share_percent};
 use nonstrict_core::model::{
     ByzantineConfig, DataLayout, ExecutionModel, FaultConfig, OrderingSource, OutageConfig,
     ReplicaConfig, SimConfig, TransferPolicy, VerifyMode,
 };
+use nonstrict_core::report;
 use nonstrict_core::sim::{RunOutcome, Session};
 use nonstrict_netsim::byzantine::ByzantineMode;
 use nonstrict_netsim::{Link, ShedAction, ShedLadder};
-use nonstrict_reorder::{partition_app, static_first_use, static_first_use_plain};
+use nonstrict_reorder::{partition_app, static_first_use, static_first_use_plain, FirstUseOrder};
+use nonstrict_store::{DurableSession, RealFs, Vfs};
+use nonstrict_wire::loadgen::StoreFactory;
+use nonstrict_wire::{
+    ChaosConfig, ChaosProxy, ClientConfig, CrashPlan, FaultKnobs, FleetConfig, FleetSupervisor,
+    LoadgenConfig, LoadgenReport, ServePlan, ServerConfig, WireServer,
+};
+
+/// Set by the binary's SIGTERM/SIGINT handler; `serve` polls it and
+/// drains at unit boundaries once it flips.
+pub static TERM: AtomicBool = AtomicBool::new(false);
 
 /// A CLI failure: a message and the exit code to use.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +74,13 @@ impl CliError {
             code: 2,
         }
     }
+
+    fn failed(msg: impl Into<String>) -> CliError {
+        CliError {
+            message: msg.into(),
+            code: 1,
+        }
+    }
 }
 
 impl std::fmt::Display for CliError {
@@ -63,10 +93,7 @@ impl std::error::Error for CliError {}
 
 impl From<nonstrict_store::StoreError> for CliError {
     fn from(e: nonstrict_store::StoreError) -> CliError {
-        CliError {
-            message: e.to_string(),
-            code: 1,
-        }
+        CliError::failed(e.to_string())
     }
 }
 
@@ -85,9 +112,7 @@ fn write_journal_atomic(path: &str, bytes: &[u8]) -> Result<(), CliError> {
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| CliError::usage(format!("--journal {path}: not a valid file name")))?;
-    let fs = nonstrict_store::RealFs::open(dir)?;
-    use nonstrict_store::Vfs as _;
-    fs.write_atomic(name, bytes)?;
+    RealFs::open(dir)?.write_atomic(name, bytes)?;
     Ok(())
 }
 
@@ -116,7 +141,38 @@ USAGE:
                                  [--audit-rate PPM]
                                  [--clients N] [--client-spread PPM]
                                  [--admit-rate N] [--shed-ladder off|H,S,J]
-  nonstrict timeline <benchmark> [--link t1|modem] [--ordering scg|train|test]
+  nonstrict timeline <benchmark> [--link t1|modem] [--ordering scg|plain|train|test]
+  nonstrict paper    [all|table2..table10|fig6|summary|faults|verify|outage|replicas|
+                      byzantine|overload|chaos [--repro FILE]|csv [DIR]]
+  nonstrict serve    [benchmark..] [--addr A] [--ordering O] [--pace-us N]
+                     [--max-conns N] [--accept-burst N] [--accept-per-sec N]
+                     [--queue-depth N] [--min-bytes-per-sec N] [--drain-ms N]
+  nonstrict loadgen  [benchmark] [--addr A | --mirrors A,B,..] [CLIENT FLAGS]
+  nonstrict fleet    [benchmark] [--mirrors N] [--crash-plan SEED[:KILLS[:WINDOW-MS]]]
+                     [--epoch-rollover MS] [CLIENT FLAGS]
+
+CLIENT FLAGS: [--clients N] [--seed N] [--spread-ms N] [--attempts N]
+              [--pace-us N] [--ordering O] [--chaos] [--forge PPM]
+              [--fault-seed N] [--loss PPM] [--drop PPM] [--corrupt PPM]
+              [--droop PPM] [--semantic PPM]
+              [--journal-dir D [--cache-dir D] [--kill-after-units N]]
+
+Paper: regenerates the ASPLOS '98 tables and Figure 6 (bare `paper`
+means `all`), the robustness sweeps, and the CSV export (DIR defaults
+to results/). `chaos --repro FILE` replays one NSCR repro artifact.
+
+Wire: `serve` streams restructured class files over TCP (all six
+benchmarks when none are named), prints `serving on ADDR`, and drains
+at unit boundaries on SIGTERM. `loadgen` replays a seeded arrival
+schedule against a self-served loopback server, a running `serve`
+(--addr), or a mirror list (--mirrors). `fleet` supervises N crash-
+restarting mirrors, optionally killed on a seeded --crash-plan and
+rolled to a new restructure epoch after --epoch-rollover MS. Any fault
+knob, --chaos or --forge fronts the first mirror with the socket-level
+chaos proxy. --journal-dir journals each client durably (client-I
+subtrees); --kill-after-units kills each client at that unit and warm-
+restarts it from its journal. Exit status is 2 for usage errors and 1
+for any invariant violation, failed client or forced drain.
 
 Outage/resume: --interrupt kills the session at a base cycle and writes
 the checkpoint journal to --journal PATH; rerunning with --journal alone
@@ -156,24 +212,30 @@ ladder journals and resumes internally).
 BENCHMARKS: bit, hanoi, javacup, jess, jhlzip, testdes";
 
 /// Runs the CLI on `args` (without the program name), returning the
-/// output text.
+/// output text. The long-running wire commands (`serve`, `loadgen`,
+/// `fleet`) print their reports as they go and return an empty string.
 ///
 /// # Errors
 ///
-/// [`CliError`] with a message and exit code on bad usage or benchmark
-/// faults.
+/// [`CliError`] with a message and exit code on bad usage, benchmark
+/// faults, or — for the wire commands — any invariant violation,
+/// failed client or forced drain.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some(command) = args.first() else {
         return Err(CliError::usage(USAGE));
     };
     match command.as_str() {
-        "list" => cmd_list(),
-        "inspect" => cmd_inspect(&parse_flags(args)?),
-        "disasm" => cmd_disasm(&parse_flags(args)?),
-        "order" => cmd_order(&parse_flags(args)?),
-        "partition" => cmd_partition(&parse_flags(args)?),
-        "simulate" => cmd_simulate(&parse_flags(args)?),
-        "timeline" => cmd_timeline(&parse_flags(args)?),
+        "list" => parse_flags(args, &LIST).and_then(|_| cmd_list()),
+        "inspect" => cmd_inspect(&parse_flags(args, &INSPECT)?),
+        "disasm" => cmd_disasm(&parse_flags(args, &DISASM)?),
+        "order" => cmd_order(&parse_flags(args, &ORDER)?),
+        "partition" => cmd_partition(&parse_flags(args, &PARTITION)?),
+        "simulate" => cmd_simulate(&parse_flags(args, &SIMULATE)?),
+        "timeline" => cmd_timeline(&parse_flags(args, &TIMELINE)?),
+        "paper" => cmd_paper(&parse_flags(args, &PAPER)?),
+        "serve" => cmd_serve(&parse_flags(args, &SERVE)?),
+        "loadgen" => cmd_loadgen(&parse_flags(args, &LOADGEN)?),
+        "fleet" => cmd_fleet(&parse_flags(args, &FLEET)?),
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
         other => Err(CliError::usage(format!(
             "unknown command {other:?}\n\n{USAGE}"
@@ -181,11 +243,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// Parsed command arguments: one positional benchmark plus `--key value`
-/// and `--flag` options.
+/// Parsed command arguments: positionals plus `--key value` and
+/// `--flag` options.
 #[derive(Debug, Default)]
 struct Flags {
-    benchmark: Option<String>,
+    positional: Vec<String>,
     options: std::collections::HashMap<String, String>,
 }
 
@@ -198,10 +260,14 @@ impl Flags {
         self.options.contains_key(key)
     }
 
+    /// The first positional argument, if any.
+    fn first(&self) -> Option<&str> {
+        self.positional.first().map(String::as_str)
+    }
+
     fn app(&self) -> Result<Application, CliError> {
         let name = self
-            .benchmark
-            .as_deref()
+            .first()
             .ok_or_else(|| CliError::usage("missing <benchmark> argument"))?;
         nonstrict_workloads::build_by_name(name).ok_or_else(|| {
             CliError::usage(format!(
@@ -209,10 +275,6 @@ impl Flags {
                 nonstrict_workloads::BENCHMARK_NAMES
             ))
         })
-    }
-
-    fn usize_opt(&self, key: &str) -> Result<Option<usize>, CliError> {
-        self.num_opt(key)
     }
 
     fn num_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
@@ -225,6 +287,10 @@ impl Flags {
         }
     }
 
+    fn num_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+        Ok(self.num_opt(key)?.unwrap_or(default))
+    }
+
     /// The fault configuration from `--fault-seed/--loss/--drop/--corrupt/
     /// --droop/--semantic`, or `None` when no fault flag was given. Rates
     /// are parts-per-million of fault probability per delivery attempt.
@@ -232,9 +298,9 @@ impl Flags {
     /// vocabulary, so the simulator, the wire server, and the loadgen
     /// accept identical fault flags.
     fn fault_config(&self) -> Result<Option<FaultConfig>, CliError> {
-        let mut knobs = nonstrict_wire::FaultKnobs::default();
+        let mut knobs = FaultKnobs::default();
         let mut any = false;
-        for key in nonstrict_wire::FaultKnobs::KEYS {
+        for key in FaultKnobs::KEYS {
             if let Some(value) = self.get(key) {
                 knobs
                     .set(key, value)
@@ -284,41 +350,27 @@ impl Flags {
         let replicas: Option<u32> = self.num_opt("replicas")?;
         let spread: Option<u32> = self.num_opt("replica-spread")?;
         let deadline: Option<u64> = self.num_opt("hedge-deadline")?;
-        let Some(n) = replicas else {
-            if let Some(flag) = [
-                spread.map(|_| "--replica-spread"),
-                deadline.map(|_| "--hedge-deadline"),
-            ]
-            .into_iter()
-            .flatten()
-            .next()
-            {
-                return Err(CliError::usage(format!(
-                    "{flag} only makes sense with --replicas 2 or more"
-                )));
-            }
-            return Ok(None);
-        };
-        if !(1..=ReplicaConfig::MAX_REPLICAS).contains(&n) {
+        if let Some(n) = replicas.filter(|n| !(1..=ReplicaConfig::MAX_REPLICAS).contains(n)) {
             return Err(CliError::usage(format!(
                 "--replicas expects 1..={}, got {n}",
                 ReplicaConfig::MAX_REPLICAS
             )));
         }
-        if n < 2 {
-            if let Some(flag) = [
-                spread.map(|_| "--replica-spread"),
-                deadline.map(|_| "--hedge-deadline"),
-            ]
-            .into_iter()
-            .flatten()
-            .next()
-            {
-                return Err(CliError::usage(format!(
-                    "{flag} only makes sense with --replicas 2 or more"
-                )));
-            }
+        let tuning_flag = [
+            spread.map(|_| "--replica-spread"),
+            deadline.map(|_| "--hedge-deadline"),
+        ]
+        .into_iter()
+        .flatten()
+        .next();
+        if let (Some(flag), None | Some(1)) = (tuning_flag, replicas) {
+            return Err(CliError::usage(format!(
+                "{flag} only makes sense with --replicas 2 or more"
+            )));
         }
+        let Some(n) = replicas else {
+            return Ok(None);
+        };
         let seed: Option<u64> = self.num_opt("fault-seed")?;
         let mut rc = ReplicaConfig::seeded(seed.unwrap_or(0));
         rc.replicas = n;
@@ -417,26 +469,19 @@ impl Flags {
         .into_iter()
         .flatten()
         .next();
-        let Some(n) = clients else {
-            if let Some(flag) = tuning_flag {
-                return Err(CliError::usage(format!(
-                    "{flag} only makes sense with --clients 2 or more"
-                )));
-            }
-            return Ok(None);
-        };
-        if !(1..=MAX_FLEET_CLIENTS).contains(&n) {
+        if let Some(n) = clients.filter(|n| !(1..=MAX_FLEET_CLIENTS).contains(n)) {
             return Err(CliError::usage(format!(
                 "--clients expects 1..={MAX_FLEET_CLIENTS}, got {n}"
             )));
         }
-        if n < 2 {
-            if let Some(flag) = tuning_flag {
-                return Err(CliError::usage(format!(
-                    "{flag} only makes sense with --clients 2 or more"
-                )));
-            }
+        if let (Some(flag), None | Some(1)) = (tuning_flag, clients) {
+            return Err(CliError::usage(format!(
+                "{flag} only makes sense with --clients 2 or more"
+            )));
         }
+        let Some(n) = clients else {
+            return Ok(None);
+        };
         let ladder = match ladder_arg {
             None | Some("off") => None,
             Some(v) => {
@@ -500,60 +545,108 @@ struct FleetSettings {
     ladder: Option<ShedLadder>,
 }
 
-/// Boolean `--x` switches; anything not listed here or in [`VALUE_KEYS`]
-/// is rejected so a typo'd flag can't be silently ignored.
-const BOOL_KEYS: [&str; 2] = ["partitioned", "strict-execution"];
+/// What one subcommand accepts. The parser rejects everything else, so
+/// a flag meant for another subcommand — or a typo — is never silently
+/// ignored.
+struct Accepts {
+    /// Keys that take a value, in space-separated groups.
+    values: &'static [&'static str],
+    /// Whether the fault knobs ([`FaultKnobs::KEYS`], their one spelling
+    /// source) take values too.
+    fault_knobs: bool,
+    /// Space-separated boolean switches.
+    switches: &'static str,
+    /// At most this many positional arguments.
+    positionals: usize,
+}
 
-/// Keys that take a value.
-const VALUE_KEYS: [&str; 29] = [
-    "class",
-    "method",
-    "source",
-    "link",
-    "ordering",
-    "transfer",
-    "verify",
-    "fault-seed",
-    "loss",
-    "drop",
-    "corrupt",
-    "droop",
-    "semantic",
-    "outage-seed",
-    "outage-rate",
-    "outage-cycles",
-    "journal",
-    "interrupt",
-    "replicas",
-    "replica-spread",
-    "hedge-deadline",
-    "byzantine-seed",
-    "byzantine-mirrors",
-    "byzantine-mode",
-    "audit-rate",
-    "clients",
-    "client-spread",
-    "admit-rate",
-    "shed-ladder",
-];
+impl Accepts {
+    const fn new(
+        values: &'static [&'static str],
+        switches: &'static str,
+        positionals: usize,
+    ) -> Accepts {
+        Accepts {
+            values,
+            fault_knobs: false,
+            switches,
+            positionals,
+        }
+    }
 
-fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
+    const fn with_fault_knobs(self) -> Accepts {
+        Accepts {
+            fault_knobs: true,
+            ..self
+        }
+    }
+
+    fn takes_value(&self, key: &str) -> bool {
+        self.values
+            .iter()
+            .any(|g| g.split_whitespace().any(|k| k == key))
+            || (self.fault_knobs && FaultKnobs::KEYS.contains(&key))
+    }
+}
+
+const LIST: Accepts = Accepts::new(&[], "", 0);
+const INSPECT: Accepts = Accepts::new(&["class"], "", 1);
+const DISASM: Accepts = Accepts::new(&["class method"], "", 1);
+const ORDER: Accepts = Accepts::new(&["source"], "", 1);
+const PARTITION: Accepts = Accepts::new(&[], "", 1);
+const SIMULATE: Accepts = Accepts::new(
+    &[
+        "link ordering transfer verify journal interrupt",
+        "outage-seed outage-rate outage-cycles replicas replica-spread hedge-deadline",
+        "byzantine-seed byzantine-mirrors byzantine-mode audit-rate",
+        "clients client-spread admit-rate shed-ladder",
+    ],
+    "partitioned strict-execution",
+    1,
+)
+.with_fault_knobs();
+const TIMELINE: Accepts = Accepts::new(&["link ordering"], "", 1);
+/// `paper <table> [DIR]`: the second positional is `csv`'s directory.
+const PAPER: Accepts = Accepts::new(&["repro"], "", 2);
+const SERVE: Accepts = Accepts::new(
+    &[
+        "addr ordering pace-us drain-ms",
+        "max-conns accept-burst accept-per-sec queue-depth min-bytes-per-sec",
+    ],
+    "",
+    usize::MAX,
+);
+/// The client-side keys `loadgen` and `fleet` share.
+const CLIENT_KEYS: &str = "ordering clients seed spread-ms attempts pace-us forge journal-dir \
+                           cache-dir kill-after-units";
+const LOADGEN: Accepts =
+    Accepts::new(&[CLIENT_KEYS, "addr mirrors"], "chaos", 1).with_fault_knobs();
+const FLEET: Accepts = Accepts::new(
+    &[CLIENT_KEYS, "mirrors crash-plan epoch-rollover"],
+    "chaos",
+    1,
+)
+.with_fault_knobs();
+
+/// Parses `args` (the subcommand name first) against what the
+/// subcommand `accepts`.
+fn parse_flags(args: &[String], accepts: &Accepts) -> Result<Flags, CliError> {
     let mut flags = Flags::default();
-    let mut it = args.iter().skip(1).peekable();
+    let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
-            if VALUE_KEYS.contains(&key) {
+            if accepts.takes_value(key) {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError::usage(format!("--{key} needs a value")))?;
                 flags.options.insert(key.to_owned(), v.clone());
-            } else if BOOL_KEYS.contains(&key) {
+            } else if accepts.switches.split_whitespace().any(|k| k == key) {
                 flags.options.insert(key.to_owned(), String::new());
             } else {
                 return Err(CliError::usage(format!("unknown flag --{key}")));
             }
-        } else if flags.benchmark.is_none() {
-            flags.benchmark = Some(a.clone());
+        } else if flags.positional.len() < accepts.positionals {
+            flags.positional.push(a.clone());
         } else {
             return Err(CliError::usage(format!("unexpected argument {a:?}")));
         }
@@ -585,7 +678,7 @@ fn cmd_list() -> Result<String, CliError> {
 fn cmd_inspect(flags: &Flags) -> Result<String, CliError> {
     let app = flags.app()?;
     let mut out = String::new();
-    match flags.usize_opt("class")? {
+    match flags.num_opt::<usize>("class")? {
         Some(ci) => {
             let class = app.classes.get(ci).ok_or_else(|| {
                 CliError::usage(format!(
@@ -637,13 +730,13 @@ fn cmd_inspect(flags: &Flags) -> Result<String, CliError> {
 
 fn cmd_disasm(flags: &Flags) -> Result<String, CliError> {
     let app = flags.app()?;
-    let ci = flags.usize_opt("class")?.unwrap_or(0);
+    let ci = flags.num_opt::<usize>("class")?.unwrap_or(0);
     let class = app
         .classes
         .get(ci)
         .ok_or_else(|| CliError::usage(format!("class {ci} out of range")))?;
     let mut out = String::new();
-    let targets: Vec<usize> = match flags.usize_opt("method")? {
+    let targets: Vec<usize> = match flags.num_opt::<usize>("method")? {
         Some(mi) if mi < class.methods.len() => vec![mi],
         Some(mi) => return Err(CliError::usage(format!("method {mi} out of range"))),
         None => (0..class.methods.len()).collect(),
@@ -664,11 +757,8 @@ fn cmd_disasm(flags: &Flags) -> Result<String, CliError> {
                 "  stack={max_stack}, locals={max_locals}, {} bytes",
                 code.len()
             );
-            let text =
-                nonstrict_bytecode::listing(code, &class.constant_pool).map_err(|e| CliError {
-                    message: e.to_string(),
-                    code: 1,
-                })?;
+            let text = nonstrict_bytecode::listing(code, &class.constant_pool)
+                .map_err(|e| CliError::failed(e.to_string()))?;
             out.push_str(&text);
         } else {
             let _ = writeln!(out, "  (no code)");
@@ -681,31 +771,7 @@ fn cmd_disasm(flags: &Flags) -> Result<String, CliError> {
 fn cmd_order(flags: &Flags) -> Result<String, CliError> {
     let app = flags.app()?;
     let source = flags.get("source").unwrap_or("scg");
-    let order = match source {
-        "scg" => static_first_use(&app.program),
-        "plain" => static_first_use_plain(&app.program),
-        "train" | "test" => {
-            let input = if source == "train" {
-                Input::Train
-            } else {
-                Input::Test
-            };
-            let collected = nonstrict_profile::collect(&app, input).map_err(|e| CliError {
-                message: e.to_string(),
-                code: 1,
-            })?;
-            nonstrict_reorder::FirstUseOrder::from_profile(
-                &app.program,
-                &collected.profile,
-                &static_first_use(&app.program),
-            )
-        }
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown ordering source {other:?}; use scg|plain|train|test"
-            )))
-        }
-    };
+    let order = first_use_order(&app, source)?;
     let mut out = String::new();
     let _ = writeln!(out, "{} first-use order ({source}):", app.name);
     for (i, &m) in order.order().iter().enumerate() {
@@ -714,6 +780,30 @@ fn cmd_order(flags: &Flags) -> Result<String, CliError> {
         let _ = writeln!(out, "{:>5}. {}::{}", i + 1, class.name, method.name);
     }
     Ok(out)
+}
+
+/// The first-use order `source` predicts for `app`: the static call
+/// graph (`scg`), plain DFS without the loop heuristics (`plain`), or a
+/// `train`/`test` profile.
+fn first_use_order(app: &Application, source: &str) -> Result<FirstUseOrder, CliError> {
+    let input = match source {
+        "scg" => return Ok(static_first_use(&app.program)),
+        "plain" => return Ok(static_first_use_plain(&app.program)),
+        "train" => Input::Train,
+        "test" => Input::Test,
+        other => {
+            return Err(CliError::usage(format!(
+                "unknown ordering source {other:?}; use scg|plain|train|test"
+            )))
+        }
+    };
+    let collected =
+        nonstrict_profile::collect(app, input).map_err(|e| CliError::failed(e.to_string()))?;
+    Ok(FirstUseOrder::from_profile(
+        &app.program,
+        &collected.profile,
+        &static_first_use(&app.program),
+    ))
 }
 
 fn cmd_partition(flags: &Flags) -> Result<String, CliError> {
@@ -760,7 +850,7 @@ fn parse_link(flags: &Flags) -> Result<Link, CliError> {
 
 /// Parses the `--ordering` flag (default `scg`) through the wire
 /// crate's ordering vocabulary — the same spellings and codes a Hello
-/// frame carries to `paper serve`.
+/// frame carries to `serve`.
 fn parse_ordering(flags: &Flags) -> Result<OrderingSource, CliError> {
     let name = flags.get("ordering").unwrap_or("scg");
     let code =
@@ -826,10 +916,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
         // through rather than render a one-row outcome table.
     }
 
-    let session = Session::new(app).map_err(|e| CliError {
-        message: e.to_string(),
-        code: 1,
-    })?;
+    let session = Session::new(app).map_err(|e| CliError::failed(e.to_string()))?;
     let base = session.simulate(Input::Test, &SimConfig::strict(link));
     let mut prelude = String::new();
     let r = if let Some(at) = flags.num_opt::<u64>("interrupt")? {
@@ -855,10 +942,8 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
             }
         }
     } else if let Some(path) = flags.get("journal") {
-        let bytes = std::fs::read(path).map_err(|e| CliError {
-            message: format!("cannot read journal {path}: {e}"),
-            code: 1,
-        })?;
+        let bytes = std::fs::read(path)
+            .map_err(|e| CliError::failed(format!("cannot read journal {path}: {e}")))?;
         let r = session.resume(
             Input::Test,
             &config,
@@ -1095,12 +1180,7 @@ fn simulate_fleet(
     }
     let sessions: Vec<Session> = apps
         .into_iter()
-        .map(|app| {
-            Session::new(app).map_err(|e| CliError {
-                message: e.to_string(),
-                code: 1,
-            })
-        })
+        .map(|app| Session::new(app).map_err(|e| CliError::failed(e.to_string())))
         .collect::<Result<_, _>>()?;
     let clients: Vec<FleetClient> = sessions
         .iter()
@@ -1213,26 +1293,7 @@ fn cmd_timeline(flags: &Flags) -> Result<String, CliError> {
 
     let app = flags.app()?;
     let link = parse_link(flags)?;
-    let order = match flags.get("ordering").unwrap_or("scg") {
-        "scg" => static_first_use(&app.program),
-        "train" | "test" => {
-            let input = if flags.get("ordering") == Some("train") {
-                Input::Train
-            } else {
-                Input::Test
-            };
-            let collected = nonstrict_profile::collect(&app, input).map_err(|e| CliError {
-                message: e.to_string(),
-                code: 1,
-            })?;
-            nonstrict_reorder::FirstUseOrder::from_profile(
-                &app.program,
-                &collected.profile,
-                &static_first_use(&app.program),
-            )
-        }
-        other => return Err(CliError::usage(format!("unknown ordering {other:?}"))),
-    };
+    let order = first_use_order(&app, flags.get("ordering").unwrap_or("scg"))?;
     let r = restructure(&app, &order);
     let units = class_units(&app, &r, None, DELIMITER_BYTES);
     let schedule = greedy_schedule(&app, &order, &units, &r.layouts, Weights::Static);
@@ -1282,6 +1343,576 @@ fn cmd_timeline(flags: &Flags) -> Result<String, CliError> {
     }
     let _ = writeln!(out, "(# spans prelude-arrival .. last-unit-arrival)");
     Ok(out)
+}
+
+/// `paper`: regenerates one of the ASPLOS '98 tables, Figure 6, the
+/// headline summary, a robustness sweep, or the CSV export; `chaos
+/// --repro FILE` replays one NSCR artifact without building the suite.
+fn cmd_paper(flags: &Flags) -> Result<String, CliError> {
+    let table = flags.first().unwrap_or("all");
+    let dir = flags.positional.get(1);
+    if let Some(extra) = dir.filter(|_| table != "csv") {
+        return Err(CliError::usage(format!("unexpected argument {extra:?}")));
+    }
+    if let Some(path) = flags.get("repro") {
+        if table != "chaos" {
+            return Err(CliError::usage("--repro only applies to `paper chaos`"));
+        }
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| CliError::usage(format!("cannot read {path}: {e}")))?;
+        return nonstrict_core::chaos::replay_repro(&text)
+            .map(|report| format!("{report}\n"))
+            .map_err(|e| CliError::usage(format!("bad repro artifact {path}: {e}")));
+    }
+    let suite = || {
+        eprintln!("building and profiling the six benchmarks...");
+        Suite::new().map_err(|e| CliError::failed(format!("benchmarks failed to run: {e}")))
+    };
+    let out = match table {
+        "all" => report::render_all(&suite()?),
+        "table2" => report::render_table2(&suite()?),
+        "table3" => report::render_table3(&experiment::table3(&suite()?)),
+        "table4" => report::render_table4(&experiment::table4(&suite()?)),
+        "table5" => report::render_parallel(&experiment::parallel_table(
+            &suite()?,
+            Link::T1,
+            DataLayout::Whole,
+        )),
+        "table6" => report::render_parallel(&experiment::parallel_table(
+            &suite()?,
+            Link::MODEM_28_8,
+            DataLayout::Whole,
+        )),
+        "table7" => {
+            let paper: Vec<[f64; 6]> = experiment::paper::TABLE7
+                .iter()
+                .map(|r| [r.0, r.1, r.2, r.3, r.4, r.5])
+                .collect();
+            report::render_interleaved(
+                &experiment::interleaved_table(&suite()?, DataLayout::Whole),
+                "Table 7: Interleaved File Transfer",
+                Some(&paper),
+            )
+        }
+        "table8" => report::render_table8(&experiment::table8(&suite()?)),
+        "table9" => report::render_table9(&experiment::table9(&suite()?)),
+        "table10" => {
+            let (tp, ti) = experiment::table10(&suite()?);
+            let pp: Vec<[f64; 6]> = experiment::paper::TABLE10.iter().map(|r| r.0).collect();
+            let pi: Vec<[f64; 6]> = experiment::paper::TABLE10.iter().map(|r| r.1).collect();
+            format!(
+                "{}\n{}",
+                report::render_interleaved(
+                    &tp,
+                    "Table 10a: Parallel(4) + Data Partitioning",
+                    Some(&pp)
+                ),
+                report::render_interleaved(
+                    &ti,
+                    "Table 10b: Interleaved + Data Partitioning",
+                    Some(&pi)
+                )
+            )
+        }
+        "fig6" => report::render_fig6(&experiment::fig6(&suite()?)),
+        "summary" => return Ok(paper_summary(&suite()?)),
+        "faults" => report::render_fault_sweep(&experiment::faults::fault_sweep(&suite()?)),
+        "verify" => report::render_verify_sweep(&experiment::verify::verify_sweep(&suite()?)),
+        "outage" => report::render_outage_sweep(&experiment::outage::outage_sweep(&suite()?)),
+        "replicas" => report::render_replica_sweep(&experiment::replica::replica_sweep(&suite()?)),
+        "byzantine" => {
+            report::render_byzantine_sweep(&experiment::byzantine::byzantine_sweep(&suite()?))
+        }
+        "overload" => {
+            report::render_overload_sweep(&experiment::overload::overload_sweep(&suite()?))
+        }
+        "chaos" => report::render_chaos_sweep(&experiment::chaos::chaos_sweep(&suite()?)),
+        "csv" => {
+            let dir = dir.map_or("results", String::as_str);
+            let files = nonstrict_core::export::export_csv(&suite()?, Path::new(dir))
+                .map_err(|e| CliError::failed(format!("cannot export CSVs to {dir}: {e}")))?;
+            return Ok(files
+                .iter()
+                .map(|f| format!("wrote {}\n", f.display()))
+                .collect());
+        }
+        other => {
+            return Err(CliError::usage(format!(
+                "unknown paper table {other:?}; use all|table2..table10|fig6|summary|faults|\
+                 verify|outage|replicas|byzantine|overload|chaos|csv"
+            )))
+        }
+    };
+    Ok(out + "\n")
+}
+
+/// The paper's headline claims versus this reproduction.
+fn paper_summary(suite: &Suite) -> String {
+    let t4 = experiment::table4(suite);
+    let ns: Vec<f64> = t4
+        .iter()
+        .flat_map(|r| [r.t1.non_strict_reduction, r.modem.non_strict_reduction])
+        .collect();
+    let dp: Vec<f64> = t4
+        .iter()
+        .flat_map(|r| [r.t1.partitioned_reduction, r.modem.partitioned_reduction])
+        .collect();
+    let f6 = experiment::fig6(suite);
+    let (latency, exec) = (
+        experiment::paper::HEADLINE_LATENCY_REDUCTION,
+        experiment::paper::HEADLINE_EXEC_REDUCTION,
+    );
+    format!(
+        "Headline claims (paper §8) vs measured:\n  \
+         invocation latency reduction: paper {:.0}%..{:.0}% avg — measured avg {:.0}% (non-strict) .. {:.0}% (partitioned)\n  \
+         execution-time reduction: paper {:.0}%..{:.0}% — measured {:.0}% (parallel avg) .. {:.0}% (interleaved+DP avg)\n",
+        latency.0,
+        latency.1,
+        mean(&ns),
+        mean(&dp),
+        exec.0,
+        exec.1,
+        // Figure 6 rows: parallel(4) first, interleaved + partitioning last.
+        100.0 - mean(&f6[0]),
+        100.0 - mean(&f6[3]),
+    )
+}
+
+/// Builds the serve plan for `name` through the same profile →
+/// restructure → unit-split pipeline the simulator measures.
+fn build_plan(name: &str, source: OrderingSource) -> Result<ServePlan, CliError> {
+    eprintln!("building and profiling {name}...");
+    nonstrict_core::build_plan(name, source)
+        .map_err(|e| CliError::usage(format!("cannot serve {name}: {e}")))
+}
+
+/// `serve`: streams restructured class files to concurrent TCP clients
+/// until [`TERM`] flips, then drains gracefully at unit boundaries.
+fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
+    let addr = flags.get("addr").unwrap_or("127.0.0.1:9845");
+    let source = parse_ordering(flags)?;
+    let d = ServerConfig::default();
+    let cfg = ServerConfig {
+        max_connections: flags.num_or("max-conns", d.max_connections)?,
+        accept_burst: flags.num_or("accept-burst", d.accept_burst)?,
+        accept_refill_per_sec: flags.num_or("accept-per-sec", d.accept_refill_per_sec)?,
+        send_queue_depth: flags.num_or("queue-depth", d.send_queue_depth)?,
+        min_bytes_per_sec: flags.num_or("min-bytes-per-sec", d.min_bytes_per_sec)?,
+        pace_per_unit: flags
+            .num_opt("pace-us")?
+            .map(Duration::from_micros)
+            .or(d.pace_per_unit),
+        ..d
+    };
+    let drain_ms = flags.num_or("drain-ms", 5_000)?;
+    let names: Vec<String> = if flags.positional.is_empty() {
+        nonstrict_workloads::BENCHMARK_NAMES
+            .iter()
+            .map(|n| n.to_lowercase())
+            .collect()
+    } else {
+        flags.positional.clone()
+    };
+    let plans = names
+        .iter()
+        .map(|n| build_plan(n, source))
+        .collect::<Result<_, _>>()?;
+    let server = WireServer::bind(addr, plans, cfg)
+        .map_err(|e| CliError::usage(format!("cannot bind {addr}: {e}")))?;
+    println!("serving on {}", server.local_addr());
+    while !TERM.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    eprintln!("draining ({} in flight)...", server.active_connections());
+    let stats = server.stats();
+    let drained = server.drain(Duration::from_millis(drain_ms));
+    println!(
+        "accepted: {} admitted: {} resumed: {} retried: {} evicted slow: {} \
+         units sent: {} bytes sent: {}",
+        stats.accepted,
+        stats.admitted,
+        stats.resumed,
+        stats.retried,
+        stats.evicted_slow,
+        stats.units_sent,
+        stats.bytes_sent,
+    );
+    print_drain(&drained)?;
+    Ok(String::new())
+}
+
+/// Prints a drain outcome; a forced drain is a failure.
+fn print_drain(drained: &nonstrict_wire::DrainReport) -> Result<(), CliError> {
+    println!(
+        "drain: {} ({} in flight, {} forced, {} ms)",
+        if drained.clean { "clean" } else { "forced" },
+        drained.in_flight_at_drain,
+        drained.forced,
+        drained.elapsed.as_millis(),
+    );
+    if drained.clean {
+        Ok(())
+    } else {
+        Err(CliError::failed("drain forced"))
+    }
+}
+
+/// The client-side settings `loadgen` and `fleet` share.
+struct ClientFlags {
+    benchmark: String,
+    source: OrderingSource,
+    clients: usize,
+    seed: u64,
+    spread_ms: u64,
+    attempts: u32,
+    pace_us: u64,
+    /// The socket-level chaos proxy's settings when any fault knob,
+    /// `--chaos` or `--forge` was given.
+    chaos: Option<ChaosConfig>,
+    kill_after_units: Option<u64>,
+    stores: Option<StoreFactory>,
+}
+
+/// Parses the [`CLIENT_KEYS`] and fault knobs; `attempts` and `pace_us`
+/// are the subcommand's defaults.
+fn client_flags(flags: &Flags, attempts: u32, pace_us: u64) -> Result<ClientFlags, CliError> {
+    let seed = flags.num_or("seed", 1998)?;
+    let forge_pm = flags.num_or("forge", 0)?;
+    let mut chaos = flags.has("chaos") || flags.has("forge");
+    let mut knobs = FaultKnobs::default();
+    for key in FaultKnobs::KEYS {
+        if let Some(value) = flags.get(key) {
+            knobs
+                .set(key, value)
+                .map_err(|e| CliError::usage(e.to_string()))?;
+            chaos = true;
+        }
+    }
+    if knobs.seed == 0 {
+        knobs.seed = seed;
+    }
+    let mut cf = ClientFlags {
+        benchmark: flags.first().unwrap_or("hanoi").to_owned(),
+        source: parse_ordering(flags)?,
+        clients: flags.num_or("clients", 8)?,
+        seed,
+        spread_ms: flags.num_or("spread-ms", 200)?,
+        attempts: flags.num_or("attempts", attempts)?,
+        pace_us: flags.num_or("pace-us", pace_us)?,
+        chaos: chaos.then(|| ChaosConfig {
+            forge_pm,
+            ..ChaosConfig::new(knobs)
+        }),
+        kill_after_units: flags.num_opt("kill-after-units")?,
+        stores: None,
+    };
+    match flags.get("journal-dir") {
+        Some(journal_dir) => {
+            let cache_dir = flags.get("cache-dir").unwrap_or(journal_dir);
+            cf.stores = Some(store_factory(journal_dir, cache_dir, cf.clients)?);
+        }
+        None if flags.has("cache-dir") => {
+            return Err(CliError::usage("--cache-dir needs --journal-dir"))
+        }
+        None if cf.kill_after_units.is_some() => {
+            return Err(CliError::usage("--kill-after-units needs --journal-dir"))
+        }
+        None => {}
+    }
+    Ok(cf)
+}
+
+/// The per-client durable-store factory for `--journal-dir` /
+/// `--cache-dir`: client `i` journals under its own `client-{i}`
+/// subtree, so concurrent sessions never share a journal. The
+/// directories are opened up front, so a bad path is a usage error
+/// before any session starts.
+fn store_factory(
+    journal_dir: &str,
+    cache_dir: &str,
+    clients: usize,
+) -> Result<StoreFactory, CliError> {
+    let open = |dir: &str, flag: &str, i: usize| -> Result<Arc<dyn Vfs>, CliError> {
+        RealFs::open(Path::new(dir).join(format!("client-{i}")))
+            .map(|fs| Arc::new(fs) as Arc<dyn Vfs>)
+            .map_err(|e| CliError::usage(format!("cannot open {flag}: {e}")))
+    };
+    let dirs = (0..clients)
+        .map(|i| {
+            Ok((
+                open(journal_dir, "--journal-dir", i)?,
+                open(cache_dir, "--cache-dir", i)?,
+            ))
+        })
+        .collect::<Result<Vec<_>, CliError>>()?;
+    Ok(Arc::new(move |i: usize| {
+        let (journal, cache) = &dirs[i];
+        Box::new(DurableSession::split(journal.clone(), cache.clone()))
+    }))
+}
+
+/// Drives the client fleet against `mirrors` — the first fronted by
+/// the chaos proxy when asked, so Byzantine forgery lands on the
+/// preferred (pinned) mirror while the rest stay honest — with
+/// `alongside` running concurrently, then prints the scoreboard.
+/// Returns whether every client converged without a violation.
+fn run_clients(
+    cf: &ClientFlags,
+    mut mirrors: Vec<SocketAddr>,
+    alongside: impl FnOnce() + Send,
+) -> Result<bool, CliError> {
+    let proxy = match &cf.chaos {
+        Some(chaos) => {
+            let upstream = mirrors[0];
+            let p = ChaosProxy::spawn(upstream, chaos.clone())
+                .map_err(|e| CliError::failed(format!("cannot spawn chaos proxy: {e}")))?;
+            eprintln!(
+                "chaos proxy fronts mirror 0: {} -> {upstream}",
+                p.local_addr()
+            );
+            mirrors[0] = p.local_addr();
+            Some(p)
+        }
+        None => None,
+    };
+    let mut client = ClientConfig::with_mirrors(mirrors, &cf.benchmark);
+    client.ordering = nonstrict_core::ordering_to_wire(cf.source);
+    client.max_attempts = cf.attempts;
+    client.kill_after_units = cf.kill_after_units;
+    let config = LoadgenConfig {
+        client,
+        clients: cf.clients,
+        seed: cf.seed,
+        arrival_spread: Duration::from_millis(cf.spread_ms),
+        stores: cf.stores.clone(),
+    };
+    let report = std::thread::scope(|s| {
+        s.spawn(alongside);
+        nonstrict_wire::run_loadgen(&config)
+    });
+    print_loadgen_summary(cf.clients, &report);
+    if let Some(p) = proxy {
+        let cs = p.stop();
+        println!(
+            "chaos faults: {} (cuts {} aborts {} corruptions {} stalls {} reorders {} forges {}) \
+             over {} connections",
+            cs.total_faults(),
+            cs.cuts,
+            cs.aborts,
+            cs.corruptions,
+            cs.stalls,
+            cs.reorders,
+            cs.forges,
+            cs.connections,
+        );
+    }
+    Ok(report.violations.is_empty() && report.failed == 0 && report.completed == cf.clients)
+}
+
+/// The shared loadgen scoreboard: completion, tails, the robustness
+/// counters, and — for mirror fleets — where the bytes actually came
+/// from and what was quarantined on the way.
+fn print_loadgen_summary(clients: usize, report: &LoadgenReport) {
+    println!(
+        "clients: {clients} completed: {} failed: {}",
+        report.completed, report.failed
+    );
+    println!(
+        "latency ms: p50 {} p95 {} p99 {} max {}",
+        report.p50_ms, report.p95_ms, report.p99_ms, report.max_ms
+    );
+    println!(
+        "connects: {} admission retries: {} evictions: {} stream faults: {} order violations: {}",
+        report.connects,
+        report.admission_retries,
+        report.evictions,
+        report.stream_faults,
+        report.order_violations,
+    );
+    println!(
+        "failovers: {} quarantines: {} digest rejects: {} stale welcomes: {} equivocations: {}",
+        report.failovers,
+        report.quarantines,
+        report.digest_rejects,
+        report.stale_welcomes,
+        report.equivocations,
+    );
+    let per_mirror: Vec<String> = report
+        .mirror_units
+        .iter()
+        .enumerate()
+        .map(|(i, u)| format!("m{i}: {u}"))
+        .collect();
+    println!(
+        "units per mirror: [{}] layouts seen: {}",
+        per_mirror.join(", "),
+        report.layouts_seen
+    );
+    if report.kills > 0 || report.warm_units > 0 {
+        println!(
+            "process kills: {} units warm-restored: {}",
+            report.kills, report.warm_units
+        );
+    }
+    println!("bytes: {}", report.bytes);
+    println!("invariant violations: {}", report.violations.len());
+    for v in &report.violations {
+        println!("  violation: {v}");
+    }
+}
+
+/// `loadgen`: replays a seeded fleet arrival schedule against a
+/// self-served loopback server (or `--addr`, or `--mirrors`), and fails
+/// on any cross-client payload divergence.
+fn cmd_loadgen(flags: &Flags) -> Result<String, CliError> {
+    let explicit = match (flags.get("mirrors"), flags.get("addr")) {
+        (Some(spec), _) => {
+            Some(nonstrict_wire::parse_mirrors(spec).map_err(|e| CliError::usage(e.to_string()))?)
+        }
+        (None, Some(addr)) => Some(vec![addr
+            .parse()
+            .map_err(|e| CliError::usage(format!("bad --addr: {e}")))?]),
+        (None, None) => None,
+    };
+    let cf = client_flags(flags, 10, 50)?;
+    let (mirrors, server) = match explicit {
+        Some(mirrors) => (mirrors, None),
+        None => {
+            let cfg = ServerConfig {
+                pace_per_unit: Some(Duration::from_micros(cf.pace_us)),
+                ..ServerConfig::default()
+            };
+            let plans = vec![build_plan(&cf.benchmark, cf.source)?];
+            let s = WireServer::bind("127.0.0.1:0", plans, cfg)
+                .map_err(|e| CliError::failed(format!("cannot bind loopback server: {e}")))?;
+            (vec![s.local_addr()], Some(s))
+        }
+    };
+    let ok = run_clients(&cf, mirrors, || {})?;
+    if let Some(s) = server {
+        print_drain(&s.drain(Duration::from_millis(5_000)))?;
+    }
+    if ok {
+        Ok(String::new())
+    } else {
+        Err(CliError::failed("loadgen: a client failed or diverged"))
+    }
+}
+
+/// Parses `--crash-plan SEED[:KILLS[:WINDOW-MS]]`: the seed for the
+/// per-mirror kill-time draws, kills per mirror (default 1), and the
+/// uniform uptime window the kills spread over (default 500 ms).
+fn parse_crash_plan(spec: &str) -> Result<CrashPlan, CliError> {
+    let bad = || {
+        CliError::usage(format!(
+            "bad --crash-plan {spec:?}; use SEED[:KILLS[:WINDOW-MS]]"
+        ))
+    };
+    let parts: Vec<u64> = spec
+        .split(':')
+        .map(|p| p.parse().map_err(|_| bad()))
+        .collect::<Result<_, _>>()?;
+    let (seed, kills, window_ms) = match parts[..] {
+        [seed] => (seed, 1, 500),
+        [seed, kills] => (seed, kills, 500),
+        [seed, kills, window_ms] => (seed, kills, window_ms),
+        _ => return Err(bad()),
+    };
+    Ok(CrashPlan {
+        seed,
+        kills_per_mirror: u32::try_from(kills).map_err(|_| bad())?,
+        min_uptime: Duration::from_millis(100),
+        uptime_spread: Duration::from_millis(window_ms.max(1)),
+    })
+}
+
+/// `fleet`: supervises N crash-restarting mirrors serving one
+/// benchmark, drives a client fleet against the slot addresses,
+/// optionally rolls the restructure epoch live mid-run, and fails on
+/// any cross-client divergence or forced fence drain.
+fn cmd_fleet(flags: &Flags) -> Result<String, CliError> {
+    let mirrors = flags.num_or("mirrors", 3usize)?;
+    if mirrors == 0 {
+        return Err(CliError::usage("--mirrors must be at least 1"));
+    }
+    let crash = flags.get("crash-plan").map(parse_crash_plan).transpose()?;
+    let rollover_ms: Option<u64> = flags.num_opt("epoch-rollover")?;
+    let cf = client_flags(flags, 60, 500)?;
+
+    // Even generations serve the requested ordering; odd generations
+    // serve a genuinely re-restructured layout (a different ordering),
+    // so an epoch rollover moves real manifest epochs, not just the
+    // generation counter.
+    let alt = if cf.source == OrderingSource::SourceOrder {
+        OrderingSource::StaticCallGraph
+    } else {
+        OrderingSource::SourceOrder
+    };
+    let plans = [
+        build_plan(&cf.benchmark, cf.source)?,
+        build_plan(&cf.benchmark, alt)?,
+    ];
+    let supervisor = FleetSupervisor::launch(
+        FleetConfig {
+            mirrors,
+            server: ServerConfig {
+                pace_per_unit: Some(Duration::from_micros(cf.pace_us)),
+                resume_after_ms: 10,
+                ..ServerConfig::default()
+            },
+            crash,
+            restart_delay: Duration::from_millis(50),
+            health_interval: Duration::from_millis(200),
+            drain_deadline: Duration::from_secs(5),
+        },
+        Arc::new(move |generation| vec![plans[(generation % 2) as usize].clone()]),
+    )
+    .map_err(|e| CliError::failed(format!("cannot launch fleet: {e}")))?;
+    let addrs = supervisor.addrs().to_vec();
+    println!(
+        "fleet of {mirrors} mirrors: {}",
+        addrs
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let ok = run_clients(&cf, addrs, || {
+        if let Some(ms) = rollover_ms {
+            std::thread::sleep(Duration::from_millis(ms));
+            eprintln!("driving epoch rollover...");
+            supervisor.rollover();
+        }
+    })?;
+    let fleet = supervisor.shutdown();
+    for (i, m) in fleet.mirrors.iter().enumerate() {
+        println!(
+            "mirror {i}: starts {} kills {} probes {} probe failures {} \
+             units {} completed {} evicted drain {}",
+            m.starts,
+            m.kills,
+            m.health_probes,
+            m.health_failures,
+            m.stats.units_sent,
+            m.stats.completed,
+            m.stats.evicted_drain,
+        );
+    }
+    println!(
+        "fleet: rollovers {} drains clean {} forced {} kills {} starts {}",
+        fleet.rollovers,
+        fleet.clean_drains,
+        fleet.forced_drains,
+        fleet.total_kills(),
+        fleet.total_starts(),
+    );
+    if ok && fleet.forced_drains == 0 {
+        Ok(String::new())
+    } else {
+        Err(CliError::failed(
+            "fleet: a client failed or diverged, or a drain was forced",
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -1775,5 +2406,153 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(out.contains("FAIL-CLOSED"), "{out}");
         assert!(out.contains("restarted under strict execution"), "{out}");
+    }
+
+    #[test]
+    fn flags_of_other_subcommands_are_rejected() {
+        for args in [
+            ["simulate", "hanoi", "--addr", "127.0.0.1:1"],
+            ["simulate", "hanoi", "--drain-ms", "5"],
+            ["inspect", "hanoi", "--loss", "5"],
+            ["serve", "hanoi", "--link", "t1"],
+            ["loadgen", "hanoi", "--crash-plan", "1"],
+            ["fleet", "hanoi", "--addr", "127.0.0.1:1"],
+            ["paper", "table2", "--clients", "2"],
+        ] {
+            let err = run_str(&args).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}");
+            assert!(err.message.contains("unknown flag"), "{}", err.message);
+        }
+    }
+
+    #[test]
+    fn bad_paper_arguments_are_rejected_before_any_work() {
+        let err = run_str(&["paper", "table11"]).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(
+            err.message.contains("unknown paper table"),
+            "{}",
+            err.message
+        );
+        let err = run_str(&["paper", "table2", "extra"]).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(
+            err.message.contains("unexpected argument"),
+            "{}",
+            err.message
+        );
+        let err = run_str(&["paper", "table2", "--repro", "x.nscr"]).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("paper chaos"), "{}", err.message);
+    }
+
+    #[test]
+    fn committed_repro_replays_and_a_hostile_one_is_rejected() {
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/quiet.nscr");
+        let out = run_str(&["paper", "chaos", "--repro", corpus]).unwrap();
+        assert!(out.contains("invariants: PASS"), "{out}");
+        let path =
+            std::env::temp_dir().join(format!("nonstrict-cli-hostile-{}.nscr", std::process::id()));
+        std::fs::write(&path, "NSCR 1\nbench = Hanoi\nfault.loss_pm = everything\n").unwrap();
+        let err = run_str(&["paper", "chaos", "--repro", path.to_str().unwrap()]).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(err.code, 2);
+        assert!(
+            err.message.contains("bad repro artifact"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
+    fn store_flags_without_a_journal_dir_are_usage_errors() {
+        for cmd in ["loadgen", "fleet"] {
+            for [flag, value] in [["--cache-dir", "unused"], ["--kill-after-units", "3"]] {
+                let err = run_str(&[cmd, "hanoi", flag, value]).unwrap_err();
+                assert_eq!(err.code, 2);
+                assert!(
+                    err.message.contains(&format!("{flag} needs --journal-dir")),
+                    "{}",
+                    err.message
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fleet_rejects_zero_mirrors_and_malformed_crash_plans() {
+        let err = run_str(&["fleet", "hanoi", "--mirrors", "0"]).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("--mirrors"), "{}", err.message);
+        for spec in ["1:2:3:4", "", "x", "1::2", "1:4294967296"] {
+            let err = run_str(&["fleet", "hanoi", "--crash-plan", spec]).unwrap_err();
+            assert_eq!(err.code, 2, "{spec:?}");
+            assert!(err.message.contains("--crash-plan"), "{}", err.message);
+        }
+        let plan = parse_crash_plan("7:2:400").unwrap();
+        assert_eq!((plan.seed, plan.kills_per_mirror), (7, 2));
+        assert_eq!(plan.uptime_spread, Duration::from_millis(400));
+        let plan = parse_crash_plan("7").unwrap();
+        assert_eq!((plan.seed, plan.kills_per_mirror), (7, 1));
+        assert_eq!(plan.uptime_spread, Duration::from_millis(500));
+    }
+
+    #[test]
+    fn loadgen_rejects_bad_upstreams() {
+        for args in [
+            ["loadgen", "hanoi", "--addr", "nowhere"],
+            ["loadgen", "hanoi", "--mirrors", "127.0.0.1:1,"],
+        ] {
+            let err = run_str(&args).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn serve_drains_cleanly_once_terminated() {
+        // Nothing else reads the flag, so arming it up front makes the
+        // server drain as soon as it has bound and announced itself.
+        TERM.store(true, Ordering::SeqCst);
+        let out = run_str(&["serve", "hanoi", "--addr", "127.0.0.1:0"]).unwrap();
+        assert_eq!(out, "");
+    }
+
+    #[test]
+    fn loadgen_warm_restarts_killed_clients_through_the_chaos_proxy() {
+        let dir =
+            std::env::temp_dir().join(format!("nonstrict-cli-loadgen-{}", std::process::id()));
+        let dir_arg = dir.to_str().unwrap();
+        let out = run_str(&[
+            "loadgen",
+            "hanoi",
+            "--clients",
+            "2",
+            "--spread-ms",
+            "0",
+            "--chaos",
+            "--journal-dir",
+            dir_arg,
+            "--kill-after-units",
+            "3",
+        ]);
+        let journaled = dir.join("client-1").is_dir();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(out.unwrap(), "");
+        assert!(journaled, "each client journals in its own subtree");
+    }
+
+    #[test]
+    fn fleet_serves_every_client_from_supervised_mirrors() {
+        let out = run_str(&[
+            "fleet",
+            "hanoi",
+            "--mirrors",
+            "2",
+            "--clients",
+            "2",
+            "--spread-ms",
+            "0",
+        ]);
+        assert_eq!(out.unwrap(), "");
     }
 }

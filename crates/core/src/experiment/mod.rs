@@ -20,9 +20,7 @@ use nonstrict_reorder::partition::{summarize, PartitionSummary};
 use nonstrict_workloads::stats::{table2_row, Table2Row};
 
 use crate::metrics::{mean, normalized_percent, reduction_percent};
-use crate::model::{
-    DataLayout, ExecutionModel, OrderingSource, SimConfig, TransferPolicy, VerifyMode,
-};
+use crate::model::{DataLayout, OrderingSource, SimConfig, TransferPolicy};
 use crate::sim::Session;
 
 /// The ordering columns of Tables 5–7 and 10.
@@ -228,16 +226,9 @@ pub fn parallel_table(suite: &Suite, link: Link, data_layout: DataLayout) -> Par
             for (o, ordering) in ORDERINGS.iter().enumerate() {
                 for (l, &limit) in LIMITS.iter().enumerate() {
                     let config = SimConfig {
-                        link,
-                        ordering: *ordering,
                         transfer: TransferPolicy::Parallel { limit },
                         data_layout,
-                        execution: ExecutionModel::NonStrict,
-                        faults: None,
-                        verify: VerifyMode::Off,
-                        outages: None,
-                        replicas: None,
-                        byzantine: None,
+                        ..SimConfig::non_strict(link, *ordering)
                     };
                     cells[o][l] = suite.normalized(s, &config);
                 }
@@ -294,16 +285,9 @@ pub fn interleaved_table(suite: &Suite, data_layout: DataLayout) -> InterleavedT
             for (k, link) in LINKS.iter().enumerate() {
                 for (o, ordering) in ORDERINGS.iter().enumerate() {
                     let config = SimConfig {
-                        link: *link,
-                        ordering: *ordering,
                         transfer: TransferPolicy::Interleaved,
                         data_layout,
-                        execution: ExecutionModel::NonStrict,
-                        faults: None,
-                        verify: VerifyMode::Off,
-                        outages: None,
-                        replicas: None,
-                        byzantine: None,
+                        ..SimConfig::non_strict(*link, *ordering)
                     };
                     cols[k * 3 + o] = suite.normalized(s, &config);
                 }
@@ -389,16 +373,8 @@ pub fn table10(suite: &Suite) -> (InterleavedTable, InterleavedTable) {
             for (k, link) in LINKS.iter().enumerate() {
                 for (o, ordering) in ORDERINGS.iter().enumerate() {
                     let config = SimConfig {
-                        link: *link,
-                        ordering: *ordering,
-                        transfer: TransferPolicy::Parallel { limit: 4 },
                         data_layout: DataLayout::Partitioned,
-                        execution: ExecutionModel::NonStrict,
-                        faults: None,
-                        verify: VerifyMode::Off,
-                        outages: None,
-                        replicas: None,
-                        byzantine: None,
+                        ..SimConfig::non_strict(*link, *ordering)
                     };
                     cols[k * 3 + o] = suite.normalized(s, &config);
                 }

@@ -1,7 +1,7 @@
 //! Machine-readable export of every experiment: one CSV per table plus
 //! the Figure 6 series, with measured and published values side by side.
 //!
-//! `paper csv [dir]` (the bench crate's binary) drives this; downstream
+//! `nonstrict paper csv [dir]` drives this; downstream
 //! plotting or regression tooling can diff the files across runs.
 
 use std::fs;

@@ -205,7 +205,7 @@ impl Compiler {
 mod tests {
     use super::*;
     use crate::model::SimConfig;
-    use crate::model::{DataLayout, ExecutionModel, TransferPolicy};
+    use crate::model::TransferPolicy;
 
     fn session() -> Session {
         Session::new(nonstrict_workloads::jhlzip::build()).unwrap()
@@ -228,16 +228,8 @@ mod tests {
         let plain = s.simulate(
             Input::Test,
             &SimConfig {
-                link: Link::MODEM_28_8,
-                ordering: OrderingSource::TestProfile,
                 transfer: TransferPolicy::Interleaved,
-                data_layout: DataLayout::Whole,
-                execution: ExecutionModel::NonStrict,
-                faults: None,
-                verify: crate::model::VerifyMode::Off,
-                outages: None,
-                replicas: None,
-                byzantine: None,
+                ..SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::TestProfile)
             },
         );
         assert_eq!(r.total_cycles, plain.total_cycles);

@@ -20,10 +20,10 @@
 //!   delivered/verified watermarks plus a CRC'd manifest epoch, with
 //!   torn-write detection and the reconnect negotiation that decides
 //!   between resume, targeted invalidation, and fail-closed restart.
-//! * [`manifest`] — the content-addressed unit manifest the
+//! * [`manifest`] — builds the content-addressed unit manifest (the
+//!   NSUM codec lives in `nonstrict_wire::manifest`) that the
 //!   Byzantine-tolerant transfer layer pins from the origin before any
-//!   unit flows: per-unit digests bound to the restructure epoch,
-//!   framed fail-closed like the journal.
+//!   unit flows: per-unit digests bound to the restructure epoch.
 //! * [`fleet`] — the multi-client fleet driver: N sessions behind one
 //!   server egress pipe with token-bucket admission, deficit-round-
 //!   robin fair sharing, the load-shed ladder, and the exact seventh
@@ -65,10 +65,7 @@ pub use chaos::{
 };
 pub use fleet::{run_fleet, AdmissionSettings, ClientOutcome, FleetClient, FleetResult, FleetSpec};
 pub use journal::{negotiate, JournalError, Negotiation, SessionJournal, SessionManifest};
-pub use manifest::{
-    build_manifest, content_digest_of, ManifestError, UnitManifest, MANIFEST_MAGIC,
-    MANIFEST_VERSION,
-};
+pub use manifest::build_manifest;
 pub use metrics::CycleLedger;
 pub use model::{
     ByzantineConfig, DataLayout, ExecutionModel, FaultConfig, OrderingSource, OutageConfig,

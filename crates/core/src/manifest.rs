@@ -1,24 +1,16 @@
-//! The content-addressed unit manifest — simulator-side view.
+//! The simulator's side of the content-addressed unit manifest.
 //!
-//! The NSUM codec itself now lives at the bottom of the stack, in
-//! [`nonstrict_wire::manifest`], where both this simulator and the real
-//! wire client reach the same integrity arithmetic: the wire client
-//! pins the manifest from its first Welcome and verifies every
-//! delivered unit's *content* digest against it, while the
-//! co-simulator — which models content at unit-size granularity —
-//! fingerprints units by their size under the restructure epoch. This
-//! module re-exports the codec and keeps the simulator's builder:
-//! [`build_manifest`] digests a [`ClassUnits`] layout with the
-//! size-bound [`UnitManifest::digest_of`], exactly the fingerprint the
-//! real system computes over the unit's bytes (see
-//! `nonstrict_classfile::unit_digest` for the byte-level version and
-//! [`nonstrict_wire::manifest::content_digest_of`] for the wire's).
+//! The NSUM codec lives at the bottom of the stack, in
+//! [`nonstrict_wire::manifest`], where the real wire client pins the
+//! manifest from its first Welcome and verifies every delivered unit's
+//! *content* digest ([`nonstrict_wire::content_digest_of`]) against it.
+//! The co-simulator models content at unit-size granularity, so
+//! [`build_manifest`] fingerprints a [`ClassUnits`] layout with the
+//! size-bound [`UnitManifest::digest_of`] instead (see
+//! `nonstrict_classfile::unit_digest` for the byte-level version).
 
 use nonstrict_netsim::ClassUnits;
-
-pub use nonstrict_wire::manifest::{
-    content_digest_of, ManifestError, UnitManifest, MANIFEST_MAGIC, MANIFEST_VERSION,
-};
+use nonstrict_wire::UnitManifest;
 
 /// Builds the manifest the simulated origin publishes for `units` under
 /// `epoch`: one size-bound digest per transfer unit (unit 0 is the

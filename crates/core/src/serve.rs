@@ -25,10 +25,9 @@ use nonstrict_bytecode::InterpError;
 use nonstrict_classfile::stream::{stream_digests, stream_units};
 use nonstrict_classfile::{ClassFileError, StreamLoader};
 use nonstrict_netsim::crc32;
-use nonstrict_wire::{ClassPlan, ResumeEntry, ServePlan};
+use nonstrict_wire::{content_digest_of, ClassPlan, ResumeEntry, ServePlan, UnitManifest};
 
 use crate::journal::{ClassCheckpoint, SessionJournal, SessionManifest};
-use crate::manifest::{content_digest_of, UnitManifest};
 use crate::model::OrderingSource;
 use crate::sim::Session;
 

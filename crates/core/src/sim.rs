@@ -1481,16 +1481,9 @@ mod tests {
             ] {
                 for data_layout in [DataLayout::Whole, DataLayout::Partitioned] {
                     out.push(SimConfig {
-                        link,
-                        ordering,
                         transfer,
                         data_layout,
-                        execution: ExecutionModel::NonStrict,
-                        faults: None,
-                        verify: VerifyMode::Off,
-                        outages: None,
-                        replicas: None,
-                        byzantine: None,
+                        ..SimConfig::non_strict(link, ordering)
                     });
                 }
             }
@@ -1537,16 +1530,8 @@ mod tests {
         let s = session();
         let run = |ordering| {
             let config = SimConfig {
-                link: Link::MODEM_28_8,
-                ordering,
                 transfer: TransferPolicy::Interleaved,
-                data_layout: DataLayout::Whole,
-                execution: ExecutionModel::NonStrict,
-                faults: None,
-                verify: VerifyMode::Off,
-                outages: None,
-                replicas: None,
-                byzantine: None,
+                ..SimConfig::non_strict(Link::MODEM_28_8, ordering)
             };
             s.simulate(Input::Test, &config).total_cycles
         };

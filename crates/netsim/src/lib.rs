@@ -78,7 +78,7 @@ pub use link::{Link, LinkError};
 pub use outage::{OutageEngine, OutageEvent, OutagePlan, OutageSchedule, OUTAGE_PERIOD_CYCLES};
 pub use parallel::ParallelEngine;
 pub use replica::{
-    decay_health, replica_seed, ReplicaEngine, ReplicaHealth, ReplicaProfile, ReplicaStats,
+    replica_seed, ReplicaEngine, ReplicaHealth, ReplicaProfile, ReplicaStats,
     HEDGE_OVERHEAD_CYCLES, MAX_REPLICAS,
 };
 pub use schedule::{greedy_schedule, ParallelSchedule, ScheduleError, Weights};

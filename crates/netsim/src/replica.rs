@@ -33,6 +33,8 @@
 
 use std::cmp::Reverse;
 
+use nonstrict_wire::{decay_health, ewma_health, HEALTH_FULL_PPM};
+
 use crate::byzantine::{
     ByzantineMode, ByzantinePlan, IntegrityStats, AUDIT_COMPARE_CYCLES, DIGEST_CHECK_CYCLES,
     QUARANTINE_CYCLES,
@@ -51,25 +53,6 @@ pub const MAX_REPLICAS: usize = 8;
 /// fetch: the request send plus the cancel round (~0.1 ms on the
 /// 500 MHz Alpha). The loser's transfer itself is never charged.
 pub const HEDGE_OVERHEAD_CYCLES: u64 = 50_000;
-
-/// EWMA weight: each new sample contributes 1/8 of the score.
-const HEALTH_EWMA_SHIFT: u32 = 3;
-
-/// A health score in parts-per-million; every replica starts perfect.
-const HEALTH_FULL_PPM: u32 = 1_000_000;
-
-/// One multiplicative decay step of an EWMA health score, explicitly
-/// saturating at zero. The shifted step `h >> HEALTH_EWMA_SHIFT`
-/// truncates to zero once `h` drops below `1 << HEALTH_EWMA_SHIFT`,
-/// which would freeze a dying score at a small positive value forever;
-/// the step is therefore floored at one and the subtraction saturates,
-/// so repeated decay is monotone, converges to exactly zero, and can
-/// never wrap (the same discipline as the admission controller's
-/// `retry_after` arithmetic).
-#[must_use]
-pub fn decay_health(h: u32) -> u32 {
-    h.saturating_sub((h >> HEALTH_EWMA_SHIFT).max(1))
-}
 
 /// Domain-separation salt for per-replica sub-seed derivation.
 const SALT_REPLICA: u64 = 0x5245_504c_4943_4131;
@@ -498,9 +481,7 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                             / u128::from(tx_s.saturating_add(recovery)),
                     )
                     .unwrap_or(HEALTH_FULL_PPM);
-                    let old = health[serving];
-                    health[serving] =
-                        old - (old >> HEALTH_EWMA_SHIFT) + (sample >> HEALTH_EWMA_SHIFT);
+                    health[serving] = ewma_health(health[serving], sample);
                 }
                 est = est.saturating_add(base_tx);
             }
@@ -848,32 +829,6 @@ mod tests {
             r.health[1].units_served > 0,
             "routing must avoid the unreachable mirror"
         );
-    }
-
-    #[test]
-    fn decay_is_monotone_saturating_and_converges_to_zero() {
-        // Property hammer: from every starting point — full score,
-        // powers of two, the sub-shift band where the old arithmetic
-        // froze, and a spread of odd values — repeated decay is
-        // strictly monotone while positive, never wraps, reaches
-        // exactly zero in bounded steps, and zero is a fixed point.
-        let starts: Vec<u32> = (0..=16)
-            .map(|k| 1u32 << k)
-            .chain([HEALTH_FULL_PPM, 999_999, 12_345, 7, 6, 5, 4, 3, 2, 1, 0])
-            .chain((0..64).map(|i| splitmix(0x000d_eca7 ^ i) as u32 % (HEALTH_FULL_PPM + 1)))
-            .collect();
-        for start in starts {
-            let mut h = start;
-            let mut steps = 0u32;
-            while h > 0 {
-                let next = decay_health(h);
-                assert!(next < h, "decay from {start} stalled at {h}");
-                h = next;
-                steps += 1;
-                assert!(steps <= 256, "decay from {start} did not converge");
-            }
-            assert_eq!(decay_health(0), 0, "zero is a fixed point");
-        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub fn static_first_use(program: &Program) -> FirstUseOrder {
 /// Ablation variant: a plain depth-first traversal with **no** loop
 /// heuristics — branches are taken in textual order and loop exits are
 /// not deferred. The paper's §4.1 heuristics exist to beat exactly this;
-/// `benches/ablation.rs` and the ablation integration test compare the
-/// two.
+/// the ablation integration test (`tests/ablation_quality.rs`) compares
+/// the two.
 #[must_use]
 pub fn static_first_use_plain(program: &Program) -> FirstUseOrder {
     first_use_with(program, Heuristics::Plain)

@@ -54,28 +54,41 @@ use crate::frame::{read_frame, ClassAdvert, EvictReason, Frame, FrameError, Resu
 use crate::manifest::{content_digest_of, UnitManifest};
 
 /// Full health in parts-per-million — a mirror that has never faulted.
-/// Same scale as `netsim::replica`'s goodput score.
+///
+/// This is the workspace's one mirror-health policy: the scale, the
+/// EWMA and the decay below score the real client's mirrors here and
+/// the simulated replica set in `netsim::replica`, so the simulated and
+/// real failover policies stay interchangeable.
 pub const HEALTH_FULL_PPM: u32 = 1_000_000;
 
-/// EWMA shift: each update folds in 1/8 new signal, 7/8 history —
-/// mirrors `netsim::replica` exactly so the simulated and real failover
-/// policies stay interchangeable.
+/// EWMA shift: each update folds in 1/8 new signal, 7/8 history.
 const HEALTH_EWMA_SHIFT: u32 = 3;
 
-/// One EWMA decay step after a fault. The step is floored at 1 so the
-/// score converges to exactly zero instead of asymptotically hovering,
-/// and saturating so zero stays zero.
+/// One multiplicative decay step after a fault, explicitly saturating
+/// at zero. The shifted step `h >> HEALTH_EWMA_SHIFT` truncates to zero
+/// once `h` drops below `1 << HEALTH_EWMA_SHIFT`, which would freeze a
+/// dying score at a small positive value forever; the step is therefore
+/// floored at one and the subtraction saturates, so repeated decay is
+/// monotone, converges to exactly zero, and can never wrap.
 #[must_use]
+#[inline]
 pub fn decay_health(health_ppm: u32) -> u32 {
     health_ppm.saturating_sub((health_ppm >> HEALTH_EWMA_SHIFT).max(1))
 }
 
+/// One EWMA step folding a goodput `sample` (ppm) into the score.
+/// Bounded by [`HEALTH_FULL_PPM`] when both inputs are.
+#[must_use]
+#[inline]
+pub fn ewma_health(health_ppm: u32, sample: u32) -> u32 {
+    health_ppm - (health_ppm >> HEALTH_EWMA_SHIFT) + (sample >> HEALTH_EWMA_SHIFT)
+}
+
 /// One EWMA goodput step after a verified delivered unit: fold a
-/// full-health sample into the score. Bounded by [`HEALTH_FULL_PPM`]
-/// for any input at or below it.
+/// full-health sample into the score.
 #[must_use]
 pub fn boost_health(health_ppm: u32) -> u32 {
-    health_ppm - (health_ppm >> HEALTH_EWMA_SHIFT) + (HEALTH_FULL_PPM >> HEALTH_EWMA_SHIFT)
+    ewma_health(health_ppm, HEALTH_FULL_PPM)
 }
 
 /// A durable-store write failed mid-session. The client treats this
@@ -1064,14 +1077,30 @@ mod tests {
 
     #[test]
     fn health_decays_to_exactly_zero_and_boosts_back_to_full() {
-        let mut h = HEALTH_FULL_PPM;
-        let mut steps = 0u32;
-        while h > 0 {
-            h = decay_health(h);
-            steps += 1;
-            assert!(steps < 1_000, "decay must converge, not hover");
+        // Property hammer: from every starting point — full score,
+        // powers of two, the sub-shift band where an unfloored step
+        // would freeze, and a seeded spread of values — repeated decay
+        // is strictly monotone while positive, never wraps, reaches
+        // exactly zero in bounded steps, and zero is a fixed point.
+        let starts: Vec<u32> = (0..=16)
+            .map(|k| 1u32 << k)
+            .chain([HEALTH_FULL_PPM, 999_999, 12_345, 7, 6, 5, 4, 3, 2, 1, 0])
+            .chain((0..64).map(|i| {
+                crate::SplitMix64(0x000d_eca7 ^ i).next_u64() as u32 % (HEALTH_FULL_PPM + 1)
+            }))
+            .collect();
+        for start in starts {
+            let mut h = start;
+            let mut steps = 0u32;
+            while h > 0 {
+                let next = decay_health(h);
+                assert!(next < h, "decay from {start} stalled at {h}");
+                h = next;
+                steps += 1;
+                assert!(steps <= 256, "decay from {start} did not converge");
+            }
+            assert_eq!(decay_health(0), 0, "zero is a fixed point");
         }
-        assert_eq!(decay_health(0), 0, "zero is a fixed point");
         // Goodput recovers: folding full-health samples converges back
         // to (and never exceeds) full.
         let mut h = 0u32;
@@ -1080,6 +1109,12 @@ mod tests {
             assert!(h <= HEALTH_FULL_PPM);
         }
         assert_eq!(boost_health(HEALTH_FULL_PPM), HEALTH_FULL_PPM);
+        // Any in-range goodput sample keeps an in-range score in range.
+        for h in [0, 7, 12_345, 999_999, HEALTH_FULL_PPM] {
+            for sample in [0, 1, 500_000, HEALTH_FULL_PPM] {
+                assert!(ewma_health(h, sample) <= HEALTH_FULL_PPM);
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Three surfaces accept scenario descriptions: the CLI simulator
 //! (`nonstrict simulate --link modem --loss 500`), the wire server and
-//! loadgen (`paper serve` / `paper loadgen`), and chaos repro files.
+//! loadgen (`nonstrict serve` / `nonstrict loadgen`), and chaos repro files.
 //! This module is the single parser for the names they share, so a
 //! scenario moves between the simulated wire and the real one without
 //! translation — the same `--link t1 --fault-seed 7 --loss 500`

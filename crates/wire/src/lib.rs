@@ -72,8 +72,8 @@ pub mod server;
 
 pub use chaos::{ChaosConfig, ChaosProxy};
 pub use client::{
-    boost_health, decay_health, ClientConfig, ClientError, ClientReport, SessionStore, StoreFault,
-    WarmClass, WarmSession, WireClient, HEALTH_FULL_PPM,
+    boost_health, decay_health, ewma_health, ClientConfig, ClientError, ClientReport, SessionStore,
+    StoreFault, WarmClass, WarmSession, WireClient, HEALTH_FULL_PPM,
 };
 pub use config::{parse_mirrors, ConfigError, FaultKnobs, LinkSpec};
 pub use crc::crc32;

@@ -7,9 +7,7 @@
 //! ```
 
 use nonstrict::core::metrics::normalized_percent;
-use nonstrict::core::{
-    DataLayout, ExecutionModel, OrderingSource, Session, SimConfig, TransferPolicy, VerifyMode,
-};
+use nonstrict::core::{DataLayout, OrderingSource, Session, SimConfig, TransferPolicy};
 use nonstrict::netsim::Link;
 use nonstrict_bytecode::Input;
 
@@ -51,16 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 OrderingSource::TestProfile,
             ] {
                 let config = SimConfig {
-                    link,
-                    ordering,
                     transfer: policy,
                     data_layout,
-                    execution: ExecutionModel::NonStrict,
-                    faults: None,
-                    verify: VerifyMode::Off,
-                    outages: None,
-                    replicas: None,
-                    byzantine: None,
+                    ..SimConfig::non_strict(link, ordering)
                 };
                 let r = session.simulate(Input::Test, &config);
                 print!(" {:>8.1}", normalized_percent(r.total_cycles, base));

@@ -26,16 +26,8 @@
 //! // simulate non-strict interleaved transfer over a modem link.
 //! let app = nonstrict::workloads::hanoi::build();
 //! let config = SimConfig {
-//!     link: Link::MODEM_28_8,
-//!     ordering: OrderingSource::StaticCallGraph,
 //!     transfer: TransferPolicy::Interleaved,
-//!     data_layout: DataLayout::Whole,
-//!     execution: ExecutionModel::NonStrict,
-//!     faults: None,
-//!     verify: VerifyMode::Off,
-//!     outages: None,
-//!     replicas: None,
-//!     byzantine: None,
+//!     ..SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph)
 //! };
 //! let result = simulate(&app, Input::Test, &config).unwrap();
 //! let strict = simulate(&app, Input::Test, &SimConfig::strict(Link::MODEM_28_8)).unwrap();

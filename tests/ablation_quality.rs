@@ -1,9 +1,7 @@
-//! Quality side of the ablation benches: do the paper's design choices
-//! actually win in simulation?
+//! The ablations: do the paper's design choices actually win in
+//! simulation?
 
-use nonstrict::core::{
-    DataLayout, ExecutionModel, OrderingSource, Session, SimConfig, TransferPolicy, VerifyMode,
-};
+use nonstrict::core::{ExecutionModel, OrderingSource, Session, SimConfig, TransferPolicy};
 use nonstrict::netsim::{class_units, greedy_schedule, ParallelEngine, TransferEngine, Weights};
 use nonstrict::reorder::{restructure, static_first_use, static_first_use_plain};
 use nonstrict_bytecode::Input;
@@ -17,16 +15,8 @@ fn non_strict_gating_beats_strict_gating_under_identical_transfer() {
     for name in ["JHLZip", "Jess"] {
         let s = Session::new(nonstrict::workloads::build_by_name(name).unwrap()).unwrap();
         let mk = |execution| SimConfig {
-            link: Link::MODEM_28_8,
-            ordering: OrderingSource::StaticCallGraph,
-            transfer: TransferPolicy::Parallel { limit: 4 },
-            data_layout: DataLayout::Whole,
             execution,
-            faults: None,
-            verify: VerifyMode::Off,
-            outages: None,
-            replicas: None,
-            byzantine: None,
+            ..SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph)
         };
         let strict = s.simulate(Input::Test, &mk(ExecutionModel::Strict));
         let non_strict = s.simulate(Input::Test, &mk(ExecutionModel::NonStrict));
@@ -148,16 +138,8 @@ fn restructuring_matters_source_order_loses_to_first_use_order() {
     // predicted-order layouts must beat source order on average.
     let s = Session::new(nonstrict::workloads::jess::build()).unwrap();
     let mk = |ordering| SimConfig {
-        link: Link::MODEM_28_8,
-        ordering,
         transfer: TransferPolicy::Interleaved,
-        data_layout: DataLayout::Whole,
-        execution: ExecutionModel::NonStrict,
-        faults: None,
-        verify: VerifyMode::Off,
-        outages: None,
-        replicas: None,
-        byzantine: None,
+        ..SimConfig::non_strict(Link::MODEM_28_8, ordering)
     };
     let source = s.simulate(Input::Test, &mk(OrderingSource::SourceOrder));
     let test = s.simulate(Input::Test, &mk(OrderingSource::TestProfile));

@@ -289,7 +289,7 @@ fn verify_off_charges_nothing_and_keeps_the_seed_accounting() {
 
 #[test]
 fn verify_off_rows_match_the_committed_reference_csv() {
-    // The committed results/verify.csv was exported by the paper binary;
+    // The committed results/verify.csv was exported by `nonstrict paper csv`;
     // recomputing any one benchmark must reproduce its rows exactly —
     // the byte-identity guarantee `--verify=off` (the default) rests on.
     let committed =

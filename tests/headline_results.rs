@@ -10,9 +10,7 @@ use std::sync::OnceLock;
 
 use nonstrict::core::experiment::{self, Suite};
 use nonstrict::core::metrics::mean;
-use nonstrict::core::{
-    DataLayout, ExecutionModel, OrderingSource, SimConfig, TransferPolicy, VerifyMode,
-};
+use nonstrict::core::{DataLayout, OrderingSource, SimConfig, TransferPolicy};
 use nonstrict::netsim::Link;
 use nonstrict_bytecode::Input;
 
@@ -134,16 +132,8 @@ fn non_strict_execution_always_improves_on_the_baseline() {
                     TransferPolicy::Interleaved,
                 ] {
                     let config = SimConfig {
-                        link,
-                        ordering,
                         transfer,
-                        data_layout: DataLayout::Whole,
-                        execution: ExecutionModel::NonStrict,
-                        faults: None,
-                        verify: VerifyMode::Off,
-                        outages: None,
-                        replicas: None,
-                        byzantine: None,
+                        ..SimConfig::non_strict(link, ordering)
                     };
                     let r = session.simulate(Input::Test, &config);
                     // Method delimiters add ~2 bytes per method to the

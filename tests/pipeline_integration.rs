@@ -1,9 +1,7 @@
 //! Cross-crate integration: the classfile → bytecode → profile →
 //! reorder → netsim → core pipeline hangs together byte for byte.
 
-use nonstrict::core::{
-    DataLayout, ExecutionModel, OrderingSource, Session, SimConfig, TransferPolicy, VerifyMode,
-};
+use nonstrict::core::{OrderingSource, Session, SimConfig, TransferPolicy};
 use nonstrict::netsim::{
     class_units, greedy_schedule, InterleavedEngine, Link, ParallelEngine, StrictEngine,
     TransferEngine, Weights, DELIMITER_BYTES,
@@ -156,16 +154,8 @@ fn strict_transfer_with_nonstrict_execution_is_a_valid_ablation() {
     let link = Link::MODEM_28_8;
     let base = session.simulate(Input::Test, &SimConfig::strict(link));
     let overlap = SimConfig {
-        link,
-        ordering: OrderingSource::TestProfile,
         transfer: TransferPolicy::Strict,
-        data_layout: DataLayout::Whole,
-        execution: ExecutionModel::NonStrict,
-        faults: None,
-        verify: VerifyMode::Off,
-        outages: None,
-        replicas: None,
-        byzantine: None,
+        ..SimConfig::non_strict(link, OrderingSource::TestProfile)
     };
     let mut ns = overlap;
     ns.transfer = TransferPolicy::Parallel { limit: 4 };

@@ -5,9 +5,11 @@
 //! client persists between connections.
 
 use nonstrict_core::model::OrderingSource;
-use nonstrict_core::{build_plan, journal_from_report, resume_entries_from_journal, UnitManifest};
+use nonstrict_core::{build_plan, journal_from_report, resume_entries_from_journal};
 use nonstrict_wire::frame::read_frame;
-use nonstrict_wire::{crc32, ClientReport, Frame, FrameError, ResumeEntry, PROTOCOL_VERSION};
+use nonstrict_wire::{
+    crc32, ClientReport, Frame, FrameError, ResumeEntry, UnitManifest, PROTOCOL_VERSION,
+};
 
 /// One plan for the whole file: hanoi is the smallest benchmark that
 /// still has multi-method classes to negotiate over.

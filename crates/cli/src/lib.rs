@@ -35,17 +35,14 @@ use std::time::Duration;
 
 use nonstrict_bytecode::{Application, Input};
 use nonstrict_classfile::{Attribute, GlobalDataBreakdown};
+use nonstrict_core::chaos::{ChaosScenario, OverloadDims, ScenarioError};
 use nonstrict_core::experiment::{self, Suite};
 use nonstrict_core::fleet::{run_fleet, AdmissionSettings, FleetClient, FleetSpec};
 use nonstrict_core::metrics::{cycles_to_seconds, mean, normalized_percent, queue_share_percent};
-use nonstrict_core::model::{
-    ByzantineConfig, DataLayout, ExecutionModel, FaultConfig, OrderingSource, OutageConfig,
-    ReplicaConfig, SimConfig, TransferPolicy, VerifyMode,
-};
+use nonstrict_core::model::{DataLayout, OrderingSource, OutageConfig, SimConfig, VerifyMode};
 use nonstrict_core::report;
 use nonstrict_core::sim::{RunOutcome, Session};
-use nonstrict_netsim::byzantine::ByzantineMode;
-use nonstrict_netsim::{Link, ShedAction, ShedLadder};
+use nonstrict_netsim::{Link, ShedAction};
 use nonstrict_reorder::{partition_app, static_first_use, static_first_use_plain, FirstUseOrder};
 use nonstrict_store::{DurableSession, RealFs, Vfs};
 use nonstrict_wire::loadgen::StoreFactory;
@@ -126,8 +123,8 @@ USAGE:
   nonstrict disasm   <benchmark> [--class N] [--method M]
   nonstrict order    <benchmark> [--source scg|plain|train|test]
   nonstrict partition <benchmark>
-  nonstrict simulate <benchmark> [--link t1|modem] [--ordering scg|train|test|source]
-                                 [--transfer strict|par1|par2|par4|parinf|interleaved]
+  nonstrict simulate <benchmark> [--link t1|modem|cpb:N] [--ordering scg|train|test|source]
+                                 [--transfer strict|parN|parinf|interleaved]
                                  [--partitioned] [--strict-execution]
                                  [--verify off|stream|full]
                                  [--fault-seed N] [--loss PPM] [--drop PPM]
@@ -177,6 +174,10 @@ for any invariant violation, failed client or forced drain.
 Outage/resume: --interrupt kills the session at a base cycle and writes
 the checkpoint journal to --journal PATH; rerunning with --journal alone
 resumes from it (torn journals fail closed to a strict restart).
+
+Simulate flags are NSCR scenario keys under CLI names (README has the
+table): a flag accepts exactly the values and ranges its key does in a
+`paper chaos --repro` artifact.
 
 Replica sets: --replicas N downloads from N mirrors (1..=8) with
 health-scored routing and hedged demand fetches; --replica-spread sets
@@ -290,259 +291,146 @@ impl Flags {
     fn num_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
         Ok(self.num_opt(key)?.unwrap_or(default))
     }
+}
 
-    /// The fault configuration from `--fault-seed/--loss/--drop/--corrupt/
-    /// --droop/--semantic`, or `None` when no fault flag was given. Rates
-    /// are parts-per-million of fault probability per delivery attempt.
-    /// Spellings and parsing live in the `nonstrict-wire` knob
-    /// vocabulary, so the simulator, the wire server, and the loadgen
-    /// accept identical fault flags.
-    fn fault_config(&self) -> Result<Option<FaultConfig>, CliError> {
-        let mut knobs = FaultKnobs::default();
-        let mut any = false;
-        for key in FaultKnobs::KEYS {
-            if let Some(value) = self.get(key) {
-                knobs
-                    .set(key, value)
-                    .map_err(|e| CliError::usage(e.to_string()))?;
-                any = true;
-            }
+/// One `simulate` flag lowered to the NSCR key it sets
+/// ([`ChaosScenario::set`]). `simulate` is a thin front for the repro
+/// format: both spell a run with the same keys, values and range rules
+/// ([`ChaosScenario::validate`]).
+struct SimFlag {
+    /// The flag, without its `--`.
+    flag: &'static str,
+    /// The NSCR key it sets.
+    key: &'static str,
+    /// The value the row sets instead of the flag's own (switches, and
+    /// defaults a flag implies).
+    fixed: Option<&'static str>,
+    /// When the row lowers.
+    gate: Gate,
+}
+
+/// When a [`SimFlag`] row lowers.
+#[derive(Clone, Copy)]
+enum Gate {
+    /// Whenever its flag is given.
+    Always,
+    /// A tuning flag of the dimension `--OPENER N` opens: a usage error
+    /// without the opener or with `1 <= N < MIN`, lowered once `N >=
+    /// MIN`. `N = 0` is left to the range rules, which reject 0 mirrors
+    /// or clients and read 0 Byzantine mirrors as an honest fleet that
+    /// ignores its tuning.
+    Needs(&'static str, u64),
+    /// Only alongside its opener: `--fault-seed` also seeds the replica
+    /// and fleet sections `--replicas` and `--clients` open.
+    With(&'static str),
+}
+
+impl SimFlag {
+    const fn new(flag: &'static str, key: &'static str) -> SimFlag {
+        SimFlag {
+            flag,
+            key,
+            fixed: None,
+            gate: Gate::Always,
         }
-        if !any {
-            return Ok(None);
-        }
-        let mut fc = FaultConfig::seeded(knobs.seed);
-        fc.loss_pm = knobs.loss_pm;
-        fc.drop_pm = knobs.drop_pm;
-        fc.corrupt_pm = knobs.corrupt_pm;
-        fc.droop_pm = knobs.droop_pm;
-        fc.semantic_pm = knobs.semantic_pm;
-        Ok(Some(fc))
     }
 
-    /// The outage configuration from `--outage-seed/--outage-rate/
-    /// --outage-cycles`, or `None` when no outage flag was given. The
-    /// rate is parts-per-million of outage probability per base-time
-    /// draw period; `--outage-cycles` pins the loss duration exactly
-    /// (min = max), leaving the seeded defaults otherwise.
-    fn outage_config(&self) -> Result<Option<OutageConfig>, CliError> {
-        let seed: Option<u64> = self.num_opt("outage-seed")?;
-        let rate: Option<u32> = self.num_opt("outage-rate")?;
-        let cycles: Option<u64> = self.num_opt("outage-cycles")?;
-        if seed.is_none() && rate.is_none() && cycles.is_none() {
-            return Ok(None);
+    const fn fixed(self, value: &'static str) -> SimFlag {
+        SimFlag {
+            fixed: Some(value),
+            ..self
         }
-        let mut oc = OutageConfig::seeded(seed.unwrap_or(0));
-        oc.rate_pm = rate.unwrap_or(0);
-        if let Some(c) = cycles {
-            oc.min_cycles = c;
-            oc.max_cycles = c;
-        }
-        Ok(Some(oc))
     }
 
-    /// The replica-set configuration from `--replicas/--replica-spread/
-    /// --hedge-deadline`, or `None` when no replica flag was given. The
-    /// tuning flags are meaningless on a single origin, so giving either
-    /// without `--replicas 2` or more is a usage error rather than a
-    /// silently ignored knob.
-    fn replica_config(&self) -> Result<Option<ReplicaConfig>, CliError> {
-        let replicas: Option<u32> = self.num_opt("replicas")?;
-        let spread: Option<u32> = self.num_opt("replica-spread")?;
-        let deadline: Option<u64> = self.num_opt("hedge-deadline")?;
-        if let Some(n) = replicas.filter(|n| !(1..=ReplicaConfig::MAX_REPLICAS).contains(n)) {
-            return Err(CliError::usage(format!(
-                "--replicas expects 1..={}, got {n}",
-                ReplicaConfig::MAX_REPLICAS
-            )));
+    const fn needs(self, opener: &'static str, min: u64) -> SimFlag {
+        SimFlag {
+            gate: Gate::Needs(opener, min),
+            ..self
         }
-        let tuning_flag = [
-            spread.map(|_| "--replica-spread"),
-            deadline.map(|_| "--hedge-deadline"),
-        ]
-        .into_iter()
-        .flatten()
-        .next();
-        if let (Some(flag), None | Some(1)) = (tuning_flag, replicas) {
-            return Err(CliError::usage(format!(
-                "{flag} only makes sense with --replicas 2 or more"
-            )));
-        }
-        let Some(n) = replicas else {
-            return Ok(None);
-        };
-        let seed: Option<u64> = self.num_opt("fault-seed")?;
-        let mut rc = ReplicaConfig::seeded(seed.unwrap_or(0));
-        rc.replicas = n;
-        if let Some(s) = spread {
-            rc.spread_pm = s;
-        }
-        if let Some(d) = deadline {
-            rc.hedge_deadline_cycles = d;
-        }
-        Ok(Some(rc))
     }
 
-    /// The Byzantine-fleet settings from `--byzantine-mirrors/
-    /// --byzantine-mode/--byzantine-seed/--audit-rate`, or `None` when
-    /// no mirror misbehaves. The flags model mirrors subverting a
-    /// replica set, so all of them require `--replicas 2` or more, and
-    /// at least one mirror must stay honest (the origin-pinned
-    /// manifest's refetch path needs somewhere to fail over to).
-    fn byzantine_config(
-        &self,
-        replicas: Option<&ReplicaConfig>,
-    ) -> Result<Option<ByzantineConfig>, CliError> {
-        let mirrors: Option<u32> = self.num_opt("byzantine-mirrors")?;
-        let seed: Option<u64> = self.num_opt("byzantine-seed")?;
-        let mode_arg = self.get("byzantine-mode");
-        let audit: Option<u32> = self.num_opt("audit-rate")?;
-        let tuning_flag = [
-            seed.map(|_| "--byzantine-seed"),
-            mode_arg.map(|_| "--byzantine-mode"),
-            audit.map(|_| "--audit-rate"),
-        ]
-        .into_iter()
-        .flatten()
-        .next();
-        let Some(n) = mirrors else {
-            if let Some(flag) = tuning_flag {
-                return Err(CliError::usage(format!(
-                    "{flag} only makes sense with --byzantine-mirrors 1 or more"
-                )));
-            }
-            return Ok(None);
-        };
-        let fleet = replicas.map_or(0, |rc| rc.replicas);
-        if fleet < 2 {
-            return Err(CliError::usage(
-                "--byzantine-mirrors needs a replica set to subvert: give --replicas 2 or more",
-            ));
-        }
-        if n >= fleet {
-            return Err(CliError::usage(format!(
-                "--byzantine-mirrors expects at most --replicas - 1 (at least one honest mirror), \
-                 got {n} of {fleet}"
-            )));
-        }
-        if n == 0 {
-            // An explicitly honest fleet: the flag was given, so the
-            // tuning knobs are legal, but the config normalizes away.
-            return Ok(Some(ByzantineConfig::seeded(seed.unwrap_or(0))));
-        }
-        let mode = match mode_arg {
-            None => ByzantineMode::Equivocate,
-            Some(v) => ByzantineMode::parse(v).ok_or_else(|| {
-                CliError::usage(format!(
-                    "unknown byzantine mode {v:?}; use stale-epoch|equivocate|collude"
-                ))
-            })?,
-        };
-        let audit_rate_pm = audit.unwrap_or(ByzantineConfig::DEFAULT_AUDIT_RATE_PM);
-        if audit_rate_pm > 1_000_000 {
-            return Err(CliError::usage(format!(
-                "--audit-rate is in ppm of delivered units (0..=1000000), got {audit_rate_pm}"
-            )));
-        }
-        let mut bc = ByzantineConfig::seeded(seed.unwrap_or(0));
-        bc.mirrors = n;
-        bc.mode = mode;
-        bc.audit_rate_pm = audit_rate_pm;
-        Ok(Some(bc))
-    }
-
-    /// The fleet settings from `--clients/--client-spread/--admit-rate/
-    /// --shed-ladder`, or `None` when no fleet flag was given. The
-    /// tuning flags are meaningless without contention, so giving any
-    /// without `--clients 2` or more is a usage error rather than a
-    /// silently ignored knob.
-    fn fleet_settings(&self) -> Result<Option<FleetSettings>, CliError> {
-        let clients: Option<usize> = self.num_opt("clients")?;
-        let spread: Option<u32> = self.num_opt("client-spread")?;
-        let admit: Option<u32> = self.num_opt("admit-rate")?;
-        let ladder_arg = self.get("shed-ladder");
-        let tuning_flag = [
-            spread.map(|_| "--client-spread"),
-            admit.map(|_| "--admit-rate"),
-            ladder_arg.map(|_| "--shed-ladder"),
-        ]
-        .into_iter()
-        .flatten()
-        .next();
-        if let Some(n) = clients.filter(|n| !(1..=MAX_FLEET_CLIENTS).contains(n)) {
-            return Err(CliError::usage(format!(
-                "--clients expects 1..={MAX_FLEET_CLIENTS}, got {n}"
-            )));
-        }
-        if let (Some(flag), None | Some(1)) = (tuning_flag, clients) {
-            return Err(CliError::usage(format!(
-                "{flag} only makes sense with --clients 2 or more"
-            )));
-        }
-        let Some(n) = clients else {
-            return Ok(None);
-        };
-        let ladder = match ladder_arg {
-            None | Some("off") => None,
-            Some(v) => {
-                let rungs: Vec<u64> = v
-                    .split(',')
-                    .map(|p| p.trim().parse::<u64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| {
-                        CliError::usage(format!(
-                            "--shed-ladder expects off or three cycle counts H,S,J, got {v:?}"
-                        ))
-                    })?;
-                let &[h, s, j] = rungs.as_slice() else {
-                    return Err(CliError::usage(format!(
-                        "--shed-ladder expects off or three cycle counts H,S,J, got {v:?}"
-                    )));
-                };
-                Some(
-                    ShedLadder::new(h, s, j)
-                        .map_err(|e| CliError::usage(format!("--shed-ladder: {e}")))?,
-                )
-            }
-        };
-        Ok(Some(FleetSettings {
-            clients: n,
-            spread_pm: spread.unwrap_or(0),
-            admit_rate: admit.unwrap_or(0),
-            ladder,
-        }))
-    }
-
-    /// The verification mode from `--verify`, defaulting to `off` so a
-    /// plain `simulate` reproduces the paper's verification-free numbers.
-    fn verify_mode(&self) -> Result<VerifyMode, CliError> {
-        match self.get("verify") {
-            None => Ok(VerifyMode::Off),
-            Some(v) => VerifyMode::parse(v).ok_or_else(|| {
-                CliError::usage(format!("unknown verify mode {v:?}; use off|stream|full"))
-            }),
+    const fn with(self, opener: &'static str) -> SimFlag {
+        SimFlag {
+            gate: Gate::With(opener),
+            ..self
         }
     }
 }
 
-/// Hard cap on `--clients`, matching what the per-client outcome table
-/// can sensibly render.
-const MAX_FLEET_CLIENTS: usize = 64;
+/// `simulate`'s flag → NSCR key table, in lowering order: each
+/// dimension's opener before the rows it gates. `--interrupt` and
+/// `--journal` stay CLI-owned.
+const SIM_FLAGS: &[SimFlag] = &[
+    SimFlag::new("link", "link"),
+    SimFlag::new("ordering", "ordering"),
+    SimFlag::new("transfer", "transfer"),
+    SimFlag::new("partitioned", "layout").fixed("part"),
+    SimFlag::new("strict-execution", "execution").fixed("strict"),
+    SimFlag::new("verify", "verify"),
+    SimFlag::new("fault-seed", "fault.seed"),
+    SimFlag::new("loss", "fault.loss_pm"),
+    SimFlag::new("drop", "fault.drop_pm"),
+    SimFlag::new("corrupt", "fault.corrupt_pm"),
+    SimFlag::new("droop", "fault.droop_pm"),
+    SimFlag::new("semantic", "fault.semantic_pm"),
+    SimFlag::new("outage-seed", "outage.seed"),
+    SimFlag::new("outage-rate", "outage.rate_pm"),
+    SimFlag::new("outage-cycles", "outage.min_cycles"),
+    SimFlag::new("outage-cycles", "outage.max_cycles"),
+    SimFlag::new("replicas", "replica.replicas"),
+    SimFlag::new("fault-seed", "replica.seed").with("replicas"),
+    SimFlag::new("replica-spread", "replica.spread_pm").needs("replicas", 2),
+    SimFlag::new("hedge-deadline", "replica.hedge_deadline_cycles").needs("replicas", 2),
+    SimFlag::new("byzantine-mirrors", "byz.mirrors").needs("replicas", 2),
+    SimFlag::new("byzantine-seed", "byz.seed").needs("byzantine-mirrors", 1),
+    SimFlag::new("byzantine-mode", "byz.mode").needs("byzantine-mirrors", 1),
+    SimFlag::new("audit-rate", "byz.audit_rate_pm").needs("byzantine-mirrors", 1),
+    SimFlag::new("clients", "overload.clients"),
+    SimFlag::new("fault-seed", "overload.seed").with("clients"),
+    // `simulate` fleets start on equal access links.
+    SimFlag::new("clients", "overload.spread_pm").fixed("0"),
+    SimFlag::new("client-spread", "overload.spread_pm").needs("clients", 2),
+    SimFlag::new("admit-rate", "overload.admit_rate").needs("clients", 2),
+    SimFlag::new("shed-ladder", "overload.ladder").needs("clients", 2),
+];
 
-/// Parsed fleet flags: `--clients` plus its tuning knobs.
-#[derive(Debug, Clone, Copy)]
-struct FleetSettings {
-    /// Fleet size (`--clients`).
-    clients: usize,
-    /// Per-client access-link bandwidth droop in ppm (`--client-spread`):
-    /// client `i`'s cycles-per-byte is the base link's scaled by
-    /// `1 + i * spread_pm / 1e6`, the same arithmetic as replica spread.
-    spread_pm: u32,
-    /// Token-bucket admission rate (`--admit-rate`); 0 disables.
-    admit_rate: u32,
-    /// Load-shed ladder rungs (`--shed-ladder H,S,J`); `None` serves
-    /// every client unmodified.
-    ladder: Option<ShedLadder>,
+/// Lowers `simulate`'s flags through [`SIM_FLAGS`] into a validated
+/// scenario for `bench`. Errors name the flag that passed the value,
+/// not the NSCR key.
+fn scenario_from_flags(flags: &Flags, bench: &str) -> Result<ChaosScenario, CliError> {
+    let usage = |e: ScenarioError| {
+        CliError::usage(e.render(&|key| {
+            SIM_FLAGS
+                .iter()
+                .find(|r| r.key == key && r.fixed.is_none())
+                .map_or_else(|| key.to_owned(), |r| format!("--{}", r.flag))
+        }))
+    };
+    let mut sc = ChaosScenario::new(bench, Link::MODEM_28_8, OrderingSource::StaticCallGraph);
+    for row in SIM_FLAGS {
+        let Some(value) = flags.get(row.flag) else {
+            continue;
+        };
+        let lower = match row.gate {
+            Gate::Always => true,
+            Gate::With(opener) => flags.has(opener),
+            Gate::Needs(opener, min) => match flags.num_opt::<u64>(opener)? {
+                Some(0) => false,
+                Some(n) if n >= min => true,
+                _ => {
+                    return Err(CliError::usage(format!(
+                        "--{} only makes sense with --{opener} {min} or more",
+                        row.flag
+                    )))
+                }
+            },
+        };
+        if lower {
+            sc.set(row.key, row.fixed.unwrap_or(value)).map_err(usage)?;
+        }
+    }
+    sc.validate().map_err(usage)?;
+    Ok(sc)
 }
 
 /// What one subcommand accepts. The parser rejects everything else, so
@@ -861,59 +749,20 @@ fn parse_ordering(flags: &Flags) -> Result<OrderingSource, CliError> {
 
 fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
     let app = flags.app()?;
-    let link = parse_link(flags)?;
-    let ordering = parse_ordering(flags)?;
-    let transfer = match flags.get("transfer").unwrap_or("par4") {
-        "strict" => TransferPolicy::Strict,
-        "par1" => TransferPolicy::Parallel { limit: 1 },
-        "par2" => TransferPolicy::Parallel { limit: 2 },
-        "par4" => TransferPolicy::Parallel { limit: 4 },
-        "parinf" => TransferPolicy::Parallel { limit: usize::MAX },
-        "interleaved" => TransferPolicy::Interleaved,
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown transfer {other:?}; use strict|par1|par2|par4|parinf|interleaved"
-            )))
-        }
-    };
-    let config = SimConfig {
-        link,
-        ordering,
-        transfer,
-        data_layout: if flags.has("partitioned") {
-            DataLayout::Partitioned
-        } else {
-            DataLayout::Whole
-        },
-        execution: if flags.has("strict-execution") {
-            ExecutionModel::Strict
-        } else {
-            ExecutionModel::NonStrict
-        },
-        faults: flags.fault_config()?,
-        verify: flags.verify_mode()?,
-        outages: flags.outage_config()?,
-        replicas: flags.replica_config()?,
-        byzantine: None,
-    };
-    let config = SimConfig {
-        byzantine: flags.byzantine_config(config.replicas.as_ref())?,
-        ..config
-    };
-
-    if let Some(fs) = flags.fleet_settings()? {
-        if flags.has("interrupt") || flags.has("journal") {
-            return Err(CliError::usage(
-                "--clients does not combine with --interrupt/--journal \
-                 (the shed ladder journals and resumes internally)",
-            ));
-        }
-        if fs.clients >= 2 {
-            return simulate_fleet(flags, app, &config, &fs);
-        }
-        // A fleet of one never queues: the single-client path below is
-        // bit-identical (asserted in core::fleet's tests), so fall
-        // through rather than render a one-row outcome table.
+    let sc = scenario_from_flags(flags, &app.name)?;
+    let config = sc.config();
+    let link = config.link;
+    if flags.has("clients") && (flags.has("interrupt") || flags.has("journal")) {
+        return Err(CliError::usage(
+            "--clients does not combine with --interrupt/--journal \
+             (the shed ladder journals and resumes internally)",
+        ));
+    }
+    // A fleet of one never queues: the single-client path below is
+    // bit-identical (asserted in core::fleet's tests), so it takes that
+    // path rather than render a one-row outcome table.
+    if let Some(ov) = sc.active_overload() {
+        return simulate_fleet(app, &config, &ov);
     }
 
     let session = Session::new(app).map_err(|e| CliError::failed(e.to_string()))?;
@@ -1149,31 +998,18 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Client `i`'s access link under `--client-spread`: the base link's
-/// cycles-per-byte scaled by `1 + i * spread_pm / 1e6` (the replica-
-/// spread arithmetic, applied across clients instead of mirrors).
-fn client_link(link: Link, spread_pm: u32, i: usize) -> Link {
-    let cpb = u128::from(link.cycles_per_byte) * (1_000_000 + u128::from(spread_pm) * i as u128)
-        / 1_000_000;
-    Link {
-        cycles_per_byte: u64::try_from(cpb).unwrap_or(u64::MAX),
-        name: link.name,
-    }
-}
-
 /// Runs `--clients N` concurrent sessions behind the shared egress pipe
 /// and renders the fleet report: aggregate tail latency, admission and
 /// shed-ladder outcomes, and the per-client outcome table.
 fn simulate_fleet(
-    flags: &Flags,
     first: Application,
     config: &SimConfig,
-    fs: &FleetSettings,
+    ov: &OverloadDims,
 ) -> Result<String, CliError> {
     // Client 0 is the named benchmark; the rest cycle through the
     // suite in table order.
     let mut apps = vec![first];
-    for i in 1..fs.clients {
+    for i in 1..ov.clients as usize {
         let name = nonstrict_workloads::BENCHMARK_NAMES
             [(i - 1) % nonstrict_workloads::BENCHMARK_NAMES.len()];
         apps.push(nonstrict_workloads::build_by_name(name).expect("suite benchmark builds"));
@@ -1188,15 +1024,14 @@ fn simulate_fleet(
         .map(|(i, s)| FleetClient {
             name: &s.app.name,
             session: s,
-            link: client_link(config.link, fs.spread_pm, i),
+            link: config.link.spread(ov.spread_pm, i as u32),
             weight: 1,
         })
         .collect();
-    let seed: u64 = flags.num_opt("fault-seed")?.unwrap_or(0);
     let spec = FleetSpec {
-        admission: (fs.admit_rate > 0).then(|| AdmissionSettings::per_period(fs.admit_rate)),
-        ladder: fs.ladder,
-        ..FleetSpec::seeded(seed)
+        admission: (ov.admit_rate > 0).then(|| AdmissionSettings::per_period(ov.admit_rate)),
+        ladder: ov.ladder,
+        ..FleetSpec::seeded(ov.seed)
     };
     let fleet = run_fleet(&spec, &clients, Input::Test, config);
 
@@ -1206,7 +1041,7 @@ fn simulate_fleet(
     let _ = writeln!(
         out,
         "fleet of {} over shared {} egress — {:?}",
-        fs.clients, fleet.egress.name, config
+        ov.clients, fleet.egress.name, config
     );
     let _ = writeln!(
         out,
@@ -1241,7 +1076,7 @@ fn simulate_fleet(
             );
         }
     }
-    match fs.ladder {
+    match ov.ladder {
         Some(l) => {
             let _ = writeln!(
                 out,
@@ -2213,6 +2048,71 @@ mod tests {
             assert_eq!(err.code, 2);
             assert!(err.message.contains("1..=8"), "{}", err.message);
         }
+    }
+
+    #[test]
+    fn every_simulate_flag_lowers_to_an_nscr_key() {
+        let mut sc = ChaosScenario::new("hanoi", Link::T1, OrderingSource::StaticCallGraph);
+        for row in SIM_FLAGS {
+            let accepted = SIMULATE.takes_value(row.flag)
+                || SIMULATE.switches.split_whitespace().any(|k| k == row.flag);
+            assert!(accepted, "--{} is not a simulate flag", row.flag);
+            assert!(
+                !matches!(sc.set(row.key, "x"), Err(ScenarioError::UnknownKey(_))),
+                "{} is not an NSCR key",
+                row.key
+            );
+        }
+        for knob in FaultKnobs::KEYS {
+            assert!(
+                SIM_FLAGS.iter().any(|r| r.flag == knob),
+                "--{knob} unlowered"
+            );
+        }
+    }
+
+    #[test]
+    fn simulate_echoes_the_config_its_nscr_spelling_decodes_to() {
+        let out = run_str(&[
+            "simulate",
+            "hanoi",
+            "--link",
+            "t1",
+            "--transfer",
+            "interleaved",
+            "--partitioned",
+            "--fault-seed",
+            "7",
+            "--loss",
+            "20000",
+            "--replicas",
+            "3",
+            "--byzantine-mirrors",
+            "1",
+        ])
+        .unwrap();
+        let sc = ChaosScenario::decode(
+            "NSCR 1\nbench = hanoi\nlink = t1\ntransfer = interleaved\nlayout = part\n\
+             fault.seed = 7\nfault.loss_pm = 20000\nreplica.seed = 7\nreplica.replicas = 3\n\
+             byz.mirrors = 1\n",
+        )
+        .unwrap();
+        let echo = out.lines().next().unwrap();
+        assert!(echo.ends_with(&format!("— {:?}", sc.config())), "{echo}");
+        // A range the artifact rejects, the flag rejects too.
+        let err = run_str(&[
+            "simulate",
+            "hanoi",
+            "--replicas",
+            "3",
+            "--byzantine-mirrors",
+            "1",
+            "--audit-rate",
+            "1000001",
+        ])
+        .unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("--audit-rate"), "{}", err.message);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! The overload dimension drives [`crate::fleet::run_fleet`] and is
 //! checked for per-client ledger exactness; it cannot be combined with
 //! an interrupt point (a fleet has no single journal to crash), which
-//! [`ChaosScenario::decode`] rejects as [`ScenarioError::Conflict`].
+//! [`ChaosScenario::validate`] rejects as [`ScenarioError::Conflict`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -88,6 +88,10 @@ pub struct OverloadDims {
 }
 
 impl OverloadDims {
+    /// Largest fleet a scenario may describe: one row per client in
+    /// `simulate`'s outcome table.
+    pub const MAX_CLIENTS: u32 = 64;
+
     /// An overload config with a single client under `seed` — the
     /// fleet machinery is armed but there is no one to contend with.
     #[must_use]
@@ -109,7 +113,7 @@ impl OverloadDims {
 }
 
 /// Where to crash the composed run: the interrupt dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct InterruptDims {
     /// Base-timeline cycle of the kill.
     pub at_cycle: u64,
@@ -361,11 +365,14 @@ impl ChaosScenario {
         use std::fmt::Write as _;
         let mut s = format!("{SCENARIO_MAGIC} {SCENARIO_VERSION}\n");
         let _ = writeln!(s, "bench = {}", self.bench);
-        let _ = writeln!(s, "link = {}", encode_link(self.link));
-        let _ = writeln!(s, "ordering = {}", encode_ordering(self.ordering));
-        let _ = writeln!(s, "transfer = {}", encode_transfer(self.transfer));
-        let _ = writeln!(s, "layout = {}", encode_layout(self.data_layout));
-        let _ = writeln!(s, "execution = {}", encode_execution(self.execution));
+        let ordering =
+            nonstrict_wire::config::ordering_name(crate::serve::ordering_to_wire(self.ordering))
+                .expect("every ordering has a wire spelling");
+        let _ = writeln!(s, "link = {}", self.link.spelling());
+        let _ = writeln!(s, "ordering = {ordering}");
+        let _ = writeln!(s, "transfer = {}", self.transfer.spelling());
+        let _ = writeln!(s, "layout = {}", self.data_layout.spelling());
+        let _ = writeln!(s, "execution = {}", self.execution.spelling());
         let _ = writeln!(s, "verify = {}", self.verify.label());
         if let Some(fc) = self.faults {
             let _ = writeln!(s, "fault.seed = {}", fc.seed);
@@ -430,10 +437,9 @@ impl ChaosScenario {
     }
 
     /// Parses an `NSCR 1` repro artifact (the inverse of
-    /// [`Self::encode`]). Accepts blank lines and `#` comments; keys
-    /// may appear in any order but at most once; a dimension's section
-    /// materializes (with seeded defaults) as soon as any of its keys
-    /// appears.
+    /// [`Self::encode`]): every `key = value` line through
+    /// [`Self::set`], then [`Self::validate`]. Accepts blank lines and
+    /// `#` comments; keys may appear at most once.
     ///
     /// # Errors
     ///
@@ -458,9 +464,7 @@ impl ChaosScenario {
         }
 
         let mut sc = ChaosScenario::new("", Link::T1, OrderingSource::StaticCallGraph);
-        let mut seen: Vec<String> = Vec::new();
-        let mut kill: Option<(u32, u64)> = None;
-        let mut ladder: Option<(u64, u64, u64)> = None;
+        let mut seen: Vec<&str> = Vec::new();
         for raw in lines {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -470,175 +474,196 @@ impl ChaosScenario {
                 .split_once('=')
                 .map(|(k, v)| (k.trim(), v.trim()))
                 .ok_or_else(|| ScenarioError::BadLine(line.to_owned()))?;
-            if seen.iter().any(|s| s == key) {
+            if seen.contains(&key) {
                 return Err(ScenarioError::DuplicateKey(key.to_owned()));
             }
-            seen.push(key.to_owned());
-            let bad = || ScenarioError::BadValue {
-                key: key.to_owned(),
-                value: value.to_owned(),
+            seen.push(key);
+            sc.set(key, value)?;
+        }
+        sc.validate()?;
+        Ok(sc)
+    }
+
+    /// Sets one `NSCR` key — the single setter behind both the repro
+    /// format and `nonstrict simulate`'s flags. A fault dimension's
+    /// section opens with seeded defaults at its first key; the two
+    /// dependent keys, `replica.kill` and `overload.ladder`, need their
+    /// section opened by an earlier key. Range rules are
+    /// [`Self::validate`]'s.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::UnknownKey`], [`ScenarioError::BadValue`], or
+    /// [`ScenarioError::MissingKey`] for a dependent key without its
+    /// section.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let bad = || ScenarioError::BadValue {
+            key: key.to_owned(),
+            value: value.to_owned(),
+        };
+        // Parses the value into `dim.field`, opening the section.
+        macro_rules! put {
+            ($dim:ident . $field:ident, $fresh:expr) => {
+                self.$dim.get_or_insert($fresh).$field = value.parse().map_err(|_| bad())?
             };
-            // Typed numeric parsers, shared by every section.
-            macro_rules! num {
-                () => {
-                    value.parse().map_err(|_| bad())?
-                };
+        }
+        match key {
+            "bench" => self.bench = value.to_owned(),
+            "link" => self.link = Link::parse(value).ok_or_else(bad)?,
+            "ordering" => {
+                self.ordering = nonstrict_wire::config::ordering_code(value)
+                    .ok()
+                    .and_then(crate::serve::ordering_from_wire)
+                    .ok_or_else(bad)?;
             }
-            match key {
-                "bench" => sc.bench = value.to_owned(),
-                "link" => sc.link = decode_link(value).ok_or_else(bad)?,
-                "ordering" => sc.ordering = decode_ordering(value).ok_or_else(bad)?,
-                "transfer" => sc.transfer = decode_transfer(value).ok_or_else(bad)?,
-                "layout" => sc.data_layout = decode_layout(value).ok_or_else(bad)?,
-                "execution" => sc.execution = decode_execution(value).ok_or_else(bad)?,
-                "verify" => sc.verify = VerifyMode::parse(value).ok_or_else(bad)?,
-                "fault.seed" => sc.faults.get_or_insert(FaultConfig::seeded(0)).seed = num!(),
-                "fault.loss_pm" => sc.faults.get_or_insert(FaultConfig::seeded(0)).loss_pm = num!(),
-                "fault.corrupt_pm" => {
-                    sc.faults.get_or_insert(FaultConfig::seeded(0)).corrupt_pm = num!();
-                }
-                "fault.drop_pm" => sc.faults.get_or_insert(FaultConfig::seeded(0)).drop_pm = num!(),
-                "fault.droop_pm" => {
-                    sc.faults.get_or_insert(FaultConfig::seeded(0)).droop_pm = num!();
-                }
-                "fault.semantic_pm" => {
-                    sc.faults.get_or_insert(FaultConfig::seeded(0)).semantic_pm = num!();
-                }
-                "fault.reconnect_cycles" => {
-                    sc.faults
-                        .get_or_insert(FaultConfig::seeded(0))
-                        .reconnect_cycles = num!();
-                }
-                "fault.degrade_threshold" => {
-                    sc.faults
-                        .get_or_insert(FaultConfig::seeded(0))
-                        .degrade_threshold = num!();
-                }
-                "outage.seed" => sc.outages.get_or_insert(OutageConfig::seeded(0)).seed = num!(),
-                "outage.rate_pm" => {
-                    sc.outages.get_or_insert(OutageConfig::seeded(0)).rate_pm = num!();
-                }
-                "outage.min_cycles" => {
-                    sc.outages.get_or_insert(OutageConfig::seeded(0)).min_cycles = num!();
-                }
-                "outage.max_cycles" => {
-                    sc.outages.get_or_insert(OutageConfig::seeded(0)).max_cycles = num!();
-                }
-                "outage.negotiation_cycles" => {
-                    sc.outages
-                        .get_or_insert(OutageConfig::seeded(0))
-                        .negotiation_cycles = num!();
-                }
-                "replica.seed" => sc.replicas.get_or_insert(ReplicaConfig::seeded(0)).seed = num!(),
-                "replica.replicas" => {
-                    sc.replicas.get_or_insert(ReplicaConfig::seeded(0)).replicas = num!();
-                }
-                "replica.spread_pm" => {
-                    sc.replicas
-                        .get_or_insert(ReplicaConfig::seeded(0))
-                        .spread_pm = num!();
-                }
-                "replica.hedge_deadline_cycles" => {
-                    sc.replicas
-                        .get_or_insert(ReplicaConfig::seeded(0))
-                        .hedge_deadline_cycles = num!();
-                }
-                "replica.kill" => {
-                    let (r, at) = value.split_once('@').ok_or_else(bad)?;
-                    kill = Some((
-                        r.parse().map_err(|_| bad())?,
-                        at.parse().map_err(|_| bad())?,
-                    ));
-                }
-                "byz.seed" => sc.byzantine.get_or_insert(ByzantineConfig::seeded(0)).seed = num!(),
-                "byz.mirrors" => {
-                    sc.byzantine
-                        .get_or_insert(ByzantineConfig::seeded(0))
-                        .mirrors = num!();
-                }
-                "byz.mode" => {
-                    sc.byzantine.get_or_insert(ByzantineConfig::seeded(0)).mode =
-                        ByzantineMode::parse(value).ok_or_else(bad)?;
-                }
-                "byz.audit_rate_pm" => {
-                    sc.byzantine
-                        .get_or_insert(ByzantineConfig::seeded(0))
-                        .audit_rate_pm = num!();
-                }
-                "overload.seed" => sc.overload.get_or_insert(OverloadDims::seeded(0)).seed = num!(),
-                "overload.clients" => {
-                    sc.overload.get_or_insert(OverloadDims::seeded(0)).clients = num!();
-                }
-                "overload.spread_pm" => {
-                    sc.overload.get_or_insert(OverloadDims::seeded(0)).spread_pm = num!();
-                }
-                "overload.admit_rate" => {
-                    sc.overload
-                        .get_or_insert(OverloadDims::seeded(0))
-                        .admit_rate = num!();
-                }
-                "overload.ladder" => {
-                    let mut it = value.splitn(3, '/');
-                    let mut part = || -> Result<u64, ScenarioError> {
-                        it.next().ok_or_else(bad)?.parse().map_err(|_| bad())
+            "transfer" => self.transfer = TransferPolicy::parse(value).ok_or_else(bad)?,
+            "layout" => self.data_layout = DataLayout::parse(value).ok_or_else(bad)?,
+            "execution" => self.execution = ExecutionModel::parse(value).ok_or_else(bad)?,
+            "verify" => self.verify = VerifyMode::parse(value).ok_or_else(bad)?,
+            "fault.seed" => put!(faults.seed, FaultConfig::seeded(0)),
+            "fault.loss_pm" => put!(faults.loss_pm, FaultConfig::seeded(0)),
+            "fault.corrupt_pm" => put!(faults.corrupt_pm, FaultConfig::seeded(0)),
+            "fault.drop_pm" => put!(faults.drop_pm, FaultConfig::seeded(0)),
+            "fault.droop_pm" => put!(faults.droop_pm, FaultConfig::seeded(0)),
+            "fault.semantic_pm" => put!(faults.semantic_pm, FaultConfig::seeded(0)),
+            "fault.reconnect_cycles" => put!(faults.reconnect_cycles, FaultConfig::seeded(0)),
+            "fault.degrade_threshold" => put!(faults.degrade_threshold, FaultConfig::seeded(0)),
+            "outage.seed" => put!(outages.seed, OutageConfig::seeded(0)),
+            "outage.rate_pm" => put!(outages.rate_pm, OutageConfig::seeded(0)),
+            "outage.min_cycles" => put!(outages.min_cycles, OutageConfig::seeded(0)),
+            "outage.max_cycles" => put!(outages.max_cycles, OutageConfig::seeded(0)),
+            "outage.negotiation_cycles" => {
+                put!(outages.negotiation_cycles, OutageConfig::seeded(0));
+            }
+            "replica.seed" => put!(replicas.seed, ReplicaConfig::seeded(0)),
+            "replica.replicas" => put!(replicas.replicas, ReplicaConfig::seeded(0)),
+            "replica.spread_pm" => put!(replicas.spread_pm, ReplicaConfig::seeded(0)),
+            "replica.hedge_deadline_cycles" => {
+                put!(replicas.hedge_deadline_cycles, ReplicaConfig::seeded(0));
+            }
+            "replica.kill" => {
+                let (r, at) = value.split_once('@').ok_or_else(bad)?;
+                let kill = ReplicaKill {
+                    replica: r.parse().map_err(|_| bad())?,
+                    at_cycle: at.parse().map_err(|_| bad())?,
+                };
+                let rc = self
+                    .replicas
+                    .as_mut()
+                    .ok_or(ScenarioError::MissingKey("replica.seed"))?;
+                rc.kill = Some(kill);
+            }
+            "byz.seed" => put!(byzantine.seed, ByzantineConfig::seeded(0)),
+            "byz.mirrors" => put!(byzantine.mirrors, ByzantineConfig::seeded(0)),
+            "byz.mode" => {
+                self.byzantine
+                    .get_or_insert(ByzantineConfig::seeded(0))
+                    .mode = ByzantineMode::parse(value).ok_or_else(bad)?;
+            }
+            "byz.audit_rate_pm" => put!(byzantine.audit_rate_pm, ByzantineConfig::seeded(0)),
+            "overload.seed" => put!(overload.seed, OverloadDims::seeded(0)),
+            "overload.clients" => put!(overload.clients, OverloadDims::seeded(0)),
+            "overload.spread_pm" => put!(overload.spread_pm, OverloadDims::seeded(0)),
+            "overload.admit_rate" => put!(overload.admit_rate, OverloadDims::seeded(0)),
+            "overload.ladder" => {
+                // Rungs `H/S/J`; `H,S,J`, the `--shed-ladder` spelling,
+                // reads the same. Their ordering is a range rule.
+                let ladder = if value == "off" {
+                    None
+                } else {
+                    let rungs: Vec<u64> = value
+                        .split(['/', ','])
+                        .map(|p| p.trim().parse())
+                        .collect::<Result<_, _>>()
+                        .map_err(|_| bad())?;
+                    let &[drop_hedges, force_strict, shed] = rungs.as_slice() else {
+                        return Err(bad());
                     };
-                    ladder = Some((part()?, part()?, part()?));
-                }
-                "interrupt.at_cycle" => {
-                    sc.interrupt
-                        .get_or_insert(InterruptDims {
-                            at_cycle: 0,
-                            downtime: 0,
-                        })
-                        .at_cycle = num!();
-                }
-                "interrupt.downtime" => {
-                    sc.interrupt
-                        .get_or_insert(InterruptDims {
-                            at_cycle: 0,
-                            downtime: 0,
-                        })
-                        .downtime = num!();
-                }
-                "disk.seed" => sc.disk.get_or_insert(DiskDims::seeded(0)).seed = num!(),
-                "disk.torn_pm" => sc.disk.get_or_insert(DiskDims::seeded(0)).torn_pm = num!(),
-                "disk.lie_pm" => sc.disk.get_or_insert(DiskDims::seeded(0)).lie_pm = num!(),
-                "disk.bitrot_pm" => {
-                    sc.disk.get_or_insert(DiskDims::seeded(0)).bitrot_pm = num!();
-                }
-                _ => return Err(ScenarioError::UnknownKey(key.to_owned())),
+                    Some(ShedLadder {
+                        drop_hedges,
+                        force_strict,
+                        shed,
+                    })
+                };
+                let ov = self
+                    .overload
+                    .as_mut()
+                    .ok_or(ScenarioError::MissingKey("overload.seed"))?;
+                ov.ladder = ladder;
+            }
+            "interrupt.at_cycle" => put!(interrupt.at_cycle, InterruptDims::default()),
+            "interrupt.downtime" => put!(interrupt.downtime, InterruptDims::default()),
+            "disk.seed" => put!(disk.seed, DiskDims::seeded(0)),
+            "disk.torn_pm" => put!(disk.torn_pm, DiskDims::seeded(0)),
+            "disk.lie_pm" => put!(disk.lie_pm, DiskDims::seeded(0)),
+            "disk.bitrot_pm" => put!(disk.bitrot_pm, DiskDims::seeded(0)),
+            _ => return Err(ScenarioError::UnknownKey(key.to_owned())),
+        }
+        Ok(())
+    }
+
+    /// The range rules every scenario must meet, wherever it was
+    /// spelled: a benchmark is named; a replica set has 1..=8 mirrors;
+    /// Byzantine mirrors leave at least one honest mirror (a scenario
+    /// without a replica set has one, the origin) and audit at most
+    /// every unit (1e6 ppm); a fleet has 1..=64 clients and an ordered
+    /// shed ladder; and an active fleet is never interrupted (it has no
+    /// single journal to crash).
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, as a typed [`ScenarioError`].
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        fn within(key: &'static str, value: u32, min: u32, max: u32) -> Result<(), ScenarioError> {
+            if (min..=max).contains(&value) {
+                Ok(())
+            } else {
+                Err(ScenarioError::OutOfRange {
+                    key,
+                    value,
+                    min,
+                    max,
+                })
             }
         }
-        if sc.bench.is_empty() {
+        if self.bench.is_empty() {
             return Err(ScenarioError::MissingKey("bench"));
         }
-        if let Some((replica, at_cycle)) = kill {
-            let rc = sc
-                .replicas
-                .as_mut()
-                .ok_or(ScenarioError::MissingKey("replica.seed"))?;
-            rc.kill = Some(ReplicaKill { replica, at_cycle });
+        let replicas = self.replicas.map_or(Ok(1), |rc| {
+            within(
+                "replica.replicas",
+                rc.replicas,
+                1,
+                ReplicaConfig::MAX_REPLICAS,
+            )
+            .map(|()| rc.replicas)
+        })?;
+        if let Some(bc) = self.byzantine {
+            if bc.mirrors >= replicas {
+                return Err(ScenarioError::NoHonestMirror {
+                    mirrors: bc.mirrors,
+                    replicas,
+                });
+            }
+            within("byz.audit_rate_pm", bc.audit_rate_pm, 0, 1_000_000)?;
         }
-        if let Some((drop_hedges, force_strict, shed)) = ladder {
-            let ov = sc
-                .overload
-                .as_mut()
-                .ok_or(ScenarioError::MissingKey("overload.seed"))?;
-            ov.ladder = Some(
-                ShedLadder::new(drop_hedges, force_strict, shed).map_err(|_| {
+        if let Some(ov) = self.overload {
+            within("overload.clients", ov.clients, 1, OverloadDims::MAX_CLIENTS)?;
+            if let Some(l) = ov.ladder {
+                ShedLadder::new(l.drop_hedges, l.force_strict, l.shed).map_err(|_| {
                     ScenarioError::BadValue {
                         key: "overload.ladder".to_owned(),
-                        value: format!("{drop_hedges}/{force_strict}/{shed}"),
+                        value: format!("{}/{}/{}", l.drop_hedges, l.force_strict, l.shed),
                     }
-                })?,
-            );
+                })?;
+            }
         }
-        if sc.active_overload().is_some() && sc.interrupt.is_some() {
+        if self.active_overload().is_some() && self.interrupt.is_some() {
             return Err(ScenarioError::Conflict(
                 "interrupt cannot compose with overload: a fleet has no single journal to crash",
             ));
         }
-        Ok(sc)
+        Ok(())
     }
 }
 
@@ -666,130 +691,102 @@ pub enum ScenarioError {
     /// A required key is missing (or a dependent key appeared without
     /// its section anchor).
     MissingKey(&'static str),
+    /// A count or rate outside its key's range.
+    OutOfRange {
+        /// The offending key.
+        key: &'static str,
+        /// The value given.
+        value: u32,
+        /// Smallest legal value.
+        min: u32,
+        /// Largest legal value.
+        max: u32,
+    },
+    /// Every mirror of the replica set is Byzantine: the origin-pinned
+    /// manifest's refetch path has no honest mirror to fail over to.
+    NoHonestMirror {
+        /// Byzantine mirrors requested.
+        mirrors: u32,
+        /// Mirrors in the set (1 without a replica section).
+        replicas: u32,
+    },
     /// Two dimensions that cannot compose were both requested.
     Conflict(&'static str),
     /// The benchmark name matches no known workload.
     UnknownBench(String),
 }
 
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// The noun and accepted spellings of each enumerated key, for
+/// diagnostics.
+const SPELLED_KEYS: [(&str, &str, &str); 9] = [
+    ("link", "link", "t1|modem|cpb:N"),
+    ("ordering", "ordering", "scg|train|test|source"),
+    ("transfer", "transfer", "strict|parN|parinf|interleaved"),
+    ("layout", "layout", "whole|part"),
+    ("execution", "execution model", "strict|nonstrict"),
+    ("verify", "verify mode", "off|stream|full"),
+    (
+        "byz.mode",
+        "byzantine mode",
+        "stale-epoch|equivocate|collude",
+    ),
+    ("replica.kill", "replica kill", "MIRROR@CYCLE"),
+    (
+        "overload.ladder",
+        "shed ladder",
+        "off or three ordered cycle counts H,S,J",
+    ),
+];
+
+impl ScenarioError {
+    /// The message with each key it names spelled by `name`: the key
+    /// itself for [`fmt::Display`], the flag that sets it for
+    /// `nonstrict simulate`.
+    #[must_use]
+    pub fn render(&self, name: &dyn Fn(&str) -> String) -> String {
         match self {
             ScenarioError::BadMagic => {
-                write!(
-                    f,
-                    "not a scenario file: expected `{SCENARIO_MAGIC} {SCENARIO_VERSION}`"
-                )
+                format!("not a scenario file: expected `{SCENARIO_MAGIC} {SCENARIO_VERSION}`")
             }
             ScenarioError::BadVersion(v) => {
-                write!(
-                    f,
-                    "scenario version {v} is not supported (max {SCENARIO_VERSION})"
-                )
+                format!("scenario version {v} is not supported (max {SCENARIO_VERSION})")
             }
-            ScenarioError::BadLine(l) => write!(f, "malformed line: {l}"),
-            ScenarioError::UnknownKey(k) => write!(f, "unknown key: {k}"),
-            ScenarioError::DuplicateKey(k) => write!(f, "duplicate key: {k}"),
-            ScenarioError::BadValue { key, value } => write!(f, "bad value for {key}: {value}"),
-            ScenarioError::MissingKey(k) => write!(f, "missing key: {k}"),
-            ScenarioError::Conflict(why) => write!(f, "conflicting dimensions: {why}"),
-            ScenarioError::UnknownBench(b) => write!(f, "unknown benchmark: {b}"),
+            ScenarioError::BadLine(l) => format!("malformed line: {l}"),
+            ScenarioError::UnknownKey(k) => format!("unknown key: {k}"),
+            ScenarioError::DuplicateKey(k) => format!("duplicate key: {k}"),
+            ScenarioError::BadValue { key, value } => {
+                match SPELLED_KEYS.iter().find(|(k, _, _)| k == key) {
+                    Some((_, noun, choices)) => {
+                        format!("unknown {noun} {value:?} for {}; use {choices}", name(key))
+                    }
+                    None => format!("bad value for {}: {value}", name(key)),
+                }
+            }
+            ScenarioError::MissingKey(k) => format!("missing key: {}", name(k)),
+            ScenarioError::OutOfRange {
+                key,
+                value,
+                min,
+                max,
+            } => format!("{} expects {min}..={max}, got {value}", name(key)),
+            ScenarioError::NoHonestMirror { mirrors, replicas } => format!(
+                "{} expects at most {} - 1 (at least one honest mirror), got {mirrors} of {replicas}",
+                name("byz.mirrors"),
+                name("replica.replicas")
+            ),
+            ScenarioError::Conflict(why) => format!("conflicting dimensions: {why}"),
+            ScenarioError::UnknownBench(b) => format!("unknown benchmark: {b}"),
         }
+    }
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.render(&str::to_owned))
     }
 }
 
 impl std::error::Error for ScenarioError {}
-
-fn encode_link(link: Link) -> String {
-    if link == Link::T1 {
-        "t1".to_owned()
-    } else if link == Link::MODEM_28_8 {
-        "modem".to_owned()
-    } else {
-        format!("cpb:{}", link.cycles_per_byte)
-    }
-}
-
-fn decode_link(s: &str) -> Option<Link> {
-    if let Some(l) = Link::by_name(s) {
-        return Some(l);
-    }
-    let cpb: u64 = s.strip_prefix("cpb:")?.parse().ok()?;
-    Some(Link {
-        cycles_per_byte: cpb.max(1),
-        name: "custom",
-    })
-}
-
-fn encode_ordering(o: OrderingSource) -> &'static str {
-    match o {
-        OrderingSource::SourceOrder => "src",
-        OrderingSource::StaticCallGraph => "scg",
-        OrderingSource::TrainProfile => "train",
-        OrderingSource::TestProfile => "test",
-    }
-}
-
-fn decode_ordering(s: &str) -> Option<OrderingSource> {
-    match s {
-        "src" => Some(OrderingSource::SourceOrder),
-        "scg" => Some(OrderingSource::StaticCallGraph),
-        "train" => Some(OrderingSource::TrainProfile),
-        "test" => Some(OrderingSource::TestProfile),
-        _ => None,
-    }
-}
-
-fn encode_transfer(t: TransferPolicy) -> String {
-    match t {
-        TransferPolicy::Strict => "strict".to_owned(),
-        TransferPolicy::Parallel { limit: usize::MAX } => "parinf".to_owned(),
-        TransferPolicy::Parallel { limit } => format!("par{limit}"),
-        TransferPolicy::Interleaved => "ilv".to_owned(),
-    }
-}
-
-fn decode_transfer(s: &str) -> Option<TransferPolicy> {
-    match s {
-        "strict" => Some(TransferPolicy::Strict),
-        "parinf" => Some(TransferPolicy::Parallel { limit: usize::MAX }),
-        "ilv" => Some(TransferPolicy::Interleaved),
-        _ => {
-            let limit: usize = s.strip_prefix("par")?.parse().ok()?;
-            (limit > 0).then_some(TransferPolicy::Parallel { limit })
-        }
-    }
-}
-
-fn encode_layout(d: DataLayout) -> &'static str {
-    match d {
-        DataLayout::Whole => "whole",
-        DataLayout::Partitioned => "part",
-    }
-}
-
-fn decode_layout(s: &str) -> Option<DataLayout> {
-    match s {
-        "whole" => Some(DataLayout::Whole),
-        "part" => Some(DataLayout::Partitioned),
-        _ => None,
-    }
-}
-
-fn encode_execution(e: ExecutionModel) -> &'static str {
-    match e {
-        ExecutionModel::Strict => "strict",
-        ExecutionModel::NonStrict => "nonstrict",
-    }
-}
-
-fn decode_execution(s: &str) -> Option<ExecutionModel> {
-    match s {
-        "strict" => Some(ExecutionModel::Strict),
-        "nonstrict" => Some(ExecutionModel::NonStrict),
-        _ => None,
-    }
-}
 
 /// One global-invariant violation found by [`run_scenario`] or
 /// [`crash_anywhere`]. A passing scenario produces none.
@@ -929,18 +926,6 @@ impl ChaosReport {
     }
 }
 
-/// Scales the scenario link for fleet client `i` the way the CLI's
-/// `--client-spread` does: `1 + i * spread_pm / 1e6` cycles per byte.
-fn client_link(base: Link, spread_pm: u32, i: u32) -> Link {
-    let cpb = u128::from(base.cycles_per_byte)
-        * (1_000_000 + u128::from(spread_pm) * u128::from(i))
-        / 1_000_000;
-    Link {
-        cycles_per_byte: u64::try_from(cpb).unwrap_or(u64::MAX),
-        name: base.name,
-    }
-}
-
 /// Runs one composed scenario on a prepared `session` (which must be
 /// the scenario's benchmark) and applies the global invariant checker.
 /// Deterministic: equal scenarios produce equal reports, bit for bit.
@@ -950,7 +935,7 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
     let mut violations = Vec::new();
 
     // Overload path: the fleet has no single journal, so the interrupt
-    // dimension is rejected at decode time and ignored here.
+    // dimension is rejected by `validate` and ignored here.
     if let Some(ov) = sc.active_overload() {
         let spec = FleetSpec {
             admission: (ov.admit_rate > 0).then(|| AdmissionSettings::per_period(ov.admit_rate)),
@@ -962,7 +947,7 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
             .map(|i| FleetClient {
                 name: &sc.bench,
                 session,
-                link: client_link(sc.link, ov.spread_pm, i),
+                link: sc.link.spread(ov.spread_pm, i),
                 weight: 1,
             })
             .collect();
@@ -1447,15 +1432,18 @@ pub const SHRINK_BUDGET: u32 = 600;
 ///    toward zero.
 ///
 /// The predicate must be deterministic (every runner here is); it is
-/// never called on the input scenario itself.
+/// never called on the input scenario itself, nor on a candidate
+/// [`ChaosScenario::validate`] rejects.
 pub fn shrink(
     sc: &ChaosScenario,
     failing: &mut dyn FnMut(&ChaosScenario) -> bool,
 ) -> ShrinkOutcome {
     let mut best = sc.clone();
     let mut tests_run = 0u32;
+    // Only candidates `validate` accepts are tried, so every minimized
+    // scenario encodes to a loadable artifact.
     let mut check = |cand: &ChaosScenario, tests_run: &mut u32| -> bool {
-        if *tests_run >= SHRINK_BUDGET {
+        if *tests_run >= SHRINK_BUDGET || cand.validate().is_err() {
             return false;
         }
         *tests_run += 1;
@@ -1833,6 +1821,75 @@ mod tests {
             ),
             Err(ScenarioError::Conflict(_))
         ));
+        // Counts and rates outside their ranges are rejected, never
+        // clamped, allocated for, or run.
+        let out_of_range = |body: &str, key: &'static str, value: u32, min: u32, max: u32| {
+            assert_eq!(
+                ChaosScenario::decode(&format!("NSCR 1\nbench = hanoi\n{body}")),
+                Err(ScenarioError::OutOfRange {
+                    key,
+                    value,
+                    min,
+                    max
+                }),
+                "{body}"
+            );
+        };
+        out_of_range("overload.clients = 0\n", "overload.clients", 0, 1, 64);
+        out_of_range(
+            "overload.clients = 4000000000\n",
+            "overload.clients",
+            4_000_000_000,
+            1,
+            64,
+        );
+        out_of_range("replica.replicas = 0\n", "replica.replicas", 0, 1, 8);
+        out_of_range("replica.replicas = 200\n", "replica.replicas", 200, 1, 8);
+        out_of_range(
+            "byz.audit_rate_pm = 1000001\n",
+            "byz.audit_rate_pm",
+            1_000_001,
+            0,
+            1_000_000,
+        );
+        // At least one mirror stays honest.
+        for body in [
+            "replica.replicas = 2\nbyz.mirrors = 5\n",
+            "replica.replicas = 3\nbyz.mirrors = 3\n",
+            "byz.mirrors = 1\n",
+        ] {
+            assert!(
+                matches!(
+                    ChaosScenario::decode(&format!("NSCR 1\nbench = hanoi\n{body}")),
+                    Err(ScenarioError::NoHonestMirror { .. })
+                ),
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
+    fn errors_name_keys_through_the_caller_s_spelling() {
+        let flag = |k: &str| format!("--{}", k.replace('.', "-"));
+        let e = ChaosScenario::decode("NSCR 1\nbench = hanoi\nverify = streaming\n").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "unknown verify mode \"streaming\" for verify; use off|stream|full"
+        );
+        assert!(
+            e.render(&flag).contains("for --verify"),
+            "{}",
+            e.render(&flag)
+        );
+        let e = ScenarioError::NoHonestMirror {
+            mirrors: 2,
+            replicas: 2,
+        };
+        assert_eq!(
+            e.render(&flag),
+            "--byz-mirrors expects at most --replica-replicas - 1 (at least one honest mirror), \
+             got 2 of 2"
+        );
     }
 
     #[test]
@@ -1885,6 +1942,12 @@ mod tests {
         assert_eq!(rt.transfer, sc.transfer);
         assert_eq!(rt.data_layout, DataLayout::Partitioned);
         assert_eq!(rt.execution, ExecutionModel::Strict);
+        // Orderings and transfers use the CLI's spellings.
+        sc.transfer = TransferPolicy::Interleaved;
+        let text = sc.encode();
+        assert!(text.contains("ordering = source\n"), "{text}");
+        assert!(text.contains("transfer = interleaved\n"), "{text}");
+        assert_eq!(ChaosScenario::decode(&text).unwrap(), sc);
     }
 
     #[test]

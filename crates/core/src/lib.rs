@@ -72,8 +72,8 @@ pub use model::{
     ReplicaConfig, ReplicaKill, SimConfig, TransferPolicy, VerifyMode,
 };
 pub use serve::{
-    build_plan, journal_from_report, ordering_from_wire, ordering_to_wire, plan_from_session,
-    resume_entries_from_journal, verify_payloads, ServeError,
+    build_plan, ordering_from_wire, ordering_to_wire, plan_from_session, verify_payloads,
+    ServeError,
 };
 pub use sim::{
     simulate, FaultSummary, IntegritySummary, InterruptSpec, OutageSummary, ReplicaSummary,

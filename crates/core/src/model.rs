@@ -64,6 +64,32 @@ impl TransferPolicy {
             TransferPolicy::Interleaved => "ilv".to_owned(),
         }
     }
+
+    /// Parses a transfer spelling: `strict`, `parN` (N ≥ 1), `parinf`
+    /// or `interleaved`.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<TransferPolicy> {
+        match s {
+            "strict" => Some(TransferPolicy::Strict),
+            "parinf" => Some(TransferPolicy::Parallel { limit: usize::MAX }),
+            "interleaved" => Some(TransferPolicy::Interleaved),
+            _ => {
+                let limit: usize = s.strip_prefix("par")?.parse().ok()?;
+                (limit > 0).then_some(TransferPolicy::Parallel { limit })
+            }
+        }
+    }
+
+    /// The spelling [`Self::parse`] reads back.
+    #[must_use]
+    pub fn spelling(self) -> String {
+        match self {
+            TransferPolicy::Strict => "strict".to_owned(),
+            TransferPolicy::Parallel { limit: usize::MAX } => "parinf".to_owned(),
+            TransferPolicy::Parallel { limit } => format!("par{limit}"),
+            TransferPolicy::Interleaved => "interleaved".to_owned(),
+        }
+    }
 }
 
 /// When a method may begin executing (§3).
@@ -76,6 +102,27 @@ pub enum ExecutionModel {
     NonStrict,
 }
 
+impl ExecutionModel {
+    /// Parses an execution-model spelling: `strict` or `nonstrict`.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<ExecutionModel> {
+        match s {
+            "strict" => Some(ExecutionModel::Strict),
+            "nonstrict" => Some(ExecutionModel::NonStrict),
+            _ => None,
+        }
+    }
+
+    /// The spelling [`Self::parse`] reads back.
+    #[must_use]
+    pub fn spelling(self) -> &'static str {
+        match self {
+            ExecutionModel::Strict => "strict",
+            ExecutionModel::NonStrict => "nonstrict",
+        }
+    }
+}
+
 /// How each class's global data is laid out on the wire (§7.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataLayout {
@@ -84,6 +131,27 @@ pub enum DataLayout {
     /// Needed-first slice up front, per-method GMD chunks, unused data
     /// trailing.
     Partitioned,
+}
+
+impl DataLayout {
+    /// Parses a layout spelling: `whole` or `part`.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<DataLayout> {
+        match s {
+            "whole" => Some(DataLayout::Whole),
+            "part" => Some(DataLayout::Partitioned),
+            _ => None,
+        }
+    }
+
+    /// The spelling [`Self::parse`] reads back.
+    #[must_use]
+    pub fn spelling(self) -> &'static str {
+        match self {
+            DataLayout::Whole => "whole",
+            DataLayout::Partitioned => "part",
+        }
+    }
 }
 
 /// Link-fault injection settings: a seeded, deterministic description
@@ -322,13 +390,7 @@ impl ReplicaConfig {
         let n = self.replicas.clamp(1, Self::MAX_REPLICAS);
         (0..n)
             .map(|i| {
-                let cpb = u128::from(config.link.cycles_per_byte)
-                    * (1_000_000 + u128::from(self.spread_pm) * u128::from(i))
-                    / 1_000_000;
-                let link = Link {
-                    cycles_per_byte: u64::try_from(cpb).unwrap_or(u64::MAX),
-                    name: config.link.name,
-                };
+                let link = config.link.spread(self.spread_pm, i);
                 let faults = config.active_faults().map_or_else(
                     || FaultPlan::perfect(replica_seed(self.seed, i)),
                     |fc| {

@@ -11,10 +11,6 @@
 //!   one delimiter-closed unit per method), with per-class epochs
 //!   derived from the real unit digests and the NSUM manifest frame
 //!   attached for clients to pin.
-//! * [`resume_entries_from_journal`] and [`journal_from_report`]
-//!   convert between the NSJR session journal and the compact
-//!   watermarks the wire's Hello frame carries, so an evicted client's
-//!   resume offer is exactly what its journal proves it holds.
 //! * [`verify_payloads`] feeds delivered unit bytes back through the
 //!   class-file [`StreamLoader`] — the same verified-prefix validation
 //!   a live non-strict JVM applies — which is what the wire-level
@@ -25,9 +21,9 @@ use nonstrict_bytecode::InterpError;
 use nonstrict_classfile::stream::{stream_digests, stream_units};
 use nonstrict_classfile::{ClassFileError, StreamLoader};
 use nonstrict_netsim::crc32;
-use nonstrict_wire::{content_digest_of, ClassPlan, ResumeEntry, ServePlan, UnitManifest};
+use nonstrict_wire::{content_digest_of, ClassPlan, ServePlan, UnitManifest};
 
-use crate::journal::{ClassCheckpoint, SessionJournal, SessionManifest};
+use crate::journal::SessionManifest;
 use crate::model::OrderingSource;
 use crate::sim::Session;
 
@@ -177,73 +173,6 @@ pub fn plan_from_session(
     })
 }
 
-/// Extracts the wire resume watermarks an NSJR journal proves: one
-/// entry per class with a nonzero delivered count. A journal that fails
-/// to decode yields no watermarks — the fail-closed reading — so the
-/// session restarts fresh rather than resuming from untrusted state.
-#[must_use]
-pub fn resume_entries_from_journal(bytes: &[u8]) -> Vec<ResumeEntry> {
-    let Ok(journal) = SessionJournal::decode(bytes) else {
-        return Vec::new();
-    };
-    journal
-        .classes
-        .iter()
-        .enumerate()
-        .filter(|(_, cp)| cp.delivered > 0)
-        .map(|(ci, cp)| ResumeEntry {
-            class: u32::try_from(ci).unwrap_or(u32::MAX),
-            epoch: cp.epoch,
-            delivered: cp.delivered,
-        })
-        .collect()
-}
-
-/// Builds the NSJR journal a wire client checkpoints: per-class epochs
-/// and delivered watermarks from the session report, everything else
-/// pristine. Encoding this and handing it to
-/// [`resume_entries_from_journal`] round-trips exactly the watermarks
-/// the report held — the persistence path an evicted client uses
-/// between connections.
-#[must_use]
-pub fn journal_from_report(report: &nonstrict_wire::ClientReport) -> SessionJournal {
-    let classes = report
-        .delivered
-        .iter()
-        .zip(&report.epochs)
-        .zip(&report.units)
-        .map(|((&delivered, &epoch), &units)| {
-            // Unit 0 is the prelude, so a class with U units has U-1
-            // methods.
-            let methods = units.saturating_sub(1) as usize;
-            let mut cp = ClassCheckpoint::fresh(epoch, methods);
-            cp.delivered = delivered;
-            cp
-        })
-        .collect();
-    SessionJournal {
-        manifest_epoch: report.manifest_epoch,
-        manifest_digest: report.manifest_crc,
-        next_event: 0,
-        clock: 0,
-        exec_cycles: 0,
-        stall_cycles: 0,
-        recovery_cycles: 0,
-        verify_cycles: 0,
-        resume_cycles: 0,
-        hedge_cycles: 0,
-        integrity_cycles: 0,
-        stalls: 0,
-        outages: 0,
-        resumes: report.evictions + report.stream_faults,
-        refetched_classes: 0,
-        invocation_latency: None,
-        session_degraded: false,
-        classes,
-        fetch_log: Vec::new(),
-    }
-}
-
 /// Feeds delivered per-class unit payloads back through the class-file
 /// [`StreamLoader`] — the verified-prefix validation a non-strict JVM
 /// performs on arrival — and checks every class reassembles completely.
@@ -338,38 +267,5 @@ mod tests {
             .filter(|(a, b)| a.epoch != b.epoch)
             .count();
         assert_eq!(moved, epochs_moved);
-    }
-
-    #[test]
-    fn journal_round_trips_wire_watermarks() {
-        let report = nonstrict_wire::ClientReport {
-            delivered: vec![3, 0, 5],
-            units: vec![4, 2, 5],
-            epochs: vec![0xaaaa, 0xbbbb, 0xcccc],
-            manifest_epoch: 0x1234_5678,
-            manifest_crc: 0x9abc_def0,
-            ..Default::default()
-        };
-        let journal = journal_from_report(&report);
-        let entries = resume_entries_from_journal(&journal.encode());
-        assert_eq!(
-            entries,
-            vec![
-                ResumeEntry {
-                    class: 0,
-                    epoch: 0xaaaa,
-                    delivered: 3
-                },
-                ResumeEntry {
-                    class: 2,
-                    epoch: 0xcccc,
-                    delivered: 5
-                },
-            ]
-        );
-        // A torn journal yields no watermarks: fail closed to fresh.
-        let mut torn = journal.encode();
-        torn.truncate(torn.len() / 2);
-        assert!(resume_entries_from_journal(&torn).is_empty());
     }
 }

@@ -75,7 +75,7 @@ pub use engine::TransferEngine;
 pub use faults::{FaultPlan, FaultStats, FaultedEngine};
 pub use interleaved::InterleavedEngine;
 pub use link::{Link, LinkError};
-pub use outage::{OutageEngine, OutageEvent, OutagePlan, OutageSchedule, OUTAGE_PERIOD_CYCLES};
+pub use outage::{OutageEvent, OutagePlan, OutageSchedule, OUTAGE_PERIOD_CYCLES};
 pub use parallel::ParallelEngine;
 pub use replica::{
     replica_seed, ReplicaEngine, ReplicaHealth, ReplicaProfile, ReplicaStats,

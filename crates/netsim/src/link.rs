@@ -88,6 +88,48 @@ impl Link {
         }
     }
 
+    /// Parses a link spelling: a named link ([`Link::by_name`]) or
+    /// `cpb:N`, a custom link of `N` cycles per byte (at least one).
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Link> {
+        if let Some(l) = Link::by_name(s) {
+            return Some(l);
+        }
+        let cpb: u64 = s.strip_prefix("cpb:")?.parse().ok()?;
+        Some(Link {
+            cycles_per_byte: cpb.max(1),
+            name: "custom",
+        })
+    }
+
+    /// The spelling [`Link::parse`] reads back: the table name of a
+    /// paper link, `cpb:N` for any other.
+    #[must_use]
+    pub fn spelling(&self) -> String {
+        if *self == Link::T1 {
+            "t1".to_owned()
+        } else if *self == Link::MODEM_28_8 {
+            "modem".to_owned()
+        } else {
+            format!("cpb:{}", self.cycles_per_byte)
+        }
+    }
+
+    /// This link slowed `i` steps of `spread_pm` parts per million:
+    /// cycles per byte scale by `1 + i * spread_pm / 1e6`. Replica sets
+    /// spread their mirrors this way, fleets their clients' access
+    /// links.
+    #[must_use]
+    pub fn spread(self, spread_pm: u32, i: u32) -> Link {
+        let cpb = u128::from(self.cycles_per_byte)
+            * (1_000_000 + u128::from(spread_pm) * u128::from(i))
+            / 1_000_000;
+        Link {
+            cycles_per_byte: u64::try_from(cpb).unwrap_or(u64::MAX),
+            name: self.name,
+        }
+    }
+
     /// Cycles to transfer `bytes` at full bandwidth.
     ///
     /// Computed in `u128` and saturated: `bytes * cycles_per_byte` can
@@ -128,6 +170,20 @@ mod tests {
         assert_eq!(Link::by_name("modem"), Some(Link::MODEM_28_8));
         assert_eq!(Link::by_name("Modem"), Some(Link::MODEM_28_8));
         assert_eq!(Link::by_name("dsl"), None);
+    }
+
+    #[test]
+    fn spellings_round_trip_named_and_custom_links() {
+        for link in [Link::T1, Link::MODEM_28_8, Link::T1.spread(500_000, 1)] {
+            assert_eq!(
+                Link::parse(&link.spelling()).map(|l| l.cycles_per_byte),
+                Some(link.cycles_per_byte)
+            );
+        }
+        assert_eq!(Link::parse("cpb:0").unwrap().cycles_per_byte, 1);
+        assert_eq!(Link::parse("cpb:x"), None);
+        assert_eq!(Link::T1.spread(500_000, 1).cycles_per_byte, 5_722);
+        assert_eq!(Link::T1.spread(0, 7), Link::T1);
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //! *together*, so the base timeline (what would have happened without
 //! outages) is undisturbed — wall time is the base time plus the total
 //! downtime of every outage that began before it. [`OutageSchedule`]
-//! materializes events lazily and answers that shift in `O(log n)`;
-//! [`OutageEngine`] applies it to any [`TransferEngine`]'s arrivals.
+//! materializes events lazily and answers that shift in `O(log n)`.
 
-use crate::engine::TransferEngine;
-use crate::faults::{splitmix, FaultStats};
+use crate::faults::splitmix;
 
 /// Base-time length of one outage-draw period (~134 ms on the 500 MHz
 /// Alpha): each period independently suffers at most one outage.
@@ -194,103 +192,9 @@ impl OutageSchedule {
     }
 }
 
-/// Wraps a [`TransferEngine`] and freezes its deliveries through every
-/// outage: arrivals and the finish time are remapped from the base
-/// timeline into wall time. Fault-protocol counters pass through
-/// untouched — outage downtime is session-level resume cost, not
-/// in-connection recovery.
-#[derive(Debug)]
-pub struct OutageEngine<E> {
-    inner: E,
-    schedule: OutageSchedule,
-    last_outage_delay: u64,
-}
-
-impl<E: TransferEngine> OutageEngine<E> {
-    /// Wraps `inner` under `plan`.
-    #[must_use]
-    pub fn new(inner: E, plan: OutagePlan) -> Self {
-        OutageEngine {
-            inner,
-            schedule: OutageSchedule::new(plan),
-            last_outage_delay: 0,
-        }
-    }
-
-    /// The wrapped engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Outage delay embedded in the most recent
-    /// [`TransferEngine::unit_ready`] answer.
-    #[must_use]
-    pub fn last_outage_delay(&self) -> u64 {
-        self.last_outage_delay
-    }
-
-    /// The schedule driving this wrapper.
-    pub fn schedule_mut(&mut self) -> &mut OutageSchedule {
-        &mut self.schedule
-    }
-}
-
-impl<E: TransferEngine> TransferEngine for OutageEngine<E> {
-    fn unit_ready(&mut self, class: usize, unit: usize, now: u64) -> u64 {
-        // The client freezes with the link, so its requests happen at
-        // base instants; `now` arrives already on the base timeline.
-        let base = self.inner.unit_ready(class, unit, now);
-        let t = self.schedule.remap(base);
-        self.last_outage_delay = t - base;
-        t
-    }
-
-    fn finish_time(&mut self) -> u64 {
-        let base = self.inner.finish_time();
-        self.schedule.remap(base)
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.inner.total_bytes()
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.inner.fault_stats()
-    }
-
-    fn last_fault_delay(&self) -> u64 {
-        self.inner.last_fault_delay()
-    }
-
-    fn class_fault_events(&self, class: usize) -> u64 {
-        self.inner.class_fault_events(class)
-    }
-
-    fn last_hedge_delay(&self) -> u64 {
-        self.inner.last_hedge_delay()
-    }
-
-    fn replica_stats(&self) -> crate::replica::ReplicaStats {
-        self.inner.replica_stats()
-    }
-
-    fn serving_replica(&self, class: usize, unit: usize) -> u32 {
-        self.inner.serving_replica(class, unit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::Link;
-    use crate::schedule::ParallelSchedule;
-    use crate::unit::ClassUnits;
-    use crate::ParallelEngine;
-
-    const LINK: Link = Link {
-        cycles_per_byte: 10,
-        name: "test",
-    };
 
     fn stormy(seed: u64) -> OutagePlan {
         OutagePlan {
@@ -300,26 +204,6 @@ mod tests {
             max_cycles: 1 << 24,
             negotiation_cycles: 250_000,
         }
-    }
-
-    fn engine() -> ParallelEngine {
-        let units = vec![
-            ClassUnits {
-                prelude: 100,
-                methods: vec![50, 50],
-                trailing: 0,
-            },
-            ClassUnits {
-                prelude: 40,
-                methods: vec![20],
-                trailing: 10,
-            },
-        ];
-        let schedule = ParallelSchedule {
-            class_order: (0..units.len()).collect(),
-            thresholds: vec![0; units.len()],
-        };
-        ParallelEngine::new(LINK, units, &schedule, 4)
     }
 
     #[test]
@@ -401,36 +285,5 @@ mod tests {
         }
         assert_eq!(acc, far);
         assert_eq!(jumped.shift_before(0), 0);
-    }
-
-    #[test]
-    fn quiet_engine_wrapper_is_transparent() {
-        let mut bare = engine();
-        let mut wrapped = OutageEngine::new(engine(), OutagePlan::quiet(2));
-        for c in 0..2 {
-            for u in 0..3.min(if c == 0 { 4 } else { 3 }) {
-                assert_eq!(wrapped.unit_ready(c, u, 0), bare.unit_ready(c, u, 0));
-                assert_eq!(wrapped.last_outage_delay(), 0);
-            }
-        }
-        assert_eq!(wrapped.finish_time(), bare.finish_time());
-    }
-
-    #[test]
-    fn outages_shift_arrivals_by_exactly_the_crossed_downtime() {
-        let plan = OutagePlan {
-            seed: 13,
-            rate_pm: 1_000_000, // every period
-            min_cycles: 1_000,
-            max_cycles: 1_000,
-            negotiation_cycles: 100,
-        };
-        let mut bare = engine();
-        let mut wrapped = OutageEngine::new(engine(), plan);
-        let mut sched = OutageSchedule::new(plan);
-        let base = bare.unit_ready(0, 2, 0);
-        let wall = wrapped.unit_ready(0, 2, 0);
-        assert_eq!(wall, base + sched.shift_before(base));
-        assert_eq!(wrapped.last_outage_delay(), wall - base);
     }
 }

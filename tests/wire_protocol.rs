@@ -1,11 +1,10 @@
 //! The wire protocol against real content: frames built from an actual
 //! restructured benchmark must survive encode∘decode bit for bit, fail
 //! closed under truncation at *every* prefix length, and negotiate
-//! resume watermarks that round-trip through the NSJR journal the
-//! client persists between connections.
+//! resume watermarks from what a client's report proves it holds.
 
+use nonstrict_core::build_plan;
 use nonstrict_core::model::OrderingSource;
-use nonstrict_core::{build_plan, journal_from_report, resume_entries_from_journal};
 use nonstrict_wire::frame::read_frame;
 use nonstrict_wire::{
     crc32, ClientReport, Frame, FrameError, ResumeEntry, UnitManifest, PROTOCOL_VERSION,
@@ -124,20 +123,31 @@ fn resume_negotiation_round_trips_through_the_journal() {
         manifest_crc: crc32(&plan.manifest),
         ..ClientReport::default()
     };
-    // Persist to an NSJR journal, reload, and offer the watermarks.
-    let journal_bytes = journal_from_report(&report).encode();
-    let entries = resume_entries_from_journal(&journal_bytes);
+    // Offer the report's nonzero watermarks, as a reconnecting client's
+    // Hello does.
+    let entries: Vec<ResumeEntry> = report
+        .delivered
+        .iter()
+        .zip(&report.epochs)
+        .enumerate()
+        .filter(|(_, (&d, _))| d > 0)
+        .map(|(i, (&delivered, &epoch))| ResumeEntry {
+            class: i as u32,
+            epoch,
+            delivered,
+        })
+        .collect();
     let adverts = plan.negotiate(&entries);
     for (i, advert) in adverts.iter().enumerate() {
         assert_eq!(
             advert.start, delivered[i],
-            "class {i}: journal watermark must survive negotiation"
+            "class {i}: the offered watermark must survive negotiation"
         );
         assert_eq!(advert.epoch, plan.classes[i].epoch);
     }
-    // The journal pinned the manifest the client saw.
+    // The report pinned the manifest the client saw.
     let manifest = UnitManifest::decode(&plan.manifest).expect("NSUM decodes");
-    assert_eq!(manifest.epoch, plan.manifest_epoch);
+    assert_eq!(manifest.epoch, report.manifest_epoch);
 }
 
 #[test]

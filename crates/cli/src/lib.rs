@@ -38,13 +38,13 @@ use nonstrict_classfile::{Attribute, GlobalDataBreakdown};
 use nonstrict_core::chaos::{ChaosScenario, OverloadDims, ScenarioError};
 use nonstrict_core::experiment::{self, Suite};
 use nonstrict_core::fleet::{run_fleet, AdmissionSettings, FleetClient, FleetSpec};
-use nonstrict_core::metrics::{cycles_to_seconds, mean, normalized_percent, queue_share_percent};
+use nonstrict_core::metrics::{cycles_to_seconds, mean, normalized_percent, share_percent};
 use nonstrict_core::model::{DataLayout, OrderingSource, OutageConfig, SimConfig, VerifyMode};
 use nonstrict_core::report;
 use nonstrict_core::sim::{RunOutcome, Session};
 use nonstrict_netsim::{Link, ShedAction};
 use nonstrict_reorder::{partition_app, static_first_use, static_first_use_plain, FirstUseOrder};
-use nonstrict_store::{DurableSession, RealFs, Vfs};
+use nonstrict_store::{DurableSession, JournalLog, RealFs, Vfs};
 use nonstrict_wire::loadgen::StoreFactory;
 use nonstrict_wire::{
     ChaosConfig, ChaosProxy, ClientConfig, CrashPlan, FaultKnobs, FleetConfig, FleetSupervisor,
@@ -94,23 +94,19 @@ impl From<nonstrict_store::StoreError> for CliError {
     }
 }
 
-/// Writes `bytes` to `path` with the durable-store discipline: the
-/// containing directory is created, the bytes land in a temp file that
-/// is fsynced and atomically renamed into place, and the directory is
-/// fsynced too — a crash mid-export leaves either the old journal or
-/// the new one, never a torn in-between.
-fn write_journal_atomic(path: &str, bytes: &[u8]) -> Result<(), CliError> {
-    let p = std::path::Path::new(path);
+/// The checkpoint log `--journal PATH` names: an `NSJL` log on the
+/// real filesystem, in PATH's directory (created if needed).
+fn journal_log(path: &str) -> Result<JournalLog, CliError> {
+    let p = Path::new(path);
     let dir = match p.parent() {
         Some(d) if !d.as_os_str().is_empty() => d,
-        _ => std::path::Path::new("."),
+        _ => Path::new("."),
     };
     let name = p
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| CliError::usage(format!("--journal {path}: not a valid file name")))?;
-    RealFs::open(dir)?.write_atomic(name, bytes)?;
-    Ok(())
+    Ok(JournalLog::new(Arc::new(RealFs::open(dir)?), name))
 }
 
 /// The usage text.
@@ -773,12 +769,14 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
             CliError::usage("--interrupt needs --journal PATH to store the checkpoint")
         })?;
         match session.run_until(Input::Test, &config, at) {
-            RunOutcome::Interrupted(bytes) => {
-                write_journal_atomic(path, &bytes)?;
+            RunOutcome::Interrupted(journal) => {
+                // One atomic write (temp file, fsync, rename, directory
+                // fsync): a crash leaves the old log or the new one.
+                journal_log(path)?.rewrite(&[journal.encode()])?;
+                let size = std::fs::metadata(path).map_or(0, |m| m.len());
                 return Ok(format!(
-                    "{}: session killed at base cycle {at}; checkpoint journal ({} bytes) written to {path}\n  resume by rerunning with --journal {path} (without --interrupt)\n",
+                    "{}: session killed at base cycle {at}; checkpoint journal ({size} bytes) written to {path}\n  resume by rerunning with --journal {path} (without --interrupt)\n",
                     session.app.name,
-                    bytes.len()
                 ));
             }
             RunOutcome::Finished(r) => {
@@ -791,18 +789,18 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
             }
         }
     } else if let Some(path) = flags.get("journal") {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::failed(format!("cannot read journal {path}: {e}")))?;
+        let size = std::fs::metadata(path)
+            .map_err(|e| CliError::failed(format!("cannot read journal {path}: {e}")))?
+            .len();
         let r = session.resume(
             Input::Test,
             &config,
-            &bytes,
+            &journal_log(path)?,
             OutageConfig::DEFAULT_NEGOTIATION_CYCLES,
         );
         let _ = writeln!(
             prelude,
-            "  resumed from journal {path} ({} bytes): {}",
-            bytes.len(),
+            "  resumed from journal {path} ({size} bytes): {}",
             if r.outage.failed_closed {
                 "FAIL-CLOSED — journal untrusted, restarted under strict execution"
             } else if r.outage.refetched_classes > 0 {
@@ -857,7 +855,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
             "  verification:       {:>12} cycles ({} mode, {:.2}% of total)",
             r.verify_cycles,
             config.verify.label(),
-            nonstrict_core::metrics::verify_share_percent(r.verify_cycles, r.total_cycles)
+            nonstrict_core::metrics::share_percent(r.verify_cycles, r.total_cycles)
         );
     }
     if config.active_faults().is_some() {
@@ -913,7 +911,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
             out,
             "  resume cost:        {:>12} cycles ({:.2}% of total)",
             o.resume_cycles,
-            nonstrict_core::metrics::resume_share_percent(o.resume_cycles, r.total_cycles)
+            nonstrict_core::metrics::share_percent(o.resume_cycles, r.total_cycles)
         );
     }
     if config.active_replicas().is_some() {
@@ -927,7 +925,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
             out,
             "  hedge cost:         {:>12} cycles ({:.2}% of total){}",
             rep.hedge_cycles,
-            nonstrict_core::metrics::hedge_share_percent(rep.hedge_cycles, r.total_cycles),
+            nonstrict_core::metrics::share_percent(rep.hedge_cycles, r.total_cycles),
             if rep.sole_survivor {
                 " — SOLE SURVIVOR, session failed closed to strict"
             } else {
@@ -959,7 +957,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
                 out,
                 "  integrity cost:     {:>12} cycles ({:.2}% of total); {} fence refetches, {} bytes refetched",
                 ist.integrity_cycles,
-                nonstrict_core::metrics::integrity_share_percent(
+                nonstrict_core::metrics::share_percent(
                     ist.integrity_cycles,
                     r.total_cycles
                 ),
@@ -1057,7 +1055,7 @@ fn simulate_fleet(
         out,
         "  queue cycles:       {:>12} across the fleet ({:.2}% of fleet total)",
         queue,
-        queue_share_percent(queue, fleet_total)
+        share_percent(queue, fleet_total)
     );
     match spec.admission {
         Some(a) => {
@@ -2306,6 +2304,39 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(out.contains("FAIL-CLOSED"), "{out}");
         assert!(out.contains("restarted under strict execution"), "{out}");
+    }
+
+    #[test]
+    fn truncated_and_retired_format_journals_fail_closed() {
+        let dir =
+            std::env::temp_dir().join(format!("nonstrict-cli-journals-{}", std::process::id()));
+        let path = dir.join("h.nsjl").to_str().unwrap().to_string();
+        run_str(&[
+            "simulate",
+            "hanoi",
+            "--link",
+            "modem",
+            "--interrupt",
+            "5000000",
+            "--journal",
+            &path,
+        ])
+        .unwrap();
+        let full = std::fs::read(&path).unwrap();
+        // A file in the retired whole-snapshot format: its magic, format
+        // version 3, content, and a CRC32 trailer over all of it.
+        let mut retired = vec![0x4e, 0x53, 0x4a, 0x52, 3, 0];
+        retired.extend_from_slice(&full[6..]);
+        let crc = nonstrict_wire::crc32(&retired);
+        retired.extend_from_slice(&crc.to_le_bytes());
+        for bytes in [full[..full.len() / 2].to_vec(), retired] {
+            std::fs::write(&path, &bytes).unwrap();
+            let out =
+                run_str(&["simulate", "hanoi", "--link", "modem", "--journal", &path]).unwrap();
+            assert!(out.contains("FAIL-CLOSED"), "{out}");
+            assert!(out.contains("restarted under strict execution"), "{out}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

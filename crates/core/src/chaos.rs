@@ -1,13 +1,12 @@
 //! The chaos conductor: composed cross-layer fault scenarios.
 //!
-//! PRs 1–6 built six independent fault dimensions — link faults,
-//! semantic quarantine, outages/checkpoint-resume, replica
-//! kills/hedging, fleet overload, and Byzantine mirrors — each swept
-//! alone; PR 10 added a seventh, storage faults, where the interrupt
-//! journal's disk round trip crosses a fault-injecting store. This
-//! module composes **any subset** of them into one seeded,
-//! deterministic run and checks the composition against the global
-//! contracts the per-dimension suites established:
+//! Seven fault dimensions — link faults, semantic quarantine,
+//! outages/checkpoint-resume, replica kills/hedging, fleet overload,
+//! Byzantine mirrors, and storage faults (the interrupt checkpoint is
+//! persisted to a fault-injecting store) — are each swept alone
+//! elsewhere. This module composes **any subset** of them into one
+//! seeded, deterministic run and checks the composition against the
+//! global contracts the per-dimension suites established:
 //!
 //! * [`ChaosScenario`] — a declarative, serializable description of one
 //!   composed run: benchmark, structural dimensions (link, ordering,
@@ -47,11 +46,11 @@ use nonstrict_bytecode::Input;
 use nonstrict_netsim::byzantine::ByzantineMode;
 use nonstrict_netsim::contention::ShedLadder;
 use nonstrict_netsim::Link;
-use nonstrict_store::{FaultFs, JournalLog};
+use nonstrict_store::{FaultFs, FaultKnobs, JournalLog};
 use nonstrict_wire::SplitMix64;
 
 use crate::fleet::{run_fleet, AdmissionSettings, FleetClient, FleetSpec};
-use crate::journal::SessionJournal;
+use crate::journal::{SessionJournal, CHECKPOINT_LOG};
 use crate::model::{
     ByzantineConfig, DataLayout, ExecutionModel, FaultConfig, OrderingSource, OutageConfig,
     ReplicaConfig, ReplicaKill, SimConfig, TransferPolicy, VerifyMode,
@@ -122,11 +121,11 @@ pub struct InterruptDims {
     pub downtime: u64,
 }
 
-/// The storage-fault dimension: the journal written at a crash no
-/// longer lives in perfect memory but passes through a
-/// [`nonstrict_store::FaultFs`] with these knobs — torn appends, fsync
+/// The storage-fault dimension: the checkpoint written at a crash no
+/// longer lives in perfect memory but is appended to an `NSJL` log on
+/// a [`nonstrict_store::FaultFs`] with these knobs — torn appends, fsync
 /// lies, post-hoc bit rot. The invariant is the store's contract: a
-/// journal that survives the round trip intact resumes exactly; one
+/// checkpoint that survives the round trip intact resumes exactly; one
 /// that does not must be *detected* and degrade to a fail-closed
 /// restart that still completes. Inactive with all rates zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1002,18 +1001,18 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
     check_fail_closed(session, &config, base.total_cycles, &mut violations);
 
     // The storage dimension alone (no interrupt point chosen): probe a
-    // fixed grid of crash cycles, pushing each journal through the
+    // fixed grid of crash cycles, persisting each checkpoint to the
     // fault store to verify the detect-or-resume-exactly contract.
     if sc.interrupt.is_none() {
         if let Some(dims) = sc.active_disk() {
             const PROBES: u64 = 4;
             for p in 1..=PROBES {
                 let at = base.total_cycles * p / (PROBES + 1);
-                let RunOutcome::Interrupted(bytes) = session.run_until(Input::Test, &config, at)
+                let RunOutcome::Interrupted(journal) = session.run_until(Input::Test, &config, at)
                 else {
                     break;
                 };
-                check_disk_resume(session, &config, &bytes, &dims, p, None, &mut violations);
+                check_disk_resume(session, &config, &journal, &dims, p, None, &mut violations);
             }
         }
     }
@@ -1023,13 +1022,13 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
         Some(i) => {
             let r = match session.run_until(Input::Test, &config, i.at_cycle) {
                 RunOutcome::Finished(r) => *r,
-                RunOutcome::Interrupted(bytes) => match sc.active_disk() {
-                    // The journal crosses a faulty disk on its way back.
+                RunOutcome::Interrupted(journal) => match sc.active_disk() {
+                    // The checkpoint is persisted to a faulty disk.
                     Some(dims) => {
                         let r = check_disk_resume(
                             session,
                             &config,
-                            &bytes,
+                            &journal,
                             &dims,
                             0,
                             Some(i.downtime),
@@ -1048,7 +1047,7 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
                         };
                         r
                     }
-                    None => session.resume(Input::Test, &config, &bytes, i.downtime),
+                    None => session.resume(Input::Test, &config, &journal.in_memory(), i.downtime),
                 },
             };
             check_ledger(&r, 0, &mut violations);
@@ -1094,13 +1093,7 @@ fn check_watermarks(
     let mut prev: Option<(u64, u64)> = None; // (delivered, clock)
     for p in 1..=PROBES {
         let at = total * p / (PROBES + 1);
-        let RunOutcome::Interrupted(bytes) = session.run_until(Input::Test, config, at) else {
-            break;
-        };
-        let Ok(journal) = SessionJournal::decode(&bytes) else {
-            violations.push(ChaosViolation::FailOpen(
-                "self-written journal failed to decode",
-            ));
+        let RunOutcome::Interrupted(journal) = session.run_until(Input::Test, config, at) else {
             break;
         };
         let delivered: u64 = journal.classes.iter().map(|c| u64::from(c.delivered)).sum();
@@ -1124,22 +1117,27 @@ fn check_watermarks(
     }
 }
 
-/// Fail-closed degradation ordering: a torn mid-run journal must be
-/// detected, resume nothing, and still complete under the strict
-/// fallback.
+/// Fail-closed degradation ordering: a mid-run checkpoint whose log
+/// file rotted must be detected, resume nothing, and still complete
+/// under the strict fallback.
 fn check_fail_closed(
     session: &Session,
     config: &SimConfig,
     total: u64,
     violations: &mut Vec<ChaosViolation>,
 ) {
-    let RunOutcome::Interrupted(mut bytes) = session.run_until(Input::Test, config, total / 2)
-    else {
+    let RunOutcome::Interrupted(journal) = session.run_until(Input::Test, config, total / 2) else {
         return;
     };
+    let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(0)));
+    let log = JournalLog::new(fs.clone(), CHECKPOINT_LOG);
+    log.append_record(&journal.encode())
+        .expect("an honest in-memory store takes every checkpoint");
+    let mut bytes = fs.durable(CHECKPOINT_LOG).expect("the append is durable");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
-    let r = session.resume(Input::Test, config, &bytes, 1_000_000);
+    fs.set_durable(CHECKPOINT_LOG, bytes);
+    let r = session.resume(Input::Test, config, &log, 1_000_000);
     if !r.outage.failed_closed {
         violations.push(ChaosViolation::FailOpen("torn journal was not detected"));
         return;
@@ -1154,52 +1152,48 @@ fn check_fail_closed(
     }
 }
 
-/// Pushes one interrupt journal through a seeded [`FaultFs`] round
-/// trip — append under the scenario's storage-fault knobs, power cut,
-/// recover. Returns the bytes a warm restart reads back, or `None`
-/// when the store lost them (torn tail) or rejected them (rot, a
-/// typed fail-closed error). `salt` decorrelates multiple probes of
-/// the same scenario.
-fn disk_roundtrip(bytes: &[u8], d: &DiskDims, salt: u64) -> Option<Vec<u8>> {
-    let fs = Arc::new(FaultFs::new(nonstrict_store::FaultKnobs {
+/// Persists one interrupt checkpoint through a seeded [`FaultFs`] —
+/// append to a fresh log under the scenario's storage-fault knobs,
+/// then a power cut — and returns the log a warm restart reads.
+/// `salt` decorrelates multiple probes of the same scenario.
+fn disk_checkpoint(journal: &SessionJournal, d: &DiskDims, salt: u64) -> JournalLog {
+    let fs = Arc::new(FaultFs::new(FaultKnobs {
         seed: d.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         torn_pm: 0,
         lie_pm: d.lie_pm,
         bitrot_pm: d.bitrot_pm,
     }));
-    let log = JournalLog::new(fs.clone(), "sim.nsjl");
+    let log = JournalLog::new(fs.clone(), CHECKPOINT_LOG);
     let mut rng = SplitMix64(d.seed ^ salt ^ 0x6469_736b);
     if rng.hit_pm(d.torn_pm) {
         // The power cut lands mid-append: kill at the header write or
         // the frame write, leaving a seeded prefix of it durable.
         fs.set_kill_at(1 + rng.below(2));
     }
-    let _ = log.append_record(bytes);
+    let _ = log.append_record(&journal.encode());
     fs.crash();
-    match log.recover() {
-        Ok(r) => r.records.into_iter().next(),
-        Err(_) => None,
-    }
+    log
 }
 
-/// Applies the storage-dimension contract to one interrupt journal:
-/// a journal that survives its disk round trip byte-identical resumes
+/// Applies the storage-dimension contract to one interrupt checkpoint:
+/// a checkpoint that survives its disk round trip intact resumes
 /// normally (result returned for the caller's resume-equivalence
 /// check); one the store lost or rejected must degrade to a restart
 /// that is fail-closed **and still completes** (returns `None`).
 fn check_disk_resume(
     session: &Session,
     config: &SimConfig,
-    bytes: &[u8],
+    journal: &SessionJournal,
     dims: &DiskDims,
     salt: u64,
     downtime: Option<u64>,
     violations: &mut Vec<ChaosViolation>,
 ) -> Option<SimResult> {
     let downtime = downtime.unwrap_or(1_000_000);
-    match disk_roundtrip(bytes, dims, salt) {
-        Some(back) if back == *bytes => Some(session.resume(Input::Test, config, &back, downtime)),
-        Some(_) => {
+    let log = disk_checkpoint(journal, dims, salt);
+    match SessionJournal::load(&log) {
+        Ok(back) if back == *journal => Some(session.resume(Input::Test, config, &log, downtime)),
+        Ok(_) => {
             // Recovery handed back different bytes it believed valid —
             // the store's own detection contract is broken.
             violations.push(ChaosViolation::FailOpen(
@@ -1207,8 +1201,8 @@ fn check_disk_resume(
             ));
             None
         }
-        None => {
-            let r = session.resume(Input::Test, config, &[], downtime);
+        Err(_) => {
+            let r = session.resume(Input::Test, config, &log, downtime);
             if !r.outage.failed_closed {
                 violations.push(ChaosViolation::FailOpen(
                     "journal lost to storage faults was not detected",
@@ -1354,8 +1348,7 @@ pub fn crash_anywhere(session: &Session, sc: &ChaosScenario, downtime: u64) -> D
 
     let probe = |at: u64| -> Option<u64> {
         match session.run_until(Input::Test, &config, at) {
-            RunOutcome::Interrupted(bytes) => {
-                let j = SessionJournal::decode(&bytes).ok()?;
+            RunOutcome::Interrupted(j) => {
                 Some(j.classes.iter().map(|c| u64::from(c.delivered)).sum())
             }
             RunOutcome::Finished(_) => None,
@@ -1383,7 +1376,7 @@ pub fn crash_anywhere(session: &Session, sc: &ChaosScenario, downtime: u64) -> D
         };
         k = delivered + 1;
         boundaries += 1;
-        let RunOutcome::Interrupted(bytes) = session.run_until(Input::Test, &config, lo) else {
+        let RunOutcome::Interrupted(journal) = session.run_until(Input::Test, &config, lo) else {
             divergences.push(BoundaryDivergence {
                 at_cycle: lo,
                 delivered,
@@ -1393,7 +1386,7 @@ pub fn crash_anywhere(session: &Session, sc: &ChaosScenario, downtime: u64) -> D
             });
             continue;
         };
-        let r = session.resume(Input::Test, &config, &bytes, downtime);
+        let r = session.resume(Input::Test, &config, &journal.in_memory(), downtime);
         for mut d in compare_resume(&base, &r, &config, lo) {
             d.delivered = delivered;
             divergences.push(d);
@@ -1773,7 +1766,7 @@ mod tests {
     fn decode_rejects_hostile_artifacts_with_typed_errors() {
         assert_eq!(ChaosScenario::decode(""), Err(ScenarioError::BadMagic));
         assert_eq!(
-            ChaosScenario::decode("NSJR 1"),
+            ChaosScenario::decode("NSJL 1"),
             Err(ScenarioError::BadMagic)
         );
         assert_eq!(

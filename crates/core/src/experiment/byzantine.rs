@@ -16,7 +16,7 @@ use nonstrict_netsim::byzantine::ByzantineMode;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
-use crate::metrics::{integrity_share_percent, normalized_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent, CycleLedger};
 use crate::model::{ByzantineConfig, OrderingSource, ReplicaConfig, ReplicaKill, SimConfig};
 
 /// One swept cell: mirror count, dishonest-mirror count, misbehavior
@@ -145,7 +145,7 @@ pub fn byzantine_sweep(suite: &Suite) -> Vec<ByzantineRow> {
                     mode,
                     audit_rate_pm,
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                    integrity_share: integrity_share_percent(ist.integrity_cycles, r.total_cycles),
+                    integrity_share: share_percent(ist.integrity_cycles, r.total_cycles),
                     manifest_pins: ist.manifest_pins,
                     digest_checks: ist.digest_checks,
                     divergent_units: ist.divergent_units,

@@ -14,7 +14,7 @@ use nonstrict_bytecode::Input;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS, ORDERINGS};
-use crate::metrics::{normalized_percent, recovery_share_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent, CycleLedger};
 use crate::model::{FaultConfig, OrderingSource, SimConfig};
 
 /// The swept unit-loss rates, parts-per-million per delivery attempt:
@@ -97,10 +97,7 @@ pub fn fault_sweep(suite: &Suite) -> Vec<FaultRow> {
                         ordering,
                         loss_pm,
                         normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                        recovery_share: recovery_share_percent(
-                            r.faults.recovery_cycles,
-                            r.total_cycles,
-                        ),
+                        recovery_share: share_percent(r.faults.recovery_cycles, r.total_cycles),
                         retries: r.faults.retries,
                         drops: r.faults.drops,
                         corrupted: r.faults.corrupted,

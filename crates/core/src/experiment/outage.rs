@@ -15,7 +15,7 @@ use nonstrict_bytecode::Input;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
-use crate::metrics::{normalized_percent, resume_share_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent, CycleLedger};
 use crate::model::{OrderingSource, OutageConfig, SimConfig};
 
 /// The swept outage severities, `(rate_pm, outage_cycles)`: probability
@@ -94,7 +94,7 @@ pub fn outage_sweep(suite: &Suite) -> Vec<OutageRow> {
                     rate_pm,
                     outage_cycles,
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                    resume_share: resume_share_percent(r.outage.resume_cycles, r.total_cycles),
+                    resume_share: share_percent(r.outage.resume_cycles, r.total_cycles),
                     outages: r.outage.outages,
                     resumes: r.outage.resumes,
                     pure_downtime: r.total_cycles == quiet.total_cycles + r.outage.resume_cycles,

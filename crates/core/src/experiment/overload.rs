@@ -22,7 +22,7 @@ use super::faults::sweep_config;
 use super::replica::sweep_replicas;
 use super::Suite;
 use crate::fleet::{run_fleet, AdmissionSettings, FleetClient, FleetSpec};
-use crate::metrics::{queue_share_percent, CycleLedger};
+use crate::metrics::{share_percent, CycleLedger};
 use crate::model::{OrderingSource, SimConfig};
 
 /// The swept fleet sizes: a pair (barely contended), a rack of eight,
@@ -169,7 +169,7 @@ pub fn overload_sweep(suite: &Suite) -> Vec<OverloadRow> {
                     p50_total: fleet.p50_total,
                     p95_total: fleet.p95_total,
                     p99_total: fleet.p99_total,
-                    queue_share: queue_share_percent(ledger.queue, total_cycles),
+                    queue_share: share_percent(ledger.queue, total_cycles),
                     total_cycles,
                     ledger,
                 });

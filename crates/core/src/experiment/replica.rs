@@ -15,7 +15,7 @@ use nonstrict_netsim::Link;
 
 use super::faults::sweep_config;
 use super::{Suite, LINKS};
-use crate::metrics::{hedge_share_percent, normalized_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent, CycleLedger};
 use crate::model::{OrderingSource, ReplicaConfig, SimConfig};
 
 /// The swept (mirror count, unit-loss rate ppm) cells: a single lossy
@@ -106,7 +106,7 @@ pub fn replica_sweep(suite: &Suite) -> Vec<ReplicaRow> {
                     replicas,
                     loss_pm,
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                    hedge_share: hedge_share_percent(r.replica.hedge_cycles, r.total_cycles),
+                    hedge_share: share_percent(r.replica.hedge_cycles, r.total_cycles),
                     hedges: r.replica.hedges,
                     hedge_wins: r.replica.hedge_wins,
                     failovers: r.replica.failovers,

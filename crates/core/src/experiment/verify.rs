@@ -17,7 +17,7 @@ use nonstrict_bytecode::Input;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
-use crate::metrics::{normalized_percent, verify_share_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent, CycleLedger};
 use crate::model::{OrderingSource, SimConfig, VerifyMode};
 
 /// The swept verification modes, in report column order.
@@ -69,7 +69,7 @@ pub fn verify_sweep(suite: &Suite) -> Vec<VerifyRow> {
                     mode,
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
                     verify_cycles: r.verify_cycles,
-                    verify_share: verify_share_percent(r.verify_cycles, r.total_cycles),
+                    verify_share: share_percent(r.verify_cycles, r.total_cycles),
                     invocation_latency: r.invocation_latency,
                     stall_cycles: r.stall_cycles,
                     total_cycles: r.total_cycles,

@@ -404,7 +404,7 @@ pub fn run_fleet(
 /// through its base timeline, park it for the duration of the
 /// congestion that evicted it (`park` cycles, its DRR queue delay),
 /// and resume from the journal. The round trip through the encoded
-/// journal bytes is real — the same machinery as an outage resume —
+/// checkpoint record is real — the same machinery as an outage resume —
 /// so the parked time lands in the `resume` bucket and everything
 /// delivered pre-shed survives. Because the park *is* the client's
 /// DRR queue delay, [`run_fleet`] excludes that delay from the shed
@@ -413,8 +413,8 @@ fn shed_and_resume(session: &Session, input: Input, config: &SimConfig, park: u6
     let base_total = session.simulate(input, config).total_cycles;
     match session.run_until(input, config, base_total / 2) {
         RunOutcome::Finished(r) => *r,
-        RunOutcome::Interrupted(journal_bytes) => {
-            session.resume(input, config, &journal_bytes, park)
+        RunOutcome::Interrupted(journal) => {
+            session.resume(input, config, &journal.in_memory(), park)
         }
     }
 }

@@ -1,7 +1,7 @@
-//! The durable session checkpoint journal.
+//! The simulator's crash checkpoint: one `NSJL` record.
 //!
 //! A mobile client that is killed or partitioned mid-transfer must not
-//! restart from byte zero. The journal is the client's crash-safe
+//! restart from byte zero. The checkpoint is the client's crash-safe
 //! record of everything the session has durably achieved: per-class
 //! **delivered** unit watermarks (the resumable streams are strictly
 //! in-order, so a watermark is exact), per-class **verified** state
@@ -11,92 +11,41 @@
 //! demand-fetch log that lets the server reconstruct its transfer state
 //! from the client's requests alone.
 //!
-//! Integrity is fail-closed. The wire format carries a magic, a
-//! version, and a CRC32 trailer over every preceding byte; a torn
-//! write, truncation, or bit flip anywhere makes [`SessionJournal::decode`]
-//! return an error, and the reconnect [`negotiate`] maps any such error
-//! to [`Negotiation::FailClosed`] — the client discards the cache and
-//! restarts strict. Consistency across sessions is guarded by
-//! **epochs**: the journal records a CRC fingerprint of each class's
-//! restructured unit layout plus a whole-manifest epoch. If the server
-//! restructured some class files while the client was away, only those
-//! classes' epochs mismatch, and negotiation returns a **targeted
-//! invalidation**: the stale classes are refetched and re-verified from
-//! scratch while every other watermark survives.
+//! It persists as one record of a [`JournalLog`], the same `NSJL` log
+//! the wire client's [`nonstrict_store::DurableSession`] writes. The log
+//! owns integrity: magic, version, a CRC per frame, and torn-tail
+//! recovery. The record is a one-byte [`CHECKPOINT_TAG`] followed by
+//! the payload; the tag names the payload layout the way
+//! `DurableSession` tags its records. Resume is fail-closed: any
+//! [`StoreError`] from recovery or decoding, or a log with no record
+//! left, makes [`negotiate`] return [`Negotiation::FailClosed`] — the
+//! client discards the cache and restarts strict. Consistency across
+//! sessions is guarded by **epochs**: the checkpoint records a CRC
+//! fingerprint of each class's restructured unit layout plus a
+//! whole-manifest epoch. If the server restructured some class files
+//! while the client was away, only those classes' epochs mismatch, and
+//! negotiation returns a **targeted invalidation**: the stale classes
+//! are refetched and re-verified from scratch while every other
+//! watermark survives.
+
+use std::sync::Arc;
 
 use nonstrict_netsim::crc32;
+use nonstrict_store::{FaultFs, FaultKnobs, JournalLog, StoreError};
+use nonstrict_wire::caps;
+use nonstrict_wire::frame::{check_count, FrameError};
 
-/// Journal magic: identifies the file and its byte order.
-pub const JOURNAL_MAGIC: [u8; 4] = *b"NSJR";
+/// Record tag of a checkpoint. A different payload layout gets a new
+/// tag, so a reader meets a record it does not understand as
+/// [`StoreError::Malformed`]. Disjoint from `DurableSession`'s record
+/// tags (`0x01..=0x06`), so neither log's records read as the other's.
+pub const CHECKPOINT_TAG: u8 = 0x10;
 
-/// Current wire-format version. Version 2 added the hedge-cycle ledger
-/// entry and the per-fetch serving-replica tag; version 3 added the
-/// integrity-cycle ledger entry and the pinned unit-manifest digest.
-/// Older journals fail closed, which is the safe reading of a format we
-/// no longer write.
-pub const JOURNAL_VERSION: u16 = 3;
+/// File name of the checkpoint log on an in-memory or simulated store.
+pub const CHECKPOINT_LOG: &str = "sim.nsjl";
 
-/// Why a journal could not be trusted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalError {
-    /// The buffer does not start with [`JOURNAL_MAGIC`].
-    BadMagic,
-    /// The version field is older than this writer produces. Old
-    /// formats are not migrated: the safe reading of a format we no
-    /// longer write is no reading at all.
-    BadVersion(u16),
-    /// The version field is *newer* than this reader understands — the
-    /// journal was written by a future client. Distinct from
-    /// [`JournalError::BadVersion`] so callers and operators can tell a
-    /// rollback (upgrade the client) from a stale cache (discard it);
-    /// both fail closed.
-    UnknownVersion(u16),
-    /// The buffer ended before the declared content did (torn write).
-    Truncated,
-    /// The CRC32 trailer does not match the content (torn or corrupted
-    /// write).
-    CrcMismatch,
-    /// Structurally impossible content (e.g. a bitmap longer than its
-    /// declared method count).
-    Malformed(&'static str),
-    /// A declared count exceeds its sanity cap. Rejected *before* any
-    /// buffer is allocated — a forged length field (the CRC is not a
-    /// MAC) must not make the decoder reserve gigabytes.
-    Oversized {
-        /// Which field declared the count.
-        what: &'static str,
-        /// The declared value.
-        declared: u64,
-        /// The cap it violated (see `nonstrict_wire::caps`).
-        cap: u64,
-    },
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::BadMagic => write!(f, "journal magic mismatch"),
-            JournalError::BadVersion(v) => write!(f, "unsupported journal version {v}"),
-            JournalError::UnknownVersion(v) => write!(
-                f,
-                "journal version {v} is newer than this reader (max {JOURNAL_VERSION})"
-            ),
-            JournalError::Truncated => write!(f, "journal truncated (torn write)"),
-            JournalError::CrcMismatch => write!(f, "journal CRC mismatch (torn or corrupt write)"),
-            JournalError::Malformed(what) => write!(f, "malformed journal: {what}"),
-            JournalError::Oversized {
-                what,
-                declared,
-                cap,
-            } => write!(
-                f,
-                "oversized journal {what}: declared {declared}, cap {cap}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
+/// The format name every checkpoint [`StoreError`] carries.
+const WHAT: &str = "NSJL checkpoint";
 
 /// One demand-fetch the client issued: enough for the server to replay
 /// its transfer-scheduling decisions on reconnect. Only the *first*
@@ -232,7 +181,7 @@ pub struct SessionJournal {
 }
 
 /// The server's view of the session: current layout epochs to validate
-/// a returning client's journal against.
+/// a returning client's checkpoint against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionManifest {
     /// Combined fingerprint of every class epoch.
@@ -261,36 +210,37 @@ impl SessionManifest {
     }
 }
 
-/// The reconnect negotiation's verdict on a stored journal.
+/// The reconnect negotiation's verdict on a stored checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Negotiation {
-    /// The journal is intact and structurally compatible: resume.
+    /// The checkpoint is intact and structurally compatible: resume.
     /// `stale` lists the classes whose epochs moved while the client
     /// was away — their caches must be discarded and refetched; every
     /// other watermark survives.
     Resume {
-        /// The decoded, trusted journal.
+        /// The decoded, trusted checkpoint.
         journal: Box<SessionJournal>,
         /// Classes needing targeted invalidation and refetch.
         stale: Vec<usize>,
     },
-    /// The journal is intact but describes a different application
+    /// The checkpoint is intact but describes a different application
     /// shape (class count or method counts changed): nothing in it can
     /// be mapped, start a fresh session.
     Fresh,
-    /// The journal cannot be trusted at all (torn write, corruption,
-    /// wrong magic/version): fail closed — discard the cache and
-    /// restart under strict execution.
-    FailClosed(JournalError),
+    /// The checkpoint cannot be trusted at all (torn or rotted log,
+    /// undecodable record, no record left): fail closed — discard the
+    /// cache and restart under strict execution.
+    FailClosed(StoreError),
 }
 
-/// Validates `bytes` against the server's `manifest` and decides how
-/// the session continues. This is the paper-system's reconnect
-/// handshake: CRC and structure first (fail-closed), then per-class
-/// epoch comparison (targeted invalidation).
+/// Loads the checkpoint from `log`, validates it against the server's
+/// `manifest`, and decides how the session continues. This is the
+/// paper-system's reconnect handshake: log integrity and record
+/// structure first (fail-closed), then per-class epoch comparison
+/// (targeted invalidation).
 #[must_use]
-pub fn negotiate(bytes: &[u8], manifest: &SessionManifest) -> Negotiation {
-    let journal = match SessionJournal::decode(bytes) {
+pub fn negotiate(log: &JournalLog, manifest: &SessionManifest) -> Negotiation {
+    let journal = match SessionJournal::load(log) {
         Ok(j) => j,
         Err(e) => return Negotiation::FailClosed(e),
     };
@@ -327,9 +277,6 @@ impl Writer {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -355,41 +302,42 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        let end = self.pos.checked_add(n).ok_or(JournalError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(JournalError::Truncated);
-        }
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(StoreError::Truncated { what: WHAT })?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, JournalError> {
+    fn u8(&mut self) -> Result<u8, StoreError> {
         Ok(self.take(1)?[0])
     }
-    fn u16(&mut self) -> Result<u16, JournalError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len")))
-    }
-    fn u32(&mut self) -> Result<u32, JournalError> {
+    fn u32(&mut self) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len")))
     }
-    fn u64(&mut self) -> Result<u64, JournalError> {
+    fn u64(&mut self) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
     }
-    fn flag(&mut self) -> Result<bool, JournalError> {
+    fn flag(&mut self) -> Result<bool, StoreError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(JournalError::Malformed("flag byte must be 0 or 1")),
+            _ => Err(StoreError::Malformed {
+                what: WHAT,
+                why: "flag byte must be 0 or 1",
+            }),
         }
     }
-    fn bits(&mut self) -> Result<Vec<bool>, JournalError> {
+    fn bits(&mut self) -> Result<Vec<bool>, StoreError> {
         let n = self.u32()? as usize;
-        if n > nonstrict_wire::caps::MAX_BITMAP_BITS {
-            return Err(JournalError::Oversized {
+        if n > caps::MAX_BITMAP_BITS {
+            return Err(StoreError::Oversized {
                 what: "bitmap",
                 declared: n as u64,
-                cap: nonstrict_wire::caps::MAX_BITMAP_BITS as u64,
+                cap: caps::MAX_BITMAP_BITS as u64,
             });
         }
         // `take` bounds the read against the real buffer before the
@@ -404,43 +352,39 @@ impl<'a> Reader<'a> {
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
-    /// Reads a declared element count and rejects it — with a typed
-    /// [`JournalError::Oversized`], *before* any allocation — when it
-    /// exceeds `cap` or could not possibly fit in the bytes remaining
-    /// (`min_bytes_each` per element).
+    /// Reads a declared element count and vets it with [`check_count`]
+    /// before anything is allocated for it.
     fn count(
         &mut self,
         what: &'static str,
         cap: usize,
         min_bytes_each: usize,
-    ) -> Result<usize, JournalError> {
-        let declared = u64::from(self.u32()?);
-        if declared > cap as u64 {
-            return Err(JournalError::Oversized {
+    ) -> Result<usize, StoreError> {
+        let declared = self.u32()?.into();
+        check_count(what, declared, cap, self.remaining(), min_bytes_each).map_err(|e| match e {
+            FrameError::Oversized {
                 what,
                 declared,
-                cap: cap as u64,
-            });
-        }
-        let n = declared as usize;
-        if n.checked_mul(min_bytes_each)
-            .is_none_or(|need| need > self.remaining())
-        {
-            return Err(JournalError::Truncated);
-        }
-        Ok(n)
+                cap,
+            } => StoreError::Oversized {
+                what,
+                declared,
+                cap,
+            },
+            _ => StoreError::Truncated { what: WHAT },
+        })
     }
 }
 
 impl SessionJournal {
-    /// Serializes the journal: magic, version, content, CRC32 trailer.
+    /// Serializes the checkpoint into one log record: the
+    /// [`CHECKPOINT_TAG`], then the content.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer {
             buf: Vec::with_capacity(256),
         };
-        w.buf.extend_from_slice(&JOURNAL_MAGIC);
-        w.u16(JOURNAL_VERSION);
+        w.u8(CHECKPOINT_TAG);
         w.u64(self.manifest_epoch);
         w.u32(self.manifest_digest);
         w.u64(self.next_event);
@@ -477,45 +421,29 @@ impl SessionJournal {
             w.u32(f.replica);
             w.u64(f.at);
         }
-        let crc = crc32(&w.buf);
-        w.u32(crc);
         w.buf
     }
 
-    /// Deserializes and integrity-checks a journal.
+    /// Deserializes one checkpoint record. Integrity is the log's job;
+    /// this checks structure.
     ///
     /// # Errors
     ///
-    /// Any structural or integrity problem — wrong magic, unknown
-    /// version, truncation, CRC mismatch, malformed bitmaps or trailing
-    /// garbage — is an error; a journal either decodes exactly or not
-    /// at all.
-    pub fn decode(bytes: &[u8]) -> Result<SessionJournal, JournalError> {
-        if bytes.len() < JOURNAL_MAGIC.len() + 2 + 4 {
-            return Err(JournalError::Truncated);
-        }
-        if bytes[..4] != JOURNAL_MAGIC {
-            return Err(JournalError::BadMagic);
-        }
-        let (content, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().expect("len"));
-        if crc32(content) != stored {
-            return Err(JournalError::CrcMismatch);
-        }
+    /// [`StoreError::Truncated`] when the record ends early,
+    /// [`StoreError::Oversized`] for a count beyond its cap (before any
+    /// allocation), and [`StoreError::Malformed`] for a foreign tag, a
+    /// bad flag byte, disagreeing bitmap lengths or trailing bytes; a
+    /// record either decodes exactly or not at all.
+    pub fn decode(record: &[u8]) -> Result<SessionJournal, StoreError> {
         let mut r = Reader {
-            buf: content,
-            pos: 4,
+            buf: record,
+            pos: 0,
         };
-        let version = r.u16()?;
-        if version > JOURNAL_VERSION {
-            // A future client wrote this journal. Its layout is
-            // unknowable here, so parsing cannot even be attempted —
-            // fail closed with the typed variant instead of whatever
-            // structural error a misparse would happen to hit first.
-            return Err(JournalError::UnknownVersion(version));
-        }
-        if version != JOURNAL_VERSION {
-            return Err(JournalError::BadVersion(version));
+        if r.u8()? != CHECKPOINT_TAG {
+            return Err(StoreError::Malformed {
+                what: WHAT,
+                why: "unknown record tag",
+            });
         }
         let manifest_epoch = r.u64()?;
         let manifest_digest = r.u32()?;
@@ -539,7 +467,7 @@ impl SessionJournal {
         let session_degraded = r.flag()?;
         // 31 = the minimum encoded size of one class checkpoint (two
         // u32s, four flags, three empty bitmaps, one u64).
-        let nclasses = r.count("class count", nonstrict_wire::caps::MAX_CLASSES, 31)?;
+        let nclasses = r.count("class count", caps::MAX_CLASSES, 31)?;
         let mut classes = Vec::with_capacity(nclasses);
         for _ in 0..nclasses {
             let epoch = r.u32()?;
@@ -552,7 +480,10 @@ impl SessionJournal {
             if linker_verified.len() != methods_verified.len()
                 || linker_resolved.len() != methods_verified.len()
             {
-                return Err(JournalError::Malformed("bitmap lengths disagree"));
+                return Err(StoreError::Malformed {
+                    what: WHAT,
+                    why: "bitmap lengths disagree",
+                });
             }
             let demoted = r.flag()?;
             let stall_events = r.u64()?;
@@ -569,7 +500,7 @@ impl SessionJournal {
             });
         }
         // 20 = the encoded size of one fetch record (three u32s + u64).
-        let nfetch = r.count("fetch log", nonstrict_wire::caps::MAX_FETCH_LOG, 20)?;
+        let nfetch = r.count("fetch log", caps::MAX_FETCH_LOG, 20)?;
         let mut fetch_log = Vec::with_capacity(nfetch);
         for _ in 0..nfetch {
             fetch_log.push(FetchRecord {
@@ -579,8 +510,11 @@ impl SessionJournal {
                 at: r.u64()?,
             });
         }
-        if r.pos != content.len() {
-            return Err(JournalError::Malformed("trailing bytes after content"));
+        if r.remaining() != 0 {
+            return Err(StoreError::Malformed {
+                what: WHAT,
+                why: "trailing bytes after content",
+            });
         }
         Ok(SessionJournal {
             manifest_epoch,
@@ -603,6 +537,67 @@ impl SessionJournal {
             classes,
             fetch_log,
         })
+    }
+
+    /// Recovers `log` and decodes its last record, the newest
+    /// checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Whatever recovery reports (bad magic or version, a rotted
+    /// frame, an oversized length, I/O); [`StoreError::Truncated`] when
+    /// no record survived (the checkpoint's append was torn away or
+    /// never landed); otherwise the [`SessionJournal::decode`] error.
+    pub fn load(log: &JournalLog) -> Result<SessionJournal, StoreError> {
+        let recovered = log.recover()?;
+        let record = recovered
+            .records
+            .last()
+            .ok_or(StoreError::Truncated { what: WHAT })?;
+        SessionJournal::decode(record)
+    }
+
+    /// An honest in-memory log holding this checkpoint as its only
+    /// record: how a caller without a disk hands a checkpoint to
+    /// [`crate::sim::Session::resume`], still through the encoded
+    /// record.
+    #[must_use]
+    pub fn in_memory(&self) -> JournalLog {
+        let log = JournalLog::new(Arc::new(FaultFs::new(FaultKnobs::quiet(0))), CHECKPOINT_LOG);
+        log.append_record(&self.encode())
+            .expect("an honest in-memory store takes every checkpoint");
+        log
+    }
+
+    /// Rejects a checkpoint whose replay state points outside the
+    /// session: a fetch-log entry naming a class or unit that does not
+    /// exist (`unit_counts[c]` units in class `c`), or a next event
+    /// beyond the `trace_len`-event trace. The frame CRC is not a MAC,
+    /// so a forged record can be well framed and still out of shape;
+    /// replay must never index with it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Malformed`] naming the first field out of range.
+    pub fn check_replayable(
+        &self,
+        unit_counts: &[usize],
+        trace_len: usize,
+    ) -> Result<(), StoreError> {
+        let malformed = |why| Err(StoreError::Malformed { what: WHAT, why });
+        if self.next_event > trace_len as u64 {
+            return malformed("next event beyond the trace");
+        }
+        for f in &self.fetch_log {
+            match unit_counts.get(f.class as usize) {
+                None => return malformed("fetch-log class out of range"),
+                Some(&n) if f.unit as usize >= n => {
+                    return malformed("fetch-log unit out of range")
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -668,11 +663,28 @@ mod tests {
         }
     }
 
+    /// The sample checkpoint persisted to a fresh in-memory store, plus
+    /// the store (for tampering) and the log file's durable bytes.
+    fn persisted() -> (Arc<FaultFs>, JournalLog, Vec<u8>) {
+        let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(1)));
+        let log = JournalLog::new(fs.clone(), CHECKPOINT_LOG);
+        log.append_record(&sample().encode()).unwrap();
+        let bytes = fs.durable(CHECKPOINT_LOG).unwrap();
+        (fs, log, bytes)
+    }
+
+    /// A log holding one arbitrary `record`.
+    fn log_of(record: &[u8]) -> JournalLog {
+        let log = JournalLog::new(Arc::new(FaultFs::new(FaultKnobs::quiet(1))), CHECKPOINT_LOG);
+        log.append_record(record).unwrap();
+        log
+    }
+
     #[test]
     fn encode_decode_round_trips_exactly() {
         let j = sample();
-        let bytes = j.encode();
-        assert_eq!(SessionJournal::decode(&bytes).unwrap(), j);
+        assert_eq!(SessionJournal::decode(&j.encode()).unwrap(), j);
+        assert_eq!(SessionJournal::load(&j.in_memory()).unwrap(), j);
         // None latency round-trips through the sentinel.
         let mut j2 = j;
         j2.invocation_latency = None;
@@ -681,13 +693,14 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let bytes = sample().encode();
+        let (fs, log, bytes) = persisted();
         for i in 0..bytes.len() {
             for bit in [0x01u8, 0x80u8] {
                 let mut bad = bytes.clone();
                 bad[i] ^= bit;
+                fs.set_durable(CHECKPOINT_LOG, bad);
                 assert!(
-                    SessionJournal::decode(&bad).is_err(),
+                    SessionJournal::load(&log).is_err(),
                     "flip at byte {i} went undetected"
                 );
             }
@@ -696,64 +709,32 @@ mod tests {
 
     #[test]
     fn every_truncation_is_detected() {
-        let bytes = sample().encode();
+        let (fs, log, bytes) = persisted();
         for n in 0..bytes.len() {
+            fs.set_durable(CHECKPOINT_LOG, bytes[..n].to_vec());
             assert!(
-                SessionJournal::decode(&bytes[..n]).is_err(),
+                SessionJournal::load(&log).is_err(),
                 "truncation to {n} bytes went undetected"
             );
         }
-        let mut padded = bytes;
+        // Garbage after the content, inside a well-framed record.
+        let mut padded = sample().encode();
         padded.push(0);
-        assert!(
-            SessionJournal::decode(&padded).is_err(),
+        assert_eq!(
+            SessionJournal::load(&log_of(&padded)),
+            Err(StoreError::Malformed {
+                what: WHAT,
+                why: "trailing bytes after content"
+            }),
             "appended garbage went undetected"
         );
-    }
-
-    #[test]
-    fn older_journal_versions_fail_closed() {
-        let mut bytes = sample().encode();
-        bytes[4] = 2; // low byte of the little-endian version field
-        let n = bytes.len();
-        let crc = crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            SessionJournal::decode(&bytes),
-            Err(JournalError::BadVersion(2)),
-            "a v2 journal lacks the pinned manifest digest; reading it as v3 would misparse"
-        );
-    }
-
-    #[test]
-    fn newer_journal_versions_fail_closed_with_the_typed_error() {
-        // A client downgrade finds a journal written by a future
-        // version. The reader must refuse with UnknownVersion — not
-        // misparse the unknown layout into Truncated/Malformed — and
-        // negotiation must map it to a fail-closed restart.
-        for future in [JOURNAL_VERSION + 1, u16::MAX] {
-            let mut bytes = sample().encode();
-            bytes[4..6].copy_from_slice(&future.to_le_bytes());
-            let n = bytes.len();
-            let crc = crc32(&bytes[..n - 4]);
-            bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-            assert_eq!(
-                SessionJournal::decode(&bytes),
-                Err(JournalError::UnknownVersion(future)),
-            );
-            let j = sample();
-            assert_eq!(
-                negotiate(&bytes, &manifest_for(&j)),
-                Negotiation::FailClosed(JournalError::UnknownVersion(future)),
-            );
-        }
     }
 
     #[test]
     fn negotiate_resumes_a_clean_journal_with_no_stale_classes() {
         let j = sample();
         let m = manifest_for(&j);
-        match negotiate(&j.encode(), &m) {
+        match negotiate(&j.in_memory(), &m) {
             Negotiation::Resume { journal, stale } => {
                 assert_eq!(*journal, j);
                 assert!(stale.is_empty());
@@ -767,7 +748,7 @@ mod tests {
         let j = sample();
         let mut m = manifest_for(&j);
         m.class_epochs[1] ^= 0xffff;
-        match negotiate(&j.encode(), &m) {
+        match negotiate(&j.in_memory(), &m) {
             Negotiation::Resume { stale, .. } => assert_eq!(stale, vec![1]),
             other => panic!("expected targeted invalidation, got {other:?}"),
         }
@@ -779,21 +760,30 @@ mod tests {
         let m = manifest_for(&j);
         let mut torn = j.encode();
         torn.truncate(torn.len() / 2);
+        assert_eq!(
+            negotiate(&log_of(&torn), &m),
+            Negotiation::FailClosed(StoreError::Truncated { what: WHAT })
+        );
         assert!(matches!(
-            negotiate(&torn, &m),
-            Negotiation::FailClosed(JournalError::Truncated | JournalError::CrcMismatch)
+            negotiate(&log_of(b"not a journal at all"), &m),
+            Negotiation::FailClosed(StoreError::Malformed {
+                why: "unknown record tag",
+                ..
+            })
         ));
-        assert!(matches!(
-            negotiate(b"not a journal at all", &m),
-            Negotiation::FailClosed(_)
-        ));
+        // A log whose checkpoint never landed.
+        let empty = JournalLog::new(Arc::new(FaultFs::new(FaultKnobs::quiet(1))), CHECKPOINT_LOG);
+        assert_eq!(
+            negotiate(&empty, &m),
+            Negotiation::FailClosed(StoreError::Truncated { what: WHAT })
+        );
         let mut grown = manifest_for(&j);
         grown.class_epochs.push(1);
         grown.method_counts.push(0);
-        assert_eq!(negotiate(&j.encode(), &grown), Negotiation::Fresh);
+        assert_eq!(negotiate(&j.in_memory(), &grown), Negotiation::Fresh);
         let mut reshaped = manifest_for(&j);
         reshaped.method_counts[0] += 1;
-        assert_eq!(negotiate(&j.encode(), &reshaped), Negotiation::Fresh);
+        assert_eq!(negotiate(&j.in_memory(), &reshaped), Negotiation::Fresh);
     }
 
     #[test]
@@ -819,63 +809,89 @@ mod tests {
         assert_eq!(a, SessionManifest::new(vec![1, 2, 3], vec![0, 0, 0]));
     }
 
-    /// Byte offset of the class-count field: magic (4) + version (2) +
-    /// manifest epoch/digest (12) + next_event/clock (16) + seven cycle
-    /// buckets (56) + four u32 counters (16) + latency (8) + degraded
-    /// flag (1).
-    const NCLASSES_AT: usize = 115;
+    /// Byte offset of the class-count field: tag (1) + manifest
+    /// epoch/digest (12) + next_event/clock (16) + seven cycle buckets
+    /// (56) + four u32 counters (16) + latency (8) + degraded flag (1).
+    const NCLASSES_AT: usize = 110;
 
-    fn patched(mut bytes: Vec<u8>, at: usize, value: u32) -> Vec<u8> {
-        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
-        let crc_at = bytes.len() - 4;
-        let crc = crc32(&bytes[..crc_at]);
-        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
-        bytes
+    fn patched(mut record: Vec<u8>, at: usize, value: u32) -> Vec<u8> {
+        record[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        record
     }
 
     #[test]
     fn forged_class_count_is_oversized_before_allocation() {
-        let bytes = sample().encode();
+        let record = sample().encode();
         assert_eq!(
-            u32::from_le_bytes(bytes[NCLASSES_AT..NCLASSES_AT + 4].try_into().unwrap()),
+            u32::from_le_bytes(record[NCLASSES_AT..NCLASSES_AT + 4].try_into().unwrap()),
             2,
             "offset constant drifted from the encoder layout"
         );
-        // Above the cap: the typed Oversized guard fires even though
-        // the CRC trailer has been re-sealed (the CRC is not a MAC).
-        let huge = patched(bytes.clone(), NCLASSES_AT, u32::MAX);
+        // Above the cap: the typed Oversized guard fires even inside a
+        // well-framed record (the frame CRC is not a MAC).
+        let huge = patched(record.clone(), NCLASSES_AT, u32::MAX);
         assert!(matches!(
-            SessionJournal::decode(&huge),
-            Err(JournalError::Oversized {
+            SessionJournal::load(&log_of(&huge)),
+            Err(StoreError::Oversized {
                 what: "class count",
                 ..
             })
         ));
         // Under the cap but far beyond the bytes actually present: the
         // remaining-bytes check rejects it before reserving anything.
-        let hollow = patched(bytes, NCLASSES_AT, 100_000);
+        let hollow = patched(record, NCLASSES_AT, 100_000);
         assert_eq!(
             SessionJournal::decode(&hollow),
-            Err(JournalError::Truncated)
+            Err(StoreError::Truncated { what: WHAT })
         );
     }
 
     #[test]
     fn forged_bitmap_length_is_oversized_before_allocation() {
-        let j = sample();
-        let bytes = j.encode();
+        let record = sample().encode();
         // The first per-class bitmap length sits after the class
         // header: nclasses (4) + epoch (4) + delivered (4) + flag (1).
         let bitmap_at = NCLASSES_AT + 4 + 4 + 4 + 1;
         assert_eq!(
-            u32::from_le_bytes(bytes[bitmap_at..bitmap_at + 4].try_into().unwrap()),
+            u32::from_le_bytes(record[bitmap_at..bitmap_at + 4].try_into().unwrap()),
             3,
             "offset constant drifted from the encoder layout"
         );
-        let forged = patched(bytes, bitmap_at, u32::MAX);
+        let forged = patched(record, bitmap_at, u32::MAX);
         assert!(matches!(
             SessionJournal::decode(&forged),
-            Err(JournalError::Oversized { what: "bitmap", .. })
+            Err(StoreError::Oversized { what: "bitmap", .. })
         ));
+    }
+
+    #[test]
+    fn out_of_shape_replay_state_is_malformed() {
+        // The sample's classes hold 2 and 10 units; its trace has 17
+        // events replayed so far.
+        let units = [2, 10];
+        assert_eq!(sample().check_replayable(&units, 17), Ok(()));
+        let malformed = |why| Err(StoreError::Malformed { what: WHAT, why });
+        let mut j = sample();
+        j.fetch_log[1].class = 2;
+        assert_eq!(
+            j.check_replayable(&units, 17),
+            malformed("fetch-log class out of range")
+        );
+        let mut j = sample();
+        j.fetch_log[0].unit = 9999;
+        assert_eq!(
+            j.check_replayable(&units, 17),
+            malformed("fetch-log unit out of range")
+        );
+        let mut j = sample();
+        j.next_event = u64::MAX;
+        assert_eq!(
+            j.check_replayable(&units, 17),
+            malformed("next event beyond the trace")
+        );
+        assert_eq!(
+            sample().check_replayable(&units, 16),
+            malformed("next event beyond the trace")
+        );
     }
 }

@@ -16,10 +16,11 @@
 //! * [`sim`] — the event-driven co-simulator: replays a real execution
 //!   trace against a transfer engine, stalling at method delimiters that
 //!   have not arrived ([`sim::simulate`] / [`sim::Session`]).
-//! * [`journal`] — the durable session checkpoint journal: per-class
-//!   delivered/verified watermarks plus a CRC'd manifest epoch, with
-//!   torn-write detection and the reconnect negotiation that decides
-//!   between resume, targeted invalidation, and fail-closed restart.
+//! * [`journal`] — the durable session checkpoint: per-class
+//!   delivered/verified watermarks plus a manifest epoch, persisted as
+//!   one record of the store's `NSJL` log, and the reconnect
+//!   negotiation that decides between resume, targeted invalidation,
+//!   and fail-closed restart.
 //! * [`manifest`] — builds the content-addressed unit manifest (the
 //!   NSUM codec lives in `nonstrict_wire::manifest`) that the
 //!   Byzantine-tolerant transfer layer pins from the origin before any
@@ -64,7 +65,7 @@ pub use chaos::{
     DifferentialReport, DiskDims, InterruptDims, OverloadDims, ScenarioError, ShrinkOutcome,
 };
 pub use fleet::{run_fleet, AdmissionSettings, ClientOutcome, FleetClient, FleetResult, FleetSpec};
-pub use journal::{negotiate, JournalError, Negotiation, SessionJournal, SessionManifest};
+pub use journal::{negotiate, Negotiation, SessionJournal, SessionManifest};
 pub use manifest::build_manifest;
 pub use metrics::CycleLedger;
 pub use model::{

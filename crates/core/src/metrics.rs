@@ -5,10 +5,7 @@
 /// better.
 #[must_use]
 pub fn normalized_percent(cycles: u64, baseline_cycles: u64) -> f64 {
-    if baseline_cycles == 0 {
-        return 0.0;
-    }
-    100.0 * cycles as f64 / baseline_cycles as f64
+    share_percent(cycles, baseline_cycles)
 }
 
 /// Percent reduction relative to a baseline (Table 4's parenthesized
@@ -34,73 +31,16 @@ pub fn cycles_to_seconds(cycles: u64) -> f64 {
     cycles as f64 / 500.0e6
 }
 
-/// Share of the run's total time spent in fault recovery, as a percent.
-/// Zero on a perfect link; the degradation report's headline column.
-#[must_use]
-pub fn recovery_share_percent(recovery_cycles: u64, total_cycles: u64) -> f64 {
-    if total_cycles == 0 {
-        return 0.0;
-    }
-    100.0 * recovery_cycles as f64 / total_cycles as f64
-}
-
-/// Share of the run's total time spent verifying class-file prefixes,
-/// as a percent. Zero under `VerifyMode::Off`; the verification
+/// `part` as a percent of `total`, or 0 when `total` is 0: the share of
+/// a run's time one accounting bucket took (recovery, verify, resume,
+/// hedge, queue or integrity cycles over the total) — each sweep
 /// report's headline column.
 #[must_use]
-pub fn verify_share_percent(verify_cycles: u64, total_cycles: u64) -> f64 {
-    if total_cycles == 0 {
+pub fn share_percent(part: u64, total: u64) -> f64 {
+    if total == 0 {
         return 0.0;
     }
-    100.0 * verify_cycles as f64 / total_cycles as f64
-}
-
-/// Share of the run's total time spent down or resuming — outage
-/// downtime, reconnect negotiation, and stale-class refetch — as a
-/// percent. Zero when no outage interrupted the run; the outage
-/// report's headline column.
-#[must_use]
-pub fn resume_share_percent(resume_cycles: u64, total_cycles: u64) -> f64 {
-    if total_cycles == 0 {
-        return 0.0;
-    }
-    100.0 * resume_cycles as f64 / total_cycles as f64
-}
-
-/// Share of the run's total time spent hedging demand fetches —
-/// deadline waits plus issue/cancel overhead — as a percent. Zero
-/// outside a replica set; the replica report's headline column.
-#[must_use]
-pub fn hedge_share_percent(hedge_cycles: u64, total_cycles: u64) -> f64 {
-    if total_cycles == 0 {
-        return 0.0;
-    }
-    100.0 * hedge_cycles as f64 / total_cycles as f64
-}
-
-/// Share of the run's total time spent queued behind other clients at
-/// the shared server egress (DRR contention delay plus admission
-/// backoff), as a percent. Zero outside a fleet; the overload report's
-/// headline column.
-#[must_use]
-pub fn queue_share_percent(queue_cycles: u64, total_cycles: u64) -> f64 {
-    if total_cycles == 0 {
-        return 0.0;
-    }
-    100.0 * queue_cycles as f64 / total_cycles as f64
-}
-
-/// Share of the run's total time spent on transfer integrity —
-/// manifest pinning, digest-mismatch refetches, cross-mirror audit
-/// arbitration, and epoch-fence refetches — as a percent. Zero when no
-/// Byzantine protection is armed; the byzantine report's headline
-/// column.
-#[must_use]
-pub fn integrity_share_percent(integrity_cycles: u64, total_cycles: u64) -> f64 {
-    if total_cycles == 0 {
-        return 0.0;
-    }
-    100.0 * integrity_cycles as f64 / total_cycles as f64
+    100.0 * part as f64 / total as f64
 }
 
 /// Nearest-rank percentile of `sorted` (ascending), `p` in `[0, 100]`.
@@ -219,27 +159,18 @@ mod tests {
 
     #[test]
     fn recovery_share_and_completion_rate() {
-        assert_eq!(recovery_share_percent(0, 1_000), 0.0);
-        assert!((recovery_share_percent(250, 1_000) - 25.0).abs() < 1e-12);
-        assert_eq!(recovery_share_percent(5, 0), 0.0);
-        assert_eq!(verify_share_percent(0, 1_000), 0.0);
-        assert!((verify_share_percent(100, 1_000) - 10.0).abs() < 1e-12);
-        assert_eq!(verify_share_percent(5, 0), 0.0);
-        assert!((resume_share_percent(250, 1_000) - 25.0).abs() < 1e-12);
-        assert_eq!(resume_share_percent(5, 0), 0.0);
-        assert!((hedge_share_percent(50, 1_000) - 5.0).abs() < 1e-12);
-        assert_eq!(hedge_share_percent(5, 0), 0.0);
-        assert!((integrity_share_percent(80, 1_000) - 8.0).abs() < 1e-12);
-        assert_eq!(integrity_share_percent(5, 0), 0.0);
+        assert_eq!(share_percent(0, 1_000), 0.0);
+        assert!((share_percent(250, 1_000) - 25.0).abs() < 1e-12);
+        assert_eq!(share_percent(5, 0), 0.0);
+        // The normalized time is the same share, of the baseline.
+        assert_eq!(normalized_percent(80, 1_000), share_percent(80, 1_000));
         assert_eq!(completion_rate_percent(0, 0), 100.0);
         assert!((completion_rate_percent(3, 4) - 75.0).abs() < 1e-12);
     }
 
     #[test]
     fn queue_share_and_percentiles() {
-        assert_eq!(queue_share_percent(0, 1_000), 0.0);
-        assert!((queue_share_percent(300, 1_000) - 30.0).abs() < 1e-12);
-        assert_eq!(queue_share_percent(5, 0), 0.0);
+        assert!((share_percent(300, 1_000) - 30.0).abs() < 1e-12);
         assert_eq!(percentile(&[], 50), 0);
         assert_eq!(percentile(&[7], 0), 7);
         assert_eq!(percentile(&[7], 100), 7);

@@ -19,6 +19,7 @@ use nonstrict_reorder::{
     partition_app, restructure, static_first_use, ClassLayout, ClassPartition, FirstUseOrder,
     RestructuredApp,
 };
+use nonstrict_store::JournalLog;
 
 use crate::journal::{
     negotiate, ClassCheckpoint, FetchRecord, Negotiation, SessionJournal, SessionManifest,
@@ -221,11 +222,12 @@ pub struct InterruptSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The run completed before the interrupt point. Boxed: a full
-    /// [`SimResult`] dwarfs the journal-bytes variant.
+    /// [`SimResult`] dwarfs the checkpoint variant.
     Finished(Box<SimResult>),
-    /// The run was killed; the encoded [`SessionJournal`] is what
-    /// survived on the client's durable storage.
-    Interrupted(Vec<u8>),
+    /// The run was killed; the [`SessionJournal`] is the checkpoint the
+    /// client persists (as one record of a [`JournalLog`]) to resume
+    /// from.
+    Interrupted(SessionJournal),
 }
 
 /// Everything a replay needs besides the engine, bundled so the replay
@@ -852,9 +854,10 @@ impl Session {
             if let Some(at) = stop_at {
                 if st.clock >= at {
                     // The connection (and client) die here; what the
-                    // client persisted is the journal.
-                    let journal = self.checkpoint(config, units, engine, &linker, &st);
-                    return RunOutcome::Interrupted(journal.encode());
+                    // client persisted is the checkpoint.
+                    return RunOutcome::Interrupted(
+                        self.checkpoint(config, units, engine, &linker, &st),
+                    );
                 }
             }
             match events[st.next_event] {
@@ -1130,7 +1133,7 @@ impl Session {
                 }
             })
             .collect();
-        // v3: the pinned manifest digest rides in the journal so a
+        // The pinned manifest digest rides in the checkpoint so a
         // reconnect can tell whether the origin's manifest moved while
         // the client was away (zero when no byzantine plan is armed).
         let manifest_digest = if config.active_byzantine().is_some() {
@@ -1206,8 +1209,8 @@ impl Session {
 
     /// Runs `config` on `input` but kills the session — connection and
     /// client together — at the first trace-event boundary at or past
-    /// base cycle `at_cycle`, returning the encoded journal the client
-    /// persisted. Completes normally if the run finishes first.
+    /// base cycle `at_cycle`, returning the checkpoint the client
+    /// persists. Completes normally if the run finishes first.
     #[must_use]
     pub fn run_until(&self, input: Input, config: &SimConfig, at_cycle: u64) -> RunOutcome {
         if config.is_baseline() {
@@ -1247,7 +1250,7 @@ impl Session {
                 classes,
                 fetch_log: Vec::new(),
             };
-            return RunOutcome::Interrupted(journal.encode());
+            return RunOutcome::Interrupted(journal);
         }
         let units = self.units_for(config);
         let order = self.order(config.ordering);
@@ -1268,29 +1271,30 @@ impl Session {
         )
     }
 
-    /// Reconnects with a stored journal after `downtime` cycles of
-    /// outage and runs the session to completion.
+    /// Reconnects with the checkpoint stored in `log` after `downtime`
+    /// cycles of outage and runs the session to completion.
     ///
-    /// The negotiation validates the journal first: a torn or corrupt
-    /// journal **fails closed** (cache discarded, strict restart); a
-    /// structurally incompatible one starts fresh; otherwise classes
-    /// whose manifest epoch moved are refetched and re-verified inside
-    /// the resume window while every intact watermark survives. A
-    /// successfully resumed run reproduces the uninterrupted run's base
-    /// timeline exactly: every bucket except `resume` is identical, and
-    /// `total = uninterrupted total + resume`. Invocation latency stays
-    /// on the base timeline (wall latency is recoverable by adding the
-    /// resume cycles that preceded it).
+    /// The negotiation validates the checkpoint first: a torn, rotted,
+    /// empty or out-of-shape log **fails closed** (cache discarded,
+    /// strict restart); a structurally incompatible one starts fresh;
+    /// otherwise classes whose manifest epoch moved are refetched and
+    /// re-verified inside the resume window while every intact
+    /// watermark survives. A successfully resumed run reproduces the
+    /// uninterrupted run's base timeline exactly: every bucket except
+    /// `resume` is identical, and `total = uninterrupted total +
+    /// resume`. Invocation latency stays on the base timeline (wall
+    /// latency is recoverable by adding the resume cycles that preceded
+    /// it).
     #[must_use]
     pub fn resume(
         &self,
         input: Input,
         config: &SimConfig,
-        journal_bytes: &[u8],
+        log: &JournalLog,
         downtime: u64,
     ) -> SimResult {
         let manifest = self.manifest(config);
-        match negotiate(journal_bytes, &manifest) {
+        match negotiate(log, &manifest) {
             Negotiation::Resume { journal, stale } => {
                 if config.is_baseline() {
                     // The sequential download resumes from its byte
@@ -1304,6 +1308,11 @@ impl Session {
                     return r;
                 }
                 let units = self.units_for(config);
+                let unit_counts: Vec<usize> = units.iter().map(ClassUnits::unit_count).collect();
+                let trace_len = self.collected(input).trace.events().len();
+                if journal.check_replayable(&unit_counts, trace_len).is_err() {
+                    return self.restart_fail_closed(input, config, downtime, true);
+                }
                 let mut journal = *journal;
                 let mut extra = downtime;
                 for &c in &stale {
@@ -1420,11 +1429,11 @@ impl Session {
     }
 
     /// One-shot interrupt-and-resume: kills the run per `spec`, then
-    /// reconnects with the surviving journal bytes. The headline
-    /// invariant — a run interrupted at **any** cycle resumes to
-    /// identical results plus exactly the outage cost — is proven by
-    /// the round trip through the encoded journal: any serialization
-    /// or reconstruction bug breaks the equality.
+    /// reconnects with the checkpoint persisted to an in-memory log. The
+    /// headline invariant — a run interrupted at **any** cycle resumes
+    /// to identical results plus exactly the outage cost — is proven by
+    /// the round trip through the encoded record: any serialization or
+    /// reconstruction bug breaks the equality.
     #[must_use]
     pub fn simulate_interrupted(
         &self,
@@ -1434,8 +1443,8 @@ impl Session {
     ) -> SimResult {
         match self.run_until(input, config, spec.at_cycle) {
             RunOutcome::Finished(r) => *r,
-            RunOutcome::Interrupted(bytes) => {
-                self.resume(input, config, &bytes, spec.outage_cycles)
+            RunOutcome::Interrupted(journal) => {
+                self.resume(input, config, &journal.in_memory(), spec.outage_cycles)
             }
         }
     }
@@ -1773,44 +1782,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn torn_journal_fails_closed_to_strict() {
-        let s = session();
-        let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
-        let base = s.simulate(Input::Test, &config);
-        let RunOutcome::Interrupted(mut bytes) =
-            s.run_until(Input::Test, &config, base.total_cycles / 2)
+    /// The checkpoint of a modem run killed halfway.
+    fn midway_checkpoint(s: &Session, config: &SimConfig) -> SessionJournal {
+        let base = s.simulate(Input::Test, config);
+        let RunOutcome::Interrupted(journal) =
+            s.run_until(Input::Test, config, base.total_cycles / 2)
         else {
             panic!("mid-run interrupt must produce a journal");
         };
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        let r = s.resume(Input::Test, &config, &bytes, 1_000_000);
+        journal
+    }
+
+    /// Asserts `r` is the fail-closed strict restart plus `downtime`.
+    fn assert_failed_closed(s: &Session, r: &SimResult, downtime: u64) {
         let strict = s.simulate(Input::Test, &SimConfig::strict(Link::MODEM_28_8));
         assert!(r.outage.failed_closed);
         assert_eq!(r.outage.resumes, 0);
         assert!(r.faults.completed);
-        assert_eq!(r.total_cycles, strict.total_cycles + 1_000_000);
+        assert_eq!(r.total_cycles, strict.total_cycles + downtime);
         assert_eq!(r.exec_cycles, strict.exec_cycles);
+    }
+
+    #[test]
+    fn torn_journal_fails_closed_to_strict() {
+        let s = session();
+        let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
+        let fs = std::sync::Arc::new(nonstrict_store::FaultFs::new(
+            nonstrict_store::FaultKnobs::quiet(1),
+        ));
+        let log = JournalLog::new(fs.clone(), "j.nsjl");
+        log.append_record(&midway_checkpoint(&s, &config).encode())
+            .unwrap();
+        let mut bytes = fs.durable("j.nsjl").unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        fs.set_durable("j.nsjl", bytes);
+        let r = s.resume(Input::Test, &config, &log, 1_000_000);
+        assert_failed_closed(&s, &r, 1_000_000);
+    }
+
+    #[test]
+    fn forged_fetch_log_unit_fails_closed_instead_of_panicking() {
+        let s = session();
+        let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
+        let mut journal = midway_checkpoint(&s, &config);
+        journal.fetch_log[0].unit = 9999;
+        let r = s.resume(Input::Test, &config, &journal.in_memory(), 1_000);
+        assert_failed_closed(&s, &r, 1_000);
+        let mut journal = midway_checkpoint(&s, &config);
+        journal.fetch_log[0].class = 9999;
+        let r = s.resume(Input::Test, &config, &journal.in_memory(), 1_000);
+        assert_failed_closed(&s, &r, 1_000);
+    }
+
+    #[test]
+    fn forged_next_event_fails_closed_instead_of_panicking() {
+        let s = session();
+        let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
+        let mut journal = midway_checkpoint(&s, &config);
+        journal.next_event = u64::MAX;
+        let r = s.resume(Input::Test, &config, &journal.in_memory(), 1_000);
+        assert_failed_closed(&s, &r, 1_000);
     }
 
     #[test]
     fn epoch_bump_triggers_targeted_refetch_only() {
         let s = session();
         let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
-        let base = s.simulate(Input::Test, &config);
-        let RunOutcome::Interrupted(bytes) =
-            s.run_until(Input::Test, &config, base.total_cycles / 2)
-        else {
-            panic!("mid-run interrupt must produce a journal");
-        };
+        let mut journal = midway_checkpoint(&s, &config);
+        let clean = s.resume(Input::Test, &config, &journal.in_memory(), 0);
         // The server restructured one class while the client was away:
-        // re-stamp that class's epoch in the stored journal so the
+        // re-stamp that class's epoch in the stored checkpoint so the
         // reconnect negotiation sees a mismatch against the manifest.
-        let mut journal = SessionJournal::decode(&bytes).unwrap();
         journal.classes[0].epoch ^= 0xdead_beef;
-        let clean = s.resume(Input::Test, &config, &bytes, 0);
-        let bumped = s.resume(Input::Test, &config, &journal.encode(), 0);
+        let bumped = s.resume(Input::Test, &config, &journal.in_memory(), 0);
         assert_eq!(bumped.outage.refetched_classes, 1);
         assert!(!bumped.outage.failed_closed);
         // Targeted invalidation charges the refetch to the resume

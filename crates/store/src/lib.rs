@@ -111,7 +111,7 @@ pub enum StoreError {
         what: &'static str,
     },
     /// A declared length exceeds its sanity cap — rejected before any
-    /// allocation, exactly like the NSJR and NSUM decoders.
+    /// allocation, exactly like the wire frame and NSUM decoders.
     Oversized {
         /// Which field declared the length.
         what: &'static str,

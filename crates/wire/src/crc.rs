@@ -1,9 +1,9 @@
 //! The canonical CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //!
 //! One implementation serves every integrity check in the workspace:
-//! the simulated per-unit trailer in `nonstrict-netsim`, the NSJR
-//! journal and NSUM manifest frames in `nonstrict-core`, and every wire
-//! frame this crate puts on a socket. Sharing the arithmetic is what
+//! the simulated per-unit trailer in `nonstrict-netsim`, the NSJL log
+//! and NSUC cache frames in `nonstrict-store`, the NSUM manifest frame,
+//! and every wire frame this crate puts on a socket. Sharing the arithmetic is what
 //! makes the simulator an honest test double for the wire — a unit that
 //! passes the simulated check passes the real one, bit for bit.
 

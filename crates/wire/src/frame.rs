@@ -18,7 +18,7 @@
 //! The frame vocabulary maps one-to-one onto the simulator's protocol
 //! events: [`Frame::Unit`] is the simulated transfer unit (same CRC
 //! arithmetic, real payload bytes), [`Frame::Hello`]'s resume entries
-//! are the NSJR journal's per-class delivered watermarks, and
+//! are the session checkpoint's per-class delivered watermarks, and
 //! [`Frame::Welcome`] carries the NSUM manifest frame opaquely so the
 //! client can pin it exactly as the Byzantine layer does in simulation.
 
@@ -115,7 +115,8 @@ impl From<io::Error> for FrameError {
 
 /// Checks a declared element count against both its sanity cap and the
 /// bytes still available to carry it (`min_bytes_each` per element),
-/// before any allocation happens. Shared with the NSJR/NSUM decoders.
+/// before any allocation happens. Shared with the session checkpoint
+/// decoder in `nonstrict-core`.
 ///
 /// # Errors
 ///
@@ -147,7 +148,7 @@ pub fn check_count(
 }
 
 /// One per-class resume watermark the client offers in its Hello: the
-/// NSJR journal's `(epoch, delivered)` pair for `class`.
+/// session checkpoint's `(epoch, delivered)` pair for `class`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeEntry {
     /// Class index.

@@ -4,13 +4,13 @@
 //!
 //! Everything below the session simulator in this workspace models the
 //! paper's protocol — unit-delimited class streaming, CRC'd units, the
-//! NSJR resume journal, the NSUM unit manifest — at cycle granularity.
+//! resume checkpoint, the NSUM unit manifest — at cycle granularity.
 //! This crate defines the **actual byte protocol** those models stand in
 //! for, and a small threaded server/client stack that speaks it over
 //! TCP:
 //!
 //! * [`crc`] — the canonical CRC32 (IEEE 802.3, reflected). The netsim
-//!   unit trailer, the NSJR journal, the NSUM manifest, and every wire
+//!   unit trailer, the NSJL journal log, the NSUM manifest, and every wire
 //!   frame all use this one implementation, so the simulator is a test
 //!   double for the same integrity arithmetic the wire uses.
 //! * [`frame`] — CRC-framed protocol messages with length-prefix sanity
@@ -89,8 +89,8 @@ pub use plan::{ClassPlan, ResumeVerdict, ServePlan};
 pub use server::{DrainReport, ServerConfig, ServerStats, WireServer};
 
 /// Sanity caps shared by every length-prefixed decoder in the
-/// workspace: the wire frames here, and the NSJR journal and NSUM
-/// manifest decoders in `nonstrict-core`. A decoder must check the
+/// workspace: the wire frames and the NSUM manifest here, and the
+/// session checkpoint decoder in `nonstrict-core`. A decoder must check the
 /// declared count against the cap (and against the bytes actually
 /// remaining) *before* allocating — a forged length field may ask for
 /// gigabytes the frame never carries.

@@ -8,7 +8,7 @@
 //! crate only streams them, so the protocol layer stays free of class-
 //! file knowledge.
 //!
-//! Resume negotiation mirrors the NSJR journal's rule: a client's
+//! Resume negotiation mirrors the session checkpoint's rule: a client's
 //! delivered watermark survives only if it was recorded under the epoch
 //! the server is serving *now*; on any mismatch the class restarts from
 //! unit zero (fail-closed, never trusting a stale layout).

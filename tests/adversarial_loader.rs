@@ -14,7 +14,7 @@
 //!    cut at or inside a unit boundary.
 //! 2. **Seeded mutation corpus** — deterministic bit flips over the real
 //!    class files, parsed and stream-fed under random chunking. The case
-//!    count elevates via `NONSTRICT_FUZZ_CASES` (CI's fuzz-smoke job).
+//!    count elevates via `NONSTRICT_FUZZ_CASES` (CI's `soak` job).
 //! 3. **Hostile structure** — oversized constant-pool counts,
 //!    forward-branch-out-of-range bytecode, dangling call targets, and
 //!    duplicate class names are all rejected with a diagnostic error.

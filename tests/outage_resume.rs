@@ -9,7 +9,7 @@
 //!    watermark, so every unit arrival of the workload is exercised
 //!    (the all-prefix pattern of the adversarial loader suite, lifted
 //!    to the session level).
-//! 2. **Torn journals fail closed** — any corrupted checkpoint is
+//! 2. **Torn journals fail closed** — any corrupted checkpoint log is
 //!    detected (CRC/shape) and the session restarts under strict
 //!    execution; the run still completes, nothing resumes from
 //!    untrusted state.
@@ -19,12 +19,15 @@
 //!    byte-identical to no outage config, for every transfer policy.
 //! 5. **Seeded ambient chaos** — random outage schedules insert pure
 //!    downtime: execution, stall, and verify buckets never move. The
-//!    seed count elevates via `NONSTRICT_CHAOS_SEEDS` (CI's
-//!    chaos-smoke job).
+//!    seed count elevates via `NONSTRICT_CHAOS_SEEDS` (CI's `soak`
+//!    job).
+
+use std::sync::Arc;
 
 use nonstrict::prelude::*;
-use nonstrict_core::journal::SessionJournal;
+use nonstrict_core::journal::{SessionJournal, CHECKPOINT_LOG};
 use nonstrict_netsim::Link;
+use nonstrict_store::{FaultFs, FaultKnobs, JournalLog};
 
 mod common;
 use common::chaos_seeds;
@@ -66,9 +69,7 @@ fn resume_at_every_unit_boundary_reproduces_the_uninterrupted_run() {
 
     let probe = |at: u64| -> Option<SessionJournal> {
         match session.run_until(Input::Test, &config, at) {
-            RunOutcome::Interrupted(bytes) => {
-                Some(SessionJournal::decode(&bytes).expect("a self-written journal always decodes"))
-            }
+            RunOutcome::Interrupted(journal) => Some(journal),
             RunOutcome::Finished(_) => None,
         }
     };
@@ -95,11 +96,7 @@ fn resume_at_every_unit_boundary_reproduces_the_uninterrupted_run() {
         };
         k = delivered(&journal) + 1;
         boundaries_tested += 1;
-        let outcome = session.run_until(Input::Test, &config, lo);
-        let RunOutcome::Interrupted(bytes) = outcome else {
-            panic!("probe said cycle {lo} interrupts");
-        };
-        let r = session.resume(Input::Test, &config, &bytes, DOWNTIME);
+        let r = session.resume(Input::Test, &config, &journal.in_memory(), DOWNTIME);
         assert_pure_resume(
             &base,
             &r,
@@ -118,13 +115,17 @@ fn torn_journal_bytes_always_fail_closed_and_complete() {
     let session = Session::new(nonstrict::workloads::hanoi::build()).unwrap();
     let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
     let base = session.simulate(Input::Test, &config);
-    let RunOutcome::Interrupted(bytes) =
+    let RunOutcome::Interrupted(journal) =
         session.run_until(Input::Test, &config, base.total_cycles / 2)
     else {
         panic!("mid-run interrupt must checkpoint");
     };
     let strict = session.simulate(Input::Test, &SimConfig::strict(config.link));
-    // A torn write can hit any byte; sample across the whole journal
+    let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(1)));
+    let log = JournalLog::new(fs.clone(), CHECKPOINT_LOG);
+    log.append_record(&journal.encode()).unwrap();
+    let bytes = fs.durable(CHECKPOINT_LOG).unwrap();
+    // A torn write can hit any byte; sample across the whole log file
     // including both ends, plus truncation.
     let mut corruptions: Vec<Vec<u8>> = (0..bytes.len())
         .step_by(1.max(bytes.len() / 32))
@@ -137,8 +138,9 @@ fn torn_journal_bytes_always_fail_closed_and_complete() {
         .collect();
     corruptions.push(bytes[..bytes.len() / 2].to_vec());
     corruptions.push(Vec::new());
-    for (i, torn) in corruptions.iter().enumerate() {
-        let r = session.resume(Input::Test, &config, torn, DOWNTIME);
+    for (i, torn) in corruptions.into_iter().enumerate() {
+        fs.set_durable(CHECKPOINT_LOG, torn);
+        let r = session.resume(Input::Test, &config, &log, DOWNTIME);
         assert!(
             r.outage.failed_closed,
             "corruption {i} must be detected and fail closed"
@@ -158,15 +160,14 @@ fn epoch_bump_refetches_only_the_stale_class() {
     let session = Session::new(nonstrict::workloads::hanoi::build()).unwrap();
     let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
     let base = session.simulate(Input::Test, &config);
-    let RunOutcome::Interrupted(bytes) =
+    let RunOutcome::Interrupted(mut journal) =
         session.run_until(Input::Test, &config, base.total_cycles / 2)
     else {
         panic!("mid-run interrupt must checkpoint");
     };
-    let clean = session.resume(Input::Test, &config, &bytes, DOWNTIME);
-    let mut journal = SessionJournal::decode(&bytes).unwrap();
+    let clean = session.resume(Input::Test, &config, &journal.in_memory(), DOWNTIME);
     journal.classes[0].epoch ^= 0x5a5a_5a5a; // the server republished class 0
-    let bumped = session.resume(Input::Test, &config, &journal.encode(), DOWNTIME);
+    let bumped = session.resume(Input::Test, &config, &journal.in_memory(), DOWNTIME);
     assert!(
         !bumped.outage.failed_closed,
         "a stale class is not a torn journal"

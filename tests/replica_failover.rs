@@ -49,9 +49,7 @@ fn killing_the_serving_mirror_at_every_unit_boundary_preserves_the_run() {
 
     let probe = |at: u64| -> Option<SessionJournal> {
         match session.run_until(Input::Test, &config, at) {
-            RunOutcome::Interrupted(bytes) => {
-                Some(SessionJournal::decode(&bytes).expect("a self-written journal always decodes"))
-            }
+            RunOutcome::Interrupted(journal) => Some(journal),
             RunOutcome::Finished(_) => None,
         }
     };
@@ -190,17 +188,16 @@ fn a_losing_hedged_fetch_never_advances_journal_watermarks() {
     let mut interrupted = 0u32;
     for i in 1..64 {
         let at = i * step;
-        let RunOutcome::Interrupted(bytes) = session.run_until(Input::Test, &config, at) else {
+        let RunOutcome::Interrupted(j) = session.run_until(Input::Test, &config, at) else {
             continue;
         };
-        let j = SessionJournal::decode(&bytes).expect("a self-written journal always decodes");
         let d = delivered(&j);
         assert!(
             d >= last_watermark,
             "watermarks only advance with durable bytes: {d} < {last_watermark} at cycle {at}"
         );
         last_watermark = d;
-        let r = session.resume(Input::Test, &config, &bytes, DOWNTIME);
+        let r = session.resume(Input::Test, &config, &j.in_memory(), DOWNTIME);
         let ctx = format!("resume from cycle {at} ({d} units delivered)");
         assert!(r.faults.completed, "{ctx}");
         assert_eq!(r.exec_cycles, base.exec_cycles, "{ctx}: exec moved");

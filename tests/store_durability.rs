@@ -163,7 +163,7 @@ fn storage_fault_seeds_converge_after_repeated_restarts() {
     let addr = server.local_addr();
     let baseline = WireClient::new(fast_client(addr)).run().expect("baseline");
 
-    // 4 seeds locally; CI's disk-chaos-smoke job elevates the count.
+    // 4 seeds locally; CI's `soak` job elevates the count.
     for seed in 1..=common::disk_seeds() {
         let fs = Arc::new(FaultFs::new(FaultKnobs {
             seed,

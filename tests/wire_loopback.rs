@@ -84,7 +84,7 @@ fn chaos_seeds_converge_to_identical_payloads() {
     let addr = server.local_addr();
     let baseline = WireClient::new(fast_client(addr)).run().expect("baseline");
 
-    // 4 seeds locally; CI's wire-soak job elevates the count.
+    // 4 seeds locally; CI's `soak` job elevates the count.
     for seed in 1..=common::chaos_seeds() {
         let knobs = FaultKnobs {
             seed,

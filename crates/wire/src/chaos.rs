@@ -27,11 +27,12 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::accept::{accept_until_stopped, StopSignal};
 use crate::config::FaultKnobs;
 use crate::crc::crc32;
 use crate::frame::{read_raw_frame, FrameError, FRAME_OVERHEAD, KIND_UNIT};
@@ -107,7 +108,7 @@ struct StatsInner {
 /// The proxy: spawn, point clients at [`ChaosProxy::local_addr`], stop.
 pub struct ChaosProxy {
     local: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     accept_thread: Option<JoinHandle<()>>,
     stats: Arc<StatsInner>,
 }
@@ -121,14 +122,13 @@ impl ChaosProxy {
     /// Propagates socket bind/configuration failures.
     pub fn spawn(upstream: SocketAddr, config: ChaosConfig) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new(&listener)?);
         let stats = Arc::new(StatsInner::default());
         let accept_stop = Arc::clone(&stop);
         let accept_stats = Arc::clone(&stats);
         let accept_thread = std::thread::spawn(move || {
-            accept_loop(&listener, upstream, &config, &accept_stop, &accept_stats);
+            accept_loop(listener, upstream, &config, &accept_stop, &accept_stats);
         });
         Ok(ChaosProxy {
             local,
@@ -165,7 +165,7 @@ impl ChaosProxy {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.raise();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -179,41 +179,25 @@ impl Drop for ChaosProxy {
 }
 
 fn accept_loop(
-    listener: &TcpListener,
+    listener: TcpListener,
     upstream: SocketAddr,
     config: &ChaosConfig,
-    stop: &Arc<AtomicBool>,
+    stop: &Arc<StopSignal>,
     stats: &Arc<StatsInner>,
 ) {
-    let mut pumps: Vec<JoinHandle<()>> = Vec::new();
     let mut conn_index = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                let n = conn_index;
-                conn_index += 1;
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_secs(2))
-                else {
-                    continue;
-                };
-                let config = config.clone();
-                let stop = Arc::clone(stop);
-                let stats = Arc::clone(stats);
-                pumps.push(std::thread::spawn(move || {
-                    proxy_connection(client, server, n, &config, &stop, &stats);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
-        pumps.retain(|p| !p.is_finished());
-    }
-    for p in pumps {
-        let _ = p.join();
-    }
+    accept_until_stopped(listener, stop, |client| {
+        let n = conn_index;
+        conn_index += 1;
+        stats.connections.fetch_add(1, Ordering::Relaxed);
+        let server = TcpStream::connect_timeout(&upstream, Duration::from_secs(2)).ok()?;
+        let config = config.clone();
+        let stop = Arc::clone(stop);
+        let stats = Arc::clone(stats);
+        Some(std::thread::spawn(move || {
+            proxy_connection(client, server, n, &config, &stop, &stats);
+        }))
+    });
 }
 
 /// A reader that converts socket read timeouts into retries until the
@@ -221,7 +205,7 @@ fn accept_loop(
 /// timeout but the pump still exits promptly on shutdown.
 struct RetryReader<'a> {
     stream: &'a TcpStream,
-    stop: &'a AtomicBool,
+    stop: &'a StopSignal,
 }
 
 impl Read for RetryReader<'_> {
@@ -233,7 +217,7 @@ impl Read for RetryReader<'_> {
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) && !self.stop.load(Ordering::SeqCst) =>
+                    ) && !self.stop.is_raised() =>
                 {
                     continue;
                 }
@@ -248,7 +232,7 @@ fn proxy_connection(
     server: TcpStream,
     conn_index: u64,
     config: &ChaosConfig,
-    stop: &Arc<AtomicBool>,
+    stop: &Arc<StopSignal>,
     stats: &Arc<StatsInner>,
 ) {
     let _ = client.set_read_timeout(Some(Duration::from_millis(50)));
@@ -413,6 +397,18 @@ mod tests {
             }
             other => panic!("forge changed the frame kind: {other:?}"),
         }
+    }
+
+    /// Stop wakes an idle proxy with no client ever connecting, and the
+    /// wake connection is never counted as a proxied connection.
+    #[test]
+    fn stop_of_an_idle_proxy_returns_without_a_client() {
+        // Nothing listens upstream; no connection ever gets that far.
+        let upstream: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+        let proxy =
+            ChaosProxy::spawn(upstream, ChaosConfig::new(FaultKnobs::default())).expect("spawn");
+        let stats = crate::accept::returns_within_10s("ChaosProxy::stop", move || proxy.stop());
+        assert_eq!(stats, ChaosStats::default());
     }
 
     #[test]

@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use crate::accept::{accept_until_stopped, StopSignal};
 use crate::plan::ServePlan;
 use crate::server::{ServerConfig, ServerStats, WireServer};
 use crate::SplitMix64;
@@ -190,10 +191,10 @@ impl FleetSupervisor {
         let mut listeners = Vec::with_capacity(config.mirrors);
         for mirror in 0..config.mirrors {
             let listener = TcpListener::bind("127.0.0.1:0")?;
-            listener.set_nonblocking(true)?;
             addrs.push(listener.local_addr()?);
+            let stop = Arc::new(StopSignal::new(&listener)?);
             let backend_addr: SharedAddr = Arc::new(Mutex::new(None));
-            listeners.push((listener, Arc::clone(&backend_addr)));
+            listeners.push((listener, stop, Arc::clone(&backend_addr)));
             let seed = config.crash.as_ref().map_or(0, |c| {
                 c.seed ^ (mirror as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
             });
@@ -215,20 +216,22 @@ impl FleetSupervisor {
             let rollover = Arc::clone(&rollover_flag);
             let generation = Arc::clone(&generation);
             std::thread::spawn(move || {
-                let slot_stop = Arc::new(AtomicBool::new(false));
-                let slot_threads: Vec<JoinHandle<()>> = listeners
+                let slot_threads: Vec<(Arc<StopSignal>, JoinHandle<()>)> = listeners
                     .into_iter()
-                    .map(|(listener, backend_addr)| {
-                        let stop = Arc::clone(&slot_stop);
-                        std::thread::spawn(move || {
-                            slot_accept_loop(&listener, &backend_addr, &stop)
-                        })
+                    .map(|(listener, stop, backend_addr)| {
+                        let accept_stop = Arc::clone(&stop);
+                        let thread = std::thread::spawn(move || {
+                            slot_accept_loop(listener, &backend_addr, &accept_stop);
+                        });
+                        (stop, thread)
                     })
                     .collect();
                 let report =
                     control_loop(slots, &factory, &config, &shutdown, &rollover, &generation);
-                slot_stop.store(true, Ordering::SeqCst);
-                for t in slot_threads {
+                for (stop, _) in &slot_threads {
+                    stop.raise();
+                }
+                for (_, t) in slot_threads {
                     let _ = t.join();
                 }
                 report
@@ -441,39 +444,20 @@ fn control_loop(
 /// accept-and-close while the mirror is down (the client sees a stream
 /// fault and fails over — exactly what a crashed process looks like
 /// from outside).
-fn slot_accept_loop(listener: &TcpListener, backend_addr: &SharedAddr, stop: &Arc<AtomicBool>) {
-    let mut pumps: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                let Some(target) = get_backend_addr(backend_addr) else {
-                    drop(client);
-                    continue;
-                };
-                let Ok(server) = TcpStream::connect_timeout(&target, Duration::from_millis(500))
-                else {
-                    drop(client);
-                    continue;
-                };
-                let stop = Arc::clone(stop);
-                pumps.push(std::thread::spawn(move || pump_pair(client, server, &stop)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
-        pumps.retain(|p| !p.is_finished());
-    }
-    for p in pumps {
-        let _ = p.join();
-    }
+fn slot_accept_loop(listener: TcpListener, backend_addr: &SharedAddr, stop: &Arc<StopSignal>) {
+    accept_until_stopped(listener, stop, |client| {
+        // While the mirror is down, `client` drops here: accept-and-close.
+        let target = get_backend_addr(backend_addr)?;
+        let server = TcpStream::connect_timeout(&target, Duration::from_millis(500)).ok()?;
+        let stop = Arc::clone(stop);
+        Some(std::thread::spawn(move || pump_pair(client, server, &stop)))
+    });
 }
 
 /// Bidirectional byte pump between one client and one backend socket.
 /// Pure transport — no framing, no inspection; the slot must be
 /// invisible when the backend is healthy.
-fn pump_pair(client: TcpStream, server: TcpStream, stop: &Arc<AtomicBool>) {
+fn pump_pair(client: TcpStream, server: TcpStream, stop: &Arc<StopSignal>) {
     let (Ok(client_rx), Ok(server_rx)) = (client.try_clone(), server.try_clone()) else {
         return;
     };
@@ -483,7 +467,7 @@ fn pump_pair(client: TcpStream, server: TcpStream, stop: &Arc<AtomicBool>) {
     let _ = down.join();
 }
 
-fn pump(mut from: &TcpStream, mut to: &TcpStream, stop: &Arc<AtomicBool>) {
+fn pump(mut from: &TcpStream, mut to: &TcpStream, stop: &Arc<StopSignal>) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(50)));
     let mut buf = [0u8; 4096];
     loop {
@@ -500,7 +484,7 @@ fn pump(mut from: &TcpStream, mut to: &TcpStream, stop: &Arc<AtomicBool>) {
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if stop.load(Ordering::SeqCst) {
+                if stop.is_raised() {
                     break;
                 }
             }
@@ -530,6 +514,28 @@ mod tests {
             distinct.insert(draws(m));
         }
         assert_eq!(distinct.len(), 8);
+    }
+
+    /// Shutdown wakes every idle slot listener and backend with no
+    /// client ever connecting; no wake connection is counted.
+    #[test]
+    fn shutdown_of_an_idle_fleet_returns_without_a_client() {
+        let config = FleetConfig {
+            mirrors: 2,
+            // No health probe may touch a backend during the test.
+            health_interval: Duration::from_secs(3600),
+            ..FleetConfig::default()
+        };
+        let fleet = FleetSupervisor::launch(config, Arc::new(|_| Vec::new())).expect("launch");
+        let report = crate::accept::returns_within_10s("FleetSupervisor::shutdown", move || {
+            fleet.shutdown()
+        });
+        assert_eq!(report.mirrors.len(), 2);
+        for mirror in &report.mirrors {
+            assert_eq!(mirror.starts, 1);
+            assert_eq!(mirror.stats.accepted, 0, "{mirror:?}");
+        }
+        assert_eq!(report.clean_drains, 2);
     }
 
     #[test]

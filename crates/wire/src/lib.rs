@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod accept;
 pub mod chaos;
 pub mod client;
 pub mod config;

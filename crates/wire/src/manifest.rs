@@ -32,6 +32,7 @@
 
 use crate::caps;
 use crate::crc::crc32;
+use crate::frame::{check_count, FrameError};
 
 /// Manifest magic: identifies the frame and its byte order.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"NSUM";
@@ -238,20 +239,19 @@ impl UnitManifest {
         // reserved — a forged count re-sealed under a fresh CRC must
         // not make the decoder allocate gigabytes.
         let checked = |pos: usize, what: &'static str, n: u32, cap: usize, each: usize| {
-            if u64::from(n) > cap as u64 {
-                return Err(ManifestError::Oversized {
+            let remaining = content.len().saturating_sub(pos);
+            check_count(what, u64::from(n), cap, remaining, each).map_err(|e| match e {
+                FrameError::Oversized {
                     what,
-                    declared: u64::from(n),
-                    cap: cap as u64,
-                });
-            }
-            let n = n as usize;
-            if n.checked_mul(each)
-                .is_none_or(|need| need > content.len().saturating_sub(pos))
-            {
-                return Err(ManifestError::Truncated);
-            }
-            Ok(n)
+                    declared,
+                    cap,
+                } => ManifestError::Oversized {
+                    what,
+                    declared,
+                    cap,
+                },
+                _ => ManifestError::Truncated,
+            })
         };
         let nclasses = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("len"));
         let nclasses = checked(pos, "class count", nclasses, caps::MAX_CLASSES, 4)?;

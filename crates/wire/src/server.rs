@@ -26,12 +26,13 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::accept::{accept_until_stopped, StopSignal};
 use crate::frame::{read_frame, EvictReason, Frame};
 use crate::plan::ServePlan;
 
@@ -149,9 +150,14 @@ struct Shared {
     plans: HashMap<String, Arc<ServePlan>>,
     config: ServerConfig,
     stats: StatsInner,
-    draining: AtomicBool,
+    /// Raised by drain, kill and drop: stops admission and wakes the
+    /// accept loop; handlers honor it at the next unit boundary.
+    draining: StopSignal,
     killed: AtomicBool,
-    active: AtomicUsize,
+    /// Admitted connections whose handler has not yet exited.
+    active: Mutex<usize>,
+    /// Signalled by every handler as it exits; drain waits on it.
+    handler_exited: Condvar,
     next_conn: AtomicU64,
     conns: Mutex<HashMap<u64, TcpStream>>,
 }
@@ -172,11 +178,35 @@ impl Shared {
     /// this models `kill -9`, not graceful shutdown.
     fn kill(&self) {
         self.killed.store(true, Ordering::SeqCst);
-        self.draining.store(true, Ordering::SeqCst);
+        self.draining.raise();
         let conns = lock_conns(self);
         for stream in conns.values() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
+    }
+
+    /// Locks the admitted-connection count (poison-tolerant for the
+    /// same reason as [`lock_conns`]: it is a plain counter).
+    fn lock_active(&self) -> MutexGuard<'_, usize> {
+        self.active.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until no admitted handler is left or `until` passes;
+    /// returns how many are still running.
+    fn wait_for_handlers(&self, until: Instant) -> usize {
+        let mut active = self.lock_active();
+        while *active != 0 {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            active = self
+                .handler_exited
+                .wait_timeout(active, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        *active
     }
 }
 
@@ -200,8 +230,8 @@ impl WireServer {
         config: ServerConfig,
     ) -> std::io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
+        let draining = StopSignal::new(&listener)?;
         let shared = Arc::new(Shared {
             plans: plans
                 .into_iter()
@@ -209,14 +239,15 @@ impl WireServer {
                 .collect(),
             config,
             stats: StatsInner::default(),
-            draining: AtomicBool::new(false),
+            draining,
             killed: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
+            active: Mutex::new(0),
+            handler_exited: Condvar::new(),
             next_conn: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
+        let accept_thread = std::thread::spawn(move || accept_loop(listener, &accept_shared));
         Ok(WireServer {
             shared,
             addr: local,
@@ -233,7 +264,7 @@ impl WireServer {
     /// Connections currently admitted and streaming.
     #[must_use]
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
+        *self.shared.lock_active()
     }
 
     /// A stats snapshot.
@@ -278,34 +309,23 @@ impl WireServer {
     /// unclean.
     pub fn drain(mut self, deadline: Duration) -> DrainReport {
         let started = Instant::now();
-        let in_flight = self.shared.active.load(Ordering::SeqCst);
-        self.shared.draining.store(true, Ordering::SeqCst);
+        let in_flight = self.active_connections();
+        self.shared.draining.raise();
+        let mut forced = self.shared.wait_for_handlers(started + deadline);
+        if forced != 0 {
+            let conns = lock_conns(&self.shared);
+            for stream in conns.values() {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+            forced = self.active_connections();
+            drop(conns);
+            // Give forced handlers a beat to observe the closed socket
+            // and exit.
+            self.shared
+                .wait_for_handlers(Instant::now() + Duration::from_secs(2));
+        }
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
-        }
-        let mut forced = 0;
-        loop {
-            if self.shared.active.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            if started.elapsed() >= deadline {
-                let conns = lock_conns(&self.shared);
-                for stream in conns.values() {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-                forced = self.shared.active.load(Ordering::SeqCst);
-                drop(conns);
-                // Give forced handlers a beat to observe the closed
-                // socket and decrement the active count.
-                let force_wait = Instant::now();
-                while self.shared.active.load(Ordering::SeqCst) != 0
-                    && force_wait.elapsed() < Duration::from_secs(2)
-                {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
         }
         DrainReport {
             clean: forced == 0,
@@ -318,7 +338,7 @@ impl WireServer {
 
 impl Drop for WireServer {
     fn drop(&mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.draining.raise();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -362,49 +382,40 @@ impl TokenBucket {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     let mut bucket = TokenBucket::new(
         shared.config.accept_burst,
         shared.config.accept_refill_per_sec,
     );
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                let at_capacity =
-                    shared.active.load(Ordering::SeqCst) >= shared.config.max_connections;
-                if at_capacity || !bucket.try_take() {
-                    shared.stats.retried.fetch_add(1, Ordering::Relaxed);
-                    send_and_close(
-                        stream,
-                        &Frame::Retry {
-                            after_ms: shared.config.retry_after_ms,
-                        },
-                        shared.config.write_timeout,
-                    );
-                    continue;
-                }
-                shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(shared);
-                handlers.push(std::thread::spawn(move || {
-                    handle_connection(stream, conn_id, &conn_shared);
-                    lock_conns(&conn_shared).remove(&conn_id);
-                    conn_shared.active.fetch_sub(1, Ordering::SeqCst);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+    accept_until_stopped(listener, &shared.draining, |stream| {
+        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        let admit = {
+            let mut active = shared.lock_active();
+            let admit = *active < shared.config.max_connections && bucket.try_take();
+            *active += usize::from(admit);
+            admit
+        };
+        if !admit {
+            shared.stats.retried.fetch_add(1, Ordering::Relaxed);
+            send_and_close(
+                stream,
+                &Frame::Retry {
+                    after_ms: shared.config.retry_after_ms,
+                },
+                shared.config.write_timeout,
+            );
+            return None;
         }
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
+        shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
+        let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
+        let conn_shared = Arc::clone(shared);
+        Some(std::thread::spawn(move || {
+            handle_connection(stream, conn_id, &conn_shared);
+            lock_conns(&conn_shared).remove(&conn_id);
+            *conn_shared.lock_active() -= 1;
+            conn_shared.handler_exited.notify_all();
+        }))
+    });
 }
 
 fn send_and_close(mut stream: TcpStream, frame: &Frame, write_timeout: Duration) {
@@ -548,7 +559,7 @@ fn stream_units(
             // Drain is only honored here, between units: an in-flight
             // unit always finishes, so the client's journal watermark
             // lands exactly on a unit boundary.
-            if shared.draining.load(Ordering::SeqCst) {
+            if shared.draining.is_raised() {
                 return StreamEnd::Drained;
             }
             let frame = Frame::Unit {
@@ -611,6 +622,7 @@ fn write_loop(mut stream: TcpStream, rx: &Receiver<Vec<u8>>, shared: &Arc<Shared
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accept::returns_within_10s;
     use crate::client::{ClientConfig, WireClient};
     use crate::manifest::UnitManifest;
     use crate::plan::ClassPlan;
@@ -687,6 +699,45 @@ mod tests {
         assert_eq!(server.stats().units_sent, 1, "died at the boundary");
         assert_eq!(server.stats().completed, 0);
         assert_eq!(server.stats().evicted_drain, 0, "no farewell frame");
+    }
+
+    /// Drain wakes an idle listener with no client ever connecting —
+    /// on loopback and on the unspecified address, which is woken over
+    /// loopback — and the wake connection is never counted. After the
+    /// drain, a connect is refused or closed with no frame.
+    #[test]
+    fn drain_of_an_idle_server_returns_without_a_client() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server =
+                WireServer::bind(addr, vec![tiny_plan()], ServerConfig::default()).expect("bind");
+            let shared = Arc::clone(&server.shared);
+            let port = server.local_addr().port();
+            let report = returns_within_10s("drain", move || server.drain(Duration::from_secs(5)));
+            assert!(report.clean, "{addr}: {report:?}");
+            assert_eq!(report.in_flight_at_drain, 0);
+            assert_eq!(shared.stats.accepted.load(Ordering::Relaxed), 0, "{addr}");
+            if let Ok(mut late) = TcpStream::connect(("127.0.0.1", port)) {
+                let _ = late.set_read_timeout(Some(Duration::from_secs(5)));
+                let mut buf = [0u8; 1];
+                assert!(
+                    !matches!(std::io::Read::read(&mut late, &mut buf), Ok(1)),
+                    "{addr}: a stopped server sent a byte"
+                );
+            }
+        }
+    }
+
+    /// Kill then drop wakes an idle listener the same way.
+    #[test]
+    fn kill_then_drop_of_an_idle_server_returns_without_a_client() {
+        let server = WireServer::bind("127.0.0.1:0", vec![tiny_plan()], ServerConfig::default())
+            .expect("bind");
+        let shared = Arc::clone(&server.shared);
+        returns_within_10s("kill + drop", move || {
+            server.kill();
+            drop(server);
+        });
+        assert_eq!(shared.stats.accepted.load(Ordering::Relaxed), 0);
     }
 
     #[test]

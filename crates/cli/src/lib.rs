@@ -148,7 +148,7 @@ CLIENT FLAGS: [--clients N] [--seed N] [--spread-ms N] [--attempts N]
               [--pace-us N] [--ordering O] [--chaos] [--forge PPM]
               [--fault-seed N] [--loss PPM] [--drop PPM] [--corrupt PPM]
               [--droop PPM] [--semantic PPM]
-              [--journal-dir D [--cache-dir D] [--kill-after-units N]]
+              [--journal-dir D [--kill-after-units N]]
 
 Paper: regenerates the ASPLOS '98 tables and Figure 6 (bare `paper`
 means `all`), the robustness sweeps, and the CSV export (DIR defaults
@@ -502,7 +502,7 @@ const SERVE: Accepts = Accepts::new(
 );
 /// The client-side keys `loadgen` and `fleet` share.
 const CLIENT_KEYS: &str = "ordering clients seed spread-ms attempts pace-us forge journal-dir \
-                           cache-dir kill-after-units";
+                           kill-after-units";
 const LOADGEN: Accepts =
     Accepts::new(&[CLIENT_KEYS, "addr mirrors"], "chaos", 1).with_fault_knobs();
 const FLEET: Accepts = Accepts::new(
@@ -1440,13 +1440,7 @@ fn client_flags(flags: &Flags, attempts: u32, pace_us: u64) -> Result<ClientFlag
         stores: None,
     };
     match flags.get("journal-dir") {
-        Some(journal_dir) => {
-            let cache_dir = flags.get("cache-dir").unwrap_or(journal_dir);
-            cf.stores = Some(store_factory(journal_dir, cache_dir, cf.clients)?);
-        }
-        None if flags.has("cache-dir") => {
-            return Err(CliError::usage("--cache-dir needs --journal-dir"))
-        }
+        Some(journal_dir) => cf.stores = Some(store_factory(journal_dir, cf.clients)?),
         None if cf.kill_after_units.is_some() => {
             return Err(CliError::usage("--kill-after-units needs --journal-dir"))
         }
@@ -1455,32 +1449,20 @@ fn client_flags(flags: &Flags, attempts: u32, pace_us: u64) -> Result<ClientFlag
     Ok(cf)
 }
 
-/// The per-client durable-store factory for `--journal-dir` /
-/// `--cache-dir`: client `i` journals under its own `client-{i}`
-/// subtree, so concurrent sessions never share a journal. The
-/// directories are opened up front, so a bad path is a usage error
-/// before any session starts.
-fn store_factory(
-    journal_dir: &str,
-    cache_dir: &str,
-    clients: usize,
-) -> Result<StoreFactory, CliError> {
-    let open = |dir: &str, flag: &str, i: usize| -> Result<Arc<dyn Vfs>, CliError> {
-        RealFs::open(Path::new(dir).join(format!("client-{i}")))
-            .map(|fs| Arc::new(fs) as Arc<dyn Vfs>)
-            .map_err(|e| CliError::usage(format!("cannot open {flag}: {e}")))
-    };
+/// The per-client durable-store factory for `--journal-dir`: client `i`
+/// journals under its own `client-{i}` subdirectory, so concurrent
+/// sessions never share a journal. The directories are opened up front,
+/// so a bad path is a usage error before any session starts.
+fn store_factory(journal_dir: &str, clients: usize) -> Result<StoreFactory, CliError> {
     let dirs = (0..clients)
         .map(|i| {
-            Ok((
-                open(journal_dir, "--journal-dir", i)?,
-                open(cache_dir, "--cache-dir", i)?,
-            ))
+            RealFs::open(Path::new(journal_dir).join(format!("client-{i}")))
+                .map(|fs| Arc::new(fs) as Arc<dyn Vfs>)
+                .map_err(|e| CliError::usage(format!("cannot open --journal-dir: {e}")))
         })
         .collect::<Result<Vec<_>, CliError>>()?;
     Ok(Arc::new(move |i: usize| {
-        let (journal, cache) = &dirs[i];
-        Box::new(DurableSession::split(journal.clone(), cache.clone()))
+        Box::new(DurableSession::new(dirs[i].clone()))
     }))
 }
 
@@ -2398,15 +2380,27 @@ mod tests {
     #[test]
     fn store_flags_without_a_journal_dir_are_usage_errors() {
         for cmd in ["loadgen", "fleet"] {
-            for [flag, value] in [["--cache-dir", "unused"], ["--kill-after-units", "3"]] {
-                let err = run_str(&[cmd, "hanoi", flag, value]).unwrap_err();
-                assert_eq!(err.code, 2);
-                assert!(
-                    err.message.contains(&format!("{flag} needs --journal-dir")),
-                    "{}",
-                    err.message
-                );
-            }
+            let err = run_str(&[cmd, "hanoi", "--kill-after-units", "3"]).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(
+                err.message
+                    .contains("--kill-after-units needs --journal-dir"),
+                "{}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
+    fn retired_cache_dir_flag_is_an_unknown_flag() {
+        for cmd in ["loadgen", "fleet"] {
+            let err = run_str(&[cmd, "hanoi", "--cache-dir", "unused"]).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(
+                err.message.contains("unknown flag --cache-dir"),
+                "{}",
+                err.message
+            );
         }
     }
 

@@ -25,21 +25,17 @@
 //!   (the crash cut an append mid-frame) is truncated back to the last
 //!   valid frame and reported; anything else — bad magic, bad version,
 //!   a mid-file CRC mismatch, an oversized declared length — fails
-//!   closed with a typed [`StoreError`]. Appends are the watermark
-//!   path: one small record per delivered unit, never a rewrite of the
-//!   whole journal.
-//! * [`cache`] — [`cache::UnitCache`], the persistent content-addressed
-//!   unit cache (`NSUC`). Every entry carries the NSUM byte-level
-//!   content digest it was accepted under; reload re-verifies the
-//!   stored payload against both the entry's own digest *and* the
-//!   pinned manifest's expected digest, so a rotted or poisoned cache
-//!   entry is detected and refetched — never executed.
+//!   closed with a typed [`StoreError`]. An append writes one frame and
+//!   never reads the file back.
 //! * [`session`] — [`session::DurableSession`], the glue: it implements
 //!   the wire client's [`nonstrict_wire::client::SessionStore`] hook so
 //!   a [`nonstrict_wire::WireClient`] persists its manifest pin, its
-//!   per-unit watermarks, and the unit bytes as it streams, and can
-//!   warm-resume after a process kill from the longest verified prefix
-//!   the store can prove.
+//!   per-unit watermarks and the unit bytes as it streams — all of it
+//!   in one NSJL file, one append per unit — and can warm-resume after
+//!   a process kill from the longest verified prefix the store can
+//!   prove. Every reloaded unit is re-hashed against the pinned
+//!   manifest's NSUM content digest, so a rotted or poisoned record is
+//!   detected and refetched — never executed.
 //!
 //! The crate sits directly above `nonstrict-wire` (for the shared CRC32
 //! and the NSUM digest arithmetic) and below everything else, so both
@@ -49,14 +45,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod log;
 pub mod session;
 pub mod vfs;
 
-pub use cache::{CacheEntry, UnitCache, CACHE_MAGIC, CACHE_VERSION};
 pub use log::{JournalLog, Recovered, LOG_MAGIC, LOG_VERSION, MAX_RECORD_BYTES};
-pub use session::{DurableSession, RecoveredSession, JOURNAL_NAME, MANIFEST_NAME};
+pub use session::{DurableSession, RecoveredSession, JOURNAL_NAME};
 pub use vfs::{FaultFs, FaultKnobs, RealFs, Vfs};
 
 /// Why a store operation failed. Every on-disk artifact this crate
@@ -127,28 +121,6 @@ pub enum StoreError {
         /// What was wrong with it.
         why: &'static str,
     },
-    /// A cache entry's payload does not hash to the digest it claims,
-    /// or claims a digest the pinned manifest disagrees with. The bytes
-    /// are not what was accepted: refetch, never execute.
-    DigestMismatch {
-        /// Class the entry claims.
-        class: u32,
-        /// Unit the entry claims.
-        unit: u32,
-        /// Digest expected (entry header or manifest).
-        want: u32,
-        /// Digest the stored payload actually hashes to.
-        got: u32,
-    },
-    /// The stored manifest bytes do not CRC to the journal's pinned
-    /// manifest digest — the pin and the manifest file disagree, so
-    /// neither can be trusted.
-    ManifestMismatch {
-        /// CRC the journal pinned.
-        want: u32,
-        /// CRC the stored manifest bytes actually have.
-        got: u32,
-    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -169,18 +141,6 @@ impl std::fmt::Display for StoreError {
                 cap,
             } => write!(f, "oversized {what}: declared {declared}, cap {cap}"),
             StoreError::Malformed { what, why } => write!(f, "malformed {what}: {why}"),
-            StoreError::DigestMismatch {
-                class,
-                unit,
-                want,
-                got,
-            } => write!(
-                f,
-                "cache entry class {class} unit {unit}: digest {got:#010x} != expected {want:#010x}"
-            ),
-            StoreError::ManifestMismatch { want, got } => {
-                write!(f, "stored manifest CRC {got:#010x} != pinned {want:#010x}")
-            }
         }
     }
 }

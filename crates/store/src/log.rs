@@ -15,7 +15,15 @@
 //!   declared length) is bit rot or forgery, not a crash artifact, and
 //!   fails closed with a typed [`StoreError`]: the caller cold-starts
 //!   rather than trusting a poisoned log.
+//!
+//! An append never reads the file. The log learns once whether its
+//! file starts with the header — from the first append's probe, or
+//! from [`JournalLog::recover`], [`JournalLog::rewrite`] or
+//! [`JournalLog::remove`] — and remembers it, so journalling a session
+//! costs O(bytes), not O(bytes²). The log must be the only writer of
+//! its file; clones share what it remembers.
 
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use nonstrict_wire::crc32;
@@ -46,11 +54,18 @@ pub struct Recovered {
     pub torn_bytes: u64,
 }
 
+/// What a [`JournalLog`] knows about its file's header.
+const HEADER_UNKNOWN: u8 = 0;
+const HEADER_ABSENT: u8 = 1;
+const HEADER_PRESENT: u8 = 2;
+
 /// An append-oriented record log over one [`Vfs`] file.
 #[derive(Clone)]
 pub struct JournalLog {
     vfs: Arc<dyn Vfs>,
     name: String,
+    /// `HEADER_*`: whether the file is known to hold the header.
+    header: Arc<AtomicU8>,
 }
 
 impl JournalLog {
@@ -60,45 +75,56 @@ impl JournalLog {
         JournalLog {
             vfs,
             name: name.to_owned(),
+            header: Arc::new(AtomicU8::new(HEADER_UNKNOWN)),
         }
+    }
+
+    fn set_header(&self, state: u8) {
+        self.header.store(state, Ordering::Relaxed);
     }
 
     /// Appends one record, creating the file (with its header) on
     /// first use. The record is framed with its own CRC so a torn
-    /// append is detectable and truncatable.
+    /// append is detectable and truncatable. Only the first append of
+    /// a log that has not yet seen its file reads it.
     ///
     /// # Errors
     ///
     /// [`StoreError::Oversized`] for a record beyond
     /// [`MAX_RECORD_BYTES`]; otherwise whatever the VFS reports.
     pub fn append_record(&self, payload: &[u8]) -> Result<(), StoreError> {
-        if payload.len() as u64 > MAX_RECORD_BYTES {
-            return Err(StoreError::Oversized {
-                what: "log record",
-                declared: payload.len() as u64,
-                cap: MAX_RECORD_BYTES,
-            });
+        check_len(payload)?;
+        let mut state = self.header.load(Ordering::Relaxed);
+        if state == HEADER_UNKNOWN {
+            state = match self.vfs.read(&self.name) {
+                Ok(_) => HEADER_PRESENT,
+                Err(StoreError::NotFound { .. }) => HEADER_ABSENT,
+                Err(e) => return Err(e),
+            };
         }
-        match self.vfs.read(&self.name) {
-            Ok(_) => {}
-            Err(StoreError::NotFound { .. }) => {
-                let mut header = Vec::with_capacity(HEADER_LEN);
-                header.extend_from_slice(&LOG_MAGIC);
-                header.extend_from_slice(&LOG_VERSION.to_le_bytes());
-                self.vfs.append(&self.name, &header)?;
-            }
-            Err(e) => return Err(e),
+        // Until both appends land, a failure leaves the file in a
+        // state only a recovery can tell.
+        self.set_header(HEADER_UNKNOWN);
+        if state == HEADER_ABSENT {
+            self.vfs.append(&self.name, &header())?;
         }
         let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-        frame.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("cap fits u32")
-                .to_le_bytes(),
-        );
-        frame.extend_from_slice(payload);
-        let crc = crc32(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        self.vfs.append(&self.name, &frame)
+        push_frame(&mut frame, payload);
+        self.vfs.append(&self.name, &frame)?;
+        self.set_header(HEADER_PRESENT);
+        Ok(())
+    }
+
+    /// Deletes the log's file; the next append starts a fresh log.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the VFS reports.
+    pub fn remove(&self) -> Result<(), StoreError> {
+        self.set_header(HEADER_UNKNOWN);
+        self.vfs.remove(&self.name)?;
+        self.set_header(HEADER_ABSENT);
+        Ok(())
     }
 
     /// Scans the log, truncates a torn tail back to the last valid
@@ -118,15 +144,19 @@ impl JournalLog {
     /// it can be ordered, so nothing is trusted);
     /// [`StoreError::Oversized`] for a hostile declared length.
     pub fn recover(&self) -> Result<Recovered, StoreError> {
+        self.set_header(HEADER_UNKNOWN);
         let bytes = match self.vfs.read(&self.name) {
             Ok(b) => b,
-            Err(StoreError::NotFound { .. }) => return Ok(Recovered::default()),
+            Err(StoreError::NotFound { .. }) => {
+                self.set_header(HEADER_ABSENT);
+                return Ok(Recovered::default());
+            }
             Err(e) => return Err(e),
         };
         if bytes.len() < HEADER_LEN {
             // A crash mid-first-append can cut the header itself: all
             // torn tail, nothing recoverable.
-            self.vfs.remove(&self.name)?;
+            self.remove()?;
             return Ok(Recovered {
                 records: Vec::new(),
                 torn_bytes: bytes.len() as u64,
@@ -180,6 +210,7 @@ impl JournalLog {
             // frame boundary.
             self.vfs.write_atomic(&self.name, &bytes[..good_end])?;
         }
+        self.set_header(HEADER_PRESENT);
         Ok(Recovered {
             records,
             torn_bytes,
@@ -194,29 +225,47 @@ impl JournalLog {
     /// [`StoreError::Oversized`] for any over-cap record; otherwise
     /// whatever the VFS reports.
     pub fn rewrite(&self, records: &[Vec<u8>]) -> Result<(), StoreError> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&LOG_MAGIC);
-        buf.extend_from_slice(&LOG_VERSION.to_le_bytes());
+        let mut buf = header();
         for payload in records {
-            if payload.len() as u64 > MAX_RECORD_BYTES {
-                return Err(StoreError::Oversized {
-                    what: "log record",
-                    declared: payload.len() as u64,
-                    cap: MAX_RECORD_BYTES,
-                });
-            }
-            let at = buf.len();
-            buf.extend_from_slice(
-                &u32::try_from(payload.len())
-                    .expect("cap fits u32")
-                    .to_le_bytes(),
-            );
-            buf.extend_from_slice(payload);
-            let crc = crc32(&buf[at..]);
-            buf.extend_from_slice(&crc.to_le_bytes());
+            check_len(payload)?;
+            push_frame(&mut buf, payload);
         }
-        self.vfs.write_atomic(&self.name, &buf)
+        self.set_header(HEADER_UNKNOWN);
+        self.vfs.write_atomic(&self.name, &buf)?;
+        self.set_header(HEADER_PRESENT);
+        Ok(())
     }
+}
+
+fn header() -> Vec<u8> {
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&LOG_MAGIC);
+    header.extend_from_slice(&LOG_VERSION.to_le_bytes());
+    header
+}
+
+fn check_len(payload: &[u8]) -> Result<(), StoreError> {
+    if payload.len() as u64 > MAX_RECORD_BYTES {
+        return Err(StoreError::Oversized {
+            what: "log record",
+            declared: payload.len() as u64,
+            cap: MAX_RECORD_BYTES,
+        });
+    }
+    Ok(())
+}
+
+/// Appends `len ‖ payload ‖ crc32(len ‖ payload)` to `buf`.
+fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+    let at = buf.len();
+    buf.extend_from_slice(
+        &u32::try_from(payload.len())
+            .expect("cap fits u32")
+            .to_le_bytes(),
+    );
+    buf.extend_from_slice(payload);
+    let crc = crc32(&buf[at..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -226,6 +275,92 @@ mod tests {
 
     fn mem() -> Arc<FaultFs> {
         Arc::new(FaultFs::new(FaultKnobs::quiet(1)))
+    }
+
+    /// An honest store that counts `read` calls.
+    struct ReadCounting {
+        inner: FaultFs,
+        reads: std::sync::atomic::AtomicU64,
+    }
+
+    impl ReadCounting {
+        fn reads(&self) -> u64 {
+            self.reads.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Vfs for ReadCounting {
+        fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read(name)
+        }
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn append(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.append(name, bytes)
+        }
+        fn remove(&self, name: &str) -> Result<(), StoreError> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StoreError> {
+            self.inner.list()
+        }
+    }
+
+    fn counting() -> Arc<ReadCounting> {
+        Arc::new(ReadCounting {
+            inner: FaultFs::new(FaultKnobs::quiet(1)),
+            reads: Default::default(),
+        })
+    }
+
+    #[test]
+    fn appends_after_the_first_never_read_the_file() {
+        let fs = counting();
+        let log = JournalLog::new(fs.clone(), "j.nsjl");
+        log.append_record(b"first").unwrap();
+        assert_eq!(fs.reads(), 1, "the first append probes for the header");
+        for i in 0..64u8 {
+            log.append_record(&[i]).unwrap();
+        }
+        assert_eq!(fs.reads(), 1, "later appends must not read the file");
+        let got = log.recover().unwrap();
+        assert_eq!(got.records.len(), 65);
+        assert_eq!(got.records[0], b"first".to_vec());
+        // A log that has recovered, rewritten or removed its file knows
+        // the header state without a probe.
+        for step in 0..3 {
+            match step {
+                0 => drop(log.recover().unwrap()),
+                1 => log.rewrite(&[b"kept".to_vec()]).unwrap(),
+                _ => log.remove().unwrap(),
+            }
+            let before = fs.reads();
+            log.append_record(b"next").unwrap();
+            assert_eq!(fs.reads(), before, "step {step}");
+        }
+    }
+
+    #[test]
+    fn append_after_remove_or_rewrite_writes_a_valid_header() {
+        let fs = counting();
+        let log = JournalLog::new(fs.clone(), "j.nsjl");
+        log.append_record(b"old").unwrap();
+        // A clone shares what the log knows about its file.
+        log.clone().remove().unwrap();
+        log.append_record(b"fresh").unwrap();
+        assert_eq!(log.recover().unwrap().records, vec![b"fresh".to_vec()]);
+        log.rewrite(&[b"base".to_vec()]).unwrap();
+        log.append_record(b"tail").unwrap();
+        assert_eq!(
+            log.recover().unwrap().records,
+            vec![b"base".to_vec(), b"tail".to_vec()]
+        );
+        log.rewrite(&[]).unwrap();
+        log.append_record(b"only").unwrap();
+        let got = JournalLog::new(fs.clone(), "j.nsjl").recover().unwrap();
+        assert_eq!(got.records, vec![b"only".to_vec()]);
     }
 
     #[test]

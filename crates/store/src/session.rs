@@ -1,27 +1,32 @@
 //! [`DurableSession`]: the wire client's persistence hook, durably.
 //!
 //! A [`DurableSession`] implements [`SessionStore`] so a
-//! [`nonstrict_wire::WireClient`] journals every state transition —
-//! manifest pin, per-unit watermark advance, class reset, negotiated
-//! truncation, generation rollover, completion — as one small `NSJL`
-//! append, and stores each accepted unit's bytes in the `NSUC` cache.
-//! After a process kill, [`DurableSession::warm_start`] rebuilds the
-//! session from the **longest verified prefix** the store can prove:
+//! [`nonstrict_wire::WireClient`] journals every state transition into
+//! one `NSJL` file, [`JOURNAL_NAME`]: the manifest pin carries the
+//! manifest's bytes, each accepted unit carries its payload, and class
+//! resets, negotiated truncations and completion are small records.
+//! A pin or a generation rollover compacts the log with
+//! [`JournalLog::rewrite`], so the file holds at most one generation,
+//! and a unit costs one append. After a process kill,
+//! [`DurableSession::warm_start`] rebuilds the session from the
+//! **longest verified prefix** that file can prove:
 //!
-//! 1. recover the journal (torn tail truncated, rot fails closed);
-//! 2. replay records in order — a *gap* in a class's unit sequence
-//!    (an acked-but-never-durable append, i.e. an fsync lie) ends that
+//! 1. recover the journal: a torn tail is truncated, and rot anywhere
+//!    else — a rotted unit record included — fails closed, because the
+//!    frame CRC no longer vouches for anything after it;
+//! 2. replay records in order, each unit placed by its own class/unit
+//!    identity. A *gap* in a class's unit sequence (an
+//!    acked-but-never-durable append, i.e. an fsync lie) ends that
 //!    class's trusted prefix at the gap, because everything after it
 //!    was journaled under assumptions the disk silently dropped;
-//! 3. load the stored manifest, check its CRC32 against the journal's
-//!    pin, decode it, and check its epoch — any disagreement means the
-//!    pin and the manifest file can't both be right, so neither is:
-//!    cold start;
-//! 4. walk each class's prefix through
-//!    [`UnitCache::load_verified`] against the pinned manifest's
-//!    digests — the first entry that is missing, rotted, mis-named, or
-//!    poisoned ends the warm prefix for that class (the tail will be
-//!    refetched from the wire, never executed from disk).
+//! 3. while replaying, decode the manifest each `Pin` record carries —
+//!    bytes that no longer decode fail closed — and drop any record
+//!    for a class that manifest does not have;
+//! 4. re-hash every replayed payload with [`content_digest_of`] and
+//!    compare it with the **pinned manifest's** digest. The first unit
+//!    that disagrees — a self-consistent but poisoned record — ends the
+//!    warm prefix for its class; the tail is refetched from the wire,
+//!    never executed from disk.
 //!
 //! The replay is fail-closed at every layer, but never fail-*stuck*: a
 //! broken store yields a cold start, and a cold start always converges,
@@ -31,41 +36,43 @@ use std::sync::Arc;
 
 use nonstrict_wire::client::{SessionStore, StoreFault, WarmClass, WarmSession};
 use nonstrict_wire::crc32;
-use nonstrict_wire::manifest::UnitManifest;
+use nonstrict_wire::manifest::{content_digest_of, UnitManifest};
 
-use crate::cache::{CacheEntry, UnitCache};
 use crate::log::JournalLog;
 use crate::vfs::Vfs;
 use crate::StoreError;
 
-/// File name the session journal lives under.
+/// File name the session journal lives under — the session's only
+/// durable file.
 pub const JOURNAL_NAME: &str = "session.nsjl";
-
-/// File name the pinned manifest's bytes live under.
-pub const MANIFEST_NAME: &str = "manifest.nsum";
 
 const TAG_PIN: u8 = 0x01;
 const TAG_UNIT: u8 = 0x02;
 const TAG_RESET_CLASS: u8 = 0x03;
 const TAG_TRUNCATE: u8 = 0x04;
-const TAG_RESET_ALL: u8 = 0x05;
 const TAG_COMPLETE: u8 = 0x06;
 
-/// One journal record, decoded.
+/// Bytes before a `Pin` record's manifest: tag, generation.
+const PIN_HEAD: usize = 5;
+/// Bytes before a `Unit` record's payload: tag, class, unit, epoch,
+/// units.
+const UNIT_HEAD: usize = 17;
+
+/// One journal record, decoded; variable-length fields borrow from the
+/// recovered record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Record {
+enum Record<'a> {
+    /// Starts a generation: everything journaled before it is void.
     Pin {
         generation: u32,
-        manifest_epoch: u64,
-        manifest_crc: u32,
+        manifest: &'a [u8],
     },
     Unit {
         class: u32,
         unit: u32,
         epoch: u32,
         units: u32,
-        crc: u32,
-        size: u32,
+        payload: &'a [u8],
     },
     ResetClass {
         class: u32,
@@ -76,39 +83,33 @@ enum Record {
         class: u32,
         delivered: u32,
     },
-    ResetAll,
     Complete,
 }
 
-impl Record {
+impl Record<'_> {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(25);
-        match self {
+        let mut buf = Vec::new();
+        match *self {
             Record::Pin {
                 generation,
-                manifest_epoch,
-                manifest_crc,
+                manifest,
             } => {
+                buf.reserve(PIN_HEAD + manifest.len());
                 buf.push(TAG_PIN);
-                buf.extend_from_slice(&generation.to_le_bytes());
-                buf.extend_from_slice(&manifest_epoch.to_le_bytes());
-                buf.extend_from_slice(&manifest_crc.to_le_bytes());
+                put_u32s(&mut buf, &[generation]);
+                buf.extend_from_slice(manifest);
             }
             Record::Unit {
                 class,
                 unit,
                 epoch,
                 units,
-                crc,
-                size,
+                payload,
             } => {
+                buf.reserve(UNIT_HEAD + payload.len());
                 buf.push(TAG_UNIT);
-                buf.extend_from_slice(&class.to_le_bytes());
-                buf.extend_from_slice(&unit.to_le_bytes());
-                buf.extend_from_slice(&epoch.to_le_bytes());
-                buf.extend_from_slice(&units.to_le_bytes());
-                buf.extend_from_slice(&crc.to_le_bytes());
-                buf.extend_from_slice(&size.to_le_bytes());
+                put_u32s(&mut buf, &[class, unit, epoch, units]);
+                buf.extend_from_slice(payload);
             }
             Record::ResetClass {
                 class,
@@ -116,25 +117,21 @@ impl Record {
                 units,
             } => {
                 buf.push(TAG_RESET_CLASS);
-                buf.extend_from_slice(&class.to_le_bytes());
-                buf.extend_from_slice(&epoch.to_le_bytes());
-                buf.extend_from_slice(&units.to_le_bytes());
+                put_u32s(&mut buf, &[class, epoch, units]);
             }
             Record::Truncate { class, delivered } => {
                 buf.push(TAG_TRUNCATE);
-                buf.extend_from_slice(&class.to_le_bytes());
-                buf.extend_from_slice(&delivered.to_le_bytes());
+                put_u32s(&mut buf, &[class, delivered]);
             }
-            Record::ResetAll => buf.push(TAG_RESET_ALL),
             Record::Complete => buf.push(TAG_COMPLETE),
         }
         buf
     }
 
-    fn decode(bytes: &[u8]) -> Result<Record, StoreError> {
+    fn decode(bytes: &[u8]) -> Result<Record<'_>, StoreError> {
         let what = "NSJL session record";
-        let need = |n: usize| -> Result<(), StoreError> {
-            if bytes.len() == n {
+        let need = |n: usize, exact: bool| -> Result<(), StoreError> {
+            if bytes.len() == n || (!exact && bytes.len() > n) {
                 Ok(())
             } else {
                 Err(StoreError::Malformed {
@@ -146,26 +143,24 @@ impl Record {
         let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("len"));
         match bytes.first() {
             Some(&TAG_PIN) => {
-                need(17)?;
+                need(PIN_HEAD, false)?;
                 Ok(Record::Pin {
                     generation: u32_at(1),
-                    manifest_epoch: u64::from_le_bytes(bytes[5..13].try_into().expect("len")),
-                    manifest_crc: u32_at(13),
+                    manifest: &bytes[PIN_HEAD..],
                 })
             }
             Some(&TAG_UNIT) => {
-                need(25)?;
+                need(UNIT_HEAD, false)?;
                 Ok(Record::Unit {
                     class: u32_at(1),
                     unit: u32_at(5),
                     epoch: u32_at(9),
                     units: u32_at(13),
-                    crc: u32_at(17),
-                    size: u32_at(21),
+                    payload: &bytes[UNIT_HEAD..],
                 })
             }
             Some(&TAG_RESET_CLASS) => {
-                need(13)?;
+                need(13, true)?;
                 Ok(Record::ResetClass {
                     class: u32_at(1),
                     epoch: u32_at(5),
@@ -173,18 +168,14 @@ impl Record {
                 })
             }
             Some(&TAG_TRUNCATE) => {
-                need(9)?;
+                need(9, true)?;
                 Ok(Record::Truncate {
                     class: u32_at(1),
                     delivered: u32_at(5),
                 })
             }
-            Some(&TAG_RESET_ALL) => {
-                need(1)?;
-                Ok(Record::ResetAll)
-            }
             Some(&TAG_COMPLETE) => {
-                need(1)?;
+                need(1, true)?;
                 Ok(Record::Complete)
             }
             Some(_) => Err(StoreError::Malformed {
@@ -199,6 +190,12 @@ impl Record {
     }
 }
 
+fn put_u32s(buf: &mut Vec<u8>, fields: &[u32]) {
+    for f in fields {
+        buf.extend_from_slice(&f.to_le_bytes());
+    }
+}
+
 /// What a typed recovery found on disk — the testable face of
 /// [`DurableSession::warm_start`], with the fail-closed decisions made
 /// visible instead of collapsed into `None`.
@@ -206,158 +203,154 @@ impl Record {
 pub struct RecoveredSession {
     /// The pinned restructure generation.
     pub generation: u32,
-    /// The pinned manifest's encoded bytes (CRC-checked against the
-    /// journal pin and structurally decoded).
+    /// The pinned manifest's encoded bytes, as its `Pin` record
+    /// carried them (structurally decoded).
     pub manifest: Vec<u8>,
     /// Per-class verified warm prefixes.
     pub classes: Vec<WarmClass>,
     /// Bytes the journal recovery truncated as a torn tail.
     pub torn_bytes: u64,
-    /// Unit records dropped during replay or cache verification:
-    /// sequence gaps (fsync lies), CRC disagreements between journal
-    /// and cache, and missing/rotted/poisoned cache entries.
+    /// Unit records dropped during replay or verification: sequence
+    /// gaps (fsync lies), and records whose payload does not re-hash to
+    /// the pinned manifest's digest.
     pub dropped_units: u64,
     /// Whether a Complete record survived.
     pub completed: bool,
 }
 
-/// Journal replay output: `(pin, classes, dropped, completed)` where
-/// `pin` is `(generation, manifest_epoch, manifest_crc)`.
-type Replayed = (Option<(u32, u64, u32)>, Vec<ReplayClass>, u64, bool);
+/// The last `Pin` record, its manifest decoded.
+struct Pinned<'a> {
+    generation: u32,
+    bytes: &'a [u8],
+    manifest: UnitManifest,
+}
+
+/// Journal replay output, borrowing from the recovered records.
+#[derive(Default)]
+struct Replayed<'a> {
+    pin: Option<Pinned<'a>>,
+    /// One entry per class of the pinned manifest: a record for any
+    /// other class cannot be verified, so it is dropped.
+    classes: Vec<ReplayClass<'a>>,
+    dropped: u64,
+    completed: bool,
+}
 
 #[derive(Debug, Clone, Default)]
-struct ReplayClass {
+struct ReplayClass<'a> {
     epoch: u32,
     units: u32,
-    crcs: Vec<u32>,
-    sizes: Vec<u32>,
+    payloads: Vec<&'a [u8]>,
     /// Set when a sequence gap ended this class's trusted prefix; no
     /// later record for the class may extend it.
     gapped: bool,
 }
 
-/// The durable session store: a [`JournalLog`] for watermarks and a
-/// [`UnitCache`] for bytes, over one [`Vfs`].
+/// The durable session store: one [`JournalLog`] over one [`Vfs`].
 pub struct DurableSession {
     log: JournalLog,
-    cache: UnitCache,
-    vfs: Arc<dyn Vfs>,
-    /// Manifest epoch of the current pin; cache entries are sealed
-    /// under it. Set by `on_pin` and by warm-start replay.
-    pin_epoch: Option<u64>,
+    /// Whether a manifest is pinned: set by `on_pin` and by a warm
+    /// start. A unit record before any pin is refused.
+    pinned: bool,
 }
 
 impl DurableSession {
     /// A session persisted in `vfs`.
     #[must_use]
     pub fn new(vfs: Arc<dyn Vfs>) -> DurableSession {
-        DurableSession::split(vfs.clone(), vfs)
+        DurableSession {
+            log: JournalLog::new(vfs, JOURNAL_NAME),
+            pinned: false,
+        }
     }
 
-    /// A session with the journal (and manifest) in one store and the
-    /// unit cache in another — `--journal-dir` vs `--cache-dir`.
-    #[must_use]
-    pub fn split(journal_vfs: Arc<dyn Vfs>, cache_vfs: Arc<dyn Vfs>) -> DurableSession {
-        DurableSession {
-            log: JournalLog::new(journal_vfs.clone(), JOURNAL_NAME),
-            cache: UnitCache::new(cache_vfs),
-            vfs: journal_vfs,
-            pin_epoch: None,
+    fn fault(op: &'static str, e: &StoreError) -> StoreFault {
+        StoreFault {
+            op,
+            detail: e.to_string(),
         }
     }
 
     fn append(&self, op: &'static str, record: &Record) -> Result<(), StoreFault> {
         self.log
             .append_record(&record.encode())
-            .map_err(|e| StoreFault {
-                op,
-                detail: e.to_string(),
-            })
+            .map_err(|e| Self::fault(op, &e))
     }
 
     /// Replays recovered journal records into per-class state.
-    /// Returns `(pin, classes, dropped, completed)`.
-    fn replay(records: &[Vec<u8>]) -> Result<Replayed, StoreError> {
-        let mut pin: Option<(u32, u64, u32)> = None;
-        let mut classes: Vec<ReplayClass> = Vec::new();
-        let mut dropped: u64 = 0;
-        let mut completed = false;
+    fn replay(records: &[Vec<u8>]) -> Result<Replayed<'_>, StoreError> {
+        let mut r = Replayed::default();
         for raw in records {
             match Record::decode(raw)? {
                 Record::Pin {
                     generation,
-                    manifest_epoch,
-                    manifest_crc,
+                    manifest: bytes,
                 } => {
-                    pin = Some((generation, manifest_epoch, manifest_crc));
+                    let manifest =
+                        UnitManifest::decode(bytes).map_err(|_| StoreError::Malformed {
+                            what: "pinned manifest",
+                            why: "the Pin record's manifest does not decode",
+                        })?;
+                    r = Replayed {
+                        classes: vec![ReplayClass::default(); manifest.unit_digests.len()],
+                        pin: Some(Pinned {
+                            generation,
+                            bytes,
+                            manifest,
+                        }),
+                        dropped: r.dropped,
+                        completed: false,
+                    };
                 }
                 Record::Unit {
                     class,
                     unit,
                     epoch,
                     units,
-                    crc,
-                    size,
+                    payload,
                 } => {
-                    let ci = class as usize;
-                    if classes.len() <= ci {
-                        classes.resize_with(ci + 1, ReplayClass::default);
-                    }
-                    let c = &mut classes[ci];
-                    if c.gapped {
-                        dropped += 1;
+                    let Some(c) = r.classes.get_mut(class as usize) else {
+                        r.dropped += 1;
                         continue;
-                    }
-                    c.epoch = epoch;
-                    c.units = units;
-                    let delivered = c.crcs.len() as u32;
-                    if unit > delivered {
+                    };
+                    if c.gapped || unit as usize > c.payloads.len() {
                         // A record for a unit we never journaled the
                         // predecessor of: an earlier acked append was
                         // never durable. Everything from the gap on is
                         // untrusted for this class.
                         c.gapped = true;
-                        dropped += 1;
+                        r.dropped += 1;
                         continue;
                     }
+                    c.epoch = epoch;
+                    c.units = units;
                     // unit <= delivered: later records win (a
                     // re-delivery after truncation overwrites).
-                    c.crcs.truncate(unit as usize);
-                    c.sizes.truncate(unit as usize);
-                    c.crcs.push(crc);
-                    c.sizes.push(size);
+                    c.payloads.truncate(unit as usize);
+                    c.payloads.push(payload);
                 }
                 Record::ResetClass {
                     class,
                     epoch,
                     units,
                 } => {
-                    let ci = class as usize;
-                    if classes.len() <= ci {
-                        classes.resize_with(ci + 1, ReplayClass::default);
+                    if let Some(c) = r.classes.get_mut(class as usize) {
+                        *c = ReplayClass {
+                            epoch,
+                            units,
+                            ..ReplayClass::default()
+                        };
                     }
-                    classes[ci] = ReplayClass {
-                        epoch,
-                        units,
-                        ..ReplayClass::default()
-                    };
                 }
                 Record::Truncate { class, delivered } => {
-                    let ci = class as usize;
-                    if let Some(c) = classes.get_mut(ci) {
-                        c.crcs.truncate(delivered as usize);
-                        c.sizes.truncate(delivered as usize);
+                    if let Some(c) = r.classes.get_mut(class as usize) {
+                        c.payloads.truncate(delivered as usize);
                     }
                 }
-                Record::ResetAll => {
-                    pin = None;
-                    classes.clear();
-                    completed = false;
-                }
-                Record::Complete => completed = true,
+                Record::Complete => r.completed = true,
             }
         }
-        Ok((pin, classes, dropped, completed))
+        Ok(r)
     }
 
     /// Typed recovery: everything [`warm_start`](SessionStore::warm_start)
@@ -368,87 +361,50 @@ impl DurableSession {
     ///
     /// # Errors
     ///
-    /// Typed [`StoreError`] for journal rot, malformed records, a
-    /// manifest that fails its pin CRC ([`StoreError::ManifestMismatch`]),
-    /// or a manifest that no longer decodes.
+    /// Typed [`StoreError`] for journal rot, malformed records, or a
+    /// pinned manifest that does not decode.
     pub fn recover_session(&mut self) -> Result<Option<RecoveredSession>, StoreError> {
+        self.pinned = false;
         let recovered = self.log.recover()?;
-        let (pin, replayed, mut dropped, completed) = Self::replay(&recovered.records)?;
-        let Some((generation, manifest_epoch, manifest_crc)) = pin else {
+        let replayed = Self::replay(&recovered.records)?;
+        let Some(pin) = replayed.pin else {
             return Ok(None);
         };
-        let manifest_bytes = self.vfs.read(MANIFEST_NAME)?;
-        let got = crc32(&manifest_bytes);
-        if got != manifest_crc {
-            return Err(StoreError::ManifestMismatch {
-                want: manifest_crc,
-                got,
-            });
-        }
-        let manifest =
-            UnitManifest::decode(&manifest_bytes).map_err(|_| StoreError::Malformed {
-                what: "stored manifest",
-                why: "pinned manifest bytes no longer decode",
-            })?;
-        if manifest.epoch != manifest_epoch {
-            return Err(StoreError::Malformed {
-                what: "stored manifest",
-                why: "manifest epoch disagrees with the journal pin",
-            });
-        }
-        self.pin_epoch = Some(manifest_epoch);
-        let mut classes = Vec::with_capacity(replayed.len());
-        for (ci, c) in replayed.into_iter().enumerate() {
-            let digests = manifest.unit_digests.get(ci);
+        let mut dropped = replayed.dropped;
+        let mut classes = Vec::with_capacity(replayed.classes.len());
+        let all_digests = &pin.manifest.unit_digests;
+        for (ci, (c, digests)) in replayed.classes.iter().zip(all_digests).enumerate() {
+            let class_id = u32::try_from(ci).expect("class index fits u32");
             let mut warm = WarmClass {
                 epoch: c.epoch,
                 units: c.units,
-                crcs: Vec::new(),
-                sizes: Vec::new(),
-                payloads: Vec::new(),
+                ..WarmClass::default()
             };
-            for (ui, (&crc, &size)) in c.crcs.iter().zip(&c.sizes).enumerate() {
-                let class_id = u32::try_from(ci).expect("class index fits u32");
+            for (ui, &payload) in c.payloads.iter().enumerate() {
                 let unit_id = u32::try_from(ui).expect("unit index fits u32");
-                // A journaled unit the manifest has no digest for can't
-                // be verified; it ends the prefix.
-                let Some(&expect) = digests.and_then(|d| d.get(ui)) else {
-                    dropped += u64::from(c.crcs.len() as u32 - unit_id);
-                    break;
-                };
-                let payload =
-                    match self
-                        .cache
-                        .load_verified(manifest_epoch, class_id, unit_id, expect)
-                    {
-                        Ok(p) => p,
-                        Err(_) => {
-                            // Missing, rotted, mis-named, or poisoned:
-                            // the warm prefix ends here; the tail is
-                            // refetched from the wire.
-                            dropped += u64::from(c.crcs.len() as u32 - unit_id);
-                            break;
-                        }
-                    };
-                if crc32(&payload) != crc || payload.len() as u32 != size {
-                    // Journal and cache disagree about what was
-                    // accepted; trust neither past this point.
-                    dropped += u64::from(c.crcs.len() as u32 - unit_id);
+                let digest = content_digest_of(pin.manifest.epoch, class_id, unit_id, payload);
+                if digests.get(ui) != Some(&digest) {
+                    // Poisoned, or a unit the manifest has no digest
+                    // for: the warm prefix ends here, and the tail is
+                    // refetched from the wire, never executed.
+                    dropped += (c.payloads.len() - ui) as u64;
                     break;
                 }
-                warm.crcs.push(crc);
-                warm.sizes.push(size);
-                warm.payloads.push(payload);
+                warm.crcs.push(crc32(payload));
+                warm.sizes
+                    .push(u32::try_from(payload.len()).unwrap_or(u32::MAX));
+                warm.payloads.push(payload.to_vec());
             }
             classes.push(warm);
         }
+        self.pinned = true;
         Ok(Some(RecoveredSession {
-            generation,
-            manifest: manifest_bytes,
+            generation: pin.generation,
+            manifest: pin.bytes.to_vec(),
             classes,
             torn_bytes: recovered.torn_bytes,
             dropped_units: dropped,
-            completed,
+            completed: replayed.completed,
         }))
     }
 }
@@ -456,7 +412,7 @@ impl DurableSession {
 impl SessionStore for DurableSession {
     fn warm_start(&mut self) -> Option<WarmSession> {
         // Fail closed to a cold start on any integrity failure — and
-        // scrub the broken state so the restarted session journals onto
+        // scrub the broken log so the restarted session journals onto
         // a clean slate instead of appending after rot.
         match self.recover_session() {
             Ok(Some(r)) => Some(WarmSession {
@@ -466,34 +422,25 @@ impl SessionStore for DurableSession {
             }),
             Ok(None) => None,
             Err(_) => {
-                let _ = self.vfs.remove(JOURNAL_NAME);
-                let _ = self.vfs.remove(MANIFEST_NAME);
-                let _ = self.cache.clear();
-                self.pin_epoch = None;
+                let _ = self.log.remove();
                 None
             }
         }
     }
 
     fn on_pin(&mut self, generation: u32, manifest: &[u8]) -> Result<(), StoreFault> {
-        let fault = |detail: String| StoreFault {
+        UnitManifest::decode(manifest).map_err(|e| StoreFault {
             op: "on_pin",
-            detail,
+            detail: format!("manifest does not decode: {e:?}"),
+        })?;
+        let pin = Record::Pin {
+            generation,
+            manifest,
         };
-        let decoded = UnitManifest::decode(manifest)
-            .map_err(|e| fault(format!("manifest does not decode: {e:?}")))?;
-        self.vfs
-            .write_atomic(MANIFEST_NAME, manifest)
-            .map_err(|e| fault(e.to_string()))?;
-        self.append(
-            "on_pin",
-            &Record::Pin {
-                generation,
-                manifest_epoch: decoded.epoch,
-                manifest_crc: crc32(manifest),
-            },
-        )?;
-        self.pin_epoch = Some(decoded.epoch);
+        self.log
+            .rewrite(&[pin.encode()])
+            .map_err(|e| Self::fault("on_pin", &e))?;
+        self.pinned = true;
         Ok(())
     }
 
@@ -505,20 +452,12 @@ impl SessionStore for DurableSession {
         units: u32,
         payload: &[u8],
     ) -> Result<(), StoreFault> {
-        let Some(pin_epoch) = self.pin_epoch else {
+        if !self.pinned {
             return Err(StoreFault {
                 op: "on_unit",
                 detail: "unit accepted before any manifest pin".to_owned(),
             });
-        };
-        let entry = CacheEntry::sealed(pin_epoch, class, unit, payload.to_vec());
-        self.cache.put(&entry).map_err(|e| StoreFault {
-            op: "on_unit",
-            detail: e.to_string(),
-        })?;
-        // Bytes first, then the watermark: a crash between the two
-        // leaves an orphan cache entry (harmless), never a watermark
-        // that points at bytes that don't exist.
+        }
         self.append(
             "on_unit",
             &Record::Unit {
@@ -526,8 +465,7 @@ impl SessionStore for DurableSession {
                 unit,
                 epoch,
                 units,
-                crc: crc32(payload),
-                size: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+                payload,
             },
         )
     }
@@ -548,13 +486,10 @@ impl SessionStore for DurableSession {
     }
 
     fn on_reset_all(&mut self) -> Result<(), StoreFault> {
-        self.append("on_reset_all", &Record::ResetAll)?;
-        self.cache.clear().map_err(|e| StoreFault {
-            op: "on_reset_all",
-            detail: e.to_string(),
-        })?;
-        self.pin_epoch = None;
-        Ok(())
+        self.pinned = false;
+        self.log
+            .rewrite(&[])
+            .map_err(|e| Self::fault("on_reset_all", &e))
     }
 
     fn on_complete(&mut self) -> Result<(), StoreFault> {
@@ -627,7 +562,7 @@ mod tests {
             assert!(died, "kill at op {k} did not surface");
             fs.crash();
             let mut s = DurableSession::new(fs.clone());
-            // Recovery may fail closed (e.g. manifest never made it);
+            // Recovery may fail closed (e.g. the pin never made it);
             // what it must never do is hand back a wrong byte.
             if let Ok(Some(r)) = s.recover_session() {
                 assert_eq!(r.generation, 7, "kill at op {k}");
@@ -678,8 +613,8 @@ mod tests {
                         exercised = true;
                     }
                 }
-                // A lie can also eat the pin or the manifest: that's a
-                // (correct) cold start, or typed rot.
+                // A lie can also eat the pin: that's a (correct) cold
+                // start, or typed rot.
                 Ok(None) | Err(_) => exercised = true,
             }
         }
@@ -687,43 +622,99 @@ mod tests {
     }
 
     #[test]
+    fn a_session_is_one_file_and_one_append_per_unit() {
+        let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(4)));
+        let ops = stream_all(&fs).unwrap();
+        let units: usize = payloads().iter().map(Vec::len).sum();
+        // The pin's rewrite, one append per unit, the completion.
+        assert_eq!(ops, 2 + units as u64);
+        assert_eq!(fs.list().unwrap(), vec![JOURNAL_NAME.to_owned()]);
+    }
+
+    /// Flips one bit inside class 0 unit 1's payload in the durable
+    /// journal.
+    fn rot_unit_record(fs: &FaultFs) {
+        let mut bytes = fs.durable(JOURNAL_NAME).unwrap();
+        let needle = &payloads()[0][1];
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("unit payload journaled");
+        bytes[at + 2] ^= 0x40;
+        fs.set_durable(JOURNAL_NAME, bytes);
+    }
+
+    #[test]
     fn rotted_cache_entry_shrinks_the_warm_prefix() {
+        // The unit bytes live in the journal now, so a rotted unit is a
+        // mid-log CRC failure: it fails the whole log closed (append
+        // order after it is untrusted), shrinking every class's warm
+        // prefix to nothing, and the warm start scrubs the log.
         let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(5)));
         stream_all(&fs).unwrap();
-        // Rot one byte of class 0 unit 1's cache entry, post hoc.
-        let name = UnitCache::entry_name(0, 1);
-        let mut bytes = fs.durable(&name).unwrap();
-        bytes[10] ^= 0x40;
-        fs.set_durable(&name, bytes);
+        rot_unit_record(&fs);
         let mut s = DurableSession::new(fs.clone());
-        let r = s.recover_session().unwrap().unwrap();
         assert_eq!(
-            r.classes[0].payloads.len(),
-            1,
-            "prefix must end before the rot"
+            s.recover_session(),
+            Err(StoreError::CrcMismatch { what: "NSJL log" })
         );
-        assert_eq!(r.classes[0].payloads[0], payloads()[0][0]);
-        assert_eq!(r.classes[1].payloads.len(), 2, "other classes unaffected");
-        assert_eq!(r.dropped_units, 2);
+        assert!(s.warm_start().is_none());
+        assert!(fs.read(JOURNAL_NAME).is_err());
     }
 
     #[test]
     fn manifest_pin_disagreement_fails_closed_and_warm_start_scrubs() {
-        let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(6)));
+        // Rot in the pinned manifest's bytes, either caught by the
+        // frame CRC or — re-sealed under a fresh CRC — by the manifest
+        // decoder: the pin cannot be trusted, so nothing is.
+        for reseal in [false, true] {
+            let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(6)));
+            stream_all(&fs).unwrap();
+            let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
+            let mut records = log.recover().unwrap().records;
+            let last = records[0].len() - 1;
+            records[0][last] ^= 0x01;
+            let want = if reseal {
+                log.rewrite(&records).unwrap();
+                StoreError::Malformed {
+                    what: "pinned manifest",
+                    why: "the Pin record's manifest does not decode",
+                }
+            } else {
+                let mut bytes = fs.durable(JOURNAL_NAME).unwrap();
+                // The Pin record is the first frame: past the 6-byte log
+                // header and its 4-byte length prefix.
+                let pin_last = 6 + 4 + records[0].len() - 1;
+                bytes[pin_last] ^= 0x01;
+                fs.set_durable(JOURNAL_NAME, bytes);
+                StoreError::CrcMismatch { what: "NSJL log" }
+            };
+            let mut s = DurableSession::new(fs.clone());
+            assert_eq!(s.recover_session(), Err(want), "reseal {reseal}");
+            assert!(s.warm_start().is_none());
+            // The scrub must leave a journal-free slate.
+            assert!(fs.list().unwrap().is_empty(), "reseal {reseal}");
+        }
+    }
+
+    #[test]
+    fn unit_record_for_a_class_the_manifest_lacks_is_dropped() {
+        // The frame CRC is not a MAC: a well-sealed record may still
+        // name any class. It must be dropped, not sized into memory.
+        let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(9)));
         stream_all(&fs).unwrap();
-        let mut bytes = fs.durable(MANIFEST_NAME).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs.set_durable(MANIFEST_NAME, bytes);
-        let mut s = DurableSession::new(fs.clone());
-        assert!(matches!(
-            s.recover_session(),
-            Err(StoreError::ManifestMismatch { .. })
-        ));
-        assert!(s.warm_start().is_none());
-        // The scrub must leave a journal-free slate.
-        assert!(fs.read(JOURNAL_NAME).is_err());
-        assert!(fs.read(MANIFEST_NAME).is_err());
+        let forged = Record::Unit {
+            class: u32::MAX,
+            unit: 0,
+            epoch: 1,
+            units: 1,
+            payload: b"forged",
+        };
+        let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
+        log.append_record(&forged.encode()).unwrap();
+        let r = DurableSession::new(fs).recover_session().unwrap().unwrap();
+        assert_eq!(r.classes.len(), payloads().len());
+        assert_eq!(r.dropped_units, 1);
     }
 
     #[test]

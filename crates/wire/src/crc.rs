@@ -2,7 +2,7 @@
 //!
 //! One implementation serves every integrity check in the workspace:
 //! the simulated per-unit trailer in `nonstrict-netsim`, the NSJL log
-//! and NSUC cache frames in `nonstrict-store`, the NSUM manifest frame,
+//! frames in `nonstrict-store`, the NSUM manifest frame,
 //! and every wire frame this crate puts on a socket. Sharing the arithmetic is what
 //! makes the simulator an honest test double for the wire — a unit that
 //! passes the simulated check passes the real one, bit for bit.

@@ -15,10 +15,10 @@ use std::time::Duration;
 use nonstrict_core::build_plan;
 use nonstrict_core::model::OrderingSource;
 use nonstrict_store::{
-    CacheEntry, DurableSession, FaultFs, FaultKnobs, JournalLog, RealFs, StoreError, UnitCache,
-    JOURNAL_NAME,
+    DurableSession, FaultFs, FaultKnobs, JournalLog, RealFs, StoreError, JOURNAL_NAME,
 };
-use nonstrict_wire::manifest::content_digest_of;
+use nonstrict_wire::client::SessionStore;
+use nonstrict_wire::manifest::{content_digest_of, UnitManifest};
 use nonstrict_wire::{
     crc32, ClientConfig, ClientError, ServerConfig, SplitMix64, WireClient, WireServer,
 };
@@ -104,8 +104,8 @@ fn crash_at_every_storage_write_converges_to_baseline() {
 
 /// The process-kill probe against the *real* filesystem backend: kill
 /// after N units, then restart a brand-new session over the same
-/// `--journal-dir`/`--cache-dir` pair and require a warm resume that
-/// never refetches what the journal already proved.
+/// `--journal-dir` and require a warm resume that never refetches what
+/// the journal already proved.
 #[test]
 fn realfs_process_kill_then_warm_restart_completes() {
     let server = hanoi_server(ServerConfig::default());
@@ -116,16 +116,12 @@ fn realfs_process_kill_then_warm_restart_completes() {
         std::env::temp_dir().join(format!("nonstrict-store-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let journal = Arc::new(RealFs::open(root.join("journal")).expect("journal dir"));
-    let cache = Arc::new(RealFs::open(root.join("cache")).expect("cache dir"));
 
     let mut cfg = fast_client(addr);
     cfg.kill_after_units = Some(3);
-    let err = WireClient::with_store(
-        cfg,
-        Box::new(DurableSession::split(journal.clone(), cache.clone())),
-    )
-    .run()
-    .expect_err("the kill probe must fire");
+    let err = WireClient::with_store(cfg, Box::new(DurableSession::new(journal.clone())))
+        .run()
+        .expect_err("the kill probe must fire");
     assert!(
         matches!(err, ClientError::Killed { delivered: 3 }),
         "unexpected kill shape: {err}"
@@ -133,12 +129,9 @@ fn realfs_process_kill_then_warm_restart_completes() {
 
     // A brand-new client over the same directories models the restarted
     // process: nothing survives but the disk.
-    let warm = WireClient::with_store(
-        fast_client(addr),
-        Box::new(DurableSession::split(journal, cache)),
-    )
-    .run()
-    .expect("warm restart");
+    let warm = WireClient::with_store(fast_client(addr), Box::new(DurableSession::new(journal)))
+        .run()
+        .expect("warm restart");
     assert!(warm.complete);
     assert_eq!(
         warm.warm_units, 3,
@@ -205,11 +198,10 @@ fn storage_fault_seeds_converge_after_repeated_restarts() {
 }
 
 /// Every strict prefix of an encoded `NSUM` manifest must fail closed —
-/// at the raw decoder, and through session recovery when the stored
-/// manifest file is the one truncated.
+/// at the raw decoder, and through session recovery when the journal's
+/// `Pin` record carries the cut manifest under a valid frame CRC.
 #[test]
 fn every_manifest_prefix_truncation_fails_closed() {
-    use nonstrict_store::MANIFEST_NAME;
     let server = hanoi_server(ServerConfig::default());
     let addr = server.local_addr();
     let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(11)));
@@ -218,29 +210,32 @@ fn every_manifest_prefix_truncation_fails_closed() {
     let drained = server.drain(Duration::from_secs(5));
     assert!(drained.clean);
 
-    let full = fs.durable(MANIFEST_NAME).expect("manifest persisted");
+    let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
+    let records = log.recover().expect("journal recovers").records;
+    // A compacted session log starts with its Pin record: the tag, the
+    // generation (u32) and the manifest bytes.
+    let (pin_head, full) = records[0].split_at(PIN_HEAD);
     assert!(
-        nonstrict_wire::manifest::UnitManifest::decode(&full).is_ok(),
-        "the stored manifest must round-trip before we start cutting it"
+        UnitManifest::decode(full).is_ok(),
+        "the pinned manifest must round-trip before we start cutting it"
     );
     for len in 0..full.len() {
-        let prefix = full[..len].to_vec();
+        let prefix = &full[..len];
         assert!(
-            nonstrict_wire::manifest::UnitManifest::decode(&prefix).is_err(),
+            UnitManifest::decode(prefix).is_err(),
             "manifest prefix of {len}/{} bytes decoded",
             full.len()
         );
-        fs.set_durable(MANIFEST_NAME, prefix);
+        let mut resealed = records.clone();
+        resealed[0] = [pin_head, prefix].concat();
+        log.rewrite(&resealed).expect("rewrite");
         fs.crash();
         let mut session = DurableSession::new(fs.clone());
         let err = session
             .recover_session()
             .expect_err(&format!("manifest prefix of {len} bytes recovered"));
         assert!(
-            matches!(
-                err,
-                StoreError::ManifestMismatch { .. } | StoreError::Malformed { .. }
-            ),
+            matches!(err, StoreError::Malformed { .. }),
             "manifest prefix of {len} bytes: wrong error shape: {err}"
         );
     }
@@ -250,12 +245,16 @@ fn every_manifest_prefix_truncation_fails_closed() {
 // Hostile on-disk corpus
 // ---------------------------------------------------------------------------
 
-/// Manifest epoch the corpus cache entries are sealed under.
+/// Bytes before a session `Pin` record's manifest: tag, generation.
+const PIN_HEAD: usize = 5;
+/// Manifest epoch the corpus units are pinned under.
 const CORPUS_EPOCH: u64 = 0x1122_3344_5566_7788;
 /// Payload the pinned manifest expects for class 0 unit 0.
 const CORPUS_TRUE_PAYLOAD: &[u8] = b"the unit payload the manifest pinned";
-/// Payload the poisoned entry actually carries.
+/// Payload the poisoned artifacts actually carry.
 const CORPUS_EVIL_PAYLOAD: &[u8] = b"a self-consistent but unpinned payload";
+/// Payload the pinned manifest expects for class 0 unit 1.
+const CORPUS_SECOND_PAYLOAD: &[u8] = b"the second pinned unit";
 
 fn corpus_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -295,20 +294,78 @@ fn gen_rotted_frame_journal() -> Vec<u8> {
     bytes
 }
 
+/// The manifest every corpus session pins: one class of two units.
+fn corpus_manifest() -> Vec<u8> {
+    UnitManifest::from_payloads(
+        &[vec![
+            CORPUS_TRUE_PAYLOAD.to_vec(),
+            CORPUS_SECOND_PAYLOAD.to_vec(),
+        ]],
+        CORPUS_EPOCH,
+    )
+    .encode()
+}
+
+/// A session journal pinned to [`corpus_manifest`] holding class 0's
+/// units `units` — the honest first unit, then whatever follows.
+fn gen_session_journal(units: &[&[u8]]) -> Vec<u8> {
+    let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(0)));
+    let mut session = DurableSession::new(fs.clone());
+    session.on_pin(1, &corpus_manifest()).expect("pin");
+    for (ui, payload) in units.iter().enumerate() {
+        session
+            .on_unit(0, ui as u32, 1, 2, payload)
+            .expect("unit record");
+    }
+    fs.durable(JOURNAL_NAME).expect("journal bytes")
+}
+
+/// A session journal whose unit record is fully present but has one
+/// bit of post-hoc rot in its payload: the frame CRC no longer matches.
+fn gen_rotted_unit_journal() -> Vec<u8> {
+    let mut bytes = gen_session_journal(&[CORPUS_TRUE_PAYLOAD]);
+    let flip = bytes.len() - 8; // inside the unit's payload
+    bytes[flip] ^= 0x08;
+    bytes
+}
+
+/// A session journal whose second unit record is perfectly framed but
+/// carries bytes that hash to a digest the pinned manifest never
+/// issued: poisoned, not rotted. Only the manifest comparison can
+/// catch it.
+fn gen_wrong_digest_unit_journal() -> Vec<u8> {
+    gen_session_journal(&[CORPUS_TRUE_PAYLOAD, CORPUS_EVIL_PAYLOAD])
+}
+
+/// A unit-cache entry in the retired `NSUC` format: magic, version 1,
+/// manifest epoch, class, unit, content digest, payload length, the
+/// payload, and a CRC32 over everything before it. Kept so the two
+/// cache artifacts below stay generated and byte-checked.
+fn nsuc_entry(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = b"NSUC".to_vec();
+    bytes.extend_from_slice(&1u16.to_le_bytes());
+    bytes.extend_from_slice(&CORPUS_EPOCH.to_le_bytes());
+    bytes.extend_from_slice(&[0; 8]); // class 0, unit 0
+    bytes.extend_from_slice(&content_digest_of(CORPUS_EPOCH, 0, 0, payload).to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
 /// A once-valid cache entry with a single bit of post-hoc rot in the
 /// payload: the CRC trailer no longer matches.
 fn gen_bitrot_cache_entry() -> Vec<u8> {
-    let entry = CacheEntry::sealed(CORPUS_EPOCH, 0, 0, CORPUS_TRUE_PAYLOAD.to_vec());
-    let mut bytes = entry.encode();
+    let mut bytes = nsuc_entry(CORPUS_TRUE_PAYLOAD);
     bytes[34] ^= 0x08; // inside the payload, past the 30-byte header
     bytes
 }
 
-/// A perfectly well-formed entry that hashes to a digest the pinned
-/// manifest never issued: poisoned, not rotted. Frame checks all pass;
-/// only the manifest comparison can catch it.
+/// A well-formed cache entry whose payload hashes to a digest the
+/// pinned manifest never issued.
 fn gen_wrong_digest_cache_entry() -> Vec<u8> {
-    CacheEntry::sealed(CORPUS_EPOCH, 0, 0, CORPUS_EVIL_PAYLOAD.to_vec()).encode()
+    nsuc_entry(CORPUS_EVIL_PAYLOAD)
 }
 
 /// The committed corpus must be byte-identical to what the generators
@@ -317,9 +374,11 @@ fn gen_wrong_digest_cache_entry() -> Vec<u8> {
 /// them after a deliberate format change.
 #[test]
 fn corpus_artifacts_match_their_generators() {
-    let artifacts: [(&str, Vec<u8>); 4] = [
+    let artifacts: [(&str, Vec<u8>); 6] = [
         ("torn-tail.nsjl", gen_torn_tail_journal()),
         ("rotted-frame.nsjl", gen_rotted_frame_journal()),
+        ("rotted-unit.nsjl", gen_rotted_unit_journal()),
+        ("wrong-digest-unit.nsjl", gen_wrong_digest_unit_journal()),
         ("bitrot-entry.nsuc", gen_bitrot_cache_entry()),
         ("wrong-digest-entry.nsuc", gen_wrong_digest_cache_entry()),
     ];
@@ -371,50 +430,73 @@ fn corpus_rotted_journal_frame_fails_closed() {
     );
 }
 
-/// The bit-rotted cache entry is rejected at decode with the typed CRC
-/// error, and through `load_verified` the payload never escapes.
-#[test]
-fn corpus_bitrot_cache_entry_is_rejected() {
-    let bytes = read_corpus("bitrot-entry.nsuc");
-    assert_eq!(
-        CacheEntry::decode(&bytes).expect_err("rot must not decode"),
-        StoreError::CrcMismatch {
-            what: "NSUC cache entry"
-        }
-    );
+/// A session store holding `name`'s artifact under `file`.
+fn store_with(file: &str, name: &str) -> (Arc<FaultFs>, DurableSession) {
     let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(0)));
-    fs.set_durable(&UnitCache::entry_name(0, 0), bytes);
-    let cache = UnitCache::new(fs);
-    let expect = content_digest_of(CORPUS_EPOCH, 0, 0, CORPUS_TRUE_PAYLOAD);
-    assert!(matches!(
-        cache.load_verified(CORPUS_EPOCH, 0, 0, expect),
-        Err(StoreError::CrcMismatch { .. })
-    ));
+    fs.set_durable(file, read_corpus(name));
+    let session = DurableSession::new(fs.clone());
+    (fs, session)
 }
 
-/// The wrong-digest entry passes every self-consistency check — only
-/// the pinned manifest can unmask it, and it must.
+/// The rotted unit record fails the whole journal closed with the
+/// typed CRC error, and the warm start scrubs it to a cold start.
+#[test]
+fn corpus_rotted_unit_record_fails_closed_and_scrubs() {
+    let (fs, mut session) = store_with(JOURNAL_NAME, "rotted-unit.nsjl");
+    assert_eq!(
+        session.recover_session(),
+        Err(StoreError::CrcMismatch { what: "NSJL log" })
+    );
+    assert!(session.warm_start().is_none(), "rot must cold-start");
+    assert_eq!(fs.durable(JOURNAL_NAME), None, "the scrub removes the log");
+}
+
+/// The wrong-digest unit record passes every frame check — only the
+/// pinned manifest can unmask it, and it must: the class prefix ends
+/// before it, and the drop is counted.
+#[test]
+fn corpus_wrong_digest_unit_record_ends_the_class_prefix() {
+    let (_fs, mut session) = store_with(JOURNAL_NAME, "wrong-digest-unit.nsjl");
+    let r = session
+        .recover_session()
+        .expect("the poison is self-consistent")
+        .expect("the pin survives");
+    assert_eq!(r.classes[0].payloads, vec![CORPUS_TRUE_PAYLOAD.to_vec()]);
+    assert_eq!(r.dropped_units, 1);
+    let warm = session.warm_start().expect("a warm start");
+    assert_eq!(warm.classes[0].payloads, vec![CORPUS_TRUE_PAYLOAD.to_vec()]);
+}
+
+/// A retired-format cache entry fails closed wherever it lands: under
+/// its own name beside an honest pinned journal it never contributes a
+/// warm unit, and in the journal's place it is not an NSJL log.
+fn assert_cache_entry_fails_closed(name: &str) {
+    let (_fs, mut session) = store_with("c0-u0.nsuc", name);
+    session.on_pin(1, &corpus_manifest()).expect("pin");
+    let r = session
+        .recover_session()
+        .expect("the journal is honest")
+        .expect("the pin survives");
+    assert!(
+        r.classes.iter().all(|c| c.payloads.is_empty()),
+        "{name} contributed a warm unit"
+    );
+    let (_fs, mut session) = store_with(JOURNAL_NAME, name);
+    assert_eq!(
+        session.recover_session(),
+        Err(StoreError::BadMagic { what: "NSJL log" })
+    );
+    assert!(session.warm_start().is_none());
+}
+
+/// The bit-rotted cache entry never yields its payload.
+#[test]
+fn corpus_bitrot_cache_entry_is_rejected() {
+    assert_cache_entry_fails_closed("bitrot-entry.nsuc");
+}
+
+/// The wrong-digest cache entry never yields its poison.
 #[test]
 fn corpus_wrong_digest_cache_entry_is_rejected() {
-    let bytes = read_corpus("wrong-digest-entry.nsuc");
-    let entry = CacheEntry::decode(&bytes).expect("the poison is self-consistent");
-    assert_eq!(entry.payload, CORPUS_EVIL_PAYLOAD);
-    let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(0)));
-    fs.set_durable(&UnitCache::entry_name(0, 0), bytes);
-    let cache = UnitCache::new(fs);
-    let expect = content_digest_of(CORPUS_EPOCH, 0, 0, CORPUS_TRUE_PAYLOAD);
-    let got = content_digest_of(CORPUS_EPOCH, 0, 0, CORPUS_EVIL_PAYLOAD);
-    assert_ne!(expect, got, "the two payloads must not collide");
-    assert_eq!(
-        cache
-            .load_verified(CORPUS_EPOCH, 0, 0, expect)
-            .expect_err("poison must not load"),
-        StoreError::DigestMismatch {
-            class: 0,
-            unit: 0,
-            want: expect,
-            got,
-        }
-    );
-    let _ = crc32(&entry.payload); // the journal CRC is orthogonal to the digest
+    assert_cache_entry_fails_closed("wrong-digest-entry.nsuc");
 }

@@ -842,7 +842,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "  stalls:             {:>12} ({} cycles)",
-        r.stalls, r.stall_cycles
+        r.stalls, r.ledger.stall
     );
     let _ = writeln!(
         out,
@@ -853,9 +853,9 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "  verification:       {:>12} cycles ({} mode, {:.2}% of total)",
-            r.verify_cycles,
+            r.ledger.verify,
             config.verify.label(),
-            nonstrict_core::metrics::share_percent(r.verify_cycles, r.total_cycles)
+            nonstrict_core::metrics::share_percent(r.ledger.verify, r.total_cycles)
         );
     }
     if config.active_faults().is_some() {
@@ -863,9 +863,9 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "  fault recovery:     {:>12} cycles ({} retries: {} lost-timeout, {} corrupt, {} quarantined, {} drops)",
-            f.recovery_cycles,
+            r.ledger.recovery,
             f.retries,
-            f.retries - f.corrupted - f.quarantined - f.drops,
+            f.lost,
             f.corrupted,
             f.quarantined,
             f.drops
@@ -873,13 +873,13 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "  degradation:        {} classes demoted to strict{}; run {}",
-            f.degraded_classes,
-            if f.session_degraded {
+            r.degraded_classes,
+            if r.session_degraded {
                 " (session fell back to strict)"
             } else {
                 ""
             },
-            if f.completed {
+            if r.completed {
                 "completed"
             } else {
                 "incomplete"
@@ -910,8 +910,8 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "  resume cost:        {:>12} cycles ({:.2}% of total)",
-            o.resume_cycles,
-            nonstrict_core::metrics::share_percent(o.resume_cycles, r.total_cycles)
+            r.ledger.resume,
+            nonstrict_core::metrics::share_percent(r.ledger.resume, r.total_cycles)
         );
     }
     if config.active_replicas().is_some() {
@@ -924,8 +924,8 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "  hedge cost:         {:>12} cycles ({:.2}% of total){}",
-            rep.hedge_cycles,
-            nonstrict_core::metrics::share_percent(rep.hedge_cycles, r.total_cycles),
+            r.ledger.hedge,
+            nonstrict_core::metrics::share_percent(r.ledger.hedge, r.total_cycles),
             if rep.sole_survivor {
                 " — SOLE SURVIVOR, session failed closed to strict"
             } else {
@@ -956,11 +956,8 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
             let _ = writeln!(
                 out,
                 "  integrity cost:     {:>12} cycles ({:.2}% of total); {} fence refetches, {} bytes refetched",
-                ist.integrity_cycles,
-                nonstrict_core::metrics::share_percent(
-                    ist.integrity_cycles,
-                    r.total_cycles
-                ),
+                r.ledger.integrity,
+                nonstrict_core::metrics::share_percent(r.ledger.integrity, r.total_cycles),
                 ist.fence_refetches,
                 ist.refetched_bytes
             );

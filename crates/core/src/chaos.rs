@@ -957,7 +957,7 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
                 u32::try_from(i).unwrap_or(u32::MAX),
                 &mut violations,
             );
-            if !c.result.faults.completed {
+            if !c.result.completed {
                 violations.push(ChaosViolation::Incomplete);
             }
         }
@@ -978,7 +978,7 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
 
     let base = session.simulate(Input::Test, &config);
     check_ledger(&base, 0, &mut violations);
-    if !base.faults.completed {
+    if !base.completed {
         violations.push(ChaosViolation::Incomplete);
     }
 
@@ -1069,7 +1069,7 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
 /// Eight-bucket exactness, checked in release builds too (the sim's own
 /// `debug_assert` vanishes exactly where soak runs live).
 fn check_ledger(r: &SimResult, client: u32, violations: &mut Vec<ChaosViolation>) {
-    let sum = r.ledger().total();
+    let sum = r.ledger.total();
     if sum != r.total_cycles {
         violations.push(ChaosViolation::LedgerInexact {
             client,
@@ -1145,7 +1145,7 @@ fn check_fail_closed(
     if r.outage.resumes != 0 {
         violations.push(ChaosViolation::FailOpen("torn journal resumed watermarks"));
     }
-    if !r.faults.completed {
+    if !r.completed {
         violations.push(ChaosViolation::FailOpen(
             "fail-closed restart did not complete",
         ));
@@ -1208,7 +1208,7 @@ fn check_disk_resume(
                     "journal lost to storage faults was not detected",
                 ));
             }
-            if !r.faults.completed {
+            if !r.completed {
                 violations.push(ChaosViolation::FailOpen(
                     "fail-closed restart after storage loss did not complete",
                 ));
@@ -1248,25 +1248,14 @@ fn compare_resume(
         diff("failed_closed", 0, 1);
         return out;
     }
-    diff("exec_cycles", base.exec_cycles, r.exec_cycles);
-    diff("stall_cycles", base.stall_cycles, r.stall_cycles);
-    diff("verify_cycles", base.verify_cycles, r.verify_cycles);
-    diff(
-        "recovery_cycles",
-        base.faults.recovery_cycles,
-        r.faults.recovery_cycles,
-    );
-    diff(
-        "hedge_cycles",
-        base.replica.hedge_cycles,
-        r.replica.hedge_cycles,
-    );
-    diff(
-        "integrity_cycles",
-        base.integrity.integrity_cycles,
-        r.integrity.integrity_cycles,
-    );
-    diff("queue_cycles", base.queue_cycles, r.queue_cycles);
+    let (b, l) = (&base.ledger, &r.ledger);
+    diff("exec_cycles", b.exec, l.exec);
+    diff("stall_cycles", b.stall, l.stall);
+    diff("verify_cycles", b.verify, l.verify);
+    diff("recovery_cycles", b.recovery, l.recovery);
+    diff("hedge_cycles", b.hedge, l.hedge);
+    diff("integrity_cycles", b.integrity, l.integrity);
+    diff("queue_cycles", b.queue, l.queue);
     diff("retries", base.faults.retries, r.faults.retries);
     diff("drops", base.faults.drops, r.faults.drops);
     diff("corrupted", base.faults.corrupted, r.faults.corrupted);
@@ -1274,8 +1263,8 @@ fn compare_resume(
     diff("stalls", u64::from(base.stalls), u64::from(r.stalls));
     diff(
         "degraded_classes",
-        u64::from(base.faults.degraded_classes),
-        u64::from(r.faults.degraded_classes),
+        u64::from(base.degraded_classes),
+        u64::from(r.degraded_classes),
     );
     diff("hedges", base.replica.hedges, r.replica.hedges);
     diff("failovers", base.replica.failovers, r.replica.failovers);
@@ -1288,8 +1277,8 @@ fn compare_resume(
     // Base-timeline equality: total minus the resume bucket matches.
     diff(
         "base_timeline_total",
-        base.total_cycles - base.outage.resume_cycles,
-        r.total_cycles - r.outage.resume_cycles,
+        base.total_cycles - b.resume,
+        r.total_cycles - l.resume,
     );
     diff(
         "outages",
@@ -1669,7 +1658,7 @@ pub fn render_replay(report: &ChaosReport) -> String {
     use std::fmt::Write as _;
     let sc = &report.scenario;
     let r = &report.result;
-    let l = r.ledger();
+    let l = r.ledger;
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -1686,11 +1675,7 @@ pub fn render_replay(report: &ChaosReport) -> String {
     let _ = writeln!(
         s,
         "  completed {} degraded {} outages {} resumes {} failed_closed {}",
-        r.faults.completed,
-        r.faults.session_degraded,
-        r.outage.outages,
-        r.outage.resumes,
-        r.outage.failed_closed
+        r.completed, r.session_degraded, r.outage.outages, r.outage.resumes, r.outage.failed_closed
     );
     if let Some(fd) = report.fleet {
         let _ = writeln!(

@@ -16,8 +16,9 @@ use nonstrict_netsim::byzantine::ByzantineMode;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
-use crate::metrics::{normalized_percent, share_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent};
 use crate::model::{ByzantineConfig, OrderingSource, ReplicaConfig, ReplicaKill, SimConfig};
+use crate::sim::SimResult;
 
 /// One swept cell: mirror count, dishonest-mirror count, misbehavior
 /// mode, audit sampling rate (ppm of delivered units).
@@ -91,34 +92,8 @@ pub struct ByzantineRow {
     pub normalized: f64,
     /// Percent of total time spent on integrity work.
     pub integrity_share: f64,
-    /// Manifest fetch-and-pin rounds (initial pin + epoch-fence
-    /// re-pins).
-    pub manifest_pins: u32,
-    /// Per-unit manifest digest checks performed.
-    pub digest_checks: u64,
-    /// Units a mirror served with divergent bytes.
-    pub divergent_units: u64,
-    /// Divergent units that passed the (forged) digest check and were
-    /// linked before any audit observed them (collusion only).
-    pub undetected_units: u64,
-    /// Cross-mirror audit rounds sampled.
-    pub audits: u64,
-    /// Audit rounds whose two mirrors disagreed.
-    pub audit_mismatches: u64,
-    /// Mirrors quarantined for proven divergence.
-    pub quarantines: u32,
-    /// Post-fence units a stale mirror tried to serve that were
-    /// refetched from an honest mirror.
-    pub fence_refetches: u64,
-    /// Payload bytes refetched because of divergence or quarantine.
-    pub refetched_bytes: u64,
-    /// Whether the run executed to completion.
-    pub completed: bool,
-    /// Total cycles of the run.
-    pub total_cycles: u64,
-    /// The run's eight accounting buckets (exact: they sum to
-    /// `total_cycles`).
-    pub ledger: CycleLedger,
+    /// The run itself: its eight-bucket ledger and integrity counters.
+    pub result: SimResult,
 }
 
 /// Runs the full sweep: every benchmark × link × cell, non-strict
@@ -136,7 +111,6 @@ pub fn byzantine_sweep(suite: &Suite) -> Vec<ByzantineRow> {
                     .with_replicas(sweep_replicas(replicas))
                     .with_byzantine(sweep_byzantine(cell));
                 let r = s.simulate(Input::Test, &config);
-                let ist = &r.integrity;
                 rows.push(ByzantineRow {
                     name: s.app.name.clone(),
                     link,
@@ -145,19 +119,8 @@ pub fn byzantine_sweep(suite: &Suite) -> Vec<ByzantineRow> {
                     mode,
                     audit_rate_pm,
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                    integrity_share: share_percent(ist.integrity_cycles, r.total_cycles),
-                    manifest_pins: ist.manifest_pins,
-                    digest_checks: ist.digest_checks,
-                    divergent_units: ist.divergent_units,
-                    undetected_units: ist.undetected_units,
-                    audits: ist.audits,
-                    audit_mismatches: ist.audit_mismatches,
-                    quarantines: ist.quarantines,
-                    fence_refetches: ist.fence_refetches,
-                    refetched_bytes: ist.refetched_bytes,
-                    completed: r.faults.completed,
-                    total_cycles: r.total_cycles,
-                    ledger: r.ledger(),
+                    integrity_share: share_percent(r.ledger.integrity, r.total_cycles),
+                    result: r,
                 });
             }
         }
@@ -205,9 +168,10 @@ mod tests {
         let suite = hanoi_suite();
         let rows = byzantine_sweep(&suite);
         assert_eq!(rows.len(), LINKS.len() * BYZANTINE_SWEEP.len());
-        for r in &rows {
-            assert!(r.completed, "every swept run must terminate: {r:?}");
-            assert!(r.normalized > 0.0);
+        for row in &rows {
+            let (r, ist) = (&row.result, &row.result.integrity);
+            assert!(r.completed, "every swept run must terminate: {row:?}");
+            assert!(row.normalized > 0.0);
             let exact = r.ledger.exec
                 + r.ledger.stall
                 + r.ledger.recovery
@@ -216,20 +180,20 @@ mod tests {
                 + r.ledger.hedge
                 + r.ledger.queue
                 + r.ledger.integrity;
-            assert_eq!(exact, r.total_cycles, "ledger must be exact: {r:?}");
-            if r.byzantine == 0 {
-                assert_eq!(r.manifest_pins, 0, "honest reference is inert: {r:?}");
+            assert_eq!(exact, r.total_cycles, "ledger must be exact: {row:?}");
+            if row.byzantine == 0 {
+                assert_eq!(ist.manifest_pins, 0, "honest reference is inert: {row:?}");
                 assert_eq!(r.ledger.integrity, 0);
-                assert_eq!(r.divergent_units, 0);
+                assert_eq!(ist.divergent_units, 0);
             } else {
-                assert!(r.manifest_pins >= 1, "the client must pin: {r:?}");
-                assert!(r.digest_checks > 0);
+                assert!(ist.manifest_pins >= 1, "the client must pin: {row:?}");
+                assert!(ist.digest_checks > 0);
                 assert!(r.ledger.integrity > 0);
             }
-            if r.byzantine > 0 && r.mode.detected_inline() {
+            if row.byzantine > 0 && row.mode.detected_inline() {
                 assert_eq!(
-                    r.undetected_units, 0,
-                    "digest-visible modes leave nothing undetected: {r:?}"
+                    ist.undetected_units, 0,
+                    "digest-visible modes leave nothing undetected: {row:?}"
                 );
             }
         }
@@ -238,7 +202,7 @@ mod tests {
         assert!(
             rows.iter()
                 .filter(|r| r.byzantine > 0 && r.mode == ByzantineMode::Equivocate)
-                .any(|r| r.divergent_units > 0),
+                .any(|r| r.result.integrity.divergent_units > 0),
             "killing the primary must route units through an equivocator"
         );
     }

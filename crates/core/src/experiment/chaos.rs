@@ -16,11 +16,12 @@ use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
 use crate::chaos::{self, ChaosScenario, OverloadDims};
-use crate::metrics::{normalized_percent, CycleLedger};
+use crate::metrics::normalized_percent;
 use crate::model::{
     ByzantineConfig, FaultConfig, OrderingSource, OutageConfig, ReplicaConfig, ReplicaKill,
     SimConfig, VerifyMode,
 };
+use crate::sim::SimResult;
 
 /// Seed for every sweep scenario, so the whole table is reproducible.
 pub const CHAOS_SEED: u64 = 0xc4a0_51ed;
@@ -101,20 +102,10 @@ pub struct ChaosRow {
     pub normalized: f64,
     /// Global invariant violations found by the conductor (must be 0).
     pub violations: u32,
-    /// Whether the run executed to completion.
-    pub completed: bool,
-    /// Full-connection losses survived (ambient plus the crash cell's
-    /// injected interrupt).
-    pub outages: u32,
-    /// Journal resumes performed.
-    pub resumes: u32,
-    /// Classes demoted to strict demand-fetch.
-    pub degraded: u32,
-    /// Total cycles of the run.
-    pub total_cycles: u64,
-    /// The run's eight accounting buckets (exact: they sum to
-    /// `total_cycles`).
-    pub ledger: CycleLedger,
+    /// The run itself (client 0 of an overloaded fleet): its
+    /// eight-bucket ledger, outage counts — ambient plus the crash
+    /// cell's injected interrupt — and degradation verdicts.
+    pub result: SimResult,
 }
 
 /// Runs the full sweep: every benchmark × link × scenario, plus one
@@ -135,7 +126,7 @@ pub fn chaos_sweep(suite: &Suite) -> Vec<ChaosRow> {
             scenarios.push(storm.with_interrupt(storm_total / 2, CHAOS_DOWNTIME));
             for sc in scenarios {
                 let report = chaos::run_scenario(s, &sc);
-                let r = &report.result;
+                let r = report.result;
                 rows.push(ChaosRow {
                     name: s.app.name.clone(),
                     link,
@@ -143,12 +134,7 @@ pub fn chaos_sweep(suite: &Suite) -> Vec<ChaosRow> {
                     clients: report.fleet.as_ref().map_or(1, |f| f.clients),
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
                     violations: u32::try_from(report.violations.len()).unwrap_or(u32::MAX),
-                    completed: r.faults.completed,
-                    outages: r.outage.outages,
-                    resumes: r.outage.resumes,
-                    degraded: r.faults.degraded_classes,
-                    total_cycles: r.total_cycles,
-                    ledger: r.ledger(),
+                    result: r,
                 });
             }
         }
@@ -193,11 +179,11 @@ mod tests {
         let rows = chaos_sweep(&suite);
         assert_eq!(rows.len(), LINKS.len() * 8);
         for r in &rows {
-            assert!(r.completed, "every swept run must terminate: {r:?}");
+            assert!(r.result.completed, "every swept run must terminate: {r:?}");
             assert_eq!(r.violations, 0, "the conductor found a violation: {r:?}");
             assert_eq!(
-                r.ledger.total(),
-                r.total_cycles,
+                r.result.ledger.total(),
+                r.result.total_cycles,
                 "ledger must be exact: {r:?}"
             );
             assert!(r.normalized > 0.0);
@@ -205,14 +191,14 @@ mod tests {
         // The quiet reference matches the plain non-strict run exactly.
         let quiet = &rows[0];
         assert_eq!(quiet.scenario, "quiet");
-        assert_eq!(quiet.outages, 0);
+        assert_eq!(quiet.result.outage.outages, 0);
         // The crash cell recorded its injected interrupt on top of the
         // storm's ambient outages.
         let storm = &rows[5];
         let crash = &rows[7];
         assert!(crash.scenario.ends_with("+crash"), "{crash:?}");
-        assert_eq!(crash.outages, storm.outages + 1);
-        assert_eq!(crash.resumes, storm.resumes + 1);
+        assert_eq!(crash.result.outage.outages, storm.result.outage.outages + 1);
+        assert_eq!(crash.result.outage.resumes, storm.result.outage.resumes + 1);
         // The overloaded fleet reports its size.
         assert_eq!(rows[6].clients, 4);
     }

@@ -14,8 +14,9 @@ use nonstrict_bytecode::Input;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS, ORDERINGS};
-use crate::metrics::{normalized_percent, share_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent};
 use crate::model::{FaultConfig, OrderingSource, SimConfig};
+use crate::sim::SimResult;
 
 /// The swept unit-loss rates, parts-per-million per delivery attempt:
 /// perfect, 0.1%, 1%, and 5%.
@@ -52,28 +53,9 @@ pub struct FaultRow {
     pub normalized: f64,
     /// Percent of total time spent in fault recovery.
     pub recovery_share: f64,
-    /// Retransmissions the protocol performed.
-    pub retries: u64,
-    /// Connection drops survived.
-    pub drops: u64,
-    /// Corrupted units detected by CRC and re-sent.
-    pub corrupted: u64,
-    /// Units that verified but failed the post-delivery semantic check,
-    /// were quarantined, and refetched.
-    pub quarantined: u64,
-    /// Deliveries that exhausted the retry cap and were forced through.
-    pub forced: u64,
-    /// Classes demoted to strict demand-fetch.
-    pub degraded_classes: u32,
-    /// Whether the whole session fell back to strict execution.
-    pub session_degraded: bool,
-    /// Whether the run executed to completion.
-    pub completed: bool,
-    /// Total cycles of the run.
-    pub total_cycles: u64,
-    /// The run's seven accounting buckets (exact: they sum to
-    /// `total_cycles`).
-    pub ledger: CycleLedger,
+    /// The run itself: its eight-bucket ledger, fault counters, and
+    /// degradation verdicts.
+    pub result: SimResult,
 }
 
 /// Runs the full sweep: every benchmark × link × ordering × loss rate,
@@ -97,17 +79,8 @@ pub fn fault_sweep(suite: &Suite) -> Vec<FaultRow> {
                         ordering,
                         loss_pm,
                         normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                        recovery_share: share_percent(r.faults.recovery_cycles, r.total_cycles),
-                        retries: r.faults.retries,
-                        drops: r.faults.drops,
-                        corrupted: r.faults.corrupted,
-                        quarantined: r.faults.quarantined,
-                        forced: r.faults.forced,
-                        degraded_classes: r.faults.degraded_classes,
-                        session_degraded: r.faults.session_degraded,
-                        completed: r.faults.completed,
-                        total_cycles: r.total_cycles,
-                        ledger: r.ledger(),
+                        recovery_share: share_percent(r.ledger.recovery, r.total_cycles),
+                        result: r,
                     });
                 }
             }
@@ -143,12 +116,18 @@ mod tests {
             LINKS.len() * ORDERINGS.len() * LOSS_SWEEP_PM.len()
         );
         for r in &rows {
-            assert!(r.completed, "every faulted run must terminate: {r:?}");
+            assert!(
+                r.result.completed,
+                "every faulted run must terminate: {r:?}"
+            );
             assert!(r.normalized > 0.0);
             if r.loss_pm == 0 {
-                assert_eq!(r.retries, 0, "perfect link, no protocol work: {r:?}");
+                assert_eq!(
+                    r.result.faults.retries, 0,
+                    "perfect link, no protocol work: {r:?}"
+                );
                 assert_eq!(r.recovery_share, 0.0);
-                assert_eq!(r.degraded_classes, 0);
+                assert_eq!(r.result.degraded_classes, 0);
             }
         }
         // Fault pressure costs time: at each link × ordering, the worst

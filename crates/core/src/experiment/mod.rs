@@ -116,7 +116,7 @@ pub fn table3(suite: &Suite) -> Vec<Table3Row> {
             let exec = s.exec_cycles(Input::Test);
             let base_for = |link: Link| {
                 let b = s.simulate(Input::Test, &SimConfig::strict(link));
-                let transfer = b.stall_cycles;
+                let transfer = b.ledger.stall;
                 BaseCase {
                     transfer_mcycles: transfer as f64 / 1e6,
                     total_mcycles: b.total_cycles as f64 / 1e6,

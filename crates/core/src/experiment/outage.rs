@@ -15,8 +15,9 @@ use nonstrict_bytecode::Input;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
-use crate::metrics::{normalized_percent, share_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent};
 use crate::model::{OrderingSource, OutageConfig, SimConfig};
+use crate::sim::SimResult;
 
 /// The swept outage severities, `(rate_pm, outage_cycles)`: probability
 /// per ~134ms draw period (parts-per-million) and the exact connection
@@ -60,18 +61,11 @@ pub struct OutageRow {
     pub normalized: f64,
     /// Percent of wall-clock total spent down or renegotiating.
     pub resume_share: f64,
-    /// Outage events survived.
-    pub outages: u32,
-    /// Checkpoint-journal resumes performed.
-    pub resumes: u32,
     /// Whether wall total == outage-free total + resume cost held
     /// exactly (the pure-downtime invariant).
     pub pure_downtime: bool,
-    /// Total cycles of the run.
-    pub total_cycles: u64,
-    /// The run's seven accounting buckets (exact: they sum to
-    /// `total_cycles`).
-    pub ledger: CycleLedger,
+    /// The run itself: its eight-bucket ledger and outage counts.
+    pub result: SimResult,
 }
 
 /// Runs the full sweep: every benchmark × link × outage severity,
@@ -94,12 +88,9 @@ pub fn outage_sweep(suite: &Suite) -> Vec<OutageRow> {
                     rate_pm,
                     outage_cycles,
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                    resume_share: share_percent(r.outage.resume_cycles, r.total_cycles),
-                    outages: r.outage.outages,
-                    resumes: r.outage.resumes,
-                    pure_downtime: r.total_cycles == quiet.total_cycles + r.outage.resume_cycles,
-                    total_cycles: r.total_cycles,
-                    ledger: r.ledger(),
+                    resume_share: share_percent(r.ledger.resume, r.total_cycles),
+                    pure_downtime: r.total_cycles == quiet.total_cycles + r.ledger.resume,
+                    result: r,
                 });
             }
         }
@@ -130,9 +121,12 @@ mod tests {
         assert_eq!(rows.len(), LINKS.len() * OUTAGE_SWEEP.len());
         for r in &rows {
             assert!(r.pure_downtime, "outages must never force a restart: {r:?}");
-            assert_eq!(r.resumes, r.outages, "one journal resume per outage: {r:?}");
+            assert_eq!(
+                r.result.outage.resumes, r.result.outage.outages,
+                "one journal resume per outage: {r:?}"
+            );
             if r.rate_pm == 0 {
-                assert_eq!(r.outages, 0, "calm link, no events: {r:?}");
+                assert_eq!(r.result.outage.outages, 0, "calm link, no events: {r:?}");
                 assert_eq!(r.resume_share, 0.0);
             }
         }

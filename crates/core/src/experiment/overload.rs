@@ -10,7 +10,7 @@
 //! report the admission outcome (rejections before every client got
 //! in), how far down the shed ladder the server had to reach (hedges
 //! dropped, sessions forced strict, sessions shed to a journal and
-//! resumed), tail latency percentiles, and the aggregate seven-bucket
+//! resumed), tail latency percentiles, and the aggregate eight-bucket
 //! cycle ledger — whose `queue` bucket is exactly the contention the
 //! fleet inserted.
 
@@ -115,7 +115,7 @@ pub struct OverloadRow {
     pub queue_share: f64,
     /// Summed total cycles across the fleet.
     pub total_cycles: u64,
-    /// Summed seven-bucket ledger across the fleet (exact: the buckets
+    /// Summed eight-bucket ledger across the fleet (exact: the buckets
     /// sum to `total_cycles`).
     pub ledger: CycleLedger,
 }
@@ -145,14 +145,7 @@ pub fn overload_sweep(suite: &Suite) -> Vec<OverloadRow> {
                 let mut ledger = CycleLedger::default();
                 let mut total_cycles = 0u64;
                 for c in &fleet.clients {
-                    let l = c.result.ledger();
-                    ledger.exec += l.exec;
-                    ledger.stall += l.stall;
-                    ledger.recovery += l.recovery;
-                    ledger.verify += l.verify;
-                    ledger.resume += l.resume;
-                    ledger.hedge += l.hedge;
-                    ledger.queue += l.queue;
+                    ledger += c.result.ledger;
                     total_cycles += c.result.total_cycles;
                 }
                 // Per-client exactness survives summation.

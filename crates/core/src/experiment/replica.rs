@@ -11,12 +11,13 @@
 //! failover bought back.
 
 use nonstrict_bytecode::Input;
-use nonstrict_netsim::Link;
+use nonstrict_netsim::{Link, ReplicaStats};
 
 use super::faults::sweep_config;
 use super::{Suite, LINKS};
-use crate::metrics::{normalized_percent, share_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent};
 use crate::model::{OrderingSource, ReplicaConfig, SimConfig};
+use crate::sim::SimResult;
 
 /// The swept (mirror count, unit-loss rate ppm) cells: a single lossy
 /// origin as the reference point, then two and three mirrors at the
@@ -55,27 +56,32 @@ pub struct ReplicaRow {
     pub normalized: f64,
     /// Percent of total time spent hedging.
     pub hedge_share: f64,
-    /// Hedged duplicate fetches issued.
-    pub hedges: u64,
-    /// Hedges where the runner-up mirror won the race.
-    pub hedge_wins: u64,
-    /// Mid-stream switches of the serving mirror.
-    pub failovers: u64,
+    /// Worst end-of-run health score across the set (ppm of perfect);
+    /// 0 on the single-origin cell.
+    pub min_health_ppm: u32,
+    /// The run itself: its eight-bucket ledger and replica-set
+    /// counters.
+    pub result: SimResult,
+}
+
+impl ReplicaRow {
     /// End-of-run health score per mirror (ppm of perfect), one entry
     /// per mirror in index order. Empty on the single-origin cell — a
     /// one-mirror set is normalized away, so no scores exist. Report-
     /// only; the CSV carries the min.
-    pub health_ppm: Vec<u32>,
-    /// Worst end-of-run health score across the set (ppm of perfect);
-    /// 0 on the single-origin cell.
-    pub min_health_ppm: u32,
-    /// Whether the run executed to completion.
-    pub completed: bool,
-    /// Total cycles of the run.
-    pub total_cycles: u64,
-    /// The run's seven accounting buckets (exact: they sum to
-    /// `total_cycles`).
-    pub ledger: CycleLedger,
+    #[must_use]
+    pub fn health_ppm(&self) -> Vec<u32> {
+        health_ppm(&self.result.replica)
+    }
+}
+
+/// Each scored mirror's end-of-run health (ppm); an inactive
+/// (single-origin) config reports 0 mirrors.
+fn health_ppm(set: &ReplicaStats) -> Vec<u32> {
+    set.health[..set.replicas as usize]
+        .iter()
+        .map(|h| h.health_ppm)
+        .collect()
 }
 
 /// Runs the full sweep: every benchmark × link × (mirrors, loss) cell,
@@ -93,28 +99,16 @@ pub fn replica_sweep(suite: &Suite) -> Vec<ReplicaRow> {
                     .with_faults(sweep_config(loss_pm))
                     .with_replicas(sweep_replicas(replicas));
                 let r = s.simulate(Input::Test, &config);
-                // An inactive (single-origin) config reports 0 mirrors.
-                let scored = r.replica.replicas as usize;
-                let health_ppm: Vec<u32> = r.replica.health[..scored]
-                    .iter()
-                    .map(|h| h.health_ppm)
-                    .collect();
-                let min_health_ppm = health_ppm.iter().copied().min().unwrap_or(0);
+                let min_health_ppm = health_ppm(&r.replica).into_iter().min().unwrap_or(0);
                 rows.push(ReplicaRow {
                     name: s.app.name.clone(),
                     link,
                     replicas,
                     loss_pm,
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                    hedge_share: share_percent(r.replica.hedge_cycles, r.total_cycles),
-                    hedges: r.replica.hedges,
-                    hedge_wins: r.replica.hedge_wins,
-                    failovers: r.replica.failovers,
-                    health_ppm,
+                    hedge_share: share_percent(r.ledger.hedge, r.total_cycles),
                     min_health_ppm,
-                    completed: r.faults.completed,
-                    total_cycles: r.total_cycles,
-                    ledger: r.ledger(),
+                    result: r,
                 });
             }
         }
@@ -150,25 +144,37 @@ mod tests {
         let rows = replica_sweep(&suite);
         assert_eq!(rows.len(), LINKS.len() * REPLICA_SWEEP.len());
         for r in &rows {
-            assert!(r.completed, "every replicated run must terminate: {r:?}");
+            assert!(
+                r.result.completed,
+                "every replicated run must terminate: {r:?}"
+            );
             assert!(r.normalized > 0.0);
             if r.replicas == 1 {
-                assert_eq!(r.hedges, 0, "no runner-up, no hedging: {r:?}");
-                assert_eq!(r.failovers, 0, "nowhere to fail over to: {r:?}");
+                assert_eq!(
+                    r.result.replica.hedges, 0,
+                    "no runner-up, no hedging: {r:?}"
+                );
+                assert_eq!(
+                    r.result.replica.failovers, 0,
+                    "nowhere to fail over to: {r:?}"
+                );
                 assert_eq!(r.hedge_share, 0.0);
-                assert!(r.health_ppm.is_empty(), "single origin is unscored: {r:?}");
+                assert!(
+                    r.health_ppm().is_empty(),
+                    "single origin is unscored: {r:?}"
+                );
             } else {
-                assert_eq!(r.health_ppm.len(), r.replicas as usize);
+                assert_eq!(r.health_ppm().len(), r.replicas as usize);
                 assert!(
                     r.min_health_ppm > 0,
                     "a completed run cannot leave a zero-health mirror: {r:?}"
                 );
                 assert_eq!(
                     r.min_health_ppm,
-                    r.health_ppm.iter().copied().min().unwrap()
+                    r.health_ppm().iter().copied().min().unwrap()
                 );
             }
-            assert!(r.hedge_wins <= r.hedges);
+            assert!(r.result.replica.hedge_wins <= r.result.replica.hedges);
         }
     }
 

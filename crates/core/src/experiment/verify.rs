@@ -17,8 +17,9 @@ use nonstrict_bytecode::Input;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
-use crate::metrics::{normalized_percent, share_percent, CycleLedger};
+use crate::metrics::{normalized_percent, share_percent};
 use crate::model::{OrderingSource, SimConfig, VerifyMode};
+use crate::sim::SimResult;
 
 /// The swept verification modes, in report column order.
 pub const VERIFY_SWEEP: [VerifyMode; 3] = [VerifyMode::Off, VerifyMode::Stream, VerifyMode::Full];
@@ -34,19 +35,10 @@ pub struct VerifyRow {
     pub mode: VerifyMode,
     /// Normalized time (%) vs the perfect-link strict baseline.
     pub normalized: f64,
-    /// Cycles spent verifying prefixes.
-    pub verify_cycles: u64,
     /// Percent of total time spent verifying.
     pub verify_share: f64,
-    /// Invocation latency in cycles (when the entry method could run).
-    pub invocation_latency: u64,
-    /// Stall cycles (transfer wait).
-    pub stall_cycles: u64,
-    /// Total cycles of the run.
-    pub total_cycles: u64,
-    /// The run's seven accounting buckets (exact: they sum to
-    /// `total_cycles`).
-    pub ledger: CycleLedger,
+    /// The run itself: its eight-bucket ledger and invocation latency.
+    pub result: SimResult,
 }
 
 /// Runs the full sweep: every benchmark × link × verify mode,
@@ -68,12 +60,8 @@ pub fn verify_sweep(suite: &Suite) -> Vec<VerifyRow> {
                     link,
                     mode,
                     normalized: normalized_percent(r.total_cycles, base.total_cycles),
-                    verify_cycles: r.verify_cycles,
-                    verify_share: share_percent(r.verify_cycles, r.total_cycles),
-                    invocation_latency: r.invocation_latency,
-                    stall_cycles: r.stall_cycles,
-                    total_cycles: r.total_cycles,
-                    ledger: r.ledger(),
+                    verify_share: share_percent(r.ledger.verify, r.total_cycles),
+                    result: r,
                 });
             }
         }
@@ -101,11 +89,14 @@ mod tests {
             assert!(r.normalized > 0.0);
             match r.mode {
                 VerifyMode::Off => {
-                    assert_eq!(r.verify_cycles, 0, "off must charge nothing: {r:?}");
+                    assert_eq!(r.result.ledger.verify, 0, "off must charge nothing: {r:?}");
                     assert_eq!(r.verify_share, 0.0);
                 }
                 VerifyMode::Stream | VerifyMode::Full => {
-                    assert!(r.verify_cycles > 0, "verification must be charged: {r:?}");
+                    assert!(
+                        r.result.ledger.verify > 0,
+                        "verification must be charged: {r:?}"
+                    );
                 }
             }
         }
@@ -120,7 +111,7 @@ mod tests {
             assert!(stream.normalized >= off.normalized - 1e-9);
             assert!(full.normalized >= stream.normalized - 1e-9);
             assert!(
-                full.invocation_latency >= stream.invocation_latency,
+                full.result.invocation_latency >= stream.result.invocation_latency,
                 "whole-file gating cannot start sooner: {chunk:?}"
             );
         }

@@ -12,6 +12,7 @@ use nonstrict_netsim::Link;
 
 use crate::experiment::{self, paper, Suite};
 use crate::model::DataLayout;
+use crate::sim::SimResult;
 
 /// Writes every table and figure as CSV into `dir` (created if needed).
 ///
@@ -233,6 +234,7 @@ pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
             total, l.exec, l.stall, l.recovery, l.verify, l.resume, l.hedge, l.queue, l.integrity
         )
     };
+    let result_cols = |r: &SimResult| bucket_cols(r.total_cycles, &r.ledger);
 
     // Fault sweep (robustness extension; no paper column — the original
     // evaluation assumes a perfect link).
@@ -249,14 +251,14 @@ pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
             r.loss_pm,
             r.normalized,
             r.recovery_share,
-            r.retries,
-            r.drops,
-            r.corrupted,
-            r.degraded_classes,
-            r.session_degraded,
-            r.completed
+            r.result.faults.retries,
+            r.result.faults.drops,
+            r.result.faults.corrupted,
+            r.result.degraded_classes,
+            r.result.session_degraded,
+            r.result.completed
         ));
-        fl.push_str(&bucket_cols(r.total_cycles, &r.ledger));
+        fl.push_str(&result_cols(&r.result));
     }
     emit("faults.csv", fl)?;
 
@@ -273,12 +275,12 @@ pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
             r.link.name,
             r.mode.label(),
             r.normalized,
-            r.verify_cycles,
+            r.result.ledger.verify,
             r.verify_share,
-            r.invocation_latency,
-            r.stall_cycles
+            r.result.invocation_latency,
+            r.result.ledger.stall
         ));
-        vf.push_str(&bucket_cols(r.total_cycles, &r.ledger));
+        vf.push_str(&result_cols(&r.result));
     }
     emit("verify.csv", vf)?;
 
@@ -297,11 +299,11 @@ pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
             r.outage_cycles,
             r.normalized,
             r.resume_share,
-            r.outages,
-            r.resumes,
+            r.result.outage.outages,
+            r.result.outage.resumes,
             r.pure_downtime
         ));
-        og.push_str(&bucket_cols(r.total_cycles, &r.ledger));
+        og.push_str(&result_cols(&r.result));
     }
     emit("outage.csv", og)?;
 
@@ -320,13 +322,13 @@ pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
             r.loss_pm,
             r.normalized,
             r.hedge_share,
-            r.hedges,
-            r.hedge_wins,
-            r.failovers,
+            r.result.replica.hedges,
+            r.result.replica.hedge_wins,
+            r.result.replica.failovers,
             r.min_health_ppm,
-            r.completed
+            r.result.completed
         ));
-        rp.push_str(&bucket_cols(r.total_cycles, &r.ledger));
+        rp.push_str(&result_cols(&r.result));
     }
     emit("replica.csv", rp)?;
 
@@ -338,6 +340,7 @@ pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
     );
     bz.push_str(bucket_header);
     for r in experiment::byzantine::byzantine_sweep(suite) {
+        let ist = &r.result.integrity;
         bz.push_str(&format!(
             "{},{},{},{},{},{},{:.1},{:.2},{},{},{},{},{},{},{},{},{},{}",
             r.name,
@@ -348,18 +351,18 @@ pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
             r.audit_rate_pm,
             r.normalized,
             r.integrity_share,
-            r.manifest_pins,
-            r.digest_checks,
-            r.divergent_units,
-            r.undetected_units,
-            r.audits,
-            r.audit_mismatches,
-            r.quarantines,
-            r.fence_refetches,
-            r.refetched_bytes,
-            r.completed
+            ist.manifest_pins,
+            ist.digest_checks,
+            ist.divergent_units,
+            ist.undetected_units,
+            ist.audits,
+            ist.audit_mismatches,
+            ist.quarantines,
+            ist.fence_refetches,
+            ist.refetched_bytes,
+            r.result.completed
         ));
-        bz.push_str(&bucket_cols(r.total_cycles, &r.ledger));
+        bz.push_str(&result_cols(&r.result));
     }
     emit("byzantine.csv", bz)?;
 
@@ -404,12 +407,12 @@ pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
             r.clients,
             r.normalized,
             r.violations,
-            r.outages,
-            r.resumes,
-            r.degraded,
-            r.completed
+            r.result.outage.outages,
+            r.result.outage.resumes,
+            r.result.degraded_classes,
+            r.result.completed
         ));
-        ch.push_str(&bucket_cols(r.total_cycles, &r.ledger));
+        ch.push_str(&result_cols(&r.result));
     }
     emit("chaos.csv", ch)?;
 

@@ -25,11 +25,11 @@
 //!    after the congestion has passed (via [`Session::resume`]).
 //!
 //! Accounting stays exact: every admission wait and every cycle of DRR
-//! queueing delay lands in exactly one bucket — the seventh
-//! `queue_cycles` bucket, except a shed client's DRR delay, which
-//! becomes its journal park and lands in the resume bucket — and
-//! every per-client result satisfies
-//! `total = exec + stall + recovery + verify + resume + hedge + queue`
+//! queueing delay lands in exactly one bucket — the ledger's seventh,
+//! `queue`, except a shed client's DRR delay, which becomes its
+//! journal park and lands in the resume bucket — and every per-client
+//! result satisfies
+//! `total = exec + stall + recovery + verify + resume + hedge + queue + integrity`
 //! ([`crate::metrics::CycleLedger::assert_exact`], debug-asserted for
 //! served, rejected-then-admitted, degraded, and shed-then-resumed
 //! sessions alike).
@@ -169,11 +169,11 @@ pub struct ClientOutcome {
     pub drr_queue: u64,
     /// The shed-ladder rung applied (keyed on `drr_queue`).
     pub action: ShedAction,
-    /// The client's session result; `queue_cycles` holds
+    /// The client's session result; its `queue` bucket holds
     /// `admission_wait + drr_queue` and `total_cycles` includes it.
     /// Exception: a [`ShedAction::Shed`] client's `drr_queue` is the
     /// journal park already charged to the resume bucket, so its
-    /// `queue_cycles` holds only `admission_wait` (no wall-clock
+    /// `queue` bucket holds only `admission_wait` (no wall-clock
     /// interval is counted twice).
     pub result: SimResult,
 }
@@ -211,7 +211,7 @@ impl FleetResult {
     /// park and lives in the resume bucket instead.
     #[must_use]
     pub fn queue_cycles(&self) -> u64 {
-        self.clients.iter().map(|c| c.result.queue_cycles).sum()
+        self.clients.iter().map(|c| c.result.ledger.queue).sum()
     }
 }
 
@@ -292,8 +292,8 @@ fn degraded_config(base: &SimConfig, action: ShedAction) -> SimConfig {
 /// `base` is each client's session config **except** the link, which
 /// comes from its [`FleetClient`]. A fleet of one client with
 /// admission disabled (or not, the first token is always there)
-/// reproduces `session.simulate(input, &config)` exactly with
-/// `queue_cycles == 0`.
+/// reproduces `session.simulate(input, &config)` exactly, with an
+/// empty `queue` bucket.
 ///
 /// Like the ambient queue shift itself, the contention model is one
 /// pass: demands on the egress pipe come from each client's
@@ -366,13 +366,13 @@ pub fn run_fleet(
             // shed client's DRR delay is the park that `shed_and_resume`
             // already charged to the resume bucket — the same
             // wall-clock interval must not land in queue too.
-            result.queue_cycles = match action {
+            result.ledger.queue = match action {
                 ShedAction::Shed => admission_wait,
                 _ => admission_wait + drr_queue,
             };
-            result.total_cycles += result.queue_cycles;
+            result.total_cycles += result.ledger.queue;
             result
-                .ledger()
+                .ledger
                 .assert_exact(result.total_cycles, "fleet client");
             ClientOutcome {
                 name: c.name.to_string(),
@@ -408,7 +408,7 @@ pub fn run_fleet(
 /// so the parked time lands in the `resume` bucket and everything
 /// delivered pre-shed survives. Because the park *is* the client's
 /// DRR queue delay, [`run_fleet`] excludes that delay from the shed
-/// client's `queue_cycles` — the interval is charged exactly once.
+/// client's `queue` bucket — the interval is charged exactly once.
 fn shed_and_resume(session: &Session, input: Input, config: &SimConfig, park: u64) -> SimResult {
     let base_total = session.simulate(input, config).total_cycles;
     match session.run_until(input, config, base_total / 2) {
@@ -449,7 +449,7 @@ mod tests {
             assert_eq!(fleet.clients.len(), 1);
             let c = &fleet.clients[0];
             assert_eq!(c.result, solo, "a lone client must not be perturbed");
-            assert_eq!(c.result.queue_cycles, 0);
+            assert_eq!(c.result.ledger.queue, 0);
             assert_eq!(c.rejections, 0);
             assert_eq!(c.action, ShedAction::None);
             assert_eq!(fleet.p50_total, solo.total_cycles);
@@ -479,11 +479,9 @@ mod tests {
         for c in &fleet.clients {
             assert_eq!(
                 c.result.total_cycles,
-                solo.total_cycles + c.result.queue_cycles
+                solo.total_cycles + c.result.ledger.queue
             );
-            c.result
-                .ledger()
-                .assert_exact(c.result.total_cycles, "test");
+            c.result.ledger.assert_exact(c.result.total_cycles, "test");
         }
         assert!(fleet.p99_total > fleet.p50_total);
     }
@@ -540,10 +538,8 @@ mod tests {
         for c in &fleet.clients {
             assert!(c.admitted >= c.arrival);
             assert_eq!(c.admission_wait, c.admitted - c.arrival);
-            assert_eq!(c.result.queue_cycles, c.admission_wait + c.drr_queue);
-            c.result
-                .ledger()
-                .assert_exact(c.result.total_cycles, "test");
+            assert_eq!(c.result.ledger.queue, c.admission_wait + c.drr_queue);
+            c.result.ledger.assert_exact(c.result.total_cycles, "test");
         }
         // Everyone eventually got in, at distinct admission times.
         let mut times: Vec<u64> = fleet.clients.iter().map(|c| c.admitted).collect();
@@ -582,22 +578,20 @@ mod tests {
                 // time is in the resume bucket on top of the base run,
                 // and is NOT double-charged to the queue bucket.
                 assert!(c.result.outage.resumes > 0 || c.result.outage.failed_closed);
-                assert!(c.result.outage.resume_cycles >= c.drr_queue);
+                assert!(c.result.ledger.resume >= c.drr_queue);
                 assert_eq!(
-                    c.result.queue_cycles, c.admission_wait,
+                    c.result.ledger.queue, c.admission_wait,
                     "a shed client's DRR delay is its park, charged once to resume"
                 );
                 assert_eq!(
                     c.result.total_cycles,
                     solo.total_cycles
-                        + (c.result.outage.resume_cycles - solo.outage.resume_cycles)
-                        + c.result.queue_cycles,
+                        + (c.result.ledger.resume - solo.ledger.resume)
+                        + c.result.ledger.queue,
                     "shed = base + park/refetch + queue"
                 );
             }
-            c.result
-                .ledger()
-                .assert_exact(c.result.total_cycles, "test");
+            c.result.ledger.assert_exact(c.result.total_cycles, "test");
         }
     }
 
@@ -622,7 +616,7 @@ mod tests {
         for c in &fleet.clients {
             if c.action == ShedAction::ForceStrict {
                 assert_eq!(
-                    c.result.total_cycles - c.result.queue_cycles,
+                    c.result.total_cycles - c.result.ledger.queue,
                     strict.total_cycles,
                     "forced-strict runs the strict timeline"
                 );

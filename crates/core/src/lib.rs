@@ -28,13 +28,13 @@
 //! * [`fleet`] — the multi-client fleet driver: N sessions behind one
 //!   server egress pipe with token-bucket admission, deficit-round-
 //!   robin fair sharing, the load-shed ladder, and the exact seventh
-//!   `queue_cycles` accounting bucket.
+//!   accounting bucket, `queue`.
 //! * [`chaos`] — the chaos conductor: composed cross-layer fault
 //!   scenarios ([`chaos::ChaosScenario`], serialized as `NSCR` repro
 //!   artifacts), a crash-anywhere differential engine, a global
 //!   invariant checker, and a delta-debugging scenario shrinker.
 //! * [`metrics`] — normalized execution time and reduction helpers,
-//!   plus the seven-bucket [`metrics::CycleLedger`] exactness check.
+//!   plus the eight-bucket [`metrics::CycleLedger`] exactness check.
 //! * [`jit`] — the paper's §8 extension, implemented: JIT compilation
 //!   overlapped with transfer versus inline compile-at-first-use.
 //! * [`experiment`] — one runner per paper table and figure
@@ -77,6 +77,6 @@ pub use serve::{
     ServeError,
 };
 pub use sim::{
-    simulate, FaultSummary, IntegritySummary, InterruptSpec, OutageSummary, ReplicaSummary,
-    RunOutcome, Session, SimResult, VERIFY_CYCLES_PER_GLOBAL_BYTE,
+    simulate, InterruptSpec, OutageSummary, RunOutcome, Session, SimResult,
+    VERIFY_CYCLES_PER_GLOBAL_BYTE,
 };

@@ -123,6 +123,20 @@ impl CycleLedger {
     }
 }
 
+impl std::ops::AddAssign for CycleLedger {
+    /// Bucket-wise sum: exactness survives summation over runs.
+    fn add_assign(&mut self, other: CycleLedger) {
+        self.exec += other.exec;
+        self.stall += other.stall;
+        self.recovery += other.recovery;
+        self.verify += other.verify;
+        self.resume += other.resume;
+        self.hedge += other.hedge;
+        self.queue += other.queue;
+        self.integrity += other.integrity;
+    }
+}
+
 /// Fraction of runs that executed to completion, as a percent. The
 /// resilient protocol's retry cap makes this 100 by construction; the
 /// report still computes it from the results rather than asserting it.

@@ -361,18 +361,21 @@ pub fn render_fault_sweep(rows: &[crate::experiment::faults::FaultRow]) -> Strin
             r.loss_pm,
             r.normalized,
             r.recovery_share,
-            r.retries,
-            r.drops,
-            r.degraded_classes,
-            if r.session_degraded { "S" } else { "" },
-            if r.completed { "yes" } else { "NO" },
+            r.result.faults.retries,
+            r.result.faults.drops,
+            r.result.degraded_classes,
+            if r.result.session_degraded { "S" } else { "" },
+            if r.result.completed { "yes" } else { "NO" },
         );
     }
-    let completed = rows.iter().filter(|r| r.completed).count();
-    let fallbacks: u64 = rows.iter().map(|r| u64::from(r.degraded_classes)).sum();
-    let retries: u64 = rows.iter().map(|r| r.retries).sum();
-    let quarantined: u64 = rows.iter().map(|r| r.quarantined).sum();
-    let forced: u64 = rows.iter().map(|r| r.forced).sum();
+    let completed = rows.iter().filter(|r| r.result.completed).count();
+    let fallbacks: u64 = rows
+        .iter()
+        .map(|r| u64::from(r.result.degraded_classes))
+        .sum();
+    let retries: u64 = rows.iter().map(|r| r.result.faults.retries).sum();
+    let quarantined: u64 = rows.iter().map(|r| r.result.faults.quarantined).sum();
+    let forced: u64 = rows.iter().map(|r| r.result.faults.forced).sum();
     let _ = writeln!(
         out,
         "completion rate {:.1}% ({} of {} runs), {} retries total, {} class fallbacks to strict",
@@ -477,7 +480,7 @@ pub fn render_replica_sweep(rows: &[crate::experiment::replica::ReplicaRow]) -> 
     );
     for r in rows {
         let health: Vec<String> = r
-            .health_ppm
+            .health_ppm()
             .iter()
             .map(|&h| format!("{:.1}", f64::from(h) / 10_000.0))
             .collect();
@@ -490,20 +493,20 @@ pub fn render_replica_sweep(rows: &[crate::experiment::replica::ReplicaRow]) -> 
             r.loss_pm,
             r.normalized,
             r.hedge_share,
-            r.hedges,
-            r.hedge_wins,
-            r.failovers,
+            r.result.replica.hedges,
+            r.result.replica.hedge_wins,
+            r.result.replica.failovers,
             health.join("/"),
         );
     }
-    let hedges: u64 = rows.iter().map(|r| r.hedges).sum();
-    let wins: u64 = rows.iter().map(|r| r.hedge_wins).sum();
-    let failovers: u64 = rows.iter().map(|r| r.failovers).sum();
+    let hedges: u64 = rows.iter().map(|r| r.result.replica.hedges).sum();
+    let wins: u64 = rows.iter().map(|r| r.result.replica.hedge_wins).sum();
+    let failovers: u64 = rows.iter().map(|r| r.result.replica.failovers).sum();
     // Single-origin cells carry no scores; they must not read as a
     // zero-health mirror.
     let worst = rows
         .iter()
-        .filter(|r| !r.health_ppm.is_empty())
+        .filter(|r| r.result.replica.replicas > 0)
         .map(|r| r.min_health_ppm)
         .min()
         .unwrap_or(0);
@@ -549,6 +552,7 @@ pub fn render_byzantine_sweep(rows: &[crate::experiment::byzantine::ByzantineRow
         "refetch"
     );
     for r in rows {
+        let ist = &r.result.integrity;
         let _ = writeln!(
             out,
             "{:8} {:>6} {:>7} {:>4} {:>11} {:>9} {:>7.1} {:>7.2} {:>8} {:>6} {:>7} {:>5} {:>6} {:>7}",
@@ -560,17 +564,23 @@ pub fn render_byzantine_sweep(rows: &[crate::experiment::byzantine::ByzantineRow
             r.audit_rate_pm,
             r.normalized,
             r.integrity_share,
-            r.divergent_units,
-            r.undetected_units,
-            r.audits,
-            r.quarantines,
-            r.fence_refetches,
-            r.refetched_bytes
+            ist.divergent_units,
+            ist.undetected_units,
+            ist.audits,
+            ist.quarantines,
+            ist.fence_refetches,
+            ist.refetched_bytes
         );
     }
-    let divergent: u64 = rows.iter().map(|r| r.divergent_units).sum();
-    let undetected: u64 = rows.iter().map(|r| r.undetected_units).sum();
-    let quarantines: u32 = rows.iter().map(|r| r.quarantines).sum();
+    let divergent: u64 = rows
+        .iter()
+        .map(|r| r.result.integrity.divergent_units)
+        .sum();
+    let undetected: u64 = rows
+        .iter()
+        .map(|r| r.result.integrity.undetected_units)
+        .sum();
+    let quarantines: u32 = rows.iter().map(|r| r.result.integrity.quarantines).sum();
     let _ = writeln!(
         out,
         "{} divergent units across {} runs; {} linked undetected (collusion windows), {} mirrors quarantined",
@@ -615,12 +625,15 @@ pub fn render_outage_sweep(rows: &[crate::experiment::outage::OutageRow]) -> Str
             r.outage_cycles,
             r.normalized,
             r.resume_share,
-            r.outages,
-            r.resumes,
+            r.result.outage.outages,
+            r.result.outage.resumes,
             if r.pure_downtime { "yes" } else { "NO" },
         );
     }
-    let outages: u64 = rows.iter().map(|r| u64::from(r.outages)).sum();
+    let outages: u64 = rows
+        .iter()
+        .map(|r| u64::from(r.result.outage.outages))
+        .sum();
     let pure = rows.iter().filter(|r| r.pure_downtime).count();
     let _ = writeln!(
         out,
@@ -656,9 +669,9 @@ pub fn render_verify_sweep(rows: &[crate::experiment::verify::VerifyRow]) -> Str
             r.link.name,
             r.mode.label(),
             r.normalized,
-            r.verify_cycles,
+            r.result.ledger.verify,
             r.verify_share,
-            r.invocation_latency,
+            r.result.invocation_latency,
         );
     }
     out
@@ -699,10 +712,10 @@ pub fn render_chaos_sweep(rows: &[crate::experiment::chaos::ChaosRow]) -> String
             r.clients,
             r.normalized,
             r.violations,
-            r.outages,
-            r.resumes,
-            r.degraded,
-            if r.completed { "yes" } else { "NO" },
+            r.result.outage.outages,
+            r.result.outage.resumes,
+            r.result.degraded_classes,
+            if r.result.completed { "yes" } else { "NO" },
         );
     }
     let violations: u64 = rows.iter().map(|r| u64::from(r.violations)).sum();

@@ -10,9 +10,10 @@
 
 use nonstrict_bytecode::{method_verify_cost, Application, Input, InterpError};
 use nonstrict_netsim::{
-    add_checksum_overhead, class_units, crc32, greedy_schedule, ClassUnits, FaultedEngine,
-    InterleavedEngine, OutageSchedule, ParallelEngine, ReplicaEngine, ReplicaHealth, StrictEngine,
-    TransferEngine, Weights, DELIMITER_BYTES, DIGEST_CHECK_CYCLES, MAX_REPLICAS,
+    add_checksum_overhead, class_units, crc32, greedy_schedule, ClassUnits, FaultStats,
+    FaultedEngine, IntegrityStats, InterleavedEngine, OutageSchedule, ParallelEngine,
+    ReplicaEngine, ReplicaStats, StrictEngine, TransferEngine, Weights, DELIMITER_BYTES,
+    DIGEST_CHECK_CYCLES,
 };
 use nonstrict_profile::{collect, Collected, TraceEvent};
 use nonstrict_reorder::{
@@ -36,30 +37,27 @@ use crate::model::{
 /// once when the prelude (global data) finishes arriving.
 pub const VERIFY_CYCLES_PER_GLOBAL_BYTE: u64 = 2;
 
-/// Fault-recovery summary of one run: how the resilient protocol and
-/// graceful degradation behaved. All-zero (with `completed` true) on a
-/// perfect link.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSummary {
-    /// Stalled cycles attributable to fault recovery (timeouts,
-    /// retransmissions, backoff, reconnects, droop) rather than plain
-    /// transfer wait.
-    pub recovery_cycles: u64,
-    /// Retransmissions the protocol performed across the transfer.
-    pub retries: u64,
-    /// Connection drops survived.
-    pub drops: u64,
-    /// Units that arrived corrupted (CRC mismatch) and were re-sent.
-    pub corrupted: u64,
-    /// Units that passed CRC but failed semantic validation, were
-    /// quarantined, and refetched.
-    pub quarantined: u64,
-    /// Deliveries whose final allowed attempt was itself drawn to fail
-    /// and was forced through by the retry cap. The cap converts
-    /// livelock into bounded recovery, so a non-zero count means the
-    /// link was bad enough that the bound did real work — worth a
-    /// warning in any report.
-    pub forced: u64,
+/// The outcome of one simulated remote execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimResult {
+    /// Total cycles from transfer initiation to program completion
+    /// (remaining transfer is terminated, as in the paper), formed from
+    /// the replay clock independently of the ledger.
+    pub total_cycles: u64,
+    /// Where every cycle of `total_cycles` went: the eight exact
+    /// accounting buckets.
+    pub ledger: CycleLedger,
+    /// Invocation latency: cycles until the entry method could begin
+    /// (Table 4).
+    pub invocation_latency: u64,
+    /// Number of stall events.
+    pub stalls: u32,
+    /// Incremental-linking event counts (§3.1).
+    pub link_stats: LinkStats,
+    /// Fault-protocol counters of the transfer engine (all zero on a
+    /// perfect link). A non-zero `forced` count means the retry cap did
+    /// real work — worth a warning in any report.
+    pub faults: FaultStats,
     /// Classes demoted from non-strict streaming to strict demand-fetch
     /// by degradation pressure.
     pub degraded_classes: u32,
@@ -68,131 +66,23 @@ pub struct FaultSummary {
     /// Whether execution ran to completion (always true: the retry cap
     /// bounds every delivery, so no run can livelock).
     pub completed: bool,
-}
-
-/// The outcome of one simulated remote execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimResult {
-    /// Total cycles from transfer initiation to program completion
-    /// (remaining transfer is terminated, as in the paper).
-    pub total_cycles: u64,
-    /// Pure execution cycles (dynamic instructions × CPI).
-    pub exec_cycles: u64,
-    /// Cycles spent stalled waiting for bytes (transfer wait only; the
-    /// fault-recovery share of stalls is in
-    /// [`FaultSummary::recovery_cycles`], the outage share in
-    /// [`OutageSummary::resume_cycles`], and the hedging share in
-    /// [`ReplicaSummary::hedge_cycles`], so `total = exec + stall +
-    /// recovery + verify + resume + hedge + queue + integrity`).
-    pub stall_cycles: u64,
-    /// Cycles the session spent queued behind other clients at the
-    /// shared server egress — DRR contention delay plus admission
-    /// backoff wait — the seventh accounting bucket. Zero outside a
-    /// fleet: a single client on a dedicated link never queues.
-    pub queue_cycles: u64,
-    /// Cycles spent verifying class-file prefixes before execution was
-    /// allowed past them (zero under [`VerifyMode::Off`]).
-    pub verify_cycles: u64,
-    /// Invocation latency: cycles until the entry method could begin
-    /// (Table 4).
-    pub invocation_latency: u64,
-    /// Number of stall events.
-    pub stalls: u32,
-    /// Incremental-linking event counts (§3.1).
-    pub link_stats: LinkStats,
-    /// Fault-protocol and degradation accounting.
-    pub faults: FaultSummary,
-    /// Outage-and-resume accounting.
+    /// Outage-and-resume counts.
     pub outage: OutageSummary,
-    /// Replica-set routing, hedging, and failover accounting.
-    pub replica: ReplicaSummary,
-    /// Manifest-integrity and Byzantine-protection accounting.
-    pub integrity: IntegritySummary,
+    /// Replica-set routing, hedging, and failover counters (all zero
+    /// when replica routing is inactive).
+    pub replica: ReplicaStats,
+    /// Manifest-integrity counters (all zero when no Byzantine
+    /// protection is armed). `manifest_pins` includes the initial
+    /// origin pin and any reconnect re-pin.
+    pub integrity: IntegrityStats,
 }
 
-/// Manifest-integrity summary of one run: the content-addressed
-/// manifest pinned from the origin, per-unit digest checks, quarantines
-/// of equivocating mirrors, cross-mirror audits, and epoch-fence
-/// refetches. All-zero when no Byzantine protection is armed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct IntegritySummary {
-    /// Cycles charged to transfer integrity — manifest pinning, wasted
-    /// divergent deliveries and their quarantine teardown, per-unit
-    /// digest checks, cross-mirror audit arbitration, and epoch-fence
-    /// re-pins — split out of stalls as the eighth accounting bucket:
-    /// `total = exec + stall + recovery + verify + resume + hedge +
-    /// queue + integrity`.
-    pub integrity_cycles: u64,
-    /// Whether the manifest layer was armed at all.
-    pub armed: bool,
-    /// Manifest pins performed: the initial origin pin plus every
-    /// epoch-fence or reconnect re-pin.
-    pub manifest_pins: u32,
-    /// Per-unit digest checks performed against the pinned manifest.
-    pub digest_checks: u64,
-    /// Deliveries whose bytes diverged from the manifest digest.
-    pub divergent_units: u64,
-    /// Divergent deliveries that slipped past the inline digest check
-    /// (manifest-colluding mirrors forge digests; only cross-mirror
-    /// audits catch them).
-    pub undetected_units: u64,
-    /// Cross-mirror audits performed (a fraction of units re-fetched
-    /// from a second mirror and compared byte-for-byte).
-    pub audits: u64,
-    /// Audits whose second copy disagreed with the first.
-    pub audit_mismatches: u64,
-    /// Mirrors expelled from the candidate set for serving divergent
-    /// bytes.
-    pub quarantines: u32,
-    /// Units refetched because a stale-epoch mirror served the
-    /// pre-fence layout past the restructure fence.
-    pub fence_refetches: u64,
-    /// Bytes refetched from honest mirrors to replace divergent
-    /// deliveries (includes the back-refetch of everything a colluding
-    /// mirror had served before being caught).
-    pub refetched_bytes: u64,
-}
-
-/// Replica-set summary of one run: health-scored routing, hedged
-/// duplicate fetches, and failover across the mirror set. All-zero
-/// when replica routing is inactive (`replicas` 0).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaSummary {
-    /// Stalled cycles attributable to hedging — the deadline wait
-    /// before each winning duplicate plus every issue/cancel overhead
-    /// — split out of stalls as the sixth accounting bucket:
-    /// `total = exec + stall + recovery + verify + resume + hedge +
-    /// queue + integrity`.
-    pub hedge_cycles: u64,
-    /// Hedged duplicate fetches issued.
-    pub hedges: u64,
-    /// Hedges whose duplicate arrived (verified) first.
-    pub hedge_wins: u64,
-    /// Serving-mirror switches at unit boundaries (failover or hedge
-    /// winner switch).
-    pub failovers: u64,
-    /// Mirrors in the replica set (0 when routing is inactive).
-    pub replicas: u32,
-    /// Whether routing was ever down to a sole surviving mirror — the
-    /// session fails closed to strict execution from that point.
-    pub sole_survivor: bool,
-    /// Per-mirror health and accounting; `health[..replicas as usize]`
-    /// are the meaningful entries.
-    pub health: [ReplicaHealth; MAX_REPLICAS],
-}
-
-/// Outage-and-resume summary of one run: full connection losses
-/// survived, journal-backed resumes performed, and every cycle charged
-/// to downtime, reconnect negotiation, or stale-class refetch. All-zero
-/// when nothing interrupted the run.
+/// Outage-and-resume counts of one run: full connection losses
+/// survived and journal-backed resumes performed. The cycles they cost
+/// are the ledger's `resume` bucket. All-zero when nothing interrupted
+/// the run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OutageSummary {
-    /// Cycles the session spent down or resuming: outage downtime,
-    /// reconnect negotiation, and the refetch/re-verify of classes a
-    /// manifest-epoch change invalidated. The fifth accounting bucket:
-    /// `total = exec + stall + recovery + verify + resume + hedge +
-    /// queue + integrity`.
-    pub resume_cycles: u64,
     /// Full connection losses the session survived.
     pub outages: u32,
     /// Journal-backed resumes performed.
@@ -273,18 +163,12 @@ enum ReplayMode {
 /// serialize it into a [`SessionJournal`] and a resume can restore it.
 struct ReplayState {
     clock: u64,
-    exec_done: u64,
-    stall_cycles: u64,
-    recovery_cycles: u64,
-    verify_cycles: u64,
-    resume_cycles: u64,
-    hedge_cycles: u64,
-    integrity_cycles: u64,
+    /// Every bucket but `queue` (fleet-only); `exec` counts the trace
+    /// executed so far.
+    ledger: CycleLedger,
     manifest_repins: u32,
     stalls: u32,
-    outages: u32,
-    resumes: u32,
-    refetched_classes: u32,
+    outage: OutageSummary,
     invocation_latency: Option<u64>,
     globals_verified: Vec<bool>,
     methods_verified: Vec<Vec<bool>>,
@@ -306,30 +190,25 @@ struct ReplayState {
 /// An outage freezes the client and the link together, so the base
 /// timeline is undisturbed: wall time is base time plus the downtime of
 /// every outage that began before it, and each crossed outage is one
-/// journal-backed resume.
+/// journal-backed resume. Returns the downtime, the wall-clock
+/// invocation latency, and the outage counts.
 fn ambient_shift(
     config: &SimConfig,
     base_total: u64,
     base_latency: u64,
 ) -> (u64, u64, OutageSummary) {
     let Some(oc) = config.active_outages() else {
-        return (base_total, base_latency, OutageSummary::default());
+        return (0, base_latency, OutageSummary::default());
     };
     let mut sched = OutageSchedule::new(oc.plan());
     let shift = sched.shift_before(base_total);
     let n = sched.outages_before(base_total);
-    let latency = sched.remap(base_latency);
-    (
-        base_total + shift,
-        latency,
-        OutageSummary {
-            resume_cycles: shift,
-            outages: n,
-            resumes: n,
-            refetched_classes: 0,
-            failed_closed: false,
-        },
-    )
+    let outage = OutageSummary {
+        outages: n,
+        resumes: n,
+        ..OutageSummary::default()
+    };
+    (shift, sched.remap(base_latency), outage)
 }
 
 impl SimResult {
@@ -341,24 +220,7 @@ impl SimResult {
         if self.total_cycles == 0 {
             return 1.0;
         }
-        self.exec_cycles as f64 / self.total_cycles as f64
-    }
-
-    /// The run's eight-bucket [`CycleLedger`], for exactness checks:
-    /// `ledger().assert_exact(total_cycles, ...)` holds for every
-    /// result this crate produces, fleet or single-client.
-    #[must_use]
-    pub fn ledger(&self) -> CycleLedger {
-        CycleLedger {
-            exec: self.exec_cycles,
-            stall: self.stall_cycles,
-            recovery: self.faults.recovery_cycles,
-            verify: self.verify_cycles,
-            resume: self.outage.resume_cycles,
-            hedge: self.replica.hedge_cycles,
-            queue: self.queue_cycles,
-            integrity: self.integrity.integrity_cycles,
-        }
+        self.ledger.exec as f64 / self.total_cycles as f64
     }
 }
 
@@ -532,86 +394,56 @@ impl Session {
             // order, execution strictly after transfer — total is the
             // exact sum (Table 3). When verification is on, every class
             // is verified in full as it loads, before execution.
-            let verify_cycles = match config.verify {
-                VerifyMode::Off => 0,
-                VerifyMode::Stream | VerifyMode::Full => self.full_verify_cost(),
-            };
-            let entry_verify = match config.verify {
-                VerifyMode::Off => 0,
+            let entry_class = self.app.program.entry().class.0 as usize;
+            let (verify_cycles, entry_verify) = match config.verify {
+                VerifyMode::Off => (0, 0),
                 VerifyMode::Stream | VerifyMode::Full => {
-                    self.class_verify_cost(self.app.program.entry().class.0 as usize)
+                    (self.full_verify_cost(), self.class_verify_cost(entry_class))
                 }
             };
             let class_order: Vec<usize> = (0..units.len()).collect();
-            let mut engine = StrictEngine::new(config.link, &units, &class_order);
-            let entry_class = self.app.program.entry().class.0 as usize;
-            let perfect_finish = engine.finish_time();
-            if let Some(fc) = config.active_faults() {
-                // Same transfer through the faulted link: everything
-                // beyond the perfect-link finish is recovery time.
-                let mut faulted = FaultedEngine::new(
-                    StrictEngine::new(config.link, &units, &class_order),
-                    fc.plan(),
-                    &units,
-                    config.link,
-                );
-                let entry_unit = units[entry_class].unit_count() - 1;
-                let base_latency = faulted.unit_ready(entry_class, entry_unit, 0) + entry_verify;
-                let finish = faulted.finish_time();
-                let stats = faulted.fault_stats();
-                let (total_cycles, invocation_latency, outage) =
-                    ambient_shift(config, finish + verify_cycles + exec_cycles, base_latency);
-                return SimResult {
-                    total_cycles,
-                    exec_cycles,
-                    stall_cycles: perfect_finish,
-                    queue_cycles: 0,
-                    verify_cycles,
-                    invocation_latency,
-                    stalls: 1,
-                    link_stats: LinkStats::default(),
-                    faults: FaultSummary {
-                        recovery_cycles: finish - perfect_finish,
-                        retries: stats.retries,
-                        drops: stats.drops,
-                        corrupted: stats.corrupted,
-                        quarantined: stats.quarantined,
-                        forced: stats.forced,
-                        degraded_classes: 0,
-                        session_degraded: false,
-                        completed: true,
-                    },
-                    outage,
-                    // The strict baseline downloads from the primary
-                    // mirror, whose seed and link are exactly the
-                    // session's — replica routing never perturbs it,
-                    // and with no mirror choice there is nothing for a
-                    // byzantine plan to subvert.
-                    replica: ReplicaSummary::default(),
-                    integrity: IntegritySummary::default(),
-                };
-            }
-            let (total_cycles, invocation_latency, outage) = ambient_shift(
-                config,
-                perfect_finish + verify_cycles + exec_cycles,
-                engine.class_ready(entry_class) + entry_verify,
-            );
+            let mut strict = StrictEngine::new(config.link, &units, &class_order);
+            let perfect_finish = strict.finish_time();
+            // Under faults the same transfer runs through the faulted
+            // link: everything beyond the perfect-link finish is
+            // recovery time. The strict baseline downloads from the
+            // primary mirror, whose seed and link are exactly the
+            // session's — replica routing never perturbs it, and with
+            // no mirror choice there is nothing for a byzantine plan to
+            // subvert.
+            let mut engine: Box<dyn TransferEngine> = match config.active_faults() {
+                Some(fc) => Box::new(FaultedEngine::new(strict, fc.plan(), &units, config.link)),
+                None => Box::new(strict),
+            };
+            let entry_unit = units[entry_class].unit_count() - 1;
+            let base_latency = engine.unit_ready(entry_class, entry_unit, 0) + entry_verify;
+            let finish = engine.finish_time();
+            let base_total = finish + verify_cycles + exec_cycles;
+            let (resume, invocation_latency, outage) =
+                ambient_shift(config, base_total, base_latency);
+            let ledger = CycleLedger {
+                exec: exec_cycles,
+                stall: perfect_finish,
+                recovery: finish - perfect_finish,
+                verify: verify_cycles,
+                resume,
+                ..CycleLedger::default()
+            };
+            let total_cycles = base_total + resume;
+            ledger.assert_exact(total_cycles, "strict baseline");
             return SimResult {
                 total_cycles,
-                exec_cycles,
-                stall_cycles: perfect_finish,
-                queue_cycles: 0,
-                verify_cycles,
+                ledger,
                 invocation_latency,
                 stalls: 1,
                 link_stats: LinkStats::default(),
-                faults: FaultSummary {
-                    completed: true,
-                    ..FaultSummary::default()
-                },
+                faults: engine.fault_stats(),
+                degraded_classes: 0,
+                session_degraded: false,
+                completed: true,
                 outage,
-                replica: ReplicaSummary::default(),
-                integrity: IntegritySummary::default(),
+                replica: ReplicaStats::default(),
+                integrity: IntegrityStats::default(),
             };
         }
 
@@ -749,18 +581,10 @@ impl Session {
 
         let mut st = ReplayState {
             clock: 0,
-            exec_done: 0,
-            stall_cycles: 0,
-            recovery_cycles: 0,
-            verify_cycles: 0,
-            resume_cycles: 0,
-            hedge_cycles: 0,
-            integrity_cycles: 0,
+            ledger: CycleLedger::default(),
             manifest_repins: 0,
             stalls: 0,
-            outages: 0,
-            resumes: 0,
-            refetched_classes: 0,
+            outage: OutageSummary::default(),
             invocation_latency: None,
             globals_verified: vec![false; nclasses],
             methods_verified: self
@@ -792,23 +616,29 @@ impl Session {
             // restore the pre-crash charge from the journal instead.
             let pin = self.manifest_pin_cost(config, units);
             st.clock += pin;
-            st.integrity_cycles += pin;
+            st.ledger.integrity += pin;
         }
         if let ReplayMode::Resume(carry) = mode {
             let j = &carry.journal;
             st.clock = j.clock;
-            st.exec_done = j.exec_cycles;
-            st.stall_cycles = j.stall_cycles;
-            st.recovery_cycles = j.recovery_cycles;
-            st.verify_cycles = j.verify_cycles;
-            st.resume_cycles = j.resume_cycles + carry.extra_resume;
-            st.hedge_cycles = j.hedge_cycles;
-            st.integrity_cycles = j.integrity_cycles;
+            st.ledger = CycleLedger {
+                exec: j.exec_cycles,
+                stall: j.stall_cycles,
+                recovery: j.recovery_cycles,
+                verify: j.verify_cycles,
+                resume: j.resume_cycles + carry.extra_resume,
+                hedge: j.hedge_cycles,
+                queue: 0,
+                integrity: j.integrity_cycles,
+            };
             st.manifest_repins = carry.repins;
             st.stalls = j.stalls;
-            st.outages = j.outages + 1;
-            st.resumes = j.resumes + 1;
-            st.refetched_classes = j.refetched_classes + carry.refetched;
+            st.outage = OutageSummary {
+                outages: j.outages + 1,
+                resumes: j.resumes + 1,
+                refetched_classes: j.refetched_classes + carry.refetched,
+                failed_closed: false,
+            };
             st.invocation_latency = j.invocation_latency;
             st.session_degraded = j.session_degraded;
             st.next_event = usize::try_from(j.next_event).unwrap_or(usize::MAX);
@@ -891,16 +721,17 @@ impl Session {
                     }
                     let ready = engine.unit_ready(c, unit, st.clock);
                     if ready > st.clock {
+                        // The engine's surcharge is split off the stall
+                        // cause by cause; what is left is transfer wait.
                         let stall = ready - st.clock;
-                        let fault_part = engine.last_fault_delay().min(stall);
-                        let hedge_part = engine.last_hedge_delay().min(stall - fault_part);
-                        let integrity_part = engine
-                            .last_integrity_delay()
-                            .min(stall - fault_part - hedge_part);
-                        st.recovery_cycles += fault_part;
-                        st.hedge_cycles += hedge_part;
-                        st.integrity_cycles += integrity_part;
-                        st.stall_cycles += stall - fault_part - hedge_part - integrity_part;
+                        let s = engine.last_surcharge();
+                        let fault_part = s.recovery.min(stall);
+                        let hedge_part = s.hedge.min(stall - fault_part);
+                        let integrity_part = s.integrity.min(stall - fault_part - hedge_part);
+                        st.ledger.recovery += fault_part;
+                        st.ledger.hedge += hedge_part;
+                        st.ledger.integrity += integrity_part;
+                        st.ledger.stall += stall - fault_part - hedge_part - integrity_part;
                         st.stalls += 1;
                         st.stall_events[c] += 1;
                         st.clock = ready;
@@ -919,7 +750,7 @@ impl Session {
                                 // verdicts are discarded and the whole
                                 // file is re-verified from scratch.
                                 let cost = self.class_verify_cost(c);
-                                st.verify_cycles += cost;
+                                st.ledger.verify += cost;
                                 st.clock += cost;
                                 st.globals_verified[c] = true;
                                 for v in &mut st.methods_verified[c] {
@@ -935,7 +766,7 @@ impl Session {
                             // its methods may run.
                             st.globals_verified[c] = true;
                             let cost = self.global_verify_cost(c);
-                            st.verify_cycles += cost;
+                            st.ledger.verify += cost;
                             st.clock += cost;
                         }
                         if strict_entry {
@@ -945,7 +776,7 @@ impl Session {
                                 if !st.methods_verified[c][mi] {
                                     st.methods_verified[c][mi] = true;
                                     let cost = self.method_verify_cost_at(c, mi);
-                                    st.verify_cycles += cost;
+                                    st.ledger.verify += cost;
                                     st.clock += cost;
                                 }
                             }
@@ -964,7 +795,7 @@ impl Session {
                                 );
                                 let _ = check;
                                 let cost = self.method_verify_cost_at(c, mi);
-                                st.verify_cycles += cost;
+                                st.ledger.verify += cost;
                                 st.clock += cost;
                             }
                         }
@@ -978,7 +809,7 @@ impl Session {
                 }
                 TraceEvent::Run { method: _, count } => {
                     st.clock += count * cpi;
-                    st.exec_done += count * cpi;
+                    st.ledger.exec += count * cpi;
                 }
                 TraceEvent::Exit(_) => {}
             }
@@ -987,17 +818,12 @@ impl Session {
 
         debug_assert!(linker.consistent());
         debug_assert_eq!(
-            st.exec_done, exec_cycles,
+            st.ledger.exec, exec_cycles,
             "the replay must execute the whole trace"
         );
         CycleLedger {
-            exec: exec_cycles,
-            stall: st.stall_cycles,
-            recovery: st.recovery_cycles,
-            verify: st.verify_cycles,
-            hedge: st.hedge_cycles,
-            integrity: st.integrity_cycles,
-            ..CycleLedger::default()
+            resume: 0,
+            ..st.ledger
         }
         .assert_exact(
             st.clock,
@@ -1010,81 +836,32 @@ impl Session {
             // time plus the downtime of every outage crossed, and each
             // crossed outage is one journal-backed resume.
             let mut sched = OutageSchedule::new(oc.plan());
-            st.resume_cycles += sched.shift_before(st.clock);
+            st.ledger.resume += sched.shift_before(st.clock);
             let n = sched.outages_before(st.clock);
-            st.outages += n;
-            st.resumes += n;
+            st.outage.outages += n;
+            st.outage.resumes += n;
             invocation_latency = sched.remap(invocation_latency);
         }
-        let total_cycles = st.clock + st.resume_cycles;
-        CycleLedger {
-            exec: exec_cycles,
-            stall: st.stall_cycles,
-            recovery: st.recovery_cycles,
-            verify: st.verify_cycles,
-            resume: st.resume_cycles,
-            hedge: st.hedge_cycles,
-            queue: 0,
-            integrity: st.integrity_cycles,
-        }
-        .assert_exact(total_cycles, "replay completion");
-        let stats = engine.fault_stats();
-        let rstats = engine.replica_stats();
-        let istats = engine.integrity_stats();
+        let total_cycles = st.clock + st.ledger.resume;
+        st.ledger.assert_exact(total_cycles, "replay completion");
+        let mut integrity = engine.integrity_stats();
+        // The engine counts epoch-fence re-pins; the replay charges the
+        // initial origin pin, and a reconnect negotiation may have
+        // re-pinned a moved manifest.
+        integrity.manifest_pins += u32::from(integrity.armed) + st.manifest_repins;
         RunOutcome::Finished(Box::new(SimResult {
             total_cycles,
-            exec_cycles,
-            stall_cycles: st.stall_cycles,
-            queue_cycles: 0,
-            verify_cycles: st.verify_cycles,
+            ledger: st.ledger,
             invocation_latency,
             stalls: st.stalls,
             link_stats: linker.stats(),
-            faults: FaultSummary {
-                recovery_cycles: st.recovery_cycles,
-                retries: stats.retries,
-                drops: stats.drops,
-                corrupted: stats.corrupted,
-                quarantined: stats.quarantined,
-                forced: stats.forced,
-                degraded_classes: st.degraded_classes,
-                session_degraded: st.session_degraded,
-                completed: true,
-            },
-            outage: OutageSummary {
-                resume_cycles: st.resume_cycles,
-                outages: st.outages,
-                resumes: st.resumes,
-                refetched_classes: st.refetched_classes,
-                failed_closed: false,
-            },
-            replica: ReplicaSummary {
-                // The bucket is what the replay actually charged; the
-                // engine's counters describe the routing itself.
-                hedge_cycles: st.hedge_cycles,
-                hedges: rstats.hedges,
-                hedge_wins: rstats.hedge_wins,
-                failovers: rstats.failovers,
-                replicas: rstats.replicas,
-                sole_survivor: rstats.sole_survivor,
-                health: rstats.health,
-            },
-            integrity: IntegritySummary {
-                integrity_cycles: st.integrity_cycles,
-                armed: istats.armed,
-                // The engine counts epoch-fence re-pins; the replay
-                // charges the initial origin pin, and a reconnect
-                // negotiation may have re-pinned a moved manifest.
-                manifest_pins: istats.manifest_pins + u32::from(istats.armed) + st.manifest_repins,
-                digest_checks: istats.digest_checks,
-                divergent_units: istats.divergent_units,
-                undetected_units: istats.undetected_units,
-                audits: istats.audits,
-                audit_mismatches: istats.audit_mismatches,
-                quarantines: istats.quarantines,
-                fence_refetches: istats.fence_refetches,
-                refetched_bytes: istats.refetched_bytes,
-            },
+            faults: engine.fault_stats(),
+            degraded_classes: st.degraded_classes,
+            session_degraded: st.session_degraded,
+            completed: true,
+            outage: st.outage,
+            replica: engine.replica_stats(),
+            integrity,
         }))
     }
 
@@ -1146,17 +923,17 @@ impl Session {
             manifest_digest,
             next_event: st.next_event as u64,
             clock: st.clock,
-            exec_cycles: st.exec_done,
-            stall_cycles: st.stall_cycles,
-            recovery_cycles: st.recovery_cycles,
-            verify_cycles: st.verify_cycles,
-            resume_cycles: st.resume_cycles,
-            hedge_cycles: st.hedge_cycles,
-            integrity_cycles: st.integrity_cycles,
+            exec_cycles: st.ledger.exec,
+            stall_cycles: st.ledger.stall,
+            recovery_cycles: st.ledger.recovery,
+            verify_cycles: st.ledger.verify,
+            resume_cycles: st.ledger.resume,
+            hedge_cycles: st.ledger.hedge,
+            integrity_cycles: st.ledger.integrity,
             stalls: st.stalls,
-            outages: st.outages,
-            resumes: st.resumes,
-            refetched_classes: st.refetched_classes,
+            outages: st.outage.outages,
+            resumes: st.outage.resumes,
+            refetched_classes: st.outage.refetched_classes,
             invocation_latency: st.invocation_latency,
             session_degraded: st.session_degraded,
             classes,
@@ -1302,7 +1079,7 @@ impl Session {
                     let mut r = self.simulate(input, config);
                     let carried = journal.resume_cycles + downtime;
                     r.total_cycles += carried;
-                    r.outage.resume_cycles += carried;
+                    r.ledger.resume += carried;
                     r.outage.outages += journal.outages + 1;
                     r.outage.resumes += journal.resumes + 1;
                     return r;
@@ -1418,8 +1195,8 @@ impl Session {
         };
         let mut r = self.simulate(input, &strict);
         r.total_cycles += downtime;
+        r.ledger.resume = downtime;
         r.outage = OutageSummary {
-            resume_cycles: downtime,
             outages: 1,
             resumes: 0,
             refetched_classes: 0,
@@ -1504,7 +1281,7 @@ mod tests {
     fn baseline_total_is_exec_plus_transfer() {
         let s = session();
         let base = s.simulate(Input::Test, &SimConfig::strict(Link::MODEM_28_8));
-        assert_eq!(base.total_cycles, base.exec_cycles + base.stall_cycles);
+        assert_eq!(base.total_cycles, base.ledger.exec + base.ledger.stall);
         assert!(base.invocation_latency > 0);
     }
 
@@ -1528,9 +1305,9 @@ mod tests {
         let s = session();
         for config in all_nonstrict_configs(Link::T1) {
             let r = s.simulate(Input::Test, &config);
-            assert!(r.total_cycles >= r.exec_cycles);
-            assert!(r.total_cycles >= r.invocation_latency + r.exec_cycles);
-            assert_eq!(r.total_cycles, r.exec_cycles + r.stall_cycles);
+            assert!(r.total_cycles >= r.ledger.exec);
+            assert!(r.total_cycles >= r.invocation_latency + r.ledger.exec);
+            assert_eq!(r.total_cycles, r.ledger.exec + r.ledger.stall);
         }
     }
 
@@ -1592,7 +1369,7 @@ mod tests {
         let s = session();
         for config in all_nonstrict_configs(Link::MODEM_28_8) {
             let off = s.simulate(Input::Test, &config);
-            assert_eq!(off.verify_cycles, 0);
+            assert_eq!(off.ledger.verify, 0);
             assert_eq!(
                 off,
                 s.simulate(Input::Test, &config.with_verify(VerifyMode::Off))
@@ -1623,18 +1400,18 @@ mod tests {
                 let r = s.simulate(Input::Test, &base.with_verify(mode));
                 assert_eq!(
                     r.total_cycles,
-                    r.exec_cycles
-                        + r.stall_cycles
-                        + r.faults.recovery_cycles
-                        + r.verify_cycles
-                        + r.outage.resume_cycles
-                        + r.replica.hedge_cycles,
+                    r.ledger.exec
+                        + r.ledger.stall
+                        + r.ledger.recovery
+                        + r.ledger.verify
+                        + r.ledger.resume
+                        + r.ledger.hedge,
                     "{mode:?} {base:?}"
                 );
                 if mode == VerifyMode::Off {
-                    assert_eq!(r.verify_cycles, 0);
+                    assert_eq!(r.ledger.verify, 0);
                 } else {
-                    assert!(r.verify_cycles > 0, "{mode:?} must charge verification");
+                    assert!(r.ledger.verify > 0, "{mode:?} must charge verification");
                 }
             }
         }
@@ -1670,7 +1447,7 @@ mod tests {
         let a = s.simulate(Input::Test, &config);
         assert_eq!(a, s.simulate(Input::Test, &config));
         assert_eq!(a.replica.replicas, 3);
-        assert!(a.faults.completed);
+        assert!(a.completed);
         assert!(
             a.replica.health[..3].iter().any(|h| h.units_served > 0),
             "someone must serve the units"
@@ -1691,10 +1468,10 @@ mod tests {
         let r = s.simulate(Input::Test, &config);
         assert!(r.replica.sole_survivor, "mirror 1 died before unit one");
         assert!(
-            r.faults.session_degraded,
+            r.session_degraded,
             "a sole survivor must fail closed to strict execution"
         );
-        assert!(r.faults.completed);
+        assert!(r.completed);
         assert!(!r.replica.health[1].alive);
     }
 
@@ -1714,7 +1491,7 @@ mod tests {
         // Stream only verifies executed classes' prefixes; full pays
         // for whole classes at strict gates — equal only if every
         // method of every entered class executes.
-        assert!(stream.verify_cycles <= full.verify_cycles);
+        assert!(stream.ledger.verify <= full.ledger.verify);
     }
 
     #[test]
@@ -1729,14 +1506,18 @@ mod tests {
         let r = s.simulate_interrupted(Input::Test, &config, &spec);
         // Every bucket except resume is byte-identical to the
         // uninterrupted run; the total grows by exactly the downtime.
-        assert_eq!(r.exec_cycles, base.exec_cycles);
-        assert_eq!(r.stall_cycles, base.stall_cycles);
-        assert_eq!(r.verify_cycles, base.verify_cycles);
+        assert_eq!(r.ledger.exec, base.ledger.exec);
+        assert_eq!(r.ledger.stall, base.ledger.stall);
+        assert_eq!(r.ledger.verify, base.ledger.verify);
         assert_eq!(r.faults, base.faults);
+        assert_eq!(
+            (r.degraded_classes, r.session_degraded, r.completed),
+            (base.degraded_classes, base.session_degraded, base.completed)
+        );
         assert_eq!(r.link_stats, base.link_stats);
         assert_eq!(r.invocation_latency, base.invocation_latency);
         assert_eq!(r.stalls, base.stalls);
-        assert_eq!(r.outage.resume_cycles, spec.outage_cycles);
+        assert_eq!(r.ledger.resume, spec.outage_cycles);
         assert_eq!(r.outage.outages, 1);
         assert_eq!(r.outage.resumes, 1);
         assert_eq!(r.outage.refetched_classes, 0);
@@ -1774,10 +1555,10 @@ mod tests {
                 "a stormy modem run must cross outages"
             );
             assert_eq!(r.outage.resumes, r.outage.outages);
-            assert_eq!(r.exec_cycles, base.exec_cycles);
-            assert_eq!(r.stall_cycles, base.stall_cycles);
-            assert_eq!(r.verify_cycles, base.verify_cycles);
-            assert_eq!(r.total_cycles, base.total_cycles + r.outage.resume_cycles);
+            assert_eq!(r.ledger.exec, base.ledger.exec);
+            assert_eq!(r.ledger.stall, base.ledger.stall);
+            assert_eq!(r.ledger.verify, base.ledger.verify);
+            assert_eq!(r.total_cycles, base.total_cycles + r.ledger.resume);
             assert!(r.invocation_latency >= base.invocation_latency);
         }
     }
@@ -1798,9 +1579,9 @@ mod tests {
         let strict = s.simulate(Input::Test, &SimConfig::strict(Link::MODEM_28_8));
         assert!(r.outage.failed_closed);
         assert_eq!(r.outage.resumes, 0);
-        assert!(r.faults.completed);
+        assert!(r.completed);
         assert_eq!(r.total_cycles, strict.total_cycles + downtime);
-        assert_eq!(r.exec_cycles, strict.exec_cycles);
+        assert_eq!(r.ledger.exec, strict.ledger.exec);
     }
 
     #[test]
@@ -1860,13 +1641,13 @@ mod tests {
         assert!(!bumped.outage.failed_closed);
         // Targeted invalidation charges the refetch to the resume
         // bucket and nothing else: the base timeline is untouched.
-        assert_eq!(bumped.exec_cycles, clean.exec_cycles);
-        assert_eq!(bumped.stall_cycles, clean.stall_cycles);
-        assert_eq!(bumped.verify_cycles, clean.verify_cycles);
-        assert!(bumped.outage.resume_cycles >= clean.outage.resume_cycles);
+        assert_eq!(bumped.ledger.exec, clean.ledger.exec);
+        assert_eq!(bumped.ledger.stall, clean.ledger.stall);
+        assert_eq!(bumped.ledger.verify, clean.ledger.verify);
+        assert!(bumped.ledger.resume >= clean.ledger.resume);
         assert_eq!(
-            bumped.total_cycles - bumped.outage.resume_cycles,
-            clean.total_cycles - clean.outage.resume_cycles
+            bumped.total_cycles - bumped.ledger.resume,
+            clean.total_cycles - clean.ledger.resume
         );
     }
 
@@ -1884,6 +1665,6 @@ mod tests {
             .filter(|(id, _)| s.test.profile.executed(*id))
             .map(|(_, m)| nonstrict_bytecode::method_verify_cost(m))
             .sum();
-        assert!(r.verify_cycles >= expected, "per-method charges present");
+        assert!(r.ledger.verify >= expected, "per-method charges present");
     }
 }

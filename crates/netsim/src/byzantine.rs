@@ -224,8 +224,6 @@ pub struct IntegrityStats {
     pub fence_refetches: u64,
     /// Payload bytes refetched because of divergence or quarantine.
     pub refetched_bytes: u64,
-    /// Total integrity surcharge the engine folded into arrivals.
-    pub integrity_cycles: u64,
 }
 
 #[cfg(test)]

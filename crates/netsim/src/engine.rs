@@ -4,6 +4,33 @@ use crate::byzantine::IntegrityStats;
 use crate::faults::FaultStats;
 use crate::replica::ReplicaStats;
 
+/// The cycles a decorating engine added to one arrival on top of its
+/// inner engine's timeline, by cause. `unit_ready` minus the bare inner
+/// engine's `unit_ready` is exactly [`Surcharge::total`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Surcharge {
+    /// Fault recovery: timeouts, retransmissions, backoff, reconnects,
+    /// droop stretch, and (in a replica set) the serving mirror's
+    /// bandwidth spread and outage wait.
+    pub recovery: u64,
+    /// Hedging: the deadline wait before each winning duplicate plus
+    /// every issue/cancel overhead.
+    pub hedge: u64,
+    /// Transfer integrity: digest checks, divergence refetches, audit
+    /// rounds, and epoch-fence re-pins.
+    pub integrity: u64,
+}
+
+impl Surcharge {
+    /// The sum of all three causes (saturating).
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.recovery
+            .saturating_add(self.hedge)
+            .saturating_add(self.integrity)
+    }
+}
+
 /// A transfer engine answers one question for the executing program:
 /// *when do the bytes I need arrive?* Implementations simulate the
 /// network timeline forward on demand.
@@ -32,25 +59,18 @@ pub trait TransferEngine {
         FaultStats::default()
     }
 
-    /// Fault-recovery cycles embedded in the most recent
-    /// [`TransferEngine::unit_ready`] answer (zero on perfect links).
-    /// The co-simulator uses this to split a stall into transfer-wait
-    /// versus fault-recovery time.
-    fn last_fault_delay(&self) -> u64 {
-        0
+    /// The surcharge embedded in the most recent
+    /// [`TransferEngine::unit_ready`] answer, split by cause (all zero
+    /// on a perfect single-origin link). The co-simulator uses this to
+    /// split a stall into transfer-wait, fault-recovery, hedging, and
+    /// integrity time.
+    fn last_surcharge(&self) -> Surcharge {
+        Surcharge::default()
     }
 
     /// Cumulative fault events (retransmissions) charged to `class`,
     /// for graceful-degradation pressure accounting.
     fn class_fault_events(&self, _class: usize) -> u64 {
-        0
-    }
-
-    /// Hedging cycles embedded in the most recent
-    /// [`TransferEngine::unit_ready`] answer (zero outside a replica
-    /// set). The co-simulator uses this to split a stall into
-    /// transfer-wait, fault-recovery, and hedging time.
-    fn last_hedge_delay(&self) -> u64 {
         0
     }
 
@@ -63,16 +83,6 @@ pub trait TransferEngine {
     /// The replica that served (or will serve) the given unit. The
     /// single origin of a non-replicated engine is replica 0.
     fn serving_replica(&self, _class: usize, _unit: usize) -> u32 {
-        0
-    }
-
-    /// Integrity-layer cycles (manifest pinning, digest-mismatch
-    /// refetches, audit arbitration, fence refetches) embedded in the
-    /// most recent [`TransferEngine::unit_ready`] answer (zero when no
-    /// Byzantine protection is armed). The co-simulator uses this to
-    /// split a stall into transfer-wait, fault-recovery, hedging, and
-    /// integrity time.
-    fn last_integrity_delay(&self) -> u64 {
         0
     }
 
@@ -101,16 +111,12 @@ impl<E: TransferEngine + ?Sized> TransferEngine for Box<E> {
         (**self).fault_stats()
     }
 
-    fn last_fault_delay(&self) -> u64 {
-        (**self).last_fault_delay()
+    fn last_surcharge(&self) -> Surcharge {
+        (**self).last_surcharge()
     }
 
     fn class_fault_events(&self, class: usize) -> u64 {
         (**self).class_fault_events(class)
-    }
-
-    fn last_hedge_delay(&self) -> u64 {
-        (**self).last_hedge_delay()
     }
 
     fn replica_stats(&self) -> ReplicaStats {
@@ -119,10 +125,6 @@ impl<E: TransferEngine + ?Sized> TransferEngine for Box<E> {
 
     fn serving_replica(&self, class: usize, unit: usize) -> u32 {
         (**self).serving_replica(class, unit)
-    }
-
-    fn last_integrity_delay(&self) -> u64 {
-        (**self).last_integrity_delay()
     }
 
     fn integrity_stats(&self) -> IntegrityStats {

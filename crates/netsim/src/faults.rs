@@ -28,7 +28,7 @@
 //! failed again — are counted in [`FaultStats::forced`] so the model's
 //! optimism is visible instead of silent.
 
-use crate::engine::TransferEngine;
+use crate::engine::{Surcharge, TransferEngine};
 use crate::link::Link;
 use crate::unit::ClassUnits;
 
@@ -66,9 +66,6 @@ pub struct FaultStats {
     pub quarantined: u64,
     /// Connection drops (each costs the reconnect latency).
     pub drops: u64,
-    /// Cycles the protocol spent on recovery across the whole transfer
-    /// (timeouts, retransmissions, backoff, reconnects).
-    pub recovery_cycles: u64,
     /// Bytes sent more than once.
     pub retransmitted_bytes: u64,
     /// Deliveries that exhausted every retry and only completed because
@@ -293,7 +290,7 @@ pub struct FaultedEngine<E> {
     /// pressure accounting upstream.
     class_events: Vec<u64>,
     stats: FaultStats,
-    last_fault_delay: u64,
+    last_surcharge: Surcharge,
 }
 
 impl<E: TransferEngine> FaultedEngine<E> {
@@ -320,7 +317,6 @@ impl<E: TransferEngine> FaultedEngine<E> {
                 stats.corrupted += u64::from(d.corrupted);
                 stats.quarantined += u64::from(d.quarantined);
                 stats.drops += u64::from(d.drops);
-                stats.recovery_cycles += d.penalty_cycles;
                 stats.retransmitted_bytes += bytes * u64::from(d.retries);
                 stats.forced += u64::from(d.forced);
                 class_events[c] += u64::from(d.retries);
@@ -333,7 +329,7 @@ impl<E: TransferEngine> FaultedEngine<E> {
             penalty_prefix,
             class_events,
             stats,
-            last_fault_delay: 0,
+            last_surcharge: Surcharge::default(),
         }
     }
 
@@ -350,7 +346,7 @@ impl<E: TransferEngine> TransferEngine for FaultedEngine<E> {
             .plan
             .remap(base)
             .saturating_add(self.penalty_prefix[class][unit]);
-        self.last_fault_delay = t - base;
+        self.last_surcharge.recovery = t - base;
         t
     }
 
@@ -381,24 +377,12 @@ impl<E: TransferEngine> TransferEngine for FaultedEngine<E> {
         self.stats
     }
 
-    fn last_fault_delay(&self) -> u64 {
-        self.last_fault_delay
+    fn last_surcharge(&self) -> Surcharge {
+        self.last_surcharge
     }
 
     fn class_fault_events(&self, class: usize) -> u64 {
         self.class_events[class]
-    }
-
-    fn last_hedge_delay(&self) -> u64 {
-        self.inner.last_hedge_delay()
-    }
-
-    fn replica_stats(&self) -> crate::replica::ReplicaStats {
-        self.inner.replica_stats()
-    }
-
-    fn serving_replica(&self, class: usize, unit: usize) -> u32 {
-        self.inner.serving_replica(class, unit)
     }
 }
 
@@ -471,7 +455,7 @@ mod tests {
         for (c, u) in units.iter().enumerate() {
             for i in 0..u.unit_count() {
                 assert_eq!(faulted.unit_ready(c, i, 0), bare.unit_ready(c, i, 0));
-                assert_eq!(faulted.last_fault_delay(), 0);
+                assert_eq!(faulted.last_surcharge(), Surcharge::default());
             }
         }
         assert_eq!(faulted.finish_time(), bare.finish_time());
@@ -577,6 +561,7 @@ mod tests {
         let units = sample_units();
         let mut faulted = FaultedEngine::new(engine(&units), lossy(11), &units, LINK);
         let finish = faulted.finish_time();
+        let mut recovery = 0;
         for (c, u) in units.iter().enumerate() {
             let mut last = 0;
             for i in 0..u.unit_count() {
@@ -584,11 +569,36 @@ mod tests {
                 assert!(t >= last, "class {c} unit {i}");
                 assert!(t <= finish, "no arrival after the faulted finish");
                 last = t;
+                recovery += faulted.last_surcharge().recovery;
             }
         }
         let stats = faulted.fault_stats();
         assert!(stats.retries > 0, "aggressive rates must cause retries");
-        assert!(stats.recovery_cycles > 0);
+        assert!(recovery > 0);
+    }
+
+    #[test]
+    fn lossy_surcharge_is_exactly_the_delay_over_the_bare_engine() {
+        let units = sample_units();
+        let mut charged = 0;
+        for seed in 0..8 {
+            let mut bare = engine(&units);
+            let mut faulted = FaultedEngine::new(engine(&units), lossy(seed), &units, LINK);
+            for (c, u) in units.iter().enumerate() {
+                for i in 0..u.unit_count() {
+                    let t = faulted.unit_ready(c, i, 0);
+                    let s = faulted.last_surcharge();
+                    assert_eq!(
+                        t - bare.unit_ready(c, i, 0),
+                        s.total(),
+                        "seed {seed} ({c},{i})"
+                    );
+                    assert_eq!((s.hedge, s.integrity), (0, 0), "faults only recover");
+                    charged += s.recovery;
+                }
+            }
+        }
+        assert!(charged > 0, "aggressive rates must surcharge some arrival");
     }
 
     #[test]

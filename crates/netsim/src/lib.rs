@@ -71,7 +71,7 @@ pub use contention::{
     drr_schedule, jitter, AdmissionController, ClientDemand, ClientService, LadderError, Rejected,
     ShedAction, ShedLadder,
 };
-pub use engine::TransferEngine;
+pub use engine::{Surcharge, TransferEngine};
 pub use faults::{FaultPlan, FaultStats, FaultedEngine};
 pub use interleaved::InterleavedEngine;
 pub use link::{Link, LinkError};

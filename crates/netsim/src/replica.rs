@@ -39,7 +39,7 @@ use crate::byzantine::{
     ByzantineMode, ByzantinePlan, IntegrityStats, AUDIT_COMPARE_CYCLES, DIGEST_CHECK_CYCLES,
     QUARANTINE_CYCLES,
 };
-use crate::engine::TransferEngine;
+use crate::engine::{Surcharge, TransferEngine};
 use crate::faults::{splitmix, FaultPlan, FaultStats};
 use crate::link::Link;
 use crate::outage::{OutagePlan, OUTAGE_PERIOD_CYCLES};
@@ -116,9 +116,6 @@ pub struct ReplicaStats {
     pub hedges: u64,
     /// Hedges whose duplicate arrived (verified) first.
     pub hedge_wins: u64,
-    /// Cycles attributable to hedging: the deadline wait before each
-    /// winning duplicate plus every issue/cancel overhead.
-    pub hedge_cycles: u64,
     /// Unit boundaries where the serving replica changed inside one
     /// class stream (failover or hedge winner switch).
     pub failovers: u64,
@@ -159,16 +156,12 @@ fn outage_wait(plan: &OutagePlan, t: u64) -> u64 {
 #[derive(Debug)]
 pub struct ReplicaEngine<E> {
     inner: E,
-    /// Cumulative recovery surcharge (bandwidth spread, fault recovery,
-    /// droop stretch, outage wait) through each unit, per class.
-    recovery_prefix: Vec<Vec<u64>>,
-    /// Cumulative hedge surcharge (deadline waits and issue/cancel
-    /// overhead) through each unit, per class.
-    hedge_prefix: Vec<Vec<u64>>,
-    /// Cumulative integrity surcharge (digest checks, divergence
-    /// refetches, audit rounds, fence re-pins) through each unit, per
-    /// class. All-zero when no Byzantine plan is armed.
-    integrity_prefix: Vec<Vec<u64>>,
+    /// Cumulative surcharge through each unit, per class: recovery
+    /// (bandwidth spread, fault recovery, droop stretch, outage wait),
+    /// hedge (deadline waits and issue/cancel overhead), and integrity
+    /// (digest checks, divergence refetches, audit rounds, fence
+    /// re-pins; zero when no Byzantine plan is armed).
+    prefix: Vec<Vec<Surcharge>>,
     /// Serving replica per `(class, unit)`.
     assignment: Vec<Vec<u32>>,
     /// Fault events (retransmissions) per class, for degradation
@@ -177,9 +170,7 @@ pub struct ReplicaEngine<E> {
     stats: FaultStats,
     rstats: ReplicaStats,
     istats: IntegrityStats,
-    last_fault_delay: u64,
-    last_hedge_delay: u64,
-    last_integrity_delay: u64,
+    last_surcharge: Surcharge,
 }
 
 impl<E: TransferEngine> ReplicaEngine<E> {
@@ -247,9 +238,7 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                         / 2
                 });
         let mut fence_crossed = false;
-        let mut recovery_prefix = Vec::with_capacity(units.len());
-        let mut hedge_prefix = Vec::with_capacity(units.len());
-        let mut integrity_prefix = Vec::with_capacity(units.len());
+        let mut prefix = Vec::with_capacity(units.len());
         let mut assignment = Vec::with_capacity(units.len());
         let mut class_events = vec![0u64; units.len()];
         // The routing clock: the class-major strict timeline. It only
@@ -260,13 +249,9 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                 .chain(u.methods.iter().copied())
                 .chain(std::iter::once(u.trailing))
                 .collect();
-            let mut rec = Vec::with_capacity(sizes.len());
-            let mut hed = Vec::with_capacity(sizes.len());
-            let mut int = Vec::with_capacity(sizes.len());
+            let mut pre = Vec::with_capacity(sizes.len());
             let mut assign = Vec::with_capacity(sizes.len());
-            let mut acc_rec = 0u64;
-            let mut acc_hedge = 0u64;
-            let mut acc_int = 0u64;
+            let mut acc = Surcharge::default();
             let mut prev_serving: Option<usize> = None;
             for (i, &bytes) in sizes.iter().enumerate() {
                 let base_tx = link.cycles_for(bytes);
@@ -336,7 +321,6 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                         }
                     }
                 }
-                rstats.hedge_cycles += hedge;
                 // The integrity layer: check the delivered unit against
                 // its pinned manifest digest, cross-audit a seeded
                 // sample on the runner-up, and quarantine + refetch on
@@ -448,24 +432,20 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                         }
                     }
                 }
-                istats.integrity_cycles += integrity;
                 if prev_serving.is_some_and(|p| p != serving) {
                     rstats.failovers += 1;
                 }
                 prev_serving = Some(serving);
-                acc_rec = acc_rec.saturating_add(recovery);
-                acc_hedge = acc_hedge.saturating_add(hedge);
-                acc_int = acc_int.saturating_add(integrity);
-                rec.push(acc_rec);
-                hed.push(acc_hedge);
-                int.push(acc_int);
+                acc.recovery = acc.recovery.saturating_add(recovery);
+                acc.hedge = acc.hedge.saturating_add(hedge);
+                acc.integrity = acc.integrity.saturating_add(integrity);
+                pre.push(acc);
                 assign.push(u32::try_from(serving).unwrap_or(u32::MAX));
                 stats.retries += u64::from(delivery.retries);
                 stats.lost += u64::from(delivery.lost);
                 stats.corrupted += u64::from(delivery.corrupted);
                 stats.quarantined += u64::from(delivery.quarantined);
                 stats.drops += u64::from(delivery.drops);
-                stats.recovery_cycles += recovery;
                 stats.retransmitted_bytes += bytes * u64::from(delivery.retries);
                 stats.forced += u64::from(delivery.forced);
                 class_events[c] += u64::from(delivery.retries);
@@ -485,9 +465,7 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                 }
                 est = est.saturating_add(base_tx);
             }
-            recovery_prefix.push(rec);
-            hedge_prefix.push(hed);
-            integrity_prefix.push(int);
+            prefix.push(pre);
             assignment.push(assign);
         }
         for (r, p) in profiles.iter().enumerate() {
@@ -496,17 +474,13 @@ impl<E: TransferEngine> ReplicaEngine<E> {
         }
         ReplicaEngine {
             inner,
-            recovery_prefix,
-            hedge_prefix,
-            integrity_prefix,
+            prefix,
             assignment,
             class_events,
             stats,
             rstats,
             istats,
-            last_fault_delay: 0,
-            last_hedge_delay: 0,
-            last_integrity_delay: 0,
+            last_surcharge: Surcharge::default(),
         }
     }
 
@@ -519,15 +493,8 @@ impl<E: TransferEngine> ReplicaEngine<E> {
 impl<E: TransferEngine> TransferEngine for ReplicaEngine<E> {
     fn unit_ready(&mut self, class: usize, unit: usize, now: u64) -> u64 {
         let base = self.inner.unit_ready(class, unit, now);
-        let rec = self.recovery_prefix[class][unit];
-        let hed = self.hedge_prefix[class][unit];
-        let int = self.integrity_prefix[class][unit];
-        self.last_fault_delay = rec;
-        self.last_hedge_delay = hed;
-        self.last_integrity_delay = int;
-        base.saturating_add(rec)
-            .saturating_add(hed)
-            .saturating_add(int)
+        self.last_surcharge = self.prefix[class][unit];
+        base.saturating_add(self.last_surcharge.total())
     }
 
     fn finish_time(&mut self) -> u64 {
@@ -535,14 +502,10 @@ impl<E: TransferEngine> TransferEngine for ReplicaEngine<E> {
         // stream's full surcharge to its last arrival.
         let base_finish = self.inner.finish_time();
         let mut finish = base_finish;
-        for c in 0..self.recovery_prefix.len() {
-            let last = self.recovery_prefix[c].len() - 1;
+        for c in 0..self.prefix.len() {
+            let last = self.prefix[c].len() - 1;
             let b = self.inner.unit_ready(c, last, base_finish);
-            finish = finish.max(
-                b.saturating_add(self.recovery_prefix[c][last])
-                    .saturating_add(self.hedge_prefix[c][last])
-                    .saturating_add(self.integrity_prefix[c][last]),
-            );
+            finish = finish.max(b.saturating_add(self.prefix[c][last].total()));
         }
         finish
     }
@@ -558,16 +521,12 @@ impl<E: TransferEngine> TransferEngine for ReplicaEngine<E> {
         self.stats
     }
 
-    fn last_fault_delay(&self) -> u64 {
-        self.last_fault_delay
+    fn last_surcharge(&self) -> Surcharge {
+        self.last_surcharge
     }
 
     fn class_fault_events(&self, class: usize) -> u64 {
         self.class_events[class]
-    }
-
-    fn last_hedge_delay(&self) -> u64 {
-        self.last_hedge_delay
     }
 
     fn replica_stats(&self) -> ReplicaStats {
@@ -576,10 +535,6 @@ impl<E: TransferEngine> TransferEngine for ReplicaEngine<E> {
 
     fn serving_replica(&self, class: usize, unit: usize) -> u32 {
         self.assignment[class][unit]
-    }
-
-    fn last_integrity_delay(&self) -> u64 {
-        self.last_integrity_delay
     }
 
     fn integrity_stats(&self) -> IntegrityStats {
@@ -645,6 +600,22 @@ mod tests {
         }
     }
 
+    /// The surcharge the engine charged across the whole transfer, by
+    /// cause. Each class stream's surcharge accumulates along the
+    /// stream, so the last arrival of a class carries the sum of every
+    /// arrival's share; summed over classes, that is the total.
+    fn charged<E: TransferEngine>(set: &mut ReplicaEngine<E>, units: &[ClassUnits]) -> Surcharge {
+        let mut total = Surcharge::default();
+        for (c, u) in units.iter().enumerate() {
+            set.unit_ready(c, u.unit_count() - 1, 0);
+            let s = set.last_surcharge();
+            total.recovery += s.recovery;
+            total.hedge += s.hedge;
+            total.integrity += s.integrity;
+        }
+        total
+    }
+
     #[test]
     fn identical_perfect_mirrors_are_transparent() {
         let units = sample_units();
@@ -654,8 +625,7 @@ mod tests {
         for (c, u) in units.iter().enumerate() {
             for i in 0..u.unit_count() {
                 assert_eq!(set.unit_ready(c, i, 0), bare.unit_ready(c, i, 0));
-                assert_eq!(set.last_fault_delay(), 0);
-                assert_eq!(set.last_hedge_delay(), 0);
+                assert_eq!(set.last_surcharge(), Surcharge::default());
                 assert_eq!(set.serving_replica(c, i), 0, "ties go to the primary");
             }
         }
@@ -664,7 +634,12 @@ mod tests {
         let r = set.replica_stats();
         assert_eq!(r.replicas, 3);
         assert_eq!(
-            (r.hedges, r.hedge_wins, r.hedge_cycles, r.failovers),
+            (
+                r.hedges,
+                r.hedge_wins,
+                charged(&mut set, &units).hedge,
+                r.failovers
+            ),
             (0, 0, 0, 0)
         );
         assert!(!r.sole_survivor);
@@ -708,7 +683,7 @@ mod tests {
         let r = set.replica_stats();
         assert!(r.hedges > 0, "40% loss must stall units past the deadline");
         assert!(r.hedge_wins > 0, "a perfect runner-up must win some hedges");
-        assert!(r.hedge_cycles > 0);
+        assert!(charged(&mut set, &units).hedge > 0);
         // Hedging is bounded: every unit's total surcharge is at most
         // deadline + runner-up cost + overhead, so arrivals stay
         // monotone and finite.
@@ -841,7 +816,7 @@ mod tests {
         for (c, u) in units.iter().enumerate() {
             for i in 0..u.unit_count() {
                 assert_eq!(a.unit_ready(c, i, 0), b.unit_ready(c, i, 0));
-                assert_eq!(b.last_integrity_delay(), 0);
+                assert_eq!(b.last_surcharge().integrity, 0);
             }
         }
         assert_eq!(a.replica_stats(), b.replica_stats());
@@ -926,14 +901,15 @@ mod tests {
             profiles[1],
             profiles[2],
         ];
-        let set = ReplicaEngine::with_integrity(engine(&units), &p, 0, &units, LINK, Some(&plan));
+        let mut set =
+            ReplicaEngine::with_integrity(engine(&units), &p, 0, &units, LINK, Some(&plan));
         let st = set.integrity_stats();
         let r = set.replica_stats();
         assert!(
             st.quarantines >= 1,
             "a diverging mirror must be quarantined"
         );
-        assert!(st.integrity_cycles > 0);
+        assert!(charged(&mut set, &units).integrity > 0);
         assert!(st.refetched_bytes > 0);
         let quarantined: Vec<usize> = (1..3).filter(|&i| r.health[i].quarantined).collect();
         assert!(!quarantined.is_empty());
@@ -1072,6 +1048,50 @@ mod tests {
             }
         }
         let _ = set.finish_time();
+    }
+
+    #[test]
+    fn hedged_armed_surcharge_is_exactly_the_delay_over_the_bare_engine() {
+        let units: Vec<ClassUnits> = (0..4)
+            .map(|_| ClassUnits {
+                prelude: 200,
+                methods: vec![100, 100, 100, 100],
+                trailing: 50,
+            })
+            .collect();
+        let profiles = [lossy_profile(3), lossy_profile(4), lossy_profile(5)];
+        let plan = ByzantinePlan {
+            seed: 5,
+            byzantine: 1,
+            mode: ByzantineMode::Equivocate,
+            audit_rate_pm: 200_000,
+            manifest_bytes: 64,
+        };
+        let mut bare = engine(&units);
+        let mut set = ReplicaEngine::with_integrity(
+            engine(&units),
+            &profiles,
+            100_000,
+            &units,
+            LINK,
+            Some(&plan),
+        );
+        for (c, u) in units.iter().enumerate() {
+            for i in 0..u.unit_count() {
+                let t = set.unit_ready(c, i, 0);
+                let s = set.last_surcharge();
+                assert_eq!(t - bare.unit_ready(c, i, 0), s.total(), "({c},{i}): {s:?}");
+            }
+        }
+        let total = charged(&mut set, &units);
+        assert!(
+            set.replica_stats().hedges > 0,
+            "the lossy primary must hedge"
+        );
+        assert!(
+            total.recovery > 0 && total.hedge > 0 && total.integrity > 0,
+            "{total:?}"
+        );
     }
 
     #[test]

@@ -34,8 +34,9 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::accept::{accept_until_stopped, StopSignal};
@@ -166,7 +167,9 @@ struct Slot {
 /// for the report.
 pub struct FleetSupervisor {
     addrs: Vec<SocketAddr>,
-    rollover_flag: Arc<AtomicBool>,
+    /// Rollover requests to the control loop, each carrying the sender
+    /// the loop signals once the new generation is stored.
+    rollover_tx: Sender<Sender<()>>,
     shutdown_flag: Arc<AtomicBool>,
     generation: Arc<AtomicU32>,
     control: Option<JoinHandle<FleetReport>>,
@@ -184,7 +187,7 @@ impl FleetSupervisor {
     /// loop like any other restart.
     pub fn launch(config: FleetConfig, factory: PlanFactory) -> std::io::Result<FleetSupervisor> {
         let shutdown_flag = Arc::new(AtomicBool::new(false));
-        let rollover_flag = Arc::new(AtomicBool::new(false));
+        let (rollover_tx, rollover_rx) = mpsc::channel();
         let generation = Arc::new(AtomicU32::new(0));
         let mut addrs = Vec::with_capacity(config.mirrors);
         let mut slots = Vec::with_capacity(config.mirrors);
@@ -213,7 +216,6 @@ impl FleetSupervisor {
         }
         let control = {
             let shutdown = Arc::clone(&shutdown_flag);
-            let rollover = Arc::clone(&rollover_flag);
             let generation = Arc::clone(&generation);
             std::thread::spawn(move || {
                 let slot_threads: Vec<(Arc<StopSignal>, JoinHandle<()>)> = listeners
@@ -226,8 +228,14 @@ impl FleetSupervisor {
                         (stop, thread)
                     })
                     .collect();
-                let report =
-                    control_loop(slots, &factory, &config, &shutdown, &rollover, &generation);
+                let report = control_loop(
+                    slots,
+                    &factory,
+                    &config,
+                    &shutdown,
+                    &rollover_rx,
+                    &generation,
+                );
                 for (stop, _) in &slot_threads {
                     stop.raise();
                 }
@@ -239,7 +247,7 @@ impl FleetSupervisor {
         };
         Ok(FleetSupervisor {
             addrs,
-            rollover_flag,
+            rollover_tx,
             shutdown_flag,
             generation,
             control: Some(control),
@@ -261,19 +269,15 @@ impl FleetSupervisor {
 
     /// Drives a live epoch rollover: bumps the generation, drains every
     /// mirror behind an `Evict` fence, and restarts them serving the
-    /// new generation's plans. Blocks until the control loop has
-    /// performed the fence — otherwise a caller could shut the fleet
-    /// down underneath a still-pending rollover and observe a report
-    /// with `rollovers == 0`. Returns early if the fleet shuts down.
+    /// new generation's plans. Blocks until the control loop signals
+    /// that the new generation is stored — from then on no backend
+    /// serves the old one, and a caller that shuts the fleet down
+    /// cannot observe a report with `rollovers == 0`. Returns early if
+    /// the control loop has stopped: its end drops the signal.
     pub fn rollover(&self) {
-        let before = self.generation.load(Ordering::SeqCst);
-        self.rollover_flag.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while self.generation.load(Ordering::SeqCst) == before
-            && !self.shutdown_flag.load(Ordering::SeqCst)
-            && Instant::now() < deadline
-        {
-            thread::sleep(Duration::from_millis(1));
+        let (done_tx, done_rx) = mpsc::channel();
+        if self.rollover_tx.send(done_tx).is_ok() {
+            let _ = done_rx.recv();
         }
     }
 
@@ -356,12 +360,12 @@ fn control_loop(
     factory: &PlanFactory,
     config: &FleetConfig,
     shutdown: &AtomicBool,
-    rollover: &AtomicBool,
+    rollover: &Receiver<Sender<()>>,
     generation: &AtomicU32,
 ) -> FleetReport {
     let mut report = FleetReport::default();
     while !shutdown.load(Ordering::SeqCst) {
-        if rollover.swap(false, Ordering::SeqCst) {
+        if let Ok(done) = rollover.try_recv() {
             // The epoch fence: drain (Evict at unit boundaries), then
             // reincarnate under the next generation. Mirrors fence one
             // after another; clients that race the fence see a stale
@@ -381,6 +385,7 @@ fn control_loop(
                 start_backend(slot, next_gen, factory, config);
             }
             generation.store(next_gen, Ordering::SeqCst);
+            let _ = done.send(());
             continue;
         }
         let now = Instant::now();

@@ -59,8 +59,7 @@ pub mod prelude {
         ReplicaConfig, ReplicaKill, SimConfig, TransferPolicy, VerifyMode,
     };
     pub use nonstrict_core::sim::{
-        simulate, FaultSummary, IntegritySummary, InterruptSpec, OutageSummary, ReplicaSummary,
-        RunOutcome, Session, SimResult,
+        simulate, InterruptSpec, OutageSummary, RunOutcome, Session, SimResult,
     };
     pub use nonstrict_netsim::byzantine::{ByzantineMode, IntegrityStats};
     pub use nonstrict_netsim::contention::{drr_schedule, ClientDemand, ShedAction, ShedLadder};

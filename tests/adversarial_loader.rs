@@ -272,16 +272,16 @@ fn verify_off_charges_nothing_and_keeps_the_seed_accounting() {
             ] {
                 let r = session.simulate(Input::Test, &config);
                 assert_eq!(
-                    r.verify_cycles, 0,
+                    r.ledger.verify, 0,
                     "{name} {}: off charges nothing",
                     link.name
                 );
                 // The seed's bucket split survives verbatim.
-                assert_eq!(r.total_cycles, r.ledger().total(), "{name} {}", link.name);
+                assert_eq!(r.total_cycles, r.ledger.total(), "{name} {}", link.name);
                 // And streaming verification only ever adds its own bucket.
                 let s = session.simulate(Input::Test, &config.with_verify(VerifyMode::Stream));
-                assert!(s.verify_cycles > 0, "{name} {}: stream charges", link.name);
-                assert_eq!(s.total_cycles, s.ledger().total(), "{name} {}", link.name);
+                assert!(s.ledger.verify > 0, "{name} {}: stream charges", link.name);
+                assert_eq!(s.total_cycles, s.ledger.total(), "{name} {}", link.name);
             }
         }
     }
@@ -301,17 +301,18 @@ fn verify_off_rows_match_the_committed_reference_csv() {
     };
     let rows = verify::verify_sweep(&suite);
     assert_eq!(rows.len(), 6, "2 links x 3 modes for one benchmark");
-    for r in &rows {
+    for row in &rows {
+        let r = &row.result;
         let line = format!(
             "{},{},{},{:.1},{},{:.2},{},{},{},{},{},{},{},{},{},{},{}",
-            r.name,
-            r.link.name,
-            r.mode.label(),
-            r.normalized,
-            r.verify_cycles,
-            r.verify_share,
+            row.name,
+            row.link.name,
+            row.mode.label(),
+            row.normalized,
+            r.ledger.verify,
+            row.verify_share,
             r.invocation_latency,
-            r.stall_cycles,
+            r.ledger.stall,
             r.total_cycles,
             r.ledger.exec,
             r.ledger.stall,
@@ -326,8 +327,8 @@ fn verify_off_rows_match_the_committed_reference_csv() {
             committed.lines().any(|l| l == line),
             "row {line:?} missing from committed verify.csv"
         );
-        if r.mode == VerifyMode::Off {
-            assert_eq!(r.verify_cycles, 0, "off rows charge nothing");
+        if row.mode == VerifyMode::Off {
+            assert_eq!(r.ledger.verify, 0, "off rows charge nothing");
         }
     }
 }

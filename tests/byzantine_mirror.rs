@@ -52,7 +52,7 @@ fn equivocating_survivors_are_detected_inline_and_quarantined() {
         Input::Test,
         &plain.with_byzantine(byz(2, ByzantineMode::Equivocate, 0)),
     );
-    assert!(r.faults.completed, "the run must survive equivocation");
+    assert!(r.completed, "the run must survive equivocation");
     assert!(
         r.integrity.divergent_units >= 1,
         "with both survivors dishonest, some unit must diverge: {:?}",
@@ -84,9 +84,9 @@ fn equivocating_survivors_are_detected_inline_and_quarantined() {
     assert_eq!(r.replica.health[0].equivocations, 0);
     // Detection is invisible to the program: the client executes
     // exactly what the honest fleet delivers, paying only time.
-    assert_eq!(r.exec_cycles, honest.exec_cycles);
+    assert_eq!(r.ledger.exec, honest.ledger.exec);
     assert_eq!(r.link_stats, honest.link_stats);
-    assert!(r.integrity.integrity_cycles > 0);
+    assert!(r.ledger.integrity > 0);
 }
 
 #[test]
@@ -106,7 +106,7 @@ fn an_honest_fleet_is_byte_identical_at_every_audit_rate() {
                 "zero dishonest mirrors must be byte-identical to no byzantine \
                  config at all (audit rate {audit_rate_pm})"
             );
-            assert_eq!(r.integrity, IntegritySummary::default());
+            assert_eq!(r.integrity, IntegrityStats::default());
         }
     }
 }
@@ -121,7 +121,7 @@ fn a_stale_epoch_mirror_never_contributes_a_post_fence_unit() {
         Input::Test,
         &plain.with_byzantine(byz(2, ByzantineMode::StaleEpoch, 0)),
     );
-    assert!(r.faults.completed);
+    assert!(r.completed);
     assert!(
         r.integrity.fence_refetches >= 1,
         "with the whole surviving set stale, the epoch fence must trigger \
@@ -135,7 +135,7 @@ fn a_stale_epoch_mirror_never_contributes_a_post_fence_unit() {
     // The fence is exact: every refetched unit was divergent, and the
     // client ends up executing the pinned epoch's program exactly.
     assert!(r.integrity.divergent_units >= r.integrity.fence_refetches);
-    assert_eq!(r.exec_cycles, honest.exec_cycles);
+    assert_eq!(r.ledger.exec, honest.ledger.exec);
     assert_eq!(r.link_stats, honest.link_stats);
 }
 
@@ -186,15 +186,14 @@ fn byzantine_mirrors_compose_with_faults_and_outages() {
         .with_outages(outages)
         .with_byzantine(byz(2, ByzantineMode::Equivocate, 100_000));
     let r = session.simulate(Input::Test, &config);
-    assert!(r.faults.completed, "the composition must still terminate");
+    assert!(r.completed, "the composition must still terminate");
     // Every cycle lands in exactly one of the eight buckets.
-    let l = r.ledger();
+    let l = r.ledger;
     assert_eq!(
         l.exec + l.stall + l.recovery + l.verify + l.resume + l.hedge + l.queue + l.integrity,
         r.total_cycles,
         "the eight-bucket ledger must stay exact under full chaos"
     );
-    assert_eq!(l.integrity, r.integrity.integrity_cycles);
     assert!(r.integrity.digest_checks > 0);
     // And the whole composition is reproducible, bit for bit.
     assert_eq!(r, session.simulate(Input::Test, &config));

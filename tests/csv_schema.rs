@@ -8,9 +8,17 @@
 //! broke the identity (or silently dropped a bucket column) fails here
 //! before the CI byte-identity loop even runs.
 //!
+//! The oracle itself is here too: a fresh export through
+//! [`export_csv`] must reproduce every committed file byte for byte,
+//! with no file missing and none extra.
+//!
 //! [`CycleLedger`]: nonstrict_core::metrics::CycleLedger
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+use nonstrict_core::experiment::Suite;
+use nonstrict_core::export::export_csv;
 
 /// The committed CSVs that carry the accounting tail.
 const BUCKETED: [&str; 7] = [
@@ -36,6 +44,14 @@ fn read(name: &str) -> String {
     let path = results_dir().join(name);
     std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("committed CSV {} must be readable: {e}", path.display()))
+}
+
+/// The file names in `dir`.
+fn file_names(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{} must be listable: {e}", dir.display()))
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect()
 }
 
 /// The last nine comma-separated fields of a row, parsed as cycles.
@@ -107,4 +123,38 @@ fn committed_chaos_rows_report_zero_violations_and_completion() {
             "every committed run completes: {row}"
         );
     }
+}
+
+#[test]
+fn a_fresh_export_reproduces_every_committed_csv_byte_for_byte() {
+    let suite = Suite::new().expect("the six benchmarks profile cleanly");
+    let dir = std::env::temp_dir().join(format!("nonstrict-csv-oracle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    export_csv(&suite, &dir).expect("export into a fresh directory");
+    let committed = file_names(&results_dir());
+    let fresh = file_names(&dir);
+    assert_eq!(
+        fresh.difference(&committed).collect::<Vec<_>>(),
+        Vec::<&String>::new(),
+        "the export wrote files that are not committed"
+    );
+    assert_eq!(
+        committed.difference(&fresh).collect::<Vec<_>>(),
+        Vec::<&String>::new(),
+        "committed files the export no longer writes"
+    );
+    for name in &committed {
+        let want = read(name);
+        let got = std::fs::read_to_string(dir.join(name)).unwrap();
+        if let Some((i, (w, g))) = want
+            .lines()
+            .zip(got.lines())
+            .enumerate()
+            .find(|(_, (w, g))| w != g)
+        {
+            panic!("{name} line {}: committed {w:?}, fresh {g:?}", i + 1);
+        }
+        assert_eq!(got, want, "{name}: line count or line endings differ");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -76,11 +76,11 @@ fn every_faulted_run_terminates_fully_executed() {
                     .with_faults(lossy(0x5eed));
                 config.transfer = transfer;
                 let r = session.simulate(Input::Test, &config);
-                assert!(r.faults.completed, "{name} {transfer:?} {}", link.name);
-                assert!(r.total_cycles >= r.exec_cycles);
+                assert!(r.completed, "{name} {transfer:?} {}", link.name);
+                assert!(r.total_cycles >= r.ledger.exec);
                 assert_eq!(
                     r.total_cycles,
-                    r.ledger().total(),
+                    r.ledger.total(),
                     "the bucket split must be exact: {name} {transfer:?} {}",
                     link.name
                 );
@@ -223,7 +223,7 @@ fn retry_cap_forced_successes_are_counted_not_hidden() {
     let config =
         SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph).with_faults(fc);
     let r = session.simulate(Input::Test, &config);
-    assert!(r.faults.completed, "the cap must still bound recovery");
+    assert!(r.completed, "the cap must still bound recovery");
     assert!(
         r.faults.forced > 0,
         "every delivery was forced; hiding them would overstate link health: {:?}",
@@ -253,14 +253,14 @@ fn hostile_links_degrade_gracefully_to_strict_execution() {
     let config =
         SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph).with_faults(fc);
     let r = session.simulate(Input::Test, &config);
-    assert!(r.faults.completed, "degradation must never lose the run");
+    assert!(r.completed, "degradation must never lose the run");
     assert!(
-        r.faults.degraded_classes > 0,
+        r.degraded_classes > 0,
         "a hair-trigger threshold under heavy faults must demote classes: {:?}",
         r.faults
     );
     // Degradation is bounded by the class count.
     let nclasses = session.app.classes.len() as u32;
-    assert!(r.faults.degraded_classes <= nclasses);
-    assert_eq!(r.total_cycles, r.ledger().total());
+    assert!(r.degraded_classes <= nclasses);
+    assert_eq!(r.total_cycles, r.ledger.total());
 }

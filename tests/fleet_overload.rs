@@ -12,7 +12,7 @@
 //!    client finishes, and no later than the global completion bound.
 //! 4. **Exact accounting under pressure** — a contended fleet with
 //!    admission rejections, forced-strict clients, and shed-to-journal
-//!    resumes still lands every cycle in exactly one of the seven
+//!    resumes still lands every cycle in exactly one of the eight
 //!    ledger buckets.
 //! 5. **A fleet of one moves nothing** — every committed number comes
 //!    from single-client runs; a one-client fleet (with or without
@@ -216,11 +216,11 @@ fn a_contended_fleet_accounts_every_cycle_under_full_pressure() {
     );
     assert!(fleet.p50_total <= fleet.p95_total && fleet.p95_total <= fleet.p99_total);
     for c in &fleet.clients {
-        // Exact seven-way accounting for every outcome on the ladder —
+        // Exact eight-way accounting for every outcome on the ladder —
         // rejected-then-admitted, degraded, and shed-then-resumed alike.
         assert_eq!(
             c.result.total_cycles,
-            c.result.ledger().total(),
+            c.result.ledger.total(),
             "{} ({}): every cycle lands in exactly one bucket",
             c.name,
             c.action.label()
@@ -228,14 +228,14 @@ fn a_contended_fleet_accounts_every_cycle_under_full_pressure() {
         if c.action == ShedAction::Shed {
             // The DRR delay is the journal park, charged once to the
             // resume bucket — queue holds only the admission wait.
-            assert_eq!(c.result.queue_cycles, c.admission_wait);
+            assert_eq!(c.result.ledger.queue, c.admission_wait);
             assert!(
                 c.result.outage.resumes > 0 || c.result.outage.failed_closed,
                 "{}: a shed client resumes from its journal",
                 c.name
             );
         } else {
-            assert_eq!(c.result.queue_cycles, c.admission_wait + c.drr_queue);
+            assert_eq!(c.result.ledger.queue, c.admission_wait + c.drr_queue);
         }
     }
 }
@@ -278,7 +278,7 @@ fn a_fleet_of_one_cannot_move_any_committed_number() {
                     "{}: a lone client must reproduce the solo run bit for bit",
                     session.app.name
                 );
-                assert_eq!(c.result.queue_cycles, 0);
+                assert_eq!(c.result.ledger.queue, 0);
                 assert_eq!(c.rejections, 0);
                 assert_eq!(c.action, ShedAction::None);
             }

@@ -39,17 +39,22 @@ const DOWNTIME: u64 = 3_000_000;
 /// every base-timeline bucket identical, the wall clock shifted by
 /// exactly the outage.
 fn assert_pure_resume(base: &SimResult, r: &SimResult, downtime: u64, ctx: &str) {
-    assert_eq!(r.exec_cycles, base.exec_cycles, "{ctx}: exec moved");
-    assert_eq!(r.stall_cycles, base.stall_cycles, "{ctx}: stall moved");
-    assert_eq!(r.verify_cycles, base.verify_cycles, "{ctx}: verify moved");
+    assert_eq!(r.ledger.exec, base.ledger.exec, "{ctx}: exec moved");
+    assert_eq!(r.ledger.stall, base.ledger.stall, "{ctx}: stall moved");
+    assert_eq!(r.ledger.verify, base.ledger.verify, "{ctx}: verify moved");
     assert_eq!(r.faults, base.faults, "{ctx}: fault stats moved");
+    assert_eq!(
+        (r.degraded_classes, r.session_degraded),
+        (base.degraded_classes, base.session_degraded),
+        "{ctx}: degradation moved"
+    );
     assert_eq!(r.link_stats, base.link_stats, "{ctx}: linker moved");
     assert_eq!(r.stalls, base.stalls, "{ctx}: stall count moved");
     assert_eq!(
         r.invocation_latency, base.invocation_latency,
         "{ctx}: latency moved"
     );
-    assert_eq!(r.outage.resume_cycles, downtime, "{ctx}: resume bucket");
+    assert_eq!(r.ledger.resume, downtime, "{ctx}: resume bucket");
     assert_eq!(
         r.total_cycles,
         base.total_cycles + downtime,
@@ -146,7 +151,7 @@ fn torn_journal_bytes_always_fail_closed_and_complete() {
             "corruption {i} must be detected and fail closed"
         );
         assert_eq!(r.outage.resumes, 0, "nothing may resume from torn state");
-        assert!(r.faults.completed, "fail-closed still finishes the program");
+        assert!(r.completed, "fail-closed still finishes the program");
         assert_eq!(
             r.total_cycles,
             strict.total_cycles + DOWNTIME,
@@ -175,15 +180,15 @@ fn epoch_bump_refetches_only_the_stale_class() {
     assert_eq!(bumped.outage.refetched_classes, 1, "only class 0 is stale");
     assert_eq!(clean.outage.refetched_classes, 0);
     assert!(
-        bumped.outage.resume_cycles >= clean.outage.resume_cycles,
+        bumped.ledger.resume >= clean.ledger.resume,
         "refetching cannot be free"
     );
     // The refetch is charged entirely to the resume bucket: the base
     // timeline of both resumed runs is the uninterrupted run's.
     for r in [&clean, &bumped] {
-        assert_eq!(r.exec_cycles, base.exec_cycles);
-        assert_eq!(r.stall_cycles, base.stall_cycles);
-        assert_eq!(r.total_cycles - r.outage.resume_cycles, base.total_cycles);
+        assert_eq!(r.ledger.exec, base.ledger.exec);
+        assert_eq!(r.ledger.stall, base.ledger.stall);
+        assert_eq!(r.total_cycles - r.ledger.resume, base.total_cycles);
     }
 }
 
@@ -235,12 +240,12 @@ fn seeded_outage_chaos_inserts_pure_downtime() {
                 session.simulate(Input::Test, &stormy_cfg),
                 "seed {seed}: same schedule must replay bit for bit"
             );
-            assert_eq!(r.exec_cycles, quiet.exec_cycles, "seed {seed}");
-            assert_eq!(r.stall_cycles, quiet.stall_cycles, "seed {seed}");
-            assert_eq!(r.verify_cycles, quiet.verify_cycles, "seed {seed}");
+            assert_eq!(r.ledger.exec, quiet.ledger.exec, "seed {seed}");
+            assert_eq!(r.ledger.stall, quiet.ledger.stall, "seed {seed}");
+            assert_eq!(r.ledger.verify, quiet.ledger.verify, "seed {seed}");
             assert_eq!(
                 r.total_cycles,
-                quiet.total_cycles + r.outage.resume_cycles,
+                quiet.total_cycles + r.ledger.resume,
                 "seed {seed}: an outage is pure inserted downtime"
             );
             assert_eq!(r.outage.resumes, r.outage.outages, "seed {seed}");

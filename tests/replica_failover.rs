@@ -84,8 +84,8 @@ fn killing_the_serving_mirror_at_every_unit_boundary_preserves_the_run() {
             });
             let r = session.simulate(Input::Test, &plain.with_replicas(rc));
             let ctx = format!("mirror {victim} killed at boundary cycle {lo}");
-            assert!(r.faults.completed, "{ctx}: the run must still finish");
-            assert_eq!(r.exec_cycles, base.exec_cycles, "{ctx}: exec moved");
+            assert!(r.completed, "{ctx}: the run must still finish");
+            assert_eq!(r.ledger.exec, base.ledger.exec, "{ctx}: exec moved");
             assert_eq!(
                 r.link_stats, base.link_stats,
                 "{ctx}: a failover must not change verification verdicts"
@@ -117,7 +117,7 @@ fn a_mirror_dead_from_cycle_zero_serves_nothing() {
         at_cycle: 0,
     });
     let r = session.simulate(Input::Test, &plain.with_replicas(rc));
-    assert!(r.faults.completed);
+    assert!(r.completed);
     let h = &r.replica.health[0];
     assert!(!h.alive, "a kill at cycle 0 is dead for the whole run");
     assert_eq!(h.units_served, 0, "a dead mirror serves nothing: {h:?}");
@@ -139,14 +139,14 @@ fn sole_surviving_mirror_degrades_the_session_to_strict() {
             at_cycle: 0,
         });
         let r = session.simulate(Input::Test, &plain.with_replicas(rc));
-        assert!(r.faults.completed, "fail-closed still finishes the program");
+        assert!(r.completed, "fail-closed still finishes the program");
         assert!(
             r.replica.sole_survivor,
             "killing mirror {victim} of 2 leaves one: {:?}",
             r.replica
         );
         assert!(
-            r.faults.session_degraded,
+            r.session_degraded,
             "no failover headroom: the session must fail closed to strict"
         );
         assert!(!r.replica.health[victim as usize].alive);
@@ -163,7 +163,7 @@ fn a_losing_hedged_fetch_never_advances_journal_watermarks() {
         .with_faults(nonstrict_core::experiment::faults::sweep_config(50_000))
         .with_replicas(nonstrict_core::experiment::replica::sweep_replicas(3));
     let base = session.simulate(Input::Test, &config);
-    assert!(base.faults.completed);
+    assert!(base.completed);
     assert!(
         base.replica.hedge_wins >= 1,
         "the scenario must race hedges and have the runner-up win some: {:?}",
@@ -199,8 +199,8 @@ fn a_losing_hedged_fetch_never_advances_journal_watermarks() {
         last_watermark = d;
         let r = session.resume(Input::Test, &config, &j.in_memory(), DOWNTIME);
         let ctx = format!("resume from cycle {at} ({d} units delivered)");
-        assert!(r.faults.completed, "{ctx}");
-        assert_eq!(r.exec_cycles, base.exec_cycles, "{ctx}: exec moved");
+        assert!(r.completed, "{ctx}");
+        assert_eq!(r.ledger.exec, base.ledger.exec, "{ctx}: exec moved");
         assert_eq!(
             r.link_stats, base.link_stats,
             "{ctx}: a watermark counted bytes that were never durable"

@@ -299,23 +299,17 @@ fn epoch_rollover_refetches_under_the_new_generation() {
     let mid = mid.join().unwrap().expect("mid-rollover session");
     assert!(mid.complete);
 
-    // Wait for the fence to finish, then a fresh session must pin the
+    // `rollover` returned after the fence: no backend serves
+    // generation 0 any more, so the first fresh session must pin the
     // new generation and the re-restructured epoch.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let after = loop {
-        let report = WireClient::new({
-            let mut c = fleet_client(mirrors.clone());
-            c.max_attempts = 60;
-            c
-        })
-        .run()
-        .expect("post-rollover session");
-        assert!(report.complete);
-        if report.generation == 1 || std::time::Instant::now() >= deadline {
-            break report;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let after = WireClient::new({
+        let mut c = fleet_client(mirrors.clone());
+        c.max_attempts = 60;
+        c
+    })
+    .run()
+    .expect("post-rollover session");
+    assert!(after.complete);
     assert_eq!(after.generation, 1, "the fleet rolled to generation 1");
     assert_eq!(after.manifest_epoch, plan_gen1.manifest_epoch);
     verify_payloads(after.payloads.as_ref().unwrap()).expect("new layout verifies");

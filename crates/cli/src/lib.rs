@@ -139,7 +139,7 @@ USAGE:
                       byzantine|overload|chaos [--repro FILE]|csv [DIR]]
   nonstrict serve    [benchmark..] [--addr A] [--ordering O] [--pace-us N]
                      [--max-conns N] [--accept-burst N] [--accept-per-sec N]
-                     [--queue-depth N] [--min-bytes-per-sec N] [--drain-ms N]
+                     [--min-bytes-per-sec N] [--drain-ms N]
   nonstrict loadgen  [benchmark] [--addr A | --mirrors A,B,..] [CLIENT FLAGS]
   nonstrict fleet    [benchmark] [--mirrors N] [--crash-plan SEED[:KILLS[:WINDOW-MS]]]
                      [--epoch-rollover MS] [CLIENT FLAGS]
@@ -495,7 +495,7 @@ const PAPER: Accepts = Accepts::new(&["repro"], "", 2);
 const SERVE: Accepts = Accepts::new(
     &[
         "addr ordering pace-us drain-ms",
-        "max-conns accept-burst accept-per-sec queue-depth min-bytes-per-sec",
+        "max-conns accept-burst accept-per-sec min-bytes-per-sec",
     ],
     "",
     usize::MAX,
@@ -1326,7 +1326,6 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         max_connections: flags.num_or("max-conns", d.max_connections)?,
         accept_burst: flags.num_or("accept-burst", d.accept_burst)?,
         accept_refill_per_sec: flags.num_or("accept-per-sec", d.accept_refill_per_sec)?,
-        send_queue_depth: flags.num_or("queue-depth", d.send_queue_depth)?,
         min_bytes_per_sec: flags.num_or("min-bytes-per-sec", d.min_bytes_per_sec)?,
         pace_per_unit: flags
             .num_opt("pace-us")?
@@ -2399,6 +2398,17 @@ mod tests {
                 err.message
             );
         }
+    }
+
+    #[test]
+    fn retired_queue_depth_flag_is_an_unknown_flag() {
+        let err = run_str(&["serve", "hanoi", "--queue-depth", "8"]).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(
+            err.message.contains("unknown flag --queue-depth"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

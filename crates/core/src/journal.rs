@@ -35,6 +35,8 @@ use nonstrict_store::{FaultFs, FaultKnobs, JournalLog, StoreError};
 use nonstrict_wire::caps;
 use nonstrict_wire::frame::{check_count, FrameError};
 
+use crate::metrics::CycleLedger;
+
 /// Record tag of a checkpoint. A different payload layout gets a new
 /// tag, so a reader meets a record it does not understand as
 /// [`StoreError::Malformed`]. Disjoint from `DurableSession`'s record
@@ -146,22 +148,10 @@ pub struct SessionJournal {
     pub next_event: u64,
     /// Base-timeline clock at the checkpoint.
     pub clock: u64,
-    /// Execution cycles completed so far.
-    pub exec_cycles: u64,
-    /// Transfer-wait stall cycles so far.
-    pub stall_cycles: u64,
-    /// Fault-recovery cycles so far.
-    pub recovery_cycles: u64,
-    /// Verification cycles so far.
-    pub verify_cycles: u64,
-    /// Resume cycles (outage downtime, negotiation, refetch) so far.
-    pub resume_cycles: u64,
-    /// Hedging cycles (deadline waits plus issue/cancel overhead) so
-    /// far.
-    pub hedge_cycles: u64,
-    /// Integrity cycles (manifest pinning, digest-mismatch refetches,
-    /// audit arbitration, fence re-pins) so far.
-    pub integrity_cycles: u64,
+    /// The cycle buckets so far. `queue` is always 0 and is not
+    /// recorded: server queueing is charged by the fleet layer after a
+    /// session ends, never inside one.
+    pub ledger: CycleLedger,
     /// Stall-event count so far.
     pub stalls: u32,
     /// Outages survived so far.
@@ -389,13 +379,14 @@ impl SessionJournal {
         w.u32(self.manifest_digest);
         w.u64(self.next_event);
         w.u64(self.clock);
-        w.u64(self.exec_cycles);
-        w.u64(self.stall_cycles);
-        w.u64(self.recovery_cycles);
-        w.u64(self.verify_cycles);
-        w.u64(self.resume_cycles);
-        w.u64(self.hedge_cycles);
-        w.u64(self.integrity_cycles);
+        let l = &self.ledger;
+        w.u64(l.exec);
+        w.u64(l.stall);
+        w.u64(l.recovery);
+        w.u64(l.verify);
+        w.u64(l.resume);
+        w.u64(l.hedge);
+        w.u64(l.integrity);
         w.u32(self.stalls);
         w.u32(self.outages);
         w.u32(self.resumes);
@@ -449,13 +440,17 @@ impl SessionJournal {
         let manifest_digest = r.u32()?;
         let next_event = r.u64()?;
         let clock = r.u64()?;
-        let exec_cycles = r.u64()?;
-        let stall_cycles = r.u64()?;
-        let recovery_cycles = r.u64()?;
-        let verify_cycles = r.u64()?;
-        let resume_cycles = r.u64()?;
-        let hedge_cycles = r.u64()?;
-        let integrity_cycles = r.u64()?;
+        // Fields evaluate in the order written, which is record order.
+        let ledger = CycleLedger {
+            exec: r.u64()?,
+            stall: r.u64()?,
+            recovery: r.u64()?,
+            verify: r.u64()?,
+            resume: r.u64()?,
+            hedge: r.u64()?,
+            integrity: r.u64()?,
+            queue: 0,
+        };
         let stalls = r.u32()?;
         let outages = r.u32()?;
         let resumes = r.u32()?;
@@ -521,13 +516,7 @@ impl SessionJournal {
             manifest_digest,
             next_event,
             clock,
-            exec_cycles,
-            stall_cycles,
-            recovery_cycles,
-            verify_cycles,
-            resume_cycles,
-            hedge_cycles,
-            integrity_cycles,
+            ledger,
             stalls,
             outages,
             resumes,
@@ -611,13 +600,16 @@ mod tests {
             manifest_digest: 0x5eed_d1e5,
             next_event: 17,
             clock: 1_234_567,
-            exec_cycles: 900_000,
-            stall_cycles: 300_000,
-            recovery_cycles: 30_000,
-            verify_cycles: 4_000,
-            resume_cycles: 567,
-            hedge_cycles: 1_200,
-            integrity_cycles: 9_800,
+            ledger: CycleLedger {
+                exec: 900_000,
+                stall: 300_000,
+                recovery: 30_000,
+                verify: 4_000,
+                resume: 567,
+                hedge: 1_200,
+                integrity: 9_800,
+                ..CycleLedger::default()
+            },
             stalls: 9,
             outages: 2,
             resumes: 2,

@@ -622,14 +622,8 @@ impl Session {
             let j = &carry.journal;
             st.clock = j.clock;
             st.ledger = CycleLedger {
-                exec: j.exec_cycles,
-                stall: j.stall_cycles,
-                recovery: j.recovery_cycles,
-                verify: j.verify_cycles,
-                resume: j.resume_cycles + carry.extra_resume,
-                hedge: j.hedge_cycles,
-                queue: 0,
-                integrity: j.integrity_cycles,
+                resume: j.ledger.resume + carry.extra_resume,
+                ..j.ledger
             };
             st.manifest_repins = carry.repins;
             st.stalls = j.stalls;
@@ -923,13 +917,7 @@ impl Session {
             manifest_digest,
             next_event: st.next_event as u64,
             clock: st.clock,
-            exec_cycles: st.ledger.exec,
-            stall_cycles: st.ledger.stall,
-            recovery_cycles: st.ledger.recovery,
-            verify_cycles: st.ledger.verify,
-            resume_cycles: st.ledger.resume,
-            hedge_cycles: st.ledger.hedge,
-            integrity_cycles: st.ledger.integrity,
+            ledger: st.ledger,
             stalls: st.stalls,
             outages: st.outage.outages,
             resumes: st.outage.resumes,
@@ -1011,13 +999,10 @@ impl Session {
                 manifest_digest: 0,
                 next_event: 0,
                 clock: at_cycle,
-                exec_cycles: 0,
-                stall_cycles: at_cycle,
-                recovery_cycles: 0,
-                verify_cycles: 0,
-                resume_cycles: 0,
-                hedge_cycles: 0,
-                integrity_cycles: 0,
+                ledger: CycleLedger {
+                    stall: at_cycle,
+                    ..CycleLedger::default()
+                },
                 stalls: 0,
                 outages: 0,
                 resumes: 0,
@@ -1077,7 +1062,7 @@ impl Session {
                     // The sequential download resumes from its byte
                     // watermark: nothing pre-crash is lost or redone.
                     let mut r = self.simulate(input, config);
-                    let carried = journal.resume_cycles + downtime;
+                    let carried = journal.ledger.resume + downtime;
                     r.total_cycles += carried;
                     r.ledger.resume += carried;
                     r.outage.outages += journal.outages + 1;

@@ -23,7 +23,7 @@
 //!   divergence.
 //!
 //! Like every other plan in this crate, all draws are pure functions
-//! of `(seed, replica, class, unit)` via [`splitmix`] with
+//! of `(seed, replica, class, unit)` via `splitmix` with
 //! domain-separation salts, so a run replays bit for bit and the plan
 //! can be consulted eagerly at [`crate::replica::ReplicaEngine`]
 //! construction without perturbing the routing clock.

@@ -167,32 +167,9 @@ fn cycles_for(bytes: u64, cpb: u64) -> u64 {
     u64::try_from(u128::from(bytes) * u128::from(cpb)).unwrap_or(u64::MAX)
 }
 
-/// Typed admission rejection: the server's token bucket is empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rejected {
-    /// Cycles from the rejected attempt until the bucket next refills
-    /// (the earliest moment a retry can possibly succeed).
-    pub retry_after: u64,
-}
-
-impl fmt::Display for Rejected {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "admission rejected; retry after {} cycles",
-            self.retry_after
-        )
-    }
-}
-
-impl std::error::Error for Rejected {}
-
-/// Token-bucket admission controller over new sessions.
-///
-/// The bucket starts full at `burst` tokens and refills `rate` tokens
-/// at every `period_cycles` boundary (capped at `burst`).  Each
-/// admission spends one token; an empty bucket yields a typed
-/// [`Rejected`] telling the client when the next refill lands.
+/// Token-bucket admission controller over new sessions, here on the
+/// wall cycle clock. Re-exported from `nonstrict-wire`: the simulated
+/// fleet and the real server admit through the same bucket.
 ///
 /// ```
 /// use nonstrict_netsim::contention::AdmissionController;
@@ -203,67 +180,8 @@ impl std::error::Error for Rejected {}
 /// assert_eq!(rej.retry_after, 990); // next refill at cycle 1_000
 /// assert!(ctl.admit(1_000).is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionController {
-    rate: u32,
-    burst: u32,
-    period_cycles: u64,
-    tokens: u32,
-    /// Index of the last refill period folded into `tokens`.
-    refilled_through: u64,
-}
-
-impl AdmissionController {
-    /// A controller refilling `rate` tokens per `period_cycles`, with
-    /// burst capacity `burst`.  `rate`, `burst`, and `period_cycles`
-    /// are clamped to at least 1 (a rate of zero would never admit
-    /// anyone; "admission disabled" is a fleet-level concept, not a
-    /// controller state).
-    #[must_use]
-    pub fn new(rate: u32, burst: u32, period_cycles: u64) -> AdmissionController {
-        let burst = burst.max(1);
-        AdmissionController {
-            rate: rate.max(1),
-            burst,
-            period_cycles: period_cycles.max(1),
-            tokens: burst,
-            refilled_through: 0,
-        }
-    }
-
-    /// Try to admit a session at wall cycle `now`.  Calls must be
-    /// monotone in `now` (the fleet event loop guarantees this).
-    ///
-    /// # Errors
-    ///
-    /// [`Rejected`] when the bucket is empty, with `retry_after` set
-    /// to the cycles remaining until the next refill boundary.
-    pub fn admit(&mut self, now: u64) -> Result<(), Rejected> {
-        let period = now / self.period_cycles;
-        if period > self.refilled_through {
-            let elapsed = period - self.refilled_through;
-            let refill = u64::from(self.rate).saturating_mul(elapsed);
-            self.tokens = u32::try_from(u64::from(self.tokens).saturating_add(refill))
-                .unwrap_or(u32::MAX)
-                .min(self.burst);
-            self.refilled_through = period;
-        }
-        if self.tokens > 0 {
-            self.tokens -= 1;
-            Ok(())
-        } else {
-            Err(Rejected {
-                // Saturating: near u64::MAX the next refill boundary
-                // is unrepresentable, and a clamped (even zero)
-                // retry_after is the sane answer rather than overflow.
-                retry_after: period
-                    .saturating_add(1)
-                    .saturating_mul(self.period_cycles)
-                    .saturating_sub(now),
-            })
-        }
-    }
-}
+pub use nonstrict_wire::AdmissionController;
+pub use nonstrict_wire::Rejected;
 
 /// Seeded jitter draw in `[0, span)` for admission backoff: attempt
 /// `attempt` of client `client` always draws the same value for the

@@ -4,7 +4,7 @@
 //!
 //! * [`link`] — link models in machine cycles per byte (the paper's T1 =
 //!   3,815 and 28.8 K modem = 134,698 on a 500 MHz Alpha).
-//! * [`unit`] — transfer units: each class file becomes a *prelude*
+//! * [`unit`](mod@unit) — transfer units: each class file becomes a *prelude*
 //!   (global data, or just the needed-first slice under data
 //!   partitioning), one unit per method (GMD + local data + code +
 //!   method delimiter), and a *trailing* unit of unused globals.

@@ -9,7 +9,7 @@
 //!   loop's blocks are exhausted (§4.1).
 //! * [`order`] — the [`order::FirstUseOrder`] type and profile-guided
 //!   ordering (§4.2), with static fallback for unexecuted methods.
-//! * [`restructure`] — rewrites class files so methods appear in
+//! * [`restructure`](mod@restructure) — rewrites class files so methods appear in
 //!   predicted first-use order, the layout non-strict transfer exploits.
 //! * [`partition`] — global-data partitioning: classifies every
 //!   constant-pool entry as *needed first*, *method-level* (GMD), or

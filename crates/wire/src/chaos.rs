@@ -25,17 +25,17 @@
 //! `n` uses `SplitMix64(seed ^ hash(n))`, so a failing run replays
 //! exactly from its seed.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::accept::{accept_until_stopped, StopSignal};
+use crate::accept::{accept_until_stopped, pump, StopSignal};
 use crate::config::FaultKnobs;
 use crate::crc::crc32;
-use crate::frame::{read_raw_frame, FrameError, FRAME_OVERHEAD, KIND_UNIT};
+use crate::frame::{read_raw_frame, FRAME_OVERHEAD, KIND_UNIT};
 use crate::SplitMix64;
 
 /// Tuning for a [`ChaosProxy`].
@@ -158,14 +158,15 @@ impl ChaosProxy {
         }
     }
 
-    /// Stops accepting and tears the proxy down.
+    /// Stops accepting and tears the proxy down, closing every proxied
+    /// connection.
     pub fn stop(mut self) -> ChaosStats {
         self.shutdown();
         self.stats()
     }
 
     fn shutdown(&mut self) {
-        self.stop.raise();
+        self.stop.close();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -200,89 +201,43 @@ fn accept_loop(
     });
 }
 
-/// A reader that converts socket read timeouts into retries until the
-/// stop flag rises, so frame parsing never desyncs on a mid-frame
-/// timeout but the pump still exits promptly on shutdown.
-struct RetryReader<'a> {
-    stream: &'a TcpStream,
-    stop: &'a StopSignal,
-}
-
-impl Read for RetryReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            let mut stream = self.stream;
-            match stream.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) && !self.stop.is_raised() =>
-                {
-                    continue;
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
 fn proxy_connection(
     client: TcpStream,
     server: TcpStream,
     conn_index: u64,
     config: &ChaosConfig,
-    stop: &Arc<StopSignal>,
-    stats: &Arc<StatsInner>,
+    stop: &StopSignal,
+    stats: &StatsInner,
 ) {
-    let _ = client.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = server.set_read_timeout(Some(Duration::from_millis(50)));
-
-    // Client → server: forwarded untouched (Hellos are small and the
-    // interesting failure surface is the streamed response).
-    let up_client = match client.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    // Registered sockets are shut down on stop, which wakes both
+    // directions' blocked reads.
+    let (Some(_client_reg), Some(_server_reg)) = (stop.register(&client), stop.register(&server))
+    else {
+        return;
     };
-    let up_server = match server.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let up_stop = Arc::clone(stop);
-    let upstream_pump = std::thread::spawn(move || {
-        let mut reader = RetryReader {
-            stream: &up_client,
-            stop: &up_stop,
-        };
-        let mut buf = [0u8; 4096];
-        loop {
-            match reader.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    if (&up_server).write_all(&buf[..n]).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        let _ = up_server.shutdown(std::net::Shutdown::Write);
+    std::thread::scope(|s| {
+        // Client → server: forwarded untouched (Hellos are small and
+        // the interesting failure surface is the streamed response).
+        s.spawn(|| pump(&client, &server));
+        forward_frames(&client, &server, conn_index, config, stats);
     });
+}
 
-    // Server → client: frame-boundary faults, seeded per connection.
+/// Server → client: frame-boundary faults, seeded per connection. Ends
+/// by shutting both sockets down, which also ends the upstream pump.
+fn forward_frames(
+    client: &TcpStream,
+    server: &TcpStream,
+    conn_index: u64,
+    config: &ChaosConfig,
+    stats: &StatsInner,
+) {
     let mut rng = SplitMix64(config.knobs.seed ^ conn_index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let knobs = config.knobs;
-    let mut reader = RetryReader {
-        stream: &server,
-        stop,
-    };
+    let mut reader = server;
     let mut held: Option<Vec<u8>> = None;
-    let mut down = &client;
-    loop {
-        let frame = match read_raw_frame(&mut reader) {
-            Ok(f) => f,
-            Err(FrameError::Truncated) | Err(FrameError::Io(_)) => break,
-            Err(_) => break,
-        };
+    let mut down = client;
+    while let Ok(frame) = read_raw_frame(&mut reader) {
         if knobs.drop_pm > 0 && rng.hit_pm(knobs.drop_pm) {
             stats.aborts.fetch_add(1, Ordering::Relaxed);
             let _ = client.shutdown(std::net::Shutdown::Both);
@@ -351,7 +306,6 @@ fn proxy_connection(
     }
     let _ = client.shutdown(std::net::Shutdown::Both);
     let _ = server.shutdown(std::net::Shutdown::Both);
-    let _ = upstream_pump.join();
 }
 
 #[cfg(test)]
@@ -409,6 +363,28 @@ mod tests {
             ChaosProxy::spawn(upstream, ChaosConfig::new(FaultKnobs::default())).expect("spawn");
         let stats = crate::accept::returns_within_10s("ChaosProxy::stop", move || proxy.stop());
         assert_eq!(stats, ChaosStats::default());
+    }
+
+    /// Stop closes a live proxied connection whose peers have both gone
+    /// quiet: neither direction waits for traffic to notice the stop.
+    #[test]
+    fn stop_with_an_open_idle_connection_returns() {
+        use std::io::Read;
+        let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+        let proxy = ChaosProxy::spawn(
+            upstream.local_addr().expect("addr"),
+            ChaosConfig::new(FaultKnobs::default()),
+        )
+        .expect("spawn");
+        let mut client = TcpStream::connect(proxy.local_addr()).expect("connect");
+        client.write_all(b"x").expect("write");
+        // The byte arriving upstream proves the connection is proxied.
+        let (mut server, _) = upstream.accept().expect("accept");
+        let mut byte = [0u8; 1];
+        server.read_exact(&mut byte).expect("proxied byte");
+        let stats = crate::accept::returns_within_10s("ChaosProxy::stop", move || proxy.stop());
+        assert_eq!(stats.connections, 1);
+        assert_eq!(server.read(&mut byte).expect("EOF"), 0, "stop closed it");
     }
 
     #[test]

@@ -31,15 +31,14 @@
 //!   pinned the old generation see the new one outrank their pin,
 //!   discard the old bytes, and refetch under the new epoch.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::accept::{accept_until_stopped, StopSignal};
+use crate::accept::{accept_until_stopped, pump, StopSignal};
 use crate::plan::ServePlan;
 use crate::server::{ServerConfig, ServerStats, WireServer};
 use crate::SplitMix64;
@@ -162,15 +161,29 @@ struct Slot {
     status: MirrorStatus,
 }
 
+impl Slot {
+    /// The next instant the control loop must act on this slot: the
+    /// scheduled kill or the next health probe while the backend is up,
+    /// the restart while it is down (`None` there means right away).
+    fn next_deadline(&self, health_interval: Duration) -> Instant {
+        if self.backend.is_some() {
+            let probe = self.last_probe + health_interval;
+            self.next_kill.map_or(probe, |kill| kill.min(probe))
+        } else {
+            self.restart_at.unwrap_or_else(Instant::now)
+        }
+    }
+}
+
 /// The supervisor: spawn with [`FleetSupervisor::launch`], point
 /// clients at [`FleetSupervisor::addrs`], drive rollovers, shut down
 /// for the report.
 pub struct FleetSupervisor {
     addrs: Vec<SocketAddr>,
     /// Rollover requests to the control loop, each carrying the sender
-    /// the loop signals once the new generation is stored.
-    rollover_tx: Sender<Sender<()>>,
-    shutdown_flag: Arc<AtomicBool>,
+    /// the loop signals once the new generation is stored. Dropping it
+    /// is the shutdown signal.
+    rollover_tx: Option<Sender<Sender<()>>>,
     generation: Arc<AtomicU32>,
     control: Option<JoinHandle<FleetReport>>,
 }
@@ -186,7 +199,6 @@ impl FleetSupervisor {
     /// backend that fails its first bind is retried by the control
     /// loop like any other restart.
     pub fn launch(config: FleetConfig, factory: PlanFactory) -> std::io::Result<FleetSupervisor> {
-        let shutdown_flag = Arc::new(AtomicBool::new(false));
         let (rollover_tx, rollover_rx) = mpsc::channel();
         let generation = Arc::new(AtomicU32::new(0));
         let mut addrs = Vec::with_capacity(config.mirrors);
@@ -215,7 +227,6 @@ impl FleetSupervisor {
             slots.push(slot);
         }
         let control = {
-            let shutdown = Arc::clone(&shutdown_flag);
             let generation = Arc::clone(&generation);
             std::thread::spawn(move || {
                 let slot_threads: Vec<(Arc<StopSignal>, JoinHandle<()>)> = listeners
@@ -228,16 +239,9 @@ impl FleetSupervisor {
                         (stop, thread)
                     })
                     .collect();
-                let report = control_loop(
-                    slots,
-                    &factory,
-                    &config,
-                    &shutdown,
-                    &rollover_rx,
-                    &generation,
-                );
+                let report = control_loop(slots, &factory, &config, &rollover_rx, &generation);
                 for (stop, _) in &slot_threads {
-                    stop.raise();
+                    stop.close();
                 }
                 for (_, t) in slot_threads {
                     let _ = t.join();
@@ -247,8 +251,7 @@ impl FleetSupervisor {
         };
         Ok(FleetSupervisor {
             addrs,
-            rollover_tx,
-            shutdown_flag,
+            rollover_tx: Some(rollover_tx),
             generation,
             control: Some(control),
         })
@@ -276,7 +279,7 @@ impl FleetSupervisor {
     /// the control loop has stopped: its end drops the signal.
     pub fn rollover(&self) {
         let (done_tx, done_rx) = mpsc::channel();
-        if self.rollover_tx.send(done_tx).is_ok() {
+        if let Some(Ok(())) = self.rollover_tx.as_ref().map(|tx| tx.send(done_tx)) {
             let _ = done_rx.recv();
         }
     }
@@ -286,7 +289,13 @@ impl FleetSupervisor {
     /// accumulated report.
     #[must_use]
     pub fn shutdown(mut self) -> FleetReport {
-        self.shutdown_flag.store(true, Ordering::SeqCst);
+        self.stop()
+    }
+
+    /// Hangs up the control channel, which ends the control loop, and
+    /// joins it for the report.
+    fn stop(&mut self) -> FleetReport {
+        self.rollover_tx = None;
         self.control
             .take()
             .and_then(|t| t.join().ok())
@@ -296,10 +305,7 @@ impl FleetSupervisor {
 
 impl Drop for FleetSupervisor {
     fn drop(&mut self) {
-        self.shutdown_flag.store(true, Ordering::SeqCst);
-        if let Some(t) = self.control.take() {
-            let _ = t.join();
-        }
+        let _ = self.stop();
     }
 }
 
@@ -359,34 +365,47 @@ fn control_loop(
     mut slots: Vec<Slot>,
     factory: &PlanFactory,
     config: &FleetConfig,
-    shutdown: &AtomicBool,
     rollover: &Receiver<Sender<()>>,
     generation: &AtomicU32,
 ) -> FleetReport {
     let mut report = FleetReport::default();
-    while !shutdown.load(Ordering::SeqCst) {
-        if let Ok(done) = rollover.try_recv() {
-            // The epoch fence: drain (Evict at unit boundaries), then
-            // reincarnate under the next generation. Mirrors fence one
-            // after another; clients that race the fence see a stale
-            // generation from not-yet-rolled mirrors and simply back
-            // off until the fence reaches them.
-            let next_gen = generation.load(Ordering::SeqCst) + 1;
-            report.rollovers += 1;
-            for slot in &mut slots {
-                if let Some(server) = take_backend(slot) {
-                    let drained = server.drain(config.drain_deadline);
-                    if drained.clean {
-                        report.clean_drains += 1;
-                    } else {
-                        report.forced_drains += 1;
+    loop {
+        // Sleep until the earliest kill, restart or probe any slot is
+        // due, unless a rollover request or the hang-up comes first.
+        let due = slots
+            .iter()
+            .map(|slot| slot.next_deadline(config.health_interval))
+            .min();
+        let request = match due {
+            Some(due) => rollover.recv_timeout(due.saturating_duration_since(Instant::now())),
+            None => rollover.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match request {
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(done) => {
+                // The epoch fence: drain (Evict at unit boundaries),
+                // then reincarnate under the next generation. Mirrors
+                // fence one after another; clients that race the fence
+                // see a stale generation from not-yet-rolled mirrors and
+                // simply back off until the fence reaches them.
+                let next_gen = generation.load(Ordering::SeqCst) + 1;
+                report.rollovers += 1;
+                for slot in &mut slots {
+                    if let Some(server) = take_backend(slot) {
+                        let drained = server.drain(config.drain_deadline);
+                        if drained.clean {
+                            report.clean_drains += 1;
+                        } else {
+                            report.forced_drains += 1;
+                        }
                     }
+                    start_backend(slot, next_gen, factory, config);
                 }
-                start_backend(slot, next_gen, factory, config);
+                generation.store(next_gen, Ordering::SeqCst);
+                let _ = done.send(());
+                continue;
             }
-            generation.store(next_gen, Ordering::SeqCst);
-            let _ = done.send(());
-            continue;
         }
         let now = Instant::now();
         let current_gen = generation.load(Ordering::SeqCst);
@@ -427,7 +446,6 @@ fn control_loop(
                 }
             }
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
     // Final shutdown: drain everything still alive against the
     // deadline, so in-flight sessions end on a resumable fence.
@@ -461,49 +479,25 @@ fn slot_accept_loop(listener: TcpListener, backend_addr: &SharedAddr, stop: &Arc
 
 /// Bidirectional byte pump between one client and one backend socket.
 /// Pure transport — no framing, no inspection; the slot must be
-/// invisible when the backend is healthy.
-fn pump_pair(client: TcpStream, server: TcpStream, stop: &Arc<StopSignal>) {
-    let (Ok(client_rx), Ok(server_rx)) = (client.try_clone(), server.try_clone()) else {
+/// invisible when the backend is healthy. Both sockets are registered,
+/// so the slot's stop wakes both directions.
+fn pump_pair(client: TcpStream, server: TcpStream, stop: &StopSignal) {
+    let (Some(_client_reg), Some(_server_reg)) = (stop.register(&client), stop.register(&server))
+    else {
         return;
     };
-    let down_stop = Arc::clone(stop);
-    let down = std::thread::spawn(move || pump(&server_rx, &client, &down_stop));
-    pump(&client_rx, &server, stop);
-    let _ = down.join();
-}
-
-fn pump(mut from: &TcpStream, mut to: &TcpStream, stop: &Arc<StopSignal>) {
-    let _ = from.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut buf = [0u8; 4096];
-    loop {
-        match from.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                if to.write_all(&buf[..n]).is_err() {
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.is_raised() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let _ = to.shutdown(std::net::Shutdown::Both);
-    let _ = from.shutdown(std::net::Shutdown::Both);
+    std::thread::scope(|s| {
+        s.spawn(|| pump(&server, &client));
+        pump(&client, &server);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{read_frame, Frame};
     use std::collections::HashSet;
+    use std::io::Write;
 
     #[test]
     fn per_mirror_kill_streams_are_deterministic_and_distinct() {
@@ -541,6 +535,38 @@ mod tests {
             assert_eq!(mirror.stats.accepted, 0, "{mirror:?}");
         }
         assert_eq!(report.clean_drains, 2);
+    }
+
+    /// Shutdown returns while a client holds a slot connection open
+    /// mid-session without reading: the backend drains it cleanly and
+    /// the slot's pumps are closed, with no poll.
+    #[test]
+    fn shutdown_with_an_open_idle_connection_returns() {
+        let config = FleetConfig {
+            mirrors: 1,
+            server: ServerConfig {
+                pace_per_unit: Some(Duration::from_millis(100)),
+                ..ServerConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let factory: PlanFactory = Arc::new(|_| vec![crate::server::tests::tiny_plan()]);
+        let fleet = FleetSupervisor::launch(config, factory).expect("launch");
+        let mut client = TcpStream::connect(fleet.addrs()[0]).expect("connect");
+        let hello = Frame::Hello {
+            version: crate::frame::PROTOCOL_VERSION,
+            benchmark: "tiny".to_owned(),
+            ordering: 0,
+            resume: Vec::new(),
+        };
+        client.write_all(&hello.encode()).expect("hello");
+        // The Welcome proves the slot is pumping to a live backend.
+        let welcome = read_frame(&mut client).expect("welcome");
+        assert!(matches!(welcome, Frame::Welcome { .. }), "{welcome:?}");
+        let report = crate::accept::returns_within_10s("FleetSupervisor::shutdown", move || {
+            fleet.shutdown()
+        });
+        assert_eq!(report.clean_drains, 1, "drained inside the deadline");
     }
 
     #[test]

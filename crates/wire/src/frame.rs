@@ -22,7 +22,7 @@
 //! [`Frame::Welcome`] carries the NSUM manifest frame opaquely so the
 //! client can pin it exactly as the Byzantine layer does in simulation.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use crate::caps;
 use crate::crc::crc32;
@@ -565,21 +565,7 @@ impl Frame {
 /// EOF; any decode variant on a hostile or torn frame. The length cap
 /// is enforced before the payload buffer is allocated.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
-    let mut header = [0u8; 5];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[1..5].try_into().expect("len")) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(FrameError::Oversized {
-            what: "frame payload",
-            declared: len as u64,
-            cap: MAX_FRAME_PAYLOAD as u64,
-        });
-    }
-    let mut rest = vec![0u8; len + 4];
-    r.read_exact(&mut rest)?;
-    let mut whole = Vec::with_capacity(FRAME_OVERHEAD + len);
-    whole.extend_from_slice(&header);
-    whole.extend_from_slice(&rest);
+    let whole = read_raw_frame(r)?;
     let (frame, consumed) = Frame::decode(&whole)?;
     debug_assert_eq!(consumed, whole.len());
     Ok(frame)
@@ -608,17 +594,6 @@ pub fn read_raw_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     whole[..5].copy_from_slice(&header);
     r.read_exact(&mut whole[5..])?;
     Ok(whole)
-}
-
-/// Writes one frame to `w` (blocking, honoring the stream's write
-/// timeout), flushing afterwards.
-///
-/// # Errors
-///
-/// Propagates stream errors (including write-timeout expiry).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    w.write_all(&frame.encode())?;
-    w.flush()
 }
 
 #[cfg(test)]

@@ -29,11 +29,11 @@
 //!   restructured class-file bytes split at unit boundaries, plus the
 //!   watermark-based resume negotiation with typed
 //!   [`plan::ResumeVerdict`]s.
-//! * [`server`] — a threaded accept/stream server with the full
-//!   robustness ladder: accept-side token-bucket admission with typed
-//!   retry-after, per-connection read/write deadlines, slow-consumer
-//!   (slow-loris) detection and eviction, bounded send-queue
-//!   backpressure, and graceful drain at unit boundaries.
+//! * [`server`] — one thread per admitted connection; the socket send
+//!   buffer is the bounded queue. The full robustness ladder: token-
+//!   bucket admission ([`AdmissionController`]) with typed retry-after,
+//!   per-connection read/write deadlines, slow-consumer (slow-loris)
+//!   eviction, and graceful drain at unit boundaries.
 //! * [`client`] — the resumable mirror-fleet client: watermark
 //!   journal, capped-backoff reconnect, EWMA mirror health scoring,
 //!   mid-stream failover at unit boundaries, trust-on-first-use
@@ -87,7 +87,9 @@ pub use manifest::{
     content_digest_of, ManifestError, UnitManifest, MANIFEST_MAGIC, MANIFEST_VERSION,
 };
 pub use plan::{ClassPlan, ResumeVerdict, ServePlan};
-pub use server::{DrainReport, ServerConfig, ServerStats, WireServer};
+pub use server::{
+    AdmissionController, DrainReport, Rejected, ServerConfig, ServerStats, WireServer,
+};
 
 /// Sanity caps shared by every length-prefixed decoder in the
 /// workspace: the wire frames and the NSUM manifest here, and the

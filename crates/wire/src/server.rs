@@ -1,22 +1,25 @@
 //! The fault-tolerant transfer server.
 //!
-//! A small threaded accept/stream stack (std only, one thread per
-//! admitted connection plus a writer thread per connection) with the
-//! robustness ladder the issue demands:
+//! A small threaded accept/stream stack (std only): one thread per
+//! admitted connection, which encodes each frame and writes it straight
+//! to the socket; the socket send buffer is the bounded queue. The
+//! robustness ladder:
 //!
-//! * **Accept-side admission**: a token bucket gates new connections;
-//!   when it is dry — or the concurrent-connection cap is reached — the
-//!   connection gets a typed [`Frame::Retry`] with a suggested backoff
-//!   instead of a silent RST, then closes.
+//! * **Accept-side admission**: a token bucket
+//!   ([`AdmissionController`]) gates new connections; when it is dry —
+//!   or the concurrent-connection cap is reached — the connection gets
+//!   a typed [`Frame::Retry`] with a suggested backoff instead of a
+//!   silent RST, then closes.
 //! * **Per-connection deadlines**: every socket gets read and write
 //!   timeouts; a peer that stops participating cannot pin a thread.
-//! * **Slow-consumer eviction**: the writer tracks delivered bytes per
-//!   second after a grace window; a client draining slower than the
-//!   configured floor (a slow-loris keeping the socket barely alive) is
-//!   evicted.
-//! * **Bounded send queue**: frames flow to the writer through a
-//!   bounded channel, so a stalled socket backpressures the producer
-//!   instead of buffering the whole benchmark in memory.
+//! * **Backpressure**: a stalled socket fills its kernel send buffer,
+//!   and the next write blocks the connection's thread until the peer
+//!   drains or the write deadline evicts it, so nothing buffers the
+//!   whole benchmark in memory.
+//! * **Slow-consumer eviction**: after every write the connection
+//!   checks its delivered bytes per second against a floor, past a
+//!   grace window; a client draining slower (a slow-loris keeping the
+//!   socket barely alive) is evicted.
 //! * **Graceful drain**: [`WireServer::drain`] stops admission, lets
 //!   every in-flight connection finish its current unit, sends a
 //!   resumable [`Frame::Evict`] at the unit boundary, and reports
@@ -27,7 +30,6 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,10 +53,8 @@ pub struct ServerConfig {
     pub resume_after_ms: u32,
     /// Per-socket read deadline (Hello must arrive within it).
     pub read_timeout: Duration,
-    /// Per-socket write deadline for one queued write.
+    /// Per-socket write deadline for one frame.
     pub write_timeout: Duration,
-    /// Bounded send-queue depth, in frames.
-    pub send_queue_depth: usize,
     /// Slow-consumer floor: evict a connection draining below this many
     /// bytes per second once the grace window has passed. Zero disables
     /// the check.
@@ -83,7 +83,6 @@ impl Default for ServerConfig {
             resume_after_ms: 50,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            send_queue_depth: 8,
             min_bytes_per_sec: 0,
             slow_grace: Duration::from_secs(2),
             pace_per_unit: None,
@@ -151,25 +150,15 @@ struct Shared {
     config: ServerConfig,
     stats: StatsInner,
     /// Raised by drain, kill and drop: stops admission and wakes the
-    /// accept loop; handlers honor it at the next unit boundary.
-    draining: StopSignal,
+    /// accept loop; handlers honor it at the next unit boundary. Kill
+    /// and a drain past its deadline close it, shutting down every
+    /// admitted connection's socket.
+    stop: StopSignal,
     killed: AtomicBool,
     /// Admitted connections whose handler has not yet exited.
     active: Mutex<usize>,
     /// Signalled by every handler as it exits; drain waits on it.
     handler_exited: Condvar,
-    next_conn: AtomicU64,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-}
-
-/// Locks the live-connection registry, recovering from poison: a
-/// connection thread that panicked while holding the lock must not
-/// wedge `stats()`, `drain()`, or `kill()` for the whole server. The
-/// registry's only invariant — entries map conn ids to their sockets —
-/// cannot be torn by a mid-update panic (insert/remove are atomic on
-/// `HashMap`), so the poisoned guard's data is safe to keep using.
-fn lock_conns(shared: &Shared) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
-    shared.conns.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
@@ -178,15 +167,11 @@ impl Shared {
     /// this models `kill -9`, not graceful shutdown.
     fn kill(&self) {
         self.killed.store(true, Ordering::SeqCst);
-        self.draining.raise();
-        let conns = lock_conns(self);
-        for stream in conns.values() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
+        self.stop.close();
     }
 
-    /// Locks the admitted-connection count (poison-tolerant for the
-    /// same reason as [`lock_conns`]: it is a plain counter).
+    /// Locks the admitted-connection count, recovering from poison: it
+    /// is a plain counter, which a panic cannot leave torn.
     fn lock_active(&self) -> MutexGuard<'_, usize> {
         self.active.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -231,7 +216,7 @@ impl WireServer {
     ) -> std::io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let draining = StopSignal::new(&listener)?;
+        let stop = StopSignal::new(&listener)?;
         let shared = Arc::new(Shared {
             plans: plans
                 .into_iter()
@@ -239,12 +224,10 @@ impl WireServer {
                 .collect(),
             config,
             stats: StatsInner::default(),
-            draining,
+            stop,
             killed: AtomicBool::new(false),
             active: Mutex::new(0),
             handler_exited: Condvar::new(),
-            next_conn: AtomicU64::new(0),
-            conns: Mutex::new(HashMap::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || accept_loop(listener, &accept_shared));
@@ -310,15 +293,11 @@ impl WireServer {
     pub fn drain(mut self, deadline: Duration) -> DrainReport {
         let started = Instant::now();
         let in_flight = self.active_connections();
-        self.shared.draining.raise();
+        self.shared.stop.raise();
         let mut forced = self.shared.wait_for_handlers(started + deadline);
         if forced != 0 {
-            let conns = lock_conns(&self.shared);
-            for stream in conns.values() {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
+            self.shared.stop.close();
             forced = self.active_connections();
-            drop(conns);
             // Give forced handlers a beat to observe the closed socket
             // and exit.
             self.shared
@@ -338,60 +317,113 @@ impl WireServer {
 
 impl Drop for WireServer {
     fn drop(&mut self) {
-        self.shared.draining.raise();
+        self.shared.stop.raise();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
     }
 }
 
-struct TokenBucket {
-    tokens_micro: u64,
-    burst_micro: u64,
-    refill_per_sec: u64,
-    last: Instant,
+/// Typed admission rejection: the token bucket is empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rejected {
+    /// Clock units from the rejected attempt until the bucket next
+    /// refills: the earliest moment a retry can possibly succeed.
+    pub retry_after: u64,
 }
 
-impl TokenBucket {
-    const SCALE: u64 = 1_000_000;
+/// Token-bucket admission controller over new sessions, on any
+/// monotone `u64` clock: the simulator's cycles, or the server's
+/// nanoseconds since bind.
+///
+/// The bucket starts full at `burst` tokens and refills `rate` tokens
+/// at every `period` boundary of the clock (capped at `burst`). Each
+/// admission spends one token; an empty bucket yields a typed
+/// [`Rejected`] telling the caller when the next refill lands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdmissionController {
+    rate: u32,
+    burst: u32,
+    period: u64,
+    tokens: u32,
+    /// Index of the last refill period folded into `tokens`.
+    refilled_through: u64,
+}
 
-    fn new(burst: u32, refill_per_sec: u32) -> TokenBucket {
-        TokenBucket {
-            tokens_micro: u64::from(burst) * TokenBucket::SCALE,
-            burst_micro: u64::from(burst) * TokenBucket::SCALE,
-            refill_per_sec: u64::from(refill_per_sec),
-            last: Instant::now(),
+impl AdmissionController {
+    /// A controller refilling `rate` tokens per `period` clock units,
+    /// with burst capacity `burst`. `rate`, `burst`, and `period` are
+    /// clamped to at least 1 (a rate of zero would never admit anyone;
+    /// "admission disabled" is a caller-level concept, not a controller
+    /// state).
+    #[must_use]
+    pub fn new(rate: u32, burst: u32, period: u64) -> AdmissionController {
+        let burst = burst.max(1);
+        AdmissionController {
+            rate: rate.max(1),
+            burst,
+            period: period.max(1),
+            tokens: burst,
+            refilled_through: 0,
         }
     }
 
-    fn try_take(&mut self) -> bool {
-        let now = Instant::now();
-        let elapsed_micros =
-            u64::try_from(now.duration_since(self.last).as_micros()).unwrap_or(u64::MAX);
-        self.last = now;
-        self.tokens_micro = self
-            .tokens_micro
-            .saturating_add(elapsed_micros.saturating_mul(self.refill_per_sec))
-            .min(self.burst_micro);
-        if self.tokens_micro >= TokenBucket::SCALE {
-            self.tokens_micro -= TokenBucket::SCALE;
-            true
+    /// Try to admit a session at clock `now`. Calls must be monotone in
+    /// `now`.
+    ///
+    /// # Errors
+    ///
+    /// [`Rejected`] when the bucket is empty, with `retry_after` set
+    /// to the clock units remaining until the next refill boundary.
+    pub fn admit(&mut self, now: u64) -> Result<(), Rejected> {
+        let period = now / self.period;
+        if period > self.refilled_through {
+            let elapsed = period - self.refilled_through;
+            let refill = u64::from(self.rate).saturating_mul(elapsed);
+            self.tokens = u32::try_from(u64::from(self.tokens).saturating_add(refill))
+                .unwrap_or(u32::MAX)
+                .min(self.burst);
+            self.refilled_through = period;
+        }
+        if self.tokens > 0 {
+            self.tokens -= 1;
+            Ok(())
         } else {
-            false
+            Err(Rejected {
+                // Saturating: near u64::MAX the next refill boundary
+                // is unrepresentable, and a clamped (even zero)
+                // retry_after is the sane answer rather than overflow.
+                retry_after: period
+                    .saturating_add(1)
+                    .saturating_mul(self.period)
+                    .saturating_sub(now),
+            })
         }
     }
+}
+
+/// The server's admission bucket over nanoseconds: `accept_burst`
+/// tokens, then one more every `1 / accept_refill_per_sec` seconds. A
+/// zero refill rate is burst only — the period is the whole clock.
+fn admission_bucket(cfg: &ServerConfig) -> AdmissionController {
+    let period_ns = match cfg.accept_refill_per_sec {
+        0 => u64::MAX,
+        rate => 1_000_000_000 / u64::from(rate),
+    };
+    AdmissionController::new(1, cfg.accept_burst, period_ns)
 }
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let mut bucket = TokenBucket::new(
-        shared.config.accept_burst,
-        shared.config.accept_refill_per_sec,
-    );
-    accept_until_stopped(listener, &shared.draining, |stream| {
+    // The admission clock: nanoseconds since the accept loop started,
+    // which is bind.
+    let clock = Instant::now();
+    let mut bucket = admission_bucket(&shared.config);
+    accept_until_stopped(listener, &shared.stop, |stream| {
         shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
         let admit = {
             let mut active = shared.lock_active();
-            let admit = *active < shared.config.max_connections && bucket.try_take();
+            let now = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let admit = *active < shared.config.max_connections && bucket.admit(now).is_ok();
             *active += usize::from(admit);
             admit
         };
@@ -407,11 +439,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             return None;
         }
         shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
         let conn_shared = Arc::clone(shared);
         Some(std::thread::spawn(move || {
-            handle_connection(stream, conn_id, &conn_shared);
-            lock_conns(&conn_shared).remove(&conn_id);
+            handle_connection(stream, &conn_shared);
             *conn_shared.lock_active() -= 1;
             conn_shared.handler_exited.notify_all();
         }))
@@ -421,59 +451,41 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 fn send_and_close(mut stream: TcpStream, frame: &Frame, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
     let _ = stream.write_all(&frame.encode());
-    let _ = stream.flush();
 }
 
 /// Why the producer stopped streaming.
 enum StreamEnd {
     Completed,
     Drained,
-    /// The server was hard-killed: say nothing, the socket is already
-    /// dead.
-    Killed,
-    WriterGone,
+    /// The server was hard-killed or the connection evicted: say
+    /// nothing more.
+    Aborted,
 }
 
-fn handle_connection(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
     let cfg = &shared.config;
     if stream.set_read_timeout(Some(cfg.read_timeout)).is_err()
         || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
     {
         return;
     }
-    // Register for forced shutdown at the drain deadline; the accept
-    // loop removes the entry when this handler returns, so the registry
-    // never outgrows the live connection set.
-    if let Ok(clone) = stream.try_clone() {
-        lock_conns(shared).insert(conn_id, clone);
-    }
+    // Register for kill and the drain deadline, which close the socket
+    // to wake this thread from a blocked read or write.
+    let Some(_registered) = shared.stop.register(&stream) else {
+        return;
+    };
 
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let hello = match read_frame(&mut reader) {
+    let hello = match read_frame(&mut &stream) {
         Ok(Frame::Hello {
-            benchmark,
-            ordering: _,
-            resume,
-            ..
-        }) => (benchmark, resume),
-        _ => {
-            shared.stats.incompatible.fetch_add(1, Ordering::Relaxed);
-            send_and_close(
-                stream,
-                &Frame::Evict {
-                    reason: EvictReason::Incompatible,
-                    resume_after_ms: 0,
-                },
-                cfg.write_timeout,
-            );
-            return;
-        }
+            benchmark, resume, ..
+        }) => shared
+            .plans
+            .get(&benchmark)
+            .cloned()
+            .map(|plan| (plan, resume)),
+        _ => None,
     };
-    let (benchmark, resume) = hello;
-    let Some(plan) = shared.plans.get(&benchmark).cloned() else {
+    let Some((plan, resume)) = hello else {
         shared.stats.incompatible.fetch_add(1, Ordering::Relaxed);
         send_and_close(
             stream,
@@ -491,75 +503,87 @@ fn handle_connection(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
         shared.stats.resumed.fetch_add(1, Ordering::Relaxed);
     }
 
-    // Writer thread behind a bounded queue: backpressure + deadlines +
-    // the slow-consumer floor all live on this side of the channel.
-    let (tx, rx): (SyncSender<Vec<u8>>, Receiver<Vec<u8>>) = sync_channel(cfg.send_queue_depth);
-    let writer_shared = Arc::clone(shared);
-    let writer_stream = stream;
-    let writer = std::thread::spawn(move || write_loop(writer_stream, &rx, &writer_shared));
-
+    // Each frame goes straight to the socket, whose send buffer and
+    // write deadline are the bounded queue and its backpressure. A
+    // failed write (deadline or vanished peer: either way the consumer
+    // is not keeping up) or a breach of the byte-rate floor evicts the
+    // connection at this frame boundary.
+    let started = Instant::now();
+    let mut written = 0u64;
+    let mut send = |frame: &Frame| -> bool {
+        let buf = frame.encode();
+        if (&stream).write_all(&buf).is_err() {
+            shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        written += buf.len() as u64;
+        let elapsed = started.elapsed();
+        if cfg.min_bytes_per_sec > 0 && elapsed >= cfg.slow_grace {
+            let floor = u128::from(cfg.min_bytes_per_sec) * elapsed.as_millis() / 1000;
+            if u128::from(written) < floor {
+                shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                return false;
+            }
+        }
+        true
+    };
     let welcome = Frame::Welcome {
         generation: plan.generation,
         manifest_epoch: plan.manifest_epoch,
         manifest: plan.manifest.clone(),
         classes: adverts.clone(),
     };
-    let mut end = if tx.send(welcome.encode()).is_err() {
-        StreamEnd::WriterGone
+    let end = if send(&welcome) {
+        stream_units(&plan, &adverts, &mut send, shared)
     } else {
-        stream_units(&plan, &adverts, &tx, shared)
+        StreamEnd::Aborted
     };
 
-    let bytes: u64 = adverts
-        .iter()
-        .zip(plan.classes.iter())
-        .flat_map(|(a, c)| c.units.iter().skip(a.start as usize))
-        .map(|u| u.len() as u64)
-        .sum();
     match end {
         StreamEnd::Completed => {
+            let bytes: u64 = adverts
+                .iter()
+                .zip(plan.classes.iter())
+                .flat_map(|(a, c)| c.units.iter().skip(a.start as usize))
+                .map(|u| u.len() as u64)
+                .sum();
             let bye = Frame::Bye {
                 classes: u32::try_from(plan.classes.len()).unwrap_or(u32::MAX),
                 bytes,
             };
-            if tx.send(bye.encode()).is_err() {
-                end = StreamEnd::WriterGone;
+            if send(&bye) {
+                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             }
         }
         StreamEnd::Drained => {
             shared.stats.evicted_drain.fetch_add(1, Ordering::Relaxed);
-            let evict = Frame::Evict {
+            send(&Frame::Evict {
                 reason: EvictReason::Drain,
                 resume_after_ms: cfg.resume_after_ms,
-            };
-            let _ = tx.send(evict.encode());
+            });
         }
-        StreamEnd::Killed | StreamEnd::WriterGone => {}
-    }
-    drop(tx);
-    let _ = writer.join();
-    if matches!(end, StreamEnd::Completed) {
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+        StreamEnd::Aborted => {}
     }
 }
 
 fn stream_units(
     plan: &ServePlan,
     adverts: &[crate::frame::ClassAdvert],
-    tx: &SyncSender<Vec<u8>>,
-    shared: &Arc<Shared>,
+    send: &mut impl FnMut(&Frame) -> bool,
+    shared: &Shared,
 ) -> StreamEnd {
     for (ci, class) in plan.classes.iter().enumerate() {
         let start = adverts[ci].start as usize;
         for (ui, payload) in class.units.iter().enumerate().skip(start) {
             // A hard kill outranks everything and says nothing.
             if shared.killed.load(Ordering::SeqCst) {
-                return StreamEnd::Killed;
+                return StreamEnd::Aborted;
             }
             // Drain is only honored here, between units: an in-flight
             // unit always finishes, so the client's journal watermark
             // lands exactly on a unit boundary.
-            if shared.draining.is_raised() {
+            if shared.stop.is_raised() {
                 return StreamEnd::Drained;
             }
             let frame = Frame::Unit {
@@ -567,8 +591,8 @@ fn stream_units(
                 unit: u32::try_from(ui).unwrap_or(u32::MAX),
                 payload: payload.clone(),
             };
-            if tx.send(frame.encode()).is_err() {
-                return StreamEnd::WriterGone;
+            if !send(&frame) {
+                return StreamEnd::Aborted;
             }
             let sent_now = shared.stats.units_sent.fetch_add(1, Ordering::Relaxed) + 1;
             shared
@@ -583,7 +607,7 @@ fn stream_units(
                 // The seeded crash plan landed on this unit boundary:
                 // die server-wide, right now.
                 shared.kill();
-                return StreamEnd::Killed;
+                return StreamEnd::Aborted;
             }
             if let Some(pace) = shared.config.pace_per_unit {
                 std::thread::sleep(pace);
@@ -593,41 +617,16 @@ fn stream_units(
     StreamEnd::Completed
 }
 
-fn write_loop(mut stream: TcpStream, rx: &Receiver<Vec<u8>>, shared: &Arc<Shared>) {
-    let cfg = &shared.config;
-    let started = Instant::now();
-    let mut written = 0u64;
-    for buf in rx.iter() {
-        if stream.write_all(&buf).is_err() || stream.flush().is_err() {
-            // Write deadline fired or the peer vanished: either way the
-            // consumer is not keeping up. Dropping the receiver makes
-            // the producer's next send fail, which tears the session
-            // down at a frame boundary.
-            shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        written += buf.len() as u64;
-        let elapsed = started.elapsed();
-        if cfg.min_bytes_per_sec > 0 && elapsed >= cfg.slow_grace {
-            let floor = u128::from(cfg.min_bytes_per_sec) * elapsed.as_millis() / 1000;
-            if u128::from(written) < floor {
-                shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::accept::returns_within_10s;
     use crate::client::{ClientConfig, WireClient};
     use crate::manifest::UnitManifest;
     use crate::plan::ClassPlan;
 
-    fn tiny_plan() -> ServePlan {
+    /// A two-unit plan served as benchmark `tiny`.
+    pub(crate) fn tiny_plan() -> ServePlan {
         let units = vec![vec![b"prelude bytes".to_vec(), b"method one".to_vec()]];
         let manifest = UnitManifest::from_payloads(&units, 7);
         ServePlan {
@@ -652,13 +651,9 @@ mod tests {
         // Deliberately panic while holding the registry lock, the way a
         // buggy connection handler would.
         let poisoner = Arc::clone(&server.shared);
-        let panicked = std::thread::spawn(move || {
-            let _guard = poisoner.conns.lock().expect("first lock");
-            panic!("deliberate: poison the conns registry");
-        })
-        .join();
+        let panicked = std::thread::spawn(move || poisoner.stop.poison_conns()).join();
         assert!(panicked.is_err(), "the poisoner must have panicked");
-        assert!(server.shared.conns.is_poisoned(), "lock must be poisoned");
+        assert!(server.shared.stop.conns_poisoned(), "lock must be poisoned");
         // A full session still registers, streams, and cleans up
         // through the poisoned lock.
         let report = WireClient::new(ClientConfig::new(server.local_addr(), "tiny"))
@@ -666,11 +661,11 @@ mod tests {
             .expect("session survives a poisoned registry");
         assert!(report.complete);
         // The handler bumps `completed` after the client has already
-        // seen Bye; give it a beat.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while server.stats().completed == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // seen Bye, then exits; wait for the exit.
+        let left = server
+            .shared
+            .wait_for_handlers(Instant::now() + Duration::from_secs(2));
+        assert_eq!(left, 0, "the handler exits after Bye");
         assert_eq!(server.stats().completed, 1);
         // kill() walks the registry; drain() force-closes through it.
         server.kill();
@@ -740,25 +735,48 @@ mod tests {
         assert_eq!(shared.stats.accepted.load(Ordering::Relaxed), 0);
     }
 
+    fn bucket(burst: u32, refill_per_sec: u32) -> AdmissionController {
+        admission_bucket(&ServerConfig {
+            accept_burst: burst,
+            accept_refill_per_sec: refill_per_sec,
+            ..ServerConfig::default()
+        })
+    }
+
     #[test]
     fn token_bucket_enforces_burst_then_refills() {
-        let mut b = TokenBucket::new(2, 1000);
-        assert!(b.try_take());
-        assert!(b.try_take());
-        // The burst is spent; an immediate third take fails (refill in
-        // a few nanoseconds is far below one token at 1000/s).
-        assert!(!b.try_take());
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(b.try_take());
+        // 1000/s is one token per millisecond of the bind clock.
+        let mut b = bucket(2, 1000);
+        assert!(b.admit(0).is_ok());
+        assert!(b.admit(0).is_ok());
+        // The burst is spent, and a token is a whole millisecond away.
+        assert_eq!(
+            b.admit(400_000),
+            Err(Rejected {
+                retry_after: 600_000
+            })
+        );
+        assert!(b.admit(1_000_000).is_ok());
+        assert!(b.admit(1_000_000).is_err());
     }
 
     #[test]
     fn token_bucket_caps_at_burst() {
-        let mut b = TokenBucket::new(1, 1000);
-        std::thread::sleep(Duration::from_millis(5));
+        let mut b = bucket(1, 1000);
         // 5 ms at 1000 tokens/s would refill five tokens; the cap keeps
         // only the burst capacity of one available.
-        assert!(b.try_take());
-        assert!(!b.try_take());
+        assert!(b.admit(5_000_000).is_ok());
+        assert!(b.admit(5_000_000).is_err());
+    }
+
+    #[test]
+    fn token_bucket_at_zero_refill_is_burst_only() {
+        let mut b = bucket(2, 0);
+        assert!(b.admit(0).is_ok());
+        assert!(b.admit(1_000_000_000).is_ok());
+        assert!(
+            b.admit(3_600_000_000_000).is_err(),
+            "an hour refills nothing"
+        );
     }
 }

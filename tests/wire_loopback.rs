@@ -200,7 +200,6 @@ fn slow_consumer_floor_evicts_stalled_clients() {
     let server = hanoi_server(ServerConfig {
         min_bytes_per_sec: 1 << 20,
         slow_grace: Duration::from_millis(50),
-        send_queue_depth: 1,
         write_timeout: Duration::from_millis(200),
         // Pace the stream past the grace window: hanoi is small enough
         // to vanish into the loopback socket buffer otherwise, and a

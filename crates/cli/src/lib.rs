@@ -1735,6 +1735,34 @@ mod tests {
         run(&v)
     }
 
+    /// `simulate` stdout for the counters no CSV carries — the
+    /// per-mirror table, the integrity line, the lost/quarantined/forced
+    /// fault counters, and the strict baseline under faults and
+    /// outages — byte for byte against committed files.
+    #[test]
+    fn simulate_stdout_matches_the_golden_files() {
+        let cases = [
+            (
+                "simulate hanoi --link modem --replicas 3 --byzantine-mirrors 1 \
+                 --byzantine-seed 7 --fault-seed 5 --loss 700000 --semantic 200000 \
+                 --corrupt 50000 --drop 20000 --verify stream --outage-seed 3 \
+                 --outage-rate 400000",
+                include_str!("../golden/simulate_replicas_byzantine.txt"),
+            ),
+            (
+                "simulate hanoi --link modem --transfer strict --strict-execution \
+                 --verify stream --fault-seed 5 --loss 300000 --corrupt 50000 \
+                 --droop 100000 --semantic 50000 --drop 20000 --outage-seed 3 \
+                 --outage-rate 400000",
+                include_str!("../golden/simulate_strict_baseline_faults.txt"),
+            ),
+        ];
+        for (args, golden) in cases {
+            let args: Vec<&str> = args.split_whitespace().collect();
+            assert_eq!(run_str(&args).unwrap(), golden, "{args:?}");
+        }
+    }
+
     #[test]
     fn list_shows_all_benchmarks() {
         let out = run_str(&["list"]).unwrap();

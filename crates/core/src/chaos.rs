@@ -1407,11 +1407,10 @@ pub const SHRINK_BUDGET: u32 = 600;
 ///
 /// 1. **Dimensions** — drop whole fault dimensions (disk, interrupt,
 ///    byzantine, replicas, outages, faults, overload, verify).
-/// 2. **Rates and sizes** — binary-search every surviving numeric knob
-///    toward zero, keeping the smallest still-failing value.
-/// 3. **Seeds** — zero every surviving seed.
-/// 4. **Interrupt point** — binary-search the crash cycle and downtime
-///    toward zero.
+/// 2. **Numbers** — binary-search every surviving integer key of the
+///    NSCR artifact ([`ChaosScenario::encode`]) toward zero, through
+///    [`ChaosScenario::set`]: rates, sizes, seeds, the crash cycle and
+///    downtime alike, keeping the smallest still-failing value.
 ///
 /// The predicate must be deterministic (every runner here is); it is
 /// never called on the input scenario itself, nor on a candidate
@@ -1458,134 +1457,44 @@ pub fn shrink(
             }
         }
 
-        // Pass 2+3: shrink every surviving numeric knob toward zero.
-        // Each entry reads the current value and writes a candidate.
-        type Knob = (
-            fn(&ChaosScenario) -> Option<u64>,
-            fn(&mut ChaosScenario, u64),
-        );
-        let knobs: &[Knob] = &[
-            (
-                |s| s.faults.map(|f| u64::from(f.loss_pm)),
-                |s, v| set_fault(s, |f| f.loss_pm = v as u32),
-            ),
-            (
-                |s| s.faults.map(|f| u64::from(f.corrupt_pm)),
-                |s, v| set_fault(s, |f| f.corrupt_pm = v as u32),
-            ),
-            (
-                |s| s.faults.map(|f| u64::from(f.drop_pm)),
-                |s, v| set_fault(s, |f| f.drop_pm = v as u32),
-            ),
-            (
-                |s| s.faults.map(|f| u64::from(f.droop_pm)),
-                |s, v| set_fault(s, |f| f.droop_pm = v as u32),
-            ),
-            (
-                |s| s.faults.map(|f| u64::from(f.semantic_pm)),
-                |s, v| set_fault(s, |f| f.semantic_pm = v as u32),
-            ),
-            (
-                |s| s.faults.map(|f| f.seed),
-                |s, v| set_fault(s, |f| f.seed = v),
-            ),
-            (
-                |s| s.outages.map(|o| u64::from(o.rate_pm)),
-                |s, v| set_outage(s, |o| o.rate_pm = v as u32),
-            ),
-            (
-                |s| s.outages.map(|o| o.seed),
-                |s, v| set_outage(s, |o| o.seed = v),
-            ),
-            (
-                |s| s.replicas.map(|r| u64::from(r.replicas)),
-                |s, v| set_replica(s, |r| r.replicas = v as u32),
-            ),
-            (
-                |s| s.replicas.map(|r| r.seed),
-                |s, v| set_replica(s, |r| r.seed = v),
-            ),
-            (
-                |s| s.byzantine.map(|b| u64::from(b.mirrors)),
-                |s, v| set_byz(s, |b| b.mirrors = v as u32),
-            ),
-            (
-                |s| s.byzantine.map(|b| u64::from(b.audit_rate_pm)),
-                |s, v| set_byz(s, |b| b.audit_rate_pm = v as u32),
-            ),
-            (
-                |s| s.byzantine.map(|b| b.seed),
-                |s, v| set_byz(s, |b| b.seed = v),
-            ),
-            (
-                |s| s.overload.map(|o| u64::from(o.clients)),
-                |s, v| set_overload(s, |o| o.clients = v as u32),
-            ),
-            (
-                |s| s.overload.map(|o| o.seed),
-                |s, v| set_overload(s, |o| o.seed = v),
-            ),
-            (
-                |s| s.interrupt.map(|i| i.at_cycle),
-                |s, v| {
-                    if let Some(i) = s.interrupt.as_mut() {
-                        i.at_cycle = v;
-                    }
-                },
-            ),
-            (
-                |s| s.interrupt.map(|i| i.downtime),
-                |s, v| {
-                    if let Some(i) = s.interrupt.as_mut() {
-                        i.downtime = v;
-                    }
-                },
-            ),
-            (
-                |s| s.disk.map(|d| u64::from(d.torn_pm)),
-                |s, v| set_disk(s, |d| d.torn_pm = v as u32),
-            ),
-            (
-                |s| s.disk.map(|d| u64::from(d.lie_pm)),
-                |s, v| set_disk(s, |d| d.lie_pm = v as u32),
-            ),
-            (
-                |s| s.disk.map(|d| u64::from(d.bitrot_pm)),
-                |s, v| set_disk(s, |d| d.bitrot_pm = v as u32),
-            ),
-            (
-                |s| s.disk.map(|d| d.seed),
-                |s, v| set_disk(s, |d| d.seed = v),
-            ),
-        ];
-        for (get, set) in knobs {
-            let Some(hi) = get(&best) else { continue };
+        // Pass 2+3: shrink every surviving numeric key toward zero —
+        // every `key = value` line of the artifact whose value is a
+        // plain integer, written back through `set`.
+        let with = |base: &ChaosScenario, key: &str, v: u64| {
+            let mut cand = base.clone();
+            cand.set(key, &v.to_string()).ok().map(|()| cand)
+        };
+        for line in best.encode().lines() {
+            let Some((key, Ok(hi))) = line.split_once(" = ").map(|(k, v)| (k, v.parse::<u64>()))
+            else {
+                continue;
+            };
             if hi == 0 {
                 continue;
             }
+            let mut fails = |v: u64, tests_run: &mut u32| {
+                with(&best, key, v).filter(|cand| check(cand, tests_run))
+            };
             // Try zero outright, then bisect (lo known-pass, hi
             // known-fail) down to the smallest still-failing value.
-            let with = |base: &ChaosScenario, v: u64| {
-                let mut cand = base.clone();
-                set(&mut cand, v);
-                cand
-            };
-            let zeroed = with(&best, 0);
-            if check(&zeroed, &mut tests_run) {
+            if let Some(zeroed) = fails(0, &mut tests_run) {
                 best = zeroed;
                 continue;
             }
             let (mut lo, mut hi) = (0u64, hi);
+            let mut smallest = None;
             while hi - lo > 1 {
                 let mid = lo + (hi - lo) / 2;
-                if check(&with(&best, mid), &mut tests_run) {
-                    hi = mid;
-                } else {
-                    lo = mid;
+                match fails(mid, &mut tests_run) {
+                    Some(cand) => {
+                        hi = mid;
+                        smallest = Some(cand);
+                    }
+                    None => lo = mid,
                 }
             }
-            if Some(hi) < get(&best) {
-                best = with(&best, hi);
+            if let Some(cand) = smallest {
+                best = cand;
             }
         }
 
@@ -1596,42 +1505,6 @@ pub fn shrink(
     ShrinkOutcome {
         scenario: best,
         tests_run,
-    }
-}
-
-fn set_fault(s: &mut ChaosScenario, f: impl FnOnce(&mut FaultConfig)) {
-    if let Some(fc) = s.faults.as_mut() {
-        f(fc);
-    }
-}
-
-fn set_outage(s: &mut ChaosScenario, f: impl FnOnce(&mut OutageConfig)) {
-    if let Some(oc) = s.outages.as_mut() {
-        f(oc);
-    }
-}
-
-fn set_replica(s: &mut ChaosScenario, f: impl FnOnce(&mut ReplicaConfig)) {
-    if let Some(rc) = s.replicas.as_mut() {
-        f(rc);
-    }
-}
-
-fn set_byz(s: &mut ChaosScenario, f: impl FnOnce(&mut ByzantineConfig)) {
-    if let Some(bc) = s.byzantine.as_mut() {
-        f(bc);
-    }
-}
-
-fn set_overload(s: &mut ChaosScenario, f: impl FnOnce(&mut OverloadDims)) {
-    if let Some(ov) = s.overload.as_mut() {
-        f(ov);
-    }
-}
-
-fn set_disk(s: &mut ChaosScenario, f: impl FnOnce(&mut DiskDims)) {
-    if let Some(d) = s.disk.as_mut() {
-        f(d);
     }
 }
 

@@ -1,5 +1,7 @@
 //! Result metrics, normalized the way the paper reports them.
 
+use nonstrict_netsim::Surcharge;
+
 /// Normalized execution time as a percent of the strict baseline
 /// (§7.2): 60 means 60% of the base — a 40% improvement. Smaller is
 /// better.
@@ -100,6 +102,20 @@ impl CycleLedger {
             + self.hedge
             + self.queue
             + self.integrity
+    }
+
+    /// Books a transfer-wait `stall` whose arrival carried surcharge
+    /// `s`: each cause takes its share of what is left of the stall, in
+    /// the order recovery, hedge, integrity, and the rest is plain
+    /// transfer wait.
+    pub fn charge_stall(&mut self, stall: u64, s: Surcharge) {
+        let recovery = s.recovery.min(stall);
+        let hedge = s.hedge.min(stall - recovery);
+        let integrity = s.integrity.min(stall - recovery - hedge);
+        self.recovery += recovery;
+        self.hedge += hedge;
+        self.integrity += integrity;
+        self.stall += stall - recovery - hedge - integrity;
     }
 
     /// Debug-asserts that `total` is exactly the eight-bucket sum.

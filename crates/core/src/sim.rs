@@ -10,9 +10,9 @@
 
 use nonstrict_bytecode::{method_verify_cost, Application, Input, InterpError};
 use nonstrict_netsim::{
-    add_checksum_overhead, class_units, crc32, greedy_schedule, ClassUnits, FaultStats,
-    FaultedEngine, IntegrityStats, InterleavedEngine, OutageSchedule, ParallelEngine,
-    ReplicaEngine, ReplicaStats, StrictEngine, TransferEngine, Weights, DELIMITER_BYTES,
+    add_checksum_overhead, class_units, crc32, greedy_schedule, ClassUnits, FaultLayer, FaultStats,
+    IntegrityStats, InterleavedEngine, Link, OutageSchedule, ParallelEngine, ReplicaSet,
+    ReplicaStats, StrictEngine, Surcharge, TransferEngine, Weights, DELIMITER_BYTES,
     DIGEST_CHECK_CYCLES,
 };
 use nonstrict_profile::{collect, Collected, TraceEvent};
@@ -21,6 +21,7 @@ use nonstrict_reorder::{
     RestructuredApp,
 };
 use nonstrict_store::JournalLog;
+use nonstrict_wire::UnitManifest;
 
 use crate::journal::{
     negotiate, ClassCheckpoint, FetchRecord, Negotiation, SessionJournal, SessionManifest,
@@ -128,6 +129,9 @@ struct ReplayEnv<'a> {
     layouts: &'a [ClassLayout],
     units: &'a [ClassUnits],
     exec_cycles: u64,
+    /// The unit manifest the client pins, built once per run; `None`
+    /// when no byzantine plan is armed.
+    manifest: Option<&'a UnitManifest>,
 }
 
 /// State carried into a resumed replay after a successful negotiation.
@@ -186,12 +190,13 @@ struct ReplayState {
     next_event: usize,
 }
 
-/// Applies a config's ambient outages to a closed-form baseline result.
-/// An outage freezes the client and the link together, so the base
-/// timeline is undisturbed: wall time is base time plus the downtime of
-/// every outage that began before it, and each crossed outage is one
-/// journal-backed resume. Returns the downtime, the wall-clock
-/// invocation latency, and the outage counts.
+/// Applies a config's ambient outages to a base-timeline result: the
+/// closed-form baseline's, or a finished replay's. An outage freezes the
+/// client and the link together, so the base timeline is undisturbed:
+/// wall time is base time plus the downtime of every outage that began
+/// before it, and each crossed outage is one journal-backed resume.
+/// Returns the downtime, the wall-clock invocation latency, and the
+/// outage counts.
 fn ambient_shift(
     config: &SimConfig,
     base_total: u64,
@@ -209,6 +214,12 @@ fn ambient_shift(
         ..OutageSummary::default()
     };
     (shift, sched.remap(base_latency), outage)
+}
+
+/// What pinning `manifest` costs: its wire transfer on `link` plus one
+/// frame verification.
+fn pin_cost(link: Link, manifest: &UnitManifest) -> u64 {
+    link.cycles_for(manifest.wire_bytes()) + DIGEST_CHECK_CYCLES
 }
 
 impl SimResult {
@@ -404,31 +415,39 @@ impl Session {
             let class_order: Vec<usize> = (0..units.len()).collect();
             let mut strict = StrictEngine::new(config.link, &units, &class_order);
             let perfect_finish = strict.finish_time();
-            // Under faults the same transfer runs through the faulted
-            // link: everything beyond the perfect-link finish is
+            // Under faults the same transfer runs through the fault
+            // layer: everything beyond the perfect-link finish is
             // recovery time. The strict baseline downloads from the
             // primary mirror, whose seed and link are exactly the
             // session's — replica routing never perturbs it, and with
             // no mirror choice there is nothing for a byzantine plan to
             // subvert.
-            let mut engine: Box<dyn TransferEngine> = match config.active_faults() {
-                Some(fc) => Box::new(FaultedEngine::new(strict, fc.plan(), &units, config.link)),
-                None => Box::new(strict),
-            };
+            let mut engine = FaultLayer::new(
+                Box::new(strict),
+                &units,
+                config.link,
+                config.active_faults().map(|fc| fc.plan()),
+                None,
+            );
             let entry_unit = units[entry_class].unit_count() - 1;
             let base_latency = engine.unit_ready(entry_class, entry_unit, 0) + entry_verify;
             let finish = engine.finish_time();
             let base_total = finish + verify_cycles + exec_cycles;
             let (resume, invocation_latency, outage) =
                 ambient_shift(config, base_total, base_latency);
-            let ledger = CycleLedger {
+            let mut ledger = CycleLedger {
                 exec: exec_cycles,
-                stall: perfect_finish,
-                recovery: finish - perfect_finish,
                 verify: verify_cycles,
                 resume,
                 ..CycleLedger::default()
             };
+            ledger.charge_stall(
+                finish,
+                Surcharge {
+                    recovery: finish - perfect_finish,
+                    ..Surcharge::default()
+                },
+            );
             let total_cycles = base_total + resume;
             ledger.assert_exact(total_cycles, "strict baseline");
             return SimResult {
@@ -447,36 +466,40 @@ impl Session {
             };
         }
 
-        let mut engine = self.build_engine(config, &units, order, layouts);
+        let manifest = self.byzantine_manifest(config, &units);
         let env = ReplayEnv {
             config,
             layouts,
             units: &units,
             exec_cycles,
+            manifest: manifest.as_ref(),
         };
-        match self.replay(input, &env, engine.as_mut(), ReplayMode::Run) {
+        let mut engine = self.build_engine(&env, order);
+        match self.replay(input, &env, &mut engine, ReplayMode::Run) {
             RunOutcome::Finished(r) => *r,
             RunOutcome::Interrupted(_) => unreachable!("an uninterrupted replay always finishes"),
         }
     }
 
-    /// Builds the transfer engine for one configuration. Resume uses
-    /// this too: a journal is replayed against a *fresh* engine built
-    /// exactly like the one that died.
-    fn build_engine(
-        &self,
-        config: &SimConfig,
-        units: &[ClassUnits],
-        order: &FirstUseOrder,
-        layouts: &[ClassLayout],
-    ) -> Box<dyn TransferEngine> {
+    /// Builds the transfer engine for one configuration: the perfect-link
+    /// engine its transfer policy names, under the fault layer. Resume
+    /// uses this too: a journal is replayed against a *fresh* engine
+    /// built exactly like the one that died.
+    fn build_engine(&self, env: &ReplayEnv<'_>, order: &FirstUseOrder) -> FaultLayer {
+        let ReplayEnv {
+            config,
+            layouts,
+            units,
+            manifest,
+            ..
+        } = *env;
         let class_order_fu: Vec<usize> = order.class_order().iter().map(|c| c.0 as usize).collect();
         let weights = match config.ordering {
             OrderingSource::TrainProfile => Weights::Profile(&self.train.profile),
             OrderingSource::TestProfile => Weights::Profile(&self.test.profile),
             _ => Weights::Static,
         };
-        let mut engine: Box<dyn TransferEngine> = match config.transfer {
+        let base: Box<dyn TransferEngine> = match config.transfer {
             TransferPolicy::Strict => {
                 Box::new(StrictEngine::new(config.link, units, &class_order_fu))
             }
@@ -497,29 +520,28 @@ impl Session {
                 config.link,
             )),
         };
-        if let Some(rc) = config.active_replicas() {
-            // The replica set owns fault modeling: each mirror runs the
-            // session's fault/outage rates under its own sub-seed, so
-            // the single-origin FaultedEngine wrapper is not stacked on
-            // top. An active byzantine config arms the manifest layer
-            // on top of the routing; `None` is bit-identical to an
-            // unarmored replica engine.
-            let plan = config.active_byzantine().map(|bc| {
-                let manifest = build_manifest(units, self.manifest(config).epoch);
-                bc.plan(manifest.wire_bytes())
-            });
-            engine = Box::new(ReplicaEngine::with_integrity(
-                engine,
-                &rc.profiles(config),
-                rc.hedge_deadline_cycles,
-                units,
-                config.link,
-                plan.as_ref(),
-            ));
-        } else if let Some(fc) = config.active_faults() {
-            engine = Box::new(FaultedEngine::new(engine, fc.plan(), units, config.link));
-        }
-        engine
+        // Each mirror runs the session's fault and outage rates under its
+        // own sub-seed; an active byzantine config arms the manifest
+        // layer on top of the routing.
+        let profiles = config
+            .active_replicas()
+            .map(|rc| rc.profiles(config))
+            .unwrap_or_default();
+        let set = config.active_replicas().map(|rc| ReplicaSet {
+            profiles: &profiles,
+            hedge_deadline: rc.hedge_deadline_cycles,
+            byzantine: config
+                .active_byzantine()
+                .zip(manifest)
+                .map(|(bc, m)| bc.plan(m.wire_bytes())),
+        });
+        FaultLayer::new(
+            base,
+            units,
+            config.link,
+            config.active_faults().map(|fc| fc.plan()),
+            set,
+        )
     }
 
     /// Replays the input's trace against `engine`, optionally starting
@@ -534,7 +556,7 @@ impl Session {
         &self,
         input: Input,
         env: &ReplayEnv<'_>,
-        engine: &mut dyn TransferEngine,
+        engine: &mut FaultLayer,
         mode: ReplayMode,
     ) -> RunOutcome {
         let ReplayEnv {
@@ -542,6 +564,7 @@ impl Session {
             layouts,
             units,
             exec_cycles,
+            manifest,
         } = *env;
         let trace = &self.collected(input).trace;
         let mut linker = IncrementalLinker::new(
@@ -614,7 +637,7 @@ impl Session {
             // trust root every later digest check compares against.
             // Zero when no byzantine plan is armed; resumed runs
             // restore the pre-crash charge from the journal instead.
-            let pin = self.manifest_pin_cost(config, units);
+            let pin = manifest.map_or(0, |m| pin_cost(config.link, m));
             st.clock += pin;
             st.ledger.integrity += pin;
         }
@@ -679,9 +702,7 @@ impl Session {
                 if st.clock >= at {
                     // The connection (and client) die here; what the
                     // client persisted is the checkpoint.
-                    return RunOutcome::Interrupted(
-                        self.checkpoint(config, units, engine, &linker, &st),
-                    );
+                    return RunOutcome::Interrupted(self.checkpoint(env, engine, &linker, &st));
                 }
             }
             match events[st.next_event] {
@@ -715,17 +736,8 @@ impl Session {
                     }
                     let ready = engine.unit_ready(c, unit, st.clock);
                     if ready > st.clock {
-                        // The engine's surcharge is split off the stall
-                        // cause by cause; what is left is transfer wait.
-                        let stall = ready - st.clock;
-                        let s = engine.last_surcharge();
-                        let fault_part = s.recovery.min(stall);
-                        let hedge_part = s.hedge.min(stall - fault_part);
-                        let integrity_part = s.integrity.min(stall - fault_part - hedge_part);
-                        st.ledger.recovery += fault_part;
-                        st.ledger.hedge += hedge_part;
-                        st.ledger.integrity += integrity_part;
-                        st.ledger.stall += stall - fault_part - hedge_part - integrity_part;
+                        st.ledger
+                            .charge_stall(ready - st.clock, engine.last_surcharge());
                         st.stalls += 1;
                         st.stall_events[c] += 1;
                         st.clock = ready;
@@ -823,19 +835,11 @@ impl Session {
             st.clock,
             "every base-clock advance must land in exactly one accounting bucket",
         );
-        let mut invocation_latency = st.invocation_latency.unwrap_or(0);
-        if let Some(oc) = config.active_outages() {
-            // Ambient outages freeze the client and the link together,
-            // so the base timeline is undisturbed: wall time is base
-            // time plus the downtime of every outage crossed, and each
-            // crossed outage is one journal-backed resume.
-            let mut sched = OutageSchedule::new(oc.plan());
-            st.ledger.resume += sched.shift_before(st.clock);
-            let n = sched.outages_before(st.clock);
-            st.outage.outages += n;
-            st.outage.resumes += n;
-            invocation_latency = sched.remap(invocation_latency);
-        }
+        let (shift, invocation_latency, crossed) =
+            ambient_shift(config, st.clock, st.invocation_latency.unwrap_or(0));
+        st.ledger.resume += shift;
+        st.outage.outages += crossed.outages;
+        st.outage.resumes += crossed.resumes;
         let total_cycles = st.clock + st.ledger.resume;
         st.ledger.assert_exact(total_cycles, "replay completion");
         let mut integrity = engine.integrity_stats();
@@ -865,13 +869,13 @@ impl Session {
     /// demand-request log.
     fn checkpoint(
         &self,
-        config: &SimConfig,
-        units: &[ClassUnits],
-        engine: &mut dyn TransferEngine,
+        env: &ReplayEnv<'_>,
+        engine: &mut FaultLayer,
         linker: &IncrementalLinker,
         st: &ReplayState,
     ) -> SessionJournal {
-        let manifest = self.manifest(config);
+        let units = env.units;
+        let session = self.manifest_of(units);
         let classes = (0..units.len())
             .map(|c| {
                 // Streams deliver strictly in order, so the first unit
@@ -888,7 +892,7 @@ impl Session {
                 }
                 let nm = st.methods_verified[c].len();
                 ClassCheckpoint {
-                    epoch: manifest.class_epochs[c],
+                    epoch: session.class_epochs[c],
                     delivered,
                     globals_verified: st.globals_verified[c],
                     methods_verified: st.methods_verified[c].clone(),
@@ -904,17 +908,13 @@ impl Session {
                 }
             })
             .collect();
-        // The pinned manifest digest rides in the checkpoint so a
-        // reconnect can tell whether the origin's manifest moved while
-        // the client was away (zero when no byzantine plan is armed).
-        let manifest_digest = if config.active_byzantine().is_some() {
-            build_manifest(units, manifest.epoch).digest()
-        } else {
-            0
-        };
         SessionJournal {
-            manifest_epoch: manifest.epoch,
-            manifest_digest,
+            manifest_epoch: session.epoch,
+            // The pinned manifest digest rides in the checkpoint so a
+            // reconnect can tell whether the origin's manifest moved
+            // while the client was away (zero when no byzantine plan is
+            // armed).
+            manifest_digest: env.manifest.map_or(0, UnitManifest::digest),
             next_event: st.next_event as u64,
             clock: st.clock,
             ledger: st.ledger,
@@ -937,18 +937,14 @@ impl Session {
     /// invalidate stale classes without touching the rest.
     #[must_use]
     pub fn manifest(&self, config: &SimConfig) -> SessionManifest {
-        let units = self.units_for(config);
+        self.manifest_of(&self.units_for(config))
+    }
+
+    /// [`Session::manifest`] of an already-built unit layout.
+    fn manifest_of(&self, units: &[ClassUnits]) -> SessionManifest {
         let class_epochs = units
             .iter()
-            .map(|u| {
-                let mut buf = Vec::with_capacity(8 * u.unit_count());
-                buf.extend_from_slice(&u.prelude.to_le_bytes());
-                for &m in &u.methods {
-                    buf.extend_from_slice(&m.to_le_bytes());
-                }
-                buf.extend_from_slice(&u.trailing.to_le_bytes());
-                crc32(&buf)
-            })
+            .map(|u| crc32(&u.sizes().flat_map(u64::to_le_bytes).collect::<Vec<_>>()))
             .collect();
         let method_counts = self
             .app
@@ -960,16 +956,13 @@ impl Session {
         SessionManifest::new(class_epochs, method_counts)
     }
 
-    /// What the initial manifest pin costs under `config`: the
-    /// manifest's wire transfer on the session link plus one frame
-    /// verification. Zero when no byzantine plan is armed, so unarmored
-    /// runs stay byte-identical.
-    fn manifest_pin_cost(&self, config: &SimConfig, units: &[ClassUnits]) -> u64 {
-        if config.active_byzantine().is_none() {
-            return 0;
-        }
-        let manifest = build_manifest(units, self.manifest(config).epoch);
-        config.link.cycles_for(manifest.wire_bytes()) + DIGEST_CHECK_CYCLES
+    /// The unit manifest the client pins under `config`, or `None` when
+    /// no byzantine plan is armed (unarmored runs pin nothing, so they
+    /// stay byte-identical). Built once per run and passed to whatever
+    /// needs its pin cost or digest.
+    fn byzantine_manifest(&self, config: &SimConfig, units: &[ClassUnits]) -> Option<UnitManifest> {
+        config.active_byzantine()?;
+        Some(build_manifest(units, self.manifest_of(units).epoch))
     }
 
     /// Runs `config` on `input` but kills the session — connection and
@@ -1017,20 +1010,16 @@ impl Session {
         let units = self.units_for(config);
         let order = self.order(config.ordering);
         let layouts = &self.restructured(config.ordering).layouts;
-        let exec_cycles = self.exec_cycles(input);
-        let mut engine = self.build_engine(config, &units, order, layouts);
+        let manifest = self.byzantine_manifest(config, &units);
         let env = ReplayEnv {
             config,
             layouts,
             units: &units,
-            exec_cycles,
+            exec_cycles: self.exec_cycles(input),
+            manifest: manifest.as_ref(),
         };
-        self.replay(
-            input,
-            &env,
-            engine.as_mut(),
-            ReplayMode::RunUntil { at_cycle },
-        )
+        let mut engine = self.build_engine(&env, order);
+        self.replay(input, &env, &mut engine, ReplayMode::RunUntil { at_cycle })
     }
 
     /// Reconnects with the checkpoint stored in `log` after `downtime`
@@ -1055,7 +1044,8 @@ impl Session {
         log: &JournalLog,
         downtime: u64,
     ) -> SimResult {
-        let manifest = self.manifest(config);
+        let units = self.units_for(config);
+        let manifest = self.manifest_of(&units);
         match negotiate(log, &manifest) {
             Negotiation::Resume { journal, stale } => {
                 if config.is_baseline() {
@@ -1069,7 +1059,6 @@ impl Session {
                     r.outage.resumes += journal.resumes + 1;
                     return r;
                 }
-                let units = self.units_for(config);
                 let unit_counts: Vec<usize> = units.iter().map(ClassUnits::unit_count).collect();
                 let trace_len = self.collected(input).trace.events().len();
                 if journal.check_replayable(&unit_counts, trace_len).is_err() {
@@ -1092,31 +1081,31 @@ impl Session {
                 // manifest digest no longer matches — re-pin the new
                 // manifest inside the resume window before any further
                 // digest check can be trusted.
+                let current = self.byzantine_manifest(config, &units);
                 let mut repins = 0;
-                if config.active_byzantine().is_some() {
-                    let current = build_manifest(&units, manifest.epoch);
-                    if journal.manifest_digest != current.digest() {
-                        extra += config.link.cycles_for(current.wire_bytes()) + DIGEST_CHECK_CYCLES;
-                        repins = 1;
-                    }
+                if let Some(m) = current
+                    .as_ref()
+                    .filter(|m| m.digest() != journal.manifest_digest)
+                {
+                    extra += pin_cost(config.link, m);
+                    repins = 1;
                 }
                 let order = self.order(config.ordering);
-                let layouts = &self.restructured(config.ordering).layouts;
-                let exec_cycles = self.exec_cycles(input);
-                let mut engine = self.build_engine(config, &units, order, layouts);
                 let env = ReplayEnv {
                     config,
-                    layouts,
+                    layouts: &self.restructured(config.ordering).layouts,
                     units: &units,
-                    exec_cycles,
+                    exec_cycles: self.exec_cycles(input),
+                    manifest: current.as_ref(),
                 };
+                let mut engine = self.build_engine(&env, order);
                 let mode = ReplayMode::Resume(Box::new(ResumeCarry {
                     journal,
                     extra_resume: extra,
                     refetched,
                     repins,
                 }));
-                match self.replay(input, &env, engine.as_mut(), mode) {
+                match self.replay(input, &env, &mut engine, mode) {
                     RunOutcome::Finished(r) => *r,
                     RunOutcome::Interrupted(_) => {
                         unreachable!("a resumed run has no interrupt point")

@@ -25,8 +25,8 @@
 //! Like every other plan in this crate, all draws are pure functions
 //! of `(seed, replica, class, unit)` via `splitmix` with
 //! domain-separation salts, so a run replays bit for bit and the plan
-//! can be consulted eagerly at [`crate::replica::ReplicaEngine`]
-//! construction without perturbing the routing clock.
+//! can be consulted eagerly when [`crate::faults::FaultLayer`] routes a
+//! replica set, without perturbing the routing clock.
 
 use crate::faults::splitmix;
 

@@ -9,7 +9,10 @@
 //! hidden RNG state, and replaying a run with the same seed reproduces
 //! it bit for bit.
 //!
-//! [`FaultedEngine`] wraps any [`TransferEngine`] and rewrites its
+//! [`FaultLayer`] is the one layer every fault dimension of a transfer
+//! charges through. Over any perfect-link [`TransferEngine`] it applies
+//! a single-origin plan or a replica set
+//! ([`crate::replica::ReplicaSet`]); a single-origin plan rewrites the
 //! piecewise-linear delivery timeline in closed form:
 //!
 //! * droop windows stretch the clock through a monotone piecewise-linear
@@ -28,8 +31,10 @@
 //! failed again — are counted in [`FaultStats::forced`] so the model's
 //! optimism is visible instead of silent.
 
+use crate::byzantine::IntegrityStats;
 use crate::engine::{Surcharge, TransferEngine};
 use crate::link::Link;
+use crate::replica::{ReplicaSet, ReplicaStats};
 use crate::unit::ClassUnits;
 
 /// Maximum delivery attempts per unit; the final attempt always
@@ -275,114 +280,173 @@ fn loss_timeout(tx_cycles: u64) -> u64 {
     tx_cycles.saturating_mul(2).max(TIMEOUT_FLOOR_CYCLES)
 }
 
-/// Wraps a perfect-link [`TransferEngine`] and applies a [`FaultPlan`]
-/// to its delivery timeline: droop windows remap the clock, and every
-/// unit's recovery penalty accumulates along its class stream (prefix
-/// sums, so the rewrite stays closed-form). All penalties are computed
-/// eagerly at construction, making arrivals pure lookups.
-#[derive(Debug)]
-pub struct FaultedEngine<E> {
-    inner: E,
-    plan: FaultPlan,
-    /// Cumulative recovery penalty through each unit, per class.
-    penalty_prefix: Vec<Vec<u64>>,
-    /// Fault events (retries + drops) per class, for degradation
+/// The one fault layer over a perfect-link engine ([`crate::StrictEngine`],
+/// [`crate::ParallelEngine`], [`crate::InterleavedEngine`]): a
+/// single-origin [`FaultPlan`], or a replica set
+/// ([`crate::replica::ReplicaSet`]) with or without a Byzantine plan.
+/// Every unit's surcharge is computed eagerly at construction and kept
+/// as per-class prefix sums along each stream, so arrivals are pure
+/// lookups: `remap(base) + prefix`.
+pub struct FaultLayer {
+    base: Box<dyn TransferEngine>,
+    /// The single-origin plan whose droop windows remap the base clock.
+    /// A perfect plan (the identity) for a replica set, whose mirrors
+    /// charge their droop per unit instead.
+    droop: FaultPlan,
+    /// Cumulative surcharge through each unit, per class.
+    pub(crate) prefix: Vec<Vec<Surcharge>>,
+    /// Serving replica per `(class, unit)`; the single origin is
+    /// replica 0.
+    pub(crate) serving: Vec<Vec<u32>>,
+    /// Fault events (retransmissions) per class, for degradation
     /// pressure accounting upstream.
     class_events: Vec<u64>,
-    stats: FaultStats,
-    last_surcharge: Surcharge,
+    faults: FaultStats,
+    pub(crate) replicas: ReplicaStats,
+    pub(crate) integrity: IntegrityStats,
+    last: Surcharge,
 }
 
-impl<E: TransferEngine> FaultedEngine<E> {
-    /// Wraps `inner`, precomputing every unit's delivery outcome for
-    /// `units` over `link`.
+impl FaultLayer {
+    /// Layers `faults` — or, when given, a replica set — over `base`,
+    /// precomputing every unit's surcharge for `units` over `link`. A
+    /// replica set owns fault modeling: each mirror runs its own seeded
+    /// plan, so `faults` is not applied on top of it. With neither, the
+    /// base timeline passes through bit for bit.
     #[must_use]
-    pub fn new(inner: E, plan: FaultPlan, units: &[ClassUnits], link: Link) -> Self {
-        let mut penalty_prefix = Vec::with_capacity(units.len());
-        let mut class_events = vec![0u64; units.len()];
-        let mut stats = FaultStats::default();
+    pub fn new(
+        base: Box<dyn TransferEngine>,
+        units: &[ClassUnits],
+        link: Link,
+        faults: Option<FaultPlan>,
+        replicas: Option<ReplicaSet<'_>>,
+    ) -> Self {
+        let mut layer = FaultLayer {
+            base,
+            droop: FaultPlan::perfect(0),
+            prefix: Vec::with_capacity(units.len()),
+            serving: Vec::with_capacity(units.len()),
+            class_events: vec![0; units.len()],
+            faults: FaultStats::default(),
+            replicas: ReplicaStats::default(),
+            integrity: IntegrityStats::default(),
+            last: Surcharge::default(),
+        };
+        if let Some(set) = replicas {
+            layer.route(&set, units, link);
+            return layer;
+        }
+        // The single origin: each unit's recovery penalty accumulates
+        // along its class stream.
+        let plan = faults.unwrap_or(layer.droop);
+        layer.droop = plan;
         for (c, u) in units.iter().enumerate() {
-            let sizes: Vec<u64> = std::iter::once(u.prelude)
-                .chain(u.methods.iter().copied())
-                .chain(std::iter::once(u.trailing))
-                .collect();
-            let mut prefix = Vec::with_capacity(sizes.len());
             let mut acc = 0u64;
-            for (i, &bytes) in sizes.iter().enumerate() {
+            let mut prefix = Vec::with_capacity(u.unit_count());
+            for (i, bytes) in u.sizes().enumerate() {
                 let d = plan.unit_delivery(c, i, link.cycles_for(bytes));
                 acc = acc.saturating_add(d.penalty_cycles);
-                prefix.push(acc);
-                stats.retries += u64::from(d.retries);
-                stats.lost += u64::from(d.lost);
-                stats.corrupted += u64::from(d.corrupted);
-                stats.quarantined += u64::from(d.quarantined);
-                stats.drops += u64::from(d.drops);
-                stats.retransmitted_bytes += bytes * u64::from(d.retries);
-                stats.forced += u64::from(d.forced);
-                class_events[c] += u64::from(d.retries);
+                prefix.push(Surcharge {
+                    recovery: acc,
+                    ..Surcharge::default()
+                });
+                layer.record(c, bytes, &d);
             }
-            penalty_prefix.push(prefix);
+            layer.prefix.push(prefix);
+            layer.serving.push(vec![0; u.unit_count()]);
         }
-        FaultedEngine {
-            inner,
-            plan,
-            penalty_prefix,
-            class_events,
-            stats,
-            last_surcharge: Surcharge::default(),
-        }
+        layer
     }
 
-    /// The wrapped perfect-link engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
+    /// Folds one delivered unit's outcome into the fault counters and
+    /// its class's fault events.
+    pub(crate) fn record(&mut self, class: usize, bytes: u64, d: &UnitDelivery) {
+        let f = &mut self.faults;
+        f.retries += u64::from(d.retries);
+        f.lost += u64::from(d.lost);
+        f.corrupted += u64::from(d.corrupted);
+        f.quarantined += u64::from(d.quarantined);
+        f.drops += u64::from(d.drops);
+        f.retransmitted_bytes += bytes * u64::from(d.retries);
+        f.forced += u64::from(d.forced);
+        self.class_events[class] += u64::from(d.retries);
+    }
+
+    /// The surcharge embedded in the most recent
+    /// [`TransferEngine::unit_ready`] answer, split by cause; the
+    /// co-simulator splits a stall by it.
+    #[must_use]
+    pub fn last_surcharge(&self) -> Surcharge {
+        self.last
+    }
+
+    /// Cumulative fault events (retransmissions) charged to `class`,
+    /// for graceful-degradation pressure accounting.
+    #[must_use]
+    pub fn class_fault_events(&self, class: usize) -> u64 {
+        self.class_events[class]
+    }
+
+    /// The replica that serves the given unit (0 for the single origin).
+    #[must_use]
+    pub fn serving_replica(&self, class: usize, unit: usize) -> u32 {
+        self.serving[class][unit]
+    }
+
+    /// Aggregate fault-protocol counters.
+    #[must_use]
+    pub fn fault_stats(&self) -> FaultStats {
+        self.faults
+    }
+
+    /// Aggregate replica-set counters (all zero for the single origin).
+    #[must_use]
+    pub fn replica_stats(&self) -> ReplicaStats {
+        self.replicas
+    }
+
+    /// Aggregate integrity counters (all zero unless a Byzantine plan
+    /// armed the manifest layer).
+    #[must_use]
+    pub fn integrity_stats(&self) -> IntegrityStats {
+        self.integrity
     }
 }
 
-impl<E: TransferEngine> TransferEngine for FaultedEngine<E> {
+impl TransferEngine for FaultLayer {
     fn unit_ready(&mut self, class: usize, unit: usize, now: u64) -> u64 {
-        let base = self.inner.unit_ready(class, unit, now);
-        let t = self
-            .plan
-            .remap(base)
-            .saturating_add(self.penalty_prefix[class][unit]);
-        self.last_surcharge.recovery = t - base;
-        t
+        let base = self.base.unit_ready(class, unit, now);
+        let s = self.prefix[class][unit];
+        let wall = self.droop.remap(base);
+        self.last = Surcharge {
+            recovery: s.recovery.saturating_add(wall - base),
+            ..s
+        };
+        wall.saturating_add(s.total())
     }
 
     fn finish_time(&mut self) -> u64 {
         // Run the base timeline to completion, then apply each class
-        // stream's full recovery penalty to its last arrival.
-        let base_finish = self.inner.finish_time();
-        let mut finish = self.plan.remap(base_finish);
-        for c in 0..self.penalty_prefix.len() {
-            let last = self.penalty_prefix[c].len() - 1;
-            let b = self.inner.unit_ready(c, last, base_finish);
+        // stream's full surcharge to its last arrival.
+        let base_finish = self.base.finish_time();
+        let mut finish = self.droop.remap(base_finish);
+        for c in 0..self.prefix.len() {
+            let last = self.prefix[c].len() - 1;
+            let b = self.base.unit_ready(c, last, base_finish);
             finish = finish.max(
-                self.plan
+                self.droop
                     .remap(b)
-                    .saturating_add(self.penalty_prefix[c][last]),
+                    .saturating_add(self.prefix[c][last].total()),
             );
         }
         finish
     }
 
     fn total_bytes(&self) -> u64 {
-        // Unique payload bytes; retransmissions are reported in
+        // Unique payload bytes: hedged duplicates are canceled, not
+        // delivered, and retransmissions are counted in
         // `fault_stats().retransmitted_bytes`.
-        self.inner.total_bytes()
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    fn last_surcharge(&self) -> Surcharge {
-        self.last_surcharge
-    }
-
-    fn class_fault_events(&self, class: usize) -> u64 {
-        self.class_events[class]
+        self.base.total_bytes()
     }
 }
 
@@ -432,6 +496,10 @@ mod tests {
         ParallelEngine::new(LINK, units.to_vec(), &schedule, 4)
     }
 
+    fn layer(units: &[ClassUnits], plan: FaultPlan) -> FaultLayer {
+        FaultLayer::new(Box::new(engine(units)), units, LINK, Some(plan), None)
+    }
+
     #[test]
     fn perfect_plan_is_the_identity() {
         let plan = FaultPlan::perfect(42);
@@ -451,7 +519,7 @@ mod tests {
     fn zero_rate_wrapper_matches_the_inner_engine_exactly() {
         let units = sample_units();
         let mut bare = engine(&units);
-        let mut faulted = FaultedEngine::new(engine(&units), FaultPlan::perfect(9), &units, LINK);
+        let mut faulted = layer(&units, FaultPlan::perfect(9));
         for (c, u) in units.iter().enumerate() {
             for i in 0..u.unit_count() {
                 assert_eq!(faulted.unit_ready(c, i, 0), bare.unit_ready(c, i, 0));
@@ -559,7 +627,7 @@ mod tests {
     #[test]
     fn faulted_arrivals_stay_monotone_within_each_stream() {
         let units = sample_units();
-        let mut faulted = FaultedEngine::new(engine(&units), lossy(11), &units, LINK);
+        let mut faulted = layer(&units, lossy(11));
         let finish = faulted.finish_time();
         let mut recovery = 0;
         for (c, u) in units.iter().enumerate() {
@@ -583,7 +651,7 @@ mod tests {
         let mut charged = 0;
         for seed in 0..8 {
             let mut bare = engine(&units);
-            let mut faulted = FaultedEngine::new(engine(&units), lossy(seed), &units, LINK);
+            let mut faulted = layer(&units, lossy(seed));
             for (c, u) in units.iter().enumerate() {
                 for i in 0..u.unit_count() {
                     let t = faulted.unit_ready(c, i, 0);
@@ -612,7 +680,7 @@ mod tests {
             trailing: 0,
         }];
         let plan = lossy(5);
-        let mut faulted = FaultedEngine::new(engine(&units), plan, &units, LINK);
+        let mut faulted = layer(&units, plan);
         let d = plan.unit_delivery(0, 0, LINK.cycles_for(100));
         let base = engine(&units).unit_ready(0, 0, 0);
         assert_eq!(

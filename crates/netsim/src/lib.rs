@@ -11,7 +11,8 @@
 //! * [`schedule`] — the greedy parallel-transfer schedule (§5.1):
 //!   first-use class order plus unique-byte dependency thresholds.
 //! * [`engine`] — the [`engine::TransferEngine`] abstraction the
-//!   co-simulator drives.
+//!   co-simulator drives: `unit_ready`, `finish_time`, `total_bytes`,
+//!   the perfect-link timeline and nothing else.
 //! * [`parallel`] — fluid multi-stream transfer with fair bandwidth
 //!   sharing, a concurrent-file limit, threshold-triggered starts, and
 //!   demand-fetch correction on misprediction.
@@ -19,19 +20,24 @@
 //! * [`strict`] — sequential whole-class transfer (baseline and
 //!   ablation).
 //! * [`faults`] — seeded, deterministic fault injection
-//!   ([`faults::FaultPlan`]) and the resilient transfer protocol
-//!   ([`faults::FaultedEngine`]): CRC32-verified units, retry with
-//!   capped exponential backoff, resumable streams after a drop, and
-//!   piecewise-linear droop-window time remapping.
+//!   ([`faults::FaultPlan`]) and the one fault layer over any
+//!   perfect-link engine ([`faults::FaultLayer`]). Built once, from a
+//!   single-origin plan or a replica set, it keeps one per-class
+//!   [`engine::Surcharge`] prefix table, the droop remap, per-class
+//!   fault events, the serving-replica assignment, and the fault,
+//!   replica and integrity counters. The single-origin protocol:
+//!   CRC32-verified units, retry with capped exponential backoff,
+//!   resumable streams after a drop, and piecewise-linear droop-window
+//!   time remapping.
 //! * [`outage`] — full connection losses ([`outage::OutagePlan`]):
 //!   seeded per-period outage events with duration distributions that
 //!   freeze the client and the link together, and the monotone
 //!   base-to-wall time shift ([`outage::OutageSchedule`]) the session
 //!   layer uses for checkpoint/resume accounting.
-//! * [`replica`] — replica-set transfer ([`replica::ReplicaEngine`]):
-//!   N independently seeded mirrors with EWMA health-scored routing,
-//!   hedged duplicate fetches past a stall deadline, and mid-stream
-//!   failover at unit boundaries.
+//! * [`replica`] — replica-set transfer ([`replica::ReplicaSet`], routed
+//!   by the fault layer): N independently seeded mirrors with EWMA
+//!   health-scored routing, hedged duplicate fetches past a stall
+//!   deadline, and mid-stream failover at unit boundaries.
 //! * [`byzantine`] — seeded Byzantine misbehavior plans
 //!   ([`byzantine::ByzantinePlan`]): stale-epoch, equivocating, and
 //!   manifest-colluding mirrors, plus the cross-mirror audit sampler
@@ -72,14 +78,14 @@ pub use contention::{
     ShedAction, ShedLadder,
 };
 pub use engine::{Surcharge, TransferEngine};
-pub use faults::{FaultPlan, FaultStats, FaultedEngine};
+pub use faults::{FaultLayer, FaultPlan, FaultStats};
 pub use interleaved::InterleavedEngine;
 pub use link::{Link, LinkError};
 pub use outage::{OutageEvent, OutagePlan, OutageSchedule, OUTAGE_PERIOD_CYCLES};
 pub use parallel::ParallelEngine;
 pub use replica::{
-    replica_seed, ReplicaEngine, ReplicaHealth, ReplicaProfile, ReplicaStats,
-    HEDGE_OVERHEAD_CYCLES, MAX_REPLICAS,
+    replica_seed, ReplicaHealth, ReplicaProfile, ReplicaSet, ReplicaStats, HEDGE_OVERHEAD_CYCLES,
+    MAX_REPLICAS,
 };
 pub use schedule::{greedy_schedule, ParallelSchedule, ScheduleError, Weights};
 pub use strict::StrictEngine;

@@ -7,8 +7,8 @@
 //! draws), its own seeded [`OutagePlan`] (windows where the mirror is
 //! unreachable), and an optional death instant for failover testing.
 //!
-//! [`ReplicaEngine`] wraps any perfect-link [`TransferEngine`] and
-//! routes every transfer unit to a mirror:
+//! Given a [`ReplicaSet`], the fault layer ([`FaultLayer`]) routes
+//! every transfer unit to a mirror:
 //!
 //! * the client keeps an **EWMA health score** per replica (goodput of
 //!   the units it served, decayed by every outage window it was caught
@@ -39,8 +39,8 @@ use crate::byzantine::{
     ByzantineMode, ByzantinePlan, IntegrityStats, AUDIT_COMPARE_CYCLES, DIGEST_CHECK_CYCLES,
     QUARANTINE_CYCLES,
 };
-use crate::engine::{Surcharge, TransferEngine};
-use crate::faults::{splitmix, FaultPlan, FaultStats};
+use crate::engine::Surcharge;
+use crate::faults::{splitmix, FaultLayer, FaultPlan};
 use crate::link::Link;
 use crate::outage::{OutagePlan, OUTAGE_PERIOD_CYCLES};
 use crate::unit::ClassUnits;
@@ -148,63 +148,32 @@ fn outage_wait(plan: &OutagePlan, t: u64) -> u64 {
     wait
 }
 
-/// Wraps a perfect-link [`TransferEngine`] and routes every unit to the
-/// healthiest live mirror of a replica set, hedging past-deadline
-/// deliveries to the runner-up. Every routing decision, health update,
-/// and surcharge is computed eagerly at construction on the
-/// deterministic class-major strict clock; arrivals are pure lookups.
-#[derive(Debug)]
-pub struct ReplicaEngine<E> {
-    inner: E,
-    /// Cumulative surcharge through each unit, per class: recovery
-    /// (bandwidth spread, fault recovery, droop stretch, outage wait),
-    /// hedge (deadline waits and issue/cancel overhead), and integrity
-    /// (digest checks, divergence refetches, audit rounds, fence
-    /// re-pins; zero when no Byzantine plan is armed).
-    prefix: Vec<Vec<Surcharge>>,
-    /// Serving replica per `(class, unit)`.
-    assignment: Vec<Vec<u32>>,
-    /// Fault events (retransmissions) per class, for degradation
-    /// pressure accounting upstream.
-    class_events: Vec<u64>,
-    stats: FaultStats,
-    rstats: ReplicaStats,
-    istats: IntegrityStats,
-    last_surcharge: Surcharge,
-}
-
-impl<E: TransferEngine> ReplicaEngine<E> {
-    /// Wraps `inner`, routing `units` across `profiles` (truncated to
-    /// [`MAX_REPLICAS`]) over the base `link`. A `hedge_deadline` of
-    /// zero disables hedging.
-    #[must_use]
-    pub fn new(
-        inner: E,
-        profiles: &[ReplicaProfile],
-        hedge_deadline: u64,
-        units: &[ClassUnits],
-        link: Link,
-    ) -> Self {
-        Self::with_integrity(inner, profiles, hedge_deadline, units, link, None)
-    }
-
-    /// Like [`ReplicaEngine::new`], additionally armed with a
-    /// [`ByzantinePlan`]: every delivered unit is checked against its
-    /// pinned manifest digest, divergent mirrors are quarantined and
-    /// failed over, a seeded fraction of units is cross-audited on the
+/// A replica set for [`FaultLayer::new`]: the mirrors, the hedge
+/// deadline, and the Byzantine plan that arms the manifest layer, if
+/// any.
+#[derive(Debug, Clone, Copy)]
+pub struct ReplicaSet<'a> {
+    /// The mirrors, truncated to [`MAX_REPLICAS`].
+    pub profiles: &'a [ReplicaProfile],
+    /// Stall past which a unit is hedged to the runner-up; zero
+    /// disables hedging.
+    pub hedge_deadline: u64,
+    /// With a plan, every delivered unit is checked against its pinned
+    /// manifest digest, divergent mirrors are quarantined and failed
+    /// over, a seeded fraction of units is cross-audited on the
     /// runner-up mirror, and a [`ByzantineMode::StaleEpoch`] plan gets
     /// an epoch fence at the midpoint of the class-major strict
-    /// timeline (the origin's mid-stream re-restructure). `None` is
-    /// bit-identical to [`ReplicaEngine::new`].
-    #[must_use]
-    pub fn with_integrity(
-        inner: E,
-        profiles: &[ReplicaProfile],
-        hedge_deadline: u64,
-        units: &[ClassUnits],
-        link: Link,
-        plan: Option<&ByzantinePlan>,
-    ) -> Self {
+    /// timeline (the origin's mid-stream re-restructure).
+    pub byzantine: Option<ByzantinePlan>,
+}
+
+impl FaultLayer {
+    /// Routes every unit of `units` to the healthiest live mirror of
+    /// `set`, hedging past-deadline deliveries to the runner-up. Every
+    /// routing decision, health update, and surcharge is computed on
+    /// the deterministic class-major strict clock over the base `link`.
+    pub(crate) fn route(&mut self, set: &ReplicaSet<'_>, units: &[ClassUnits], link: Link) {
+        let (profiles, hedge_deadline, plan) = (set.profiles, set.hedge_deadline, set.byzantine);
         let n = profiles.len().clamp(1, MAX_REPLICAS);
         let profiles = &profiles[..n];
         let mut health = [HEALTH_FULL_PPM; MAX_REPLICAS];
@@ -212,7 +181,6 @@ impl<E: TransferEngine> ReplicaEngine<E> {
             replicas: u32::try_from(n).unwrap_or(u32::MAX),
             ..ReplicaStats::default()
         };
-        let mut stats = FaultStats::default();
         let mut istats = IntegrityStats {
             armed: plan.is_some(),
             ..IntegrityStats::default()
@@ -227,33 +195,21 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                 .map(|_| {
                     units
                         .iter()
-                        .map(|u| {
-                            std::iter::once(u.prelude)
-                                .chain(u.methods.iter().copied())
-                                .chain(std::iter::once(u.trailing))
-                                .map(|b| link.cycles_for(b))
-                                .sum::<u64>()
-                        })
+                        .flat_map(ClassUnits::sizes)
+                        .map(|b| link.cycles_for(b))
                         .sum::<u64>()
                         / 2
                 });
         let mut fence_crossed = false;
-        let mut prefix = Vec::with_capacity(units.len());
-        let mut assignment = Vec::with_capacity(units.len());
-        let mut class_events = vec![0u64; units.len()];
         // The routing clock: the class-major strict timeline. It only
         // depends on (units, link), so routing is probe-proof.
         let mut est = 0u64;
         for (c, u) in units.iter().enumerate() {
-            let sizes: Vec<u64> = std::iter::once(u.prelude)
-                .chain(u.methods.iter().copied())
-                .chain(std::iter::once(u.trailing))
-                .collect();
-            let mut pre = Vec::with_capacity(sizes.len());
-            let mut assign = Vec::with_capacity(sizes.len());
+            let mut pre = Vec::with_capacity(u.unit_count());
+            let mut assign = Vec::with_capacity(u.unit_count());
             let mut acc = Surcharge::default();
             let mut prev_serving: Option<usize> = None;
-            for (i, &bytes) in sizes.iter().enumerate() {
+            for (i, bytes) in u.sizes().enumerate() {
                 let base_tx = link.cycles_for(bytes);
                 // The candidates: replicas still alive at the routing
                 // instant and not quarantined for proven divergence,
@@ -441,14 +397,7 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                 acc.integrity = acc.integrity.saturating_add(integrity);
                 pre.push(acc);
                 assign.push(u32::try_from(serving).unwrap_or(u32::MAX));
-                stats.retries += u64::from(delivery.retries);
-                stats.lost += u64::from(delivery.lost);
-                stats.corrupted += u64::from(delivery.corrupted);
-                stats.quarantined += u64::from(delivery.quarantined);
-                stats.drops += u64::from(delivery.drops);
-                stats.retransmitted_bytes += bytes * u64::from(delivery.retries);
-                stats.forced += u64::from(delivery.forced);
-                class_events[c] += u64::from(delivery.retries);
+                self.record(c, bytes, &delivery);
                 let h = &mut rstats.health[serving];
                 h.units_served += 1;
                 h.bytes_served += bytes;
@@ -465,86 +414,23 @@ impl<E: TransferEngine> ReplicaEngine<E> {
                 }
                 est = est.saturating_add(base_tx);
             }
-            prefix.push(pre);
-            assignment.push(assign);
+            self.prefix.push(pre);
+            self.serving.push(assign);
         }
         for (r, p) in profiles.iter().enumerate() {
             rstats.health[r].health_ppm = health[r];
             rstats.health[r].alive = p.dead_from.is_none_or(|d| d > est);
         }
-        ReplicaEngine {
-            inner,
-            prefix,
-            assignment,
-            class_events,
-            stats,
-            rstats,
-            istats,
-            last_surcharge: Surcharge::default(),
-        }
-    }
-
-    /// The wrapped perfect-link engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: TransferEngine> TransferEngine for ReplicaEngine<E> {
-    fn unit_ready(&mut self, class: usize, unit: usize, now: u64) -> u64 {
-        let base = self.inner.unit_ready(class, unit, now);
-        self.last_surcharge = self.prefix[class][unit];
-        base.saturating_add(self.last_surcharge.total())
-    }
-
-    fn finish_time(&mut self) -> u64 {
-        // Run the base timeline to completion, then apply each class
-        // stream's full surcharge to its last arrival.
-        let base_finish = self.inner.finish_time();
-        let mut finish = base_finish;
-        for c in 0..self.prefix.len() {
-            let last = self.prefix[c].len() - 1;
-            let b = self.inner.unit_ready(c, last, base_finish);
-            finish = finish.max(b.saturating_add(self.prefix[c][last].total()));
-        }
-        finish
-    }
-
-    fn total_bytes(&self) -> u64 {
-        // Unique payload bytes; hedged duplicates are canceled, not
-        // delivered, and retransmissions are reported in
-        // `fault_stats().retransmitted_bytes`.
-        self.inner.total_bytes()
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    fn last_surcharge(&self) -> Surcharge {
-        self.last_surcharge
-    }
-
-    fn class_fault_events(&self, class: usize) -> u64 {
-        self.class_events[class]
-    }
-
-    fn replica_stats(&self) -> ReplicaStats {
-        self.rstats
-    }
-
-    fn serving_replica(&self, class: usize, unit: usize) -> u32 {
-        self.assignment[class][unit]
-    }
-
-    fn integrity_stats(&self) -> IntegrityStats {
-        self.istats
+        self.replicas = rstats;
+        self.integrity = istats;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TransferEngine;
+    use crate::faults::FaultStats;
     use crate::schedule::ParallelSchedule;
     use crate::ParallelEngine;
 
@@ -600,11 +486,25 @@ mod tests {
         }
     }
 
+    fn layered(
+        units: &[ClassUnits],
+        profiles: &[ReplicaProfile],
+        hedge_deadline: u64,
+        byzantine: Option<ByzantinePlan>,
+    ) -> FaultLayer {
+        let set = ReplicaSet {
+            profiles,
+            hedge_deadline,
+            byzantine,
+        };
+        FaultLayer::new(Box::new(engine(units)), units, LINK, None, Some(set))
+    }
+
     /// The surcharge the engine charged across the whole transfer, by
     /// cause. Each class stream's surcharge accumulates along the
     /// stream, so the last arrival of a class carries the sum of every
     /// arrival's share; summed over classes, that is the total.
-    fn charged<E: TransferEngine>(set: &mut ReplicaEngine<E>, units: &[ClassUnits]) -> Surcharge {
+    fn charged(set: &mut FaultLayer, units: &[ClassUnits]) -> Surcharge {
         let mut total = Surcharge::default();
         for (c, u) in units.iter().enumerate() {
             set.unit_ready(c, u.unit_count() - 1, 0);
@@ -621,7 +521,7 @@ mod tests {
         let units = sample_units();
         let profiles = [perfect_profile(1), perfect_profile(2), perfect_profile(3)];
         let mut bare = engine(&units);
-        let mut set = ReplicaEngine::new(engine(&units), &profiles, 1_000, &units, LINK);
+        let mut set = layered(&units, &profiles, 1_000, None);
         for (c, u) in units.iter().enumerate() {
             for i in 0..u.unit_count() {
                 assert_eq!(set.unit_ready(c, i, 0), bare.unit_ready(c, i, 0));
@@ -652,12 +552,11 @@ mod tests {
     fn routing_is_deterministic_and_seed_sensitive() {
         let units = sample_units();
         let mk = |seed| {
-            ReplicaEngine::new(
-                engine(&units),
+            layered(
+                &units,
                 &[lossy_profile(seed), lossy_profile(seed + 100)],
                 200_000,
-                &units,
-                LINK,
+                None,
             )
         };
         let a = mk(7).replica_stats();
@@ -679,7 +578,7 @@ mod tests {
             })
             .collect();
         let profiles = [lossy_profile(3), perfect_profile(4)];
-        let mut set = ReplicaEngine::new(engine(&units), &profiles, 100_000, &units, LINK);
+        let mut set = layered(&units, &profiles, 100_000, None);
         let r = set.replica_stats();
         assert!(r.hedges > 0, "40% loss must stall units past the deadline");
         assert!(r.hedge_wins > 0, "a perfect runner-up must win some hedges");
@@ -694,9 +593,11 @@ mod tests {
                 let t = set.unit_ready(c, i, 0);
                 assert!(t >= last, "class {c} unit {i} must stay monotone");
                 assert!(t <= finish);
+                assert_eq!(set.last_surcharge().integrity, 0, "no plan, no digests");
                 last = t;
             }
         }
+        assert_eq!(set.integrity_stats(), IntegrityStats::default());
     }
 
     #[test]
@@ -710,7 +611,7 @@ mod tests {
             perfect_profile(2),
             perfect_profile(3),
         ];
-        let mut set = ReplicaEngine::new(engine(&units), &profiles, 0, &units, LINK);
+        let mut set = layered(&units, &profiles, 0, None);
         let r = set.replica_stats();
         assert_eq!(set.serving_replica(0, 0), 0, "first unit routes at est 0");
         for (c, u) in units.iter().enumerate() {
@@ -741,7 +642,7 @@ mod tests {
             },
             perfect_profile(2),
         ];
-        let set = ReplicaEngine::new(engine(&units), &profiles, 0, &units, LINK);
+        let set = layered(&units, &profiles, 0, None);
         let r = set.replica_stats();
         assert!(r.sole_survivor);
         assert_eq!(
@@ -760,7 +661,7 @@ mod tests {
             })
             .collect();
         let profiles = [lossy_profile(5), perfect_profile(6)];
-        let set = ReplicaEngine::new(engine(&units), &profiles, 0, &units, LINK);
+        let set = layered(&units, &profiles, 0, None);
         let r = set.replica_stats();
         assert!(
             r.health[0].health_ppm < r.health[1].health_ppm,
@@ -793,7 +694,7 @@ mod tests {
             ..perfect_profile(9)
         };
         let profiles = [stormy, perfect_profile(10)];
-        let set = ReplicaEngine::new(engine(&units), &profiles, 0, &units, LINK);
+        let set = layered(&units, &profiles, 0, None);
         let r = set.replica_stats();
         assert!(
             r.health[0].outage_hits > 0,
@@ -804,23 +705,6 @@ mod tests {
             r.health[1].units_served > 0,
             "routing must avoid the unreachable mirror"
         );
-    }
-
-    #[test]
-    fn no_byzantine_plan_is_bit_identical_to_new() {
-        let units = sample_units();
-        let profiles = [lossy_profile(3), perfect_profile(4)];
-        let mut a = ReplicaEngine::new(engine(&units), &profiles, 100_000, &units, LINK);
-        let mut b =
-            ReplicaEngine::with_integrity(engine(&units), &profiles, 100_000, &units, LINK, None);
-        for (c, u) in units.iter().enumerate() {
-            for i in 0..u.unit_count() {
-                assert_eq!(a.unit_ready(c, i, 0), b.unit_ready(c, i, 0));
-                assert_eq!(b.last_surcharge().integrity, 0);
-            }
-        }
-        assert_eq!(a.replica_stats(), b.replica_stats());
-        assert_eq!(b.integrity_stats(), IntegrityStats::default());
     }
 
     #[test]
@@ -849,14 +733,7 @@ mod tests {
             },
             profiles[1],
         ];
-        let set = ReplicaEngine::with_integrity(
-            engine(&units),
-            &dead_primary,
-            0,
-            &units,
-            LINK,
-            Some(&plan),
-        );
+        let set = layered(&units, &dead_primary, 0, Some(plan));
         let st = set.integrity_stats();
         assert!(st.armed);
         assert!(st.digest_checks > 0);
@@ -901,8 +778,7 @@ mod tests {
             profiles[1],
             profiles[2],
         ];
-        let mut set =
-            ReplicaEngine::with_integrity(engine(&units), &p, 0, &units, LINK, Some(&plan));
+        let mut set = layered(&units, &p, 0, Some(plan));
         let st = set.integrity_stats();
         let r = set.replica_stats();
         assert!(
@@ -958,8 +834,7 @@ mod tests {
                 audit_rate_pm,
                 manifest_bytes: 64,
             };
-            ReplicaEngine::with_integrity(engine(&units), &p, 0, &units, LINK, Some(&plan))
-                .integrity_stats()
+            layered(&units, &p, 0, Some(plan)).integrity_stats()
         };
         let no_audit = mk(0);
         assert_eq!(no_audit.quarantines, 0, "forged digests pass inline checks");
@@ -997,7 +872,7 @@ mod tests {
             audit_rate_pm: 0,
             manifest_bytes: 64,
         };
-        let set = ReplicaEngine::with_integrity(engine(&units), &p, 0, &units, LINK, Some(&plan));
+        let set = layered(&units, &p, 0, Some(plan));
         let st = set.integrity_stats();
         // Healthy honest primary keeps the stale mirror idle: no
         // divergence ever observed, but the fence re-pin still fires.
@@ -1006,8 +881,7 @@ mod tests {
         // Now make the stale mirror the preferred server: pair it with
         // an honest-but-lossy primary whose health decays fast.
         let p = [lossy_profile(1), perfect_profile(2)];
-        let mut set =
-            ReplicaEngine::with_integrity(engine(&units), &p, 0, &units, LINK, Some(&plan));
+        let mut set = layered(&units, &p, 0, Some(plan));
         let st = set.integrity_stats();
         let r = set.replica_stats();
         assert!(
@@ -1023,22 +897,13 @@ mod tests {
         // detection refetches it from the honest one.
         let total: u64 = units
             .iter()
-            .map(|u| {
-                std::iter::once(u.prelude)
-                    .chain(u.methods.iter().copied())
-                    .chain(std::iter::once(u.trailing))
-                    .map(|b| LINK.cycles_for(b))
-                    .sum::<u64>()
-            })
+            .flat_map(ClassUnits::sizes)
+            .map(|b| LINK.cycles_for(b))
             .sum();
         let fence = total / 2;
         let mut est = 0u64;
         for (c, u) in units.iter().enumerate() {
-            let sizes: Vec<u64> = std::iter::once(u.prelude)
-                .chain(u.methods.iter().copied())
-                .chain(std::iter::once(u.trailing))
-                .collect();
-            for (i, &bytes) in sizes.iter().enumerate() {
+            for (i, bytes) in u.sizes().enumerate() {
                 let s = set.serving_replica(c, i) as usize;
                 assert!(
                     est < fence || !plan.is_byzantine(s, 2),
@@ -1068,14 +933,7 @@ mod tests {
             manifest_bytes: 64,
         };
         let mut bare = engine(&units);
-        let mut set = ReplicaEngine::with_integrity(
-            engine(&units),
-            &profiles,
-            100_000,
-            &units,
-            LINK,
-            Some(&plan),
-        );
+        let mut set = layered(&units, &profiles, 100_000, Some(plan));
         for (c, u) in units.iter().enumerate() {
             for i in 0..u.unit_count() {
                 let t = set.unit_ready(c, i, 0);

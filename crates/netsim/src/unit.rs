@@ -87,7 +87,14 @@ impl ClassUnits {
     /// Total bytes of the class on the wire.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.prelude + self.methods.iter().sum::<u64>() + self.trailing
+        self.sizes().sum()
+    }
+
+    /// Each unit's bytes, in stream order: prelude, methods, trailing.
+    pub fn sizes(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.prelude)
+            .chain(self.methods.iter().copied())
+            .chain(std::iter::once(self.trailing))
     }
 
     /// Cumulative byte offset at which unit `i` completes.

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -27,6 +27,9 @@ use std::time::Duration;
 /// the live sockets of its connections.
 pub(crate) struct StopSignal {
     raised: AtomicBool,
+    /// Notified under the `conns` lock when the flag is raised, so a
+    /// [`StopSignal::wait`] cannot miss it.
+    raised_cv: Condvar,
     wake: SocketAddr,
     conns: Mutex<Conns>,
 }
@@ -59,6 +62,7 @@ impl StopSignal {
         }
         Ok(StopSignal {
             raised: AtomicBool::new(false),
+            raised_cv: Condvar::new(),
             wake,
             conns: Mutex::default(),
         })
@@ -74,11 +78,23 @@ impl StopSignal {
     /// listener being stopped.
     pub(crate) fn raise(&self) {
         if !self.raised.swap(true, Ordering::SeqCst) {
+            {
+                let _conns = self.lock_conns();
+                self.raised_cv.notify_all();
+            }
             // Loopback completes the handshake without the accept loop's
             // help; the timeout only bounds a full backlog, in which case
             // `accept()` has connections to return and sees the flag anyway.
             let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
         }
+    }
+
+    /// Sleeps until the flag is raised or `timeout` passes.
+    pub(crate) fn wait(&self, timeout: Duration) {
+        let conns = self.lock_conns();
+        let _ = self
+            .raised_cv
+            .wait_timeout_while(conns, timeout, |_| !self.is_raised());
     }
 
     /// Raises the flag, shuts down every registered socket — every read

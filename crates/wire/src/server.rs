@@ -27,7 +27,7 @@
 //!   their journal watermarks on reconnect.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -63,6 +63,7 @@ pub struct ServerConfig {
     pub slow_grace: Duration,
     /// Optional pacing delay between units (keeps connections in
     /// flight long enough for drain and chaos tests to observe them).
+    /// Drain, kill and drop cut a pace short.
     pub pace_per_unit: Option<Duration>,
     /// Crash hook: hard-kill the whole server the moment its global
     /// `units_sent` counter reaches this value — no Evict, no Bye,
@@ -504,16 +505,18 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 
     // Each frame goes straight to the socket, whose send buffer and
-    // write deadline are the bounded queue and its backpressure. A
-    // failed write (deadline or vanished peer: either way the consumer
-    // is not keeping up) or a breach of the byte-rate floor evicts the
-    // connection at this frame boundary.
+    // write deadline are the bounded queue and its backpressure. A write
+    // that hits its deadline or a breach of the byte-rate floor evicts
+    // a slow consumer at this frame boundary; a reset or closed peer
+    // just ends the connection.
     let started = Instant::now();
     let mut written = 0u64;
     let mut send = |frame: &Frame| -> bool {
         let buf = frame.encode();
-        if (&stream).write_all(&buf).is_err() {
-            shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = (&stream).write_all(&buf) {
+            if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
+                shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
+            }
             return false;
         }
         written += buf.len() as u64;
@@ -610,7 +613,9 @@ fn stream_units(
                 return StreamEnd::Aborted;
             }
             if let Some(pace) = shared.config.pace_per_unit {
-                std::thread::sleep(pace);
+                // Drain, kill and drop raise the stop signal, which cuts
+                // the pace short; the loop head then sees why.
+                shared.stop.wait(pace);
             }
         }
     }
@@ -720,6 +725,74 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// A server pacing `tiny` at 30 s a unit, and a client parked in
+    /// that pace: it sent Hello and read the Welcome and the first unit.
+    fn parked_in_a_30s_pace() -> (WireServer, TcpStream) {
+        let config = ServerConfig {
+            pace_per_unit: Some(Duration::from_secs(30)),
+            ..ServerConfig::default()
+        };
+        let server = WireServer::bind("127.0.0.1:0", vec![tiny_plan()], config).expect("bind");
+        let client = hello_tiny(&server);
+        assert!(matches!(read_frame(&mut &client), Ok(Frame::Unit { .. })));
+        (server, client)
+    }
+
+    /// Connects to `server`, asks for `tiny` and reads the Welcome.
+    fn hello_tiny(server: &WireServer) -> TcpStream {
+        let mut client = TcpStream::connect(server.local_addr()).expect("connect");
+        let hello = Frame::Hello {
+            version: crate::frame::PROTOCOL_VERSION,
+            benchmark: "tiny".to_owned(),
+            ordering: 0,
+            resume: Vec::new(),
+        };
+        client.write_all(&hello.encode()).expect("hello");
+        assert!(matches!(
+            read_frame(&mut &client),
+            Ok(Frame::Welcome { .. })
+        ));
+        client
+    }
+
+    /// Drain wakes a connection out of its pace and evicts it at the
+    /// unit boundary, without waiting the pace out.
+    #[test]
+    fn drain_cuts_a_paced_session_short() {
+        let (server, _client) = parked_in_a_30s_pace();
+        let report = returns_within_10s("drain", move || server.drain(Duration::from_secs(5)));
+        assert!(report.clean, "{report:?}");
+        assert_eq!(report.in_flight_at_drain, 1);
+    }
+
+    /// Kill then drop wakes a paced connection the same way.
+    #[test]
+    fn kill_then_drop_cuts_a_paced_session_short() {
+        let (server, _client) = parked_in_a_30s_pace();
+        returns_within_10s("kill + drop", move || {
+            server.kill();
+            drop(server);
+        });
+    }
+
+    /// A peer that hangs up mid-stream is gone, not slow: the failed
+    /// write ends its connection without counting a slow eviction.
+    #[test]
+    fn a_peer_that_hangs_up_is_not_a_slow_consumer() {
+        let config = ServerConfig {
+            pace_per_unit: Some(Duration::from_millis(50)),
+            ..ServerConfig::default()
+        };
+        let server = WireServer::bind("127.0.0.1:0", vec![tiny_plan()], config).expect("bind");
+        drop(hello_tiny(&server));
+        let left = server
+            .shared
+            .wait_for_handlers(Instant::now() + Duration::from_secs(10));
+        assert_eq!(left, 0, "the handler exits once its peer is gone");
+        assert_eq!(server.stats().completed, 0);
+        assert_eq!(server.stats().evicted_slow, 0);
     }
 
     /// Kill then drop wakes an idle listener the same way.

@@ -31,3 +31,56 @@ pub fn disk_seeds() -> u64 {
         .and_then(|v| v.parse().ok())
         .unwrap_or(4)
 }
+
+/// A session store that keeps nothing and signals once, from its first
+/// accepted unit: a test waits on the receiver for "this client is
+/// mid-stream" instead of sleeping a guessed head start.
+pub struct FirstUnitSignal(Option<std::sync::mpsc::Sender<()>>);
+
+impl FirstUnitSignal {
+    /// The store to hand the client, and the receiver to wait on.
+    pub fn new() -> (Box<FirstUnitSignal>, std::sync::mpsc::Receiver<()>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (Box::new(FirstUnitSignal(Some(tx))), rx)
+    }
+}
+
+impl nonstrict_wire::SessionStore for FirstUnitSignal {
+    fn warm_start(&mut self) -> Option<nonstrict_wire::WarmSession> {
+        None
+    }
+
+    fn on_pin(&mut self, _: u32, _: &[u8]) -> Result<(), nonstrict_wire::StoreFault> {
+        Ok(())
+    }
+
+    fn on_unit(
+        &mut self,
+        _: u32,
+        _: u32,
+        _: u32,
+        _: u32,
+        _: &[u8],
+    ) -> Result<(), nonstrict_wire::StoreFault> {
+        if let Some(tx) = self.0.take() {
+            let _ = tx.send(());
+        }
+        Ok(())
+    }
+
+    fn on_reset_class(&mut self, _: u32, _: u32, _: u32) -> Result<(), nonstrict_wire::StoreFault> {
+        Ok(())
+    }
+
+    fn on_truncate(&mut self, _: u32, _: u32) -> Result<(), nonstrict_wire::StoreFault> {
+        Ok(())
+    }
+
+    fn on_reset_all(&mut self) -> Result<(), nonstrict_wire::StoreFault> {
+        Ok(())
+    }
+
+    fn on_complete(&mut self) -> Result<(), nonstrict_wire::StoreFault> {
+        Ok(())
+    }
+}

@@ -23,6 +23,8 @@ use nonstrict_wire::{
     HEALTH_FULL_PPM,
 };
 
+mod common;
+
 fn hanoi_plan(ordering: OrderingSource) -> ServePlan {
     build_plan("hanoi", ordering).expect("hanoi builds")
 }
@@ -293,8 +295,9 @@ fn epoch_rollover_refetches_under_the_new_generation() {
         c.max_attempts = 60;
         c
     };
-    let mid = std::thread::spawn(move || WireClient::new(mid_config).run());
-    std::thread::sleep(Duration::from_millis(30));
+    let (store, mid_stream) = common::FirstUnitSignal::new();
+    let mid = std::thread::spawn(move || WireClient::with_store(mid_config, store).run());
+    mid_stream.recv().expect("the client accepts a first unit");
     supervisor.rollover();
     let mid = mid.join().unwrap().expect("mid-rollover session");
     assert!(mid.complete);

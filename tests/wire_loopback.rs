@@ -166,12 +166,13 @@ fn drain_evicts_at_unit_boundaries_and_clients_resume() {
 
     // One client limited to a single attempt: the drain evicts it, and
     // its report preserves the partial watermarks.
+    let (store, mid_stream) = common::FirstUnitSignal::new();
     let handle = std::thread::spawn(move || {
         let mut config = fast_client(addr);
         config.max_attempts = 1;
-        WireClient::new(config).run()
+        WireClient::with_store(config, store).run()
     });
-    std::thread::sleep(Duration::from_millis(120));
+    mid_stream.recv().expect("the client accepts a first unit");
     let drained = server.drain(Duration::from_secs(5));
     assert!(drained.clean, "pacing connections drain at unit boundaries");
     assert_eq!(drained.forced, 0);

@@ -36,10 +36,10 @@ use std::time::Duration;
 use nonstrict_bytecode::{Application, Input};
 use nonstrict_classfile::{Attribute, GlobalDataBreakdown};
 use nonstrict_core::chaos::{ChaosScenario, OverloadDims, ScenarioError};
-use nonstrict_core::experiment::{self, Suite};
+use nonstrict_core::experiment::Suite;
 use nonstrict_core::fleet::{run_fleet, AdmissionSettings, FleetClient, FleetSpec};
-use nonstrict_core::metrics::{cycles_to_seconds, mean, normalized_percent, share_percent};
-use nonstrict_core::model::{DataLayout, OrderingSource, OutageConfig, SimConfig, VerifyMode};
+use nonstrict_core::metrics::{cycles_to_seconds, normalized_percent, share_percent};
+use nonstrict_core::model::{OrderingSource, OutageConfig, SimConfig, VerifyMode};
 use nonstrict_core::report;
 use nonstrict_core::sim::{RunOutcome, Session};
 use nonstrict_netsim::{Link, ShedAction};
@@ -51,9 +51,26 @@ use nonstrict_wire::{
     LoadgenConfig, LoadgenReport, ServePlan, ServerConfig, WireServer,
 };
 
-/// Set by the binary's SIGTERM/SIGINT handler; `serve` polls it and
-/// drains at unit boundaries once it flips.
+/// Set by the binary's SIGTERM/SIGINT handler; `serve` drains at unit
+/// boundaries once it flips.
 pub static TERM: AtomicBool = AtomicBool::new(false);
+
+/// The self-pipe `serve` blocks on: after setting [`TERM`], the signal
+/// handler writes one byte to the write end ([`term_pipe_fd`]).
+fn term_pipe() -> &'static (std::io::PipeReader, std::io::PipeWriter) {
+    static PIPE: std::sync::OnceLock<(std::io::PipeReader, std::io::PipeWriter)> =
+        std::sync::OnceLock::new();
+    PIPE.get_or_init(|| std::io::pipe().expect("a pipe for the termination signal"))
+}
+
+/// The raw write end of the termination self-pipe, for a signal
+/// handler's `write(2)`. Call it before installing the handler: it
+/// creates the pipe.
+#[cfg(unix)]
+#[must_use]
+pub fn term_pipe_fd() -> i32 {
+    std::os::fd::AsRawFd::as_raw_fd(&term_pipe().1)
+}
 
 /// A CLI failure: a message and the exit code to use.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1194,118 +1211,28 @@ fn cmd_paper(flags: &Flags) -> Result<String, CliError> {
             .map(|report| format!("{report}\n"))
             .map_err(|e| CliError::usage(format!("bad repro artifact {path}: {e}")));
     }
-    let suite = || {
-        eprintln!("building and profiling the six benchmarks...");
-        Suite::new().map_err(|e| CliError::failed(format!("benchmarks failed to run: {e}")))
+    let build = match table {
+        "csv" => None,
+        name => Some(report::lookup(name).ok_or_else(|| {
+            CliError::usage(format!(
+                "unknown paper table {name:?}; use {}|csv",
+                report::names()
+            ))
+        })?),
     };
-    let out = match table {
-        "all" => report::render_all(&suite()?),
-        "table2" => report::render_table2(&suite()?),
-        "table3" => report::render_table3(&experiment::table3(&suite()?)),
-        "table4" => report::render_table4(&experiment::table4(&suite()?)),
-        "table5" => report::render_parallel(&experiment::parallel_table(
-            &suite()?,
-            Link::T1,
-            DataLayout::Whole,
-        )),
-        "table6" => report::render_parallel(&experiment::parallel_table(
-            &suite()?,
-            Link::MODEM_28_8,
-            DataLayout::Whole,
-        )),
-        "table7" => {
-            let paper: Vec<[f64; 6]> = experiment::paper::TABLE7
-                .iter()
-                .map(|r| [r.0, r.1, r.2, r.3, r.4, r.5])
-                .collect();
-            report::render_interleaved(
-                &experiment::interleaved_table(&suite()?, DataLayout::Whole),
-                "Table 7: Interleaved File Transfer",
-                Some(&paper),
-            )
-        }
-        "table8" => report::render_table8(&experiment::table8(&suite()?)),
-        "table9" => report::render_table9(&experiment::table9(&suite()?)),
-        "table10" => {
-            let (tp, ti) = experiment::table10(&suite()?);
-            let pp: Vec<[f64; 6]> = experiment::paper::TABLE10.iter().map(|r| r.0).collect();
-            let pi: Vec<[f64; 6]> = experiment::paper::TABLE10.iter().map(|r| r.1).collect();
-            format!(
-                "{}\n{}",
-                report::render_interleaved(
-                    &tp,
-                    "Table 10a: Parallel(4) + Data Partitioning",
-                    Some(&pp)
-                ),
-                report::render_interleaved(
-                    &ti,
-                    "Table 10b: Interleaved + Data Partitioning",
-                    Some(&pi)
-                )
-            )
-        }
-        "fig6" => report::render_fig6(&experiment::fig6(&suite()?)),
-        "summary" => return Ok(paper_summary(&suite()?)),
-        "faults" => report::render_fault_sweep(&experiment::faults::fault_sweep(&suite()?)),
-        "verify" => report::render_verify_sweep(&experiment::verify::verify_sweep(&suite()?)),
-        "outage" => report::render_outage_sweep(&experiment::outage::outage_sweep(&suite()?)),
-        "replicas" => report::render_replica_sweep(&experiment::replica::replica_sweep(&suite()?)),
-        "byzantine" => {
-            report::render_byzantine_sweep(&experiment::byzantine::byzantine_sweep(&suite()?))
-        }
-        "overload" => {
-            report::render_overload_sweep(&experiment::overload::overload_sweep(&suite()?))
-        }
-        "chaos" => report::render_chaos_sweep(&experiment::chaos::chaos_sweep(&suite()?)),
-        "csv" => {
-            let dir = dir.map_or("results", String::as_str);
-            let files = nonstrict_core::export::export_csv(&suite()?, Path::new(dir))
-                .map_err(|e| CliError::failed(format!("cannot export CSVs to {dir}: {e}")))?;
-            return Ok(files
-                .iter()
-                .map(|f| format!("wrote {}\n", f.display()))
-                .collect());
-        }
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown paper table {other:?}; use all|table2..table10|fig6|summary|faults|\
-                 verify|outage|replicas|byzantine|overload|chaos|csv"
-            )))
-        }
-    };
-    Ok(out + "\n")
-}
-
-/// The paper's headline claims versus this reproduction.
-fn paper_summary(suite: &Suite) -> String {
-    let t4 = experiment::table4(suite);
-    let ns: Vec<f64> = t4
+    eprintln!("building and profiling the six benchmarks...");
+    let suite =
+        Suite::new().map_err(|e| CliError::failed(format!("benchmarks failed to run: {e}")))?;
+    if let Some(build) = build {
+        return Ok(report::paper_text(&build(&suite)));
+    }
+    let dir = dir.map_or("results", String::as_str);
+    let files = nonstrict_core::export::export_csv(&suite, Path::new(dir))
+        .map_err(|e| CliError::failed(format!("cannot export CSVs to {dir}: {e}")))?;
+    Ok(files
         .iter()
-        .flat_map(|r| [r.t1.non_strict_reduction, r.modem.non_strict_reduction])
-        .collect();
-    let dp: Vec<f64> = t4
-        .iter()
-        .flat_map(|r| [r.t1.partitioned_reduction, r.modem.partitioned_reduction])
-        .collect();
-    let f6 = experiment::fig6(suite);
-    let (latency, exec) = (
-        experiment::paper::HEADLINE_LATENCY_REDUCTION,
-        experiment::paper::HEADLINE_EXEC_REDUCTION,
-    );
-    format!(
-        "Headline claims (paper §8) vs measured:\n  \
-         invocation latency reduction: paper {:.0}%..{:.0}% avg — measured avg {:.0}% (non-strict) .. {:.0}% (partitioned)\n  \
-         execution-time reduction: paper {:.0}%..{:.0}% — measured {:.0}% (parallel avg) .. {:.0}% (interleaved+DP avg)\n",
-        latency.0,
-        latency.1,
-        mean(&ns),
-        mean(&dp),
-        exec.0,
-        exec.1,
-        // Figure 6 rows: parallel(4) first, interleaved + partitioning last.
-        100.0 - mean(&f6[0]),
-        100.0 - mean(&f6[3]),
-    )
+        .map(|f| format!("wrote {}\n", f.display()))
+        .collect())
 }
 
 /// Builds the serve plan for `name` through the same profile →
@@ -1350,7 +1277,8 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         .map_err(|e| CliError::usage(format!("cannot bind {addr}: {e}")))?;
     println!("serving on {}", server.local_addr());
     while !TERM.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50));
+        // Any wake-up, even an interrupted read, re-checks the flag.
+        let _ = std::io::Read::read(&mut &term_pipe().0, &mut [0u8; 1]);
     }
     eprintln!("draining ({} in flight)...", server.active_connections());
     let stats = server.stats();

@@ -7,6 +7,13 @@
 /// Benchmark names in the paper's row order.
 pub const NAMES: [&str; 6] = ["BIT", "Hanoi", "JavaCup", "Jess", "JHLZip", "TestDes"];
 
+/// The paper's row index for benchmark `name` (any case), or `None`
+/// for a benchmark the paper did not measure.
+#[must_use]
+pub fn index(name: &str) -> Option<usize> {
+    NAMES.iter().position(|n| n.eq_ignore_ascii_case(name))
+}
+
 /// Table 3 — base case. Per benchmark: (CPI, exec Mcycles,
 /// T1 transfer Mcycles, T1 %transfer, modem transfer Mcycles,
 /// modem %transfer).

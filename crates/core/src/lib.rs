@@ -40,8 +40,11 @@
 //! * [`experiment`] — one runner per paper table and figure
 //!   (Tables 2–10, Figure 6), with the paper's published numbers for
 //!   side-by-side comparison.
-//! * [`report`] — paper-style text rendering of every experiment.
-//! * [`export`] — CSV export of every experiment for plotting/regression.
+//! * [`table`] — the one table value every result is declared as, with
+//!   its two renderers: aligned text and CSV.
+//! * [`report`] — every paper table, the headline summary and the
+//!   robustness sweeps, each declared once as a [`table::Table`].
+//! * [`export`] — CSV export of every result for plotting/regression.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -59,6 +62,7 @@ pub mod model;
 pub mod report;
 pub mod serve;
 pub mod sim;
+pub mod table;
 
 pub use chaos::{
     crash_anywhere, replay_repro, run_scenario, shrink, ChaosReport, ChaosScenario, ChaosViolation,

@@ -94,14 +94,22 @@ impl CycleLedger {
     /// The sum of all eight buckets.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.exec
-            + self.stall
-            + self.recovery
-            + self.verify
-            + self.resume
-            + self.hedge
-            + self.queue
-            + self.integrity
+        self.buckets().iter().map(|(_, cycles)| cycles).sum()
+    }
+
+    /// Each bucket's name and cycles, in ledger order.
+    #[must_use]
+    pub fn buckets(&self) -> [(&'static str, u64); 8] {
+        [
+            ("exec", self.exec),
+            ("stall", self.stall),
+            ("recovery", self.recovery),
+            ("verify", self.verify),
+            ("resume", self.resume),
+            ("hedge", self.hedge),
+            ("queue", self.queue),
+            ("integrity", self.integrity),
+        ]
     }
 
     /// Books a transfer-wait `stall` whose arrival carried surcharge

@@ -971,6 +971,7 @@ impl Session {
     /// persists. Completes normally if the run finishes first.
     #[must_use]
     pub fn run_until(&self, input: Input, config: &SimConfig, at_cycle: u64) -> RunOutcome {
+        let units = self.units_for(config);
         if config.is_baseline() {
             let r = self.simulate(input, config);
             if at_cycle >= r.total_cycles {
@@ -980,7 +981,7 @@ impl Session {
             // its journal is a ledger entry, and the sequential
             // download resumes from its byte watermark with nothing
             // lost.
-            let manifest = self.manifest(config);
+            let manifest = self.manifest_of(&units);
             let classes = manifest
                 .class_epochs
                 .iter()
@@ -1007,7 +1008,6 @@ impl Session {
             };
             return RunOutcome::Interrupted(journal);
         }
-        let units = self.units_for(config);
         let order = self.order(config.ordering);
         let layouts = &self.restructured(config.ordering).layouts;
         let manifest = self.byzantine_manifest(config, &units);

@@ -8,17 +8,21 @@
 //! broke the identity (or silently dropped a bucket column) fails here
 //! before the CI byte-identity loop even runs.
 //!
-//! The oracle itself is here too: a fresh export through
+//! The oracles themselves are here too: a fresh export through
 //! [`export_csv`] must reproduce every committed file byte for byte,
-//! with no file missing and none extra.
+//! with no file missing and none extra, and every `nonstrict paper
+//! <name>` must print its committed golden text. Both render the same
+//! tables, built from one suite.
 //!
 //! [`CycleLedger`]: nonstrict_core::metrics::CycleLedger
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use nonstrict_core::experiment::Suite;
 use nonstrict_core::export::export_csv;
+use nonstrict_core::report;
 
 /// The committed CSVs that carry the accounting tail.
 const BUCKETED: [&str; 7] = [
@@ -31,10 +35,17 @@ const BUCKETED: [&str; 7] = [
     "chaos.csv",
 ];
 
-/// The accounting tail every bucketed CSV must end with, in ledger
-/// order (mirrors `bucket_header` in the export module).
+/// The accounting tail every bucketed CSV must end with: the total,
+/// then the eight `CycleLedger::buckets` in ledger order (the sweeps'
+/// shared ledger columns in the report module).
 const TAIL: &str = "total_cycles,exec_cycles,stall_cycles,recovery_cycles,verify_cycles,\
                     resume_cycles,hedge_cycles,queue_cycles,integrity_cycles";
+
+/// The six benchmarks, built and profiled once for every test here.
+fn suite() -> &'static Suite {
+    static SUITE: OnceLock<Suite> = OnceLock::new();
+    SUITE.get_or_init(|| Suite::new().expect("the six benchmarks profile cleanly"))
+}
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results")
@@ -127,10 +138,9 @@ fn committed_chaos_rows_report_zero_violations_and_completion() {
 
 #[test]
 fn a_fresh_export_reproduces_every_committed_csv_byte_for_byte() {
-    let suite = Suite::new().expect("the six benchmarks profile cleanly");
     let dir = std::env::temp_dir().join(format!("nonstrict-csv-oracle-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    export_csv(&suite, &dir).expect("export into a fresh directory");
+    export_csv(suite(), &dir).expect("export into a fresh directory");
     let committed = file_names(&results_dir());
     let fresh = file_names(&dir);
     assert_eq!(
@@ -157,4 +167,29 @@ fn a_fresh_export_reproduces_every_committed_csv_byte_for_byte() {
         assert_eq!(got, want, "{name}: line count or line endings differ");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What `nonstrict paper <name>` prints, byte for byte against the
+/// golden files the CLI keeps: every table name, `all`, the summary
+/// and the seven sweeps.
+#[test]
+fn paper_stdout_matches_the_golden_files() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/cli/golden");
+    let names = report::names();
+    for name in names.split('|') {
+        let path = golden.join(format!("paper_{name}.txt"));
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("golden file {} must be readable: {e}", path.display()));
+        let build = report::lookup(name).expect("a listed name resolves");
+        let got = report::paper_text(&build(suite()));
+        if let Some((i, (w, g))) = want
+            .lines()
+            .zip(got.lines())
+            .enumerate()
+            .find(|(_, (w, g))| w != g)
+        {
+            panic!("paper {name} line {}: golden {w:?}, printed {g:?}", i + 1);
+        }
+        assert_eq!(got, want, "paper {name}: line count or line endings differ");
+    }
 }

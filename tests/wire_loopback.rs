@@ -151,9 +151,9 @@ fn admission_control_retries_then_completes() {
     assert!(drained.clean);
 }
 
-/// Drain mid-stream: in-flight connections finish at a unit boundary,
-/// the evicted client keeps its watermarks, and a reconnect against a
-/// fresh server resumes rather than restarting.
+/// Drain mid-stream: the in-flight connection ends at a unit boundary,
+/// the evicted client keeps its partial watermarks, and its reconnect
+/// to a fresh server resumes from them rather than restarting.
 #[test]
 fn drain_evicts_at_unit_boundaries_and_clients_resume() {
     let server = hanoi_server(ServerConfig {
@@ -162,34 +162,41 @@ fn drain_evicts_at_unit_boundaries_and_clients_resume() {
         resume_after_ms: 5,
         ..ServerConfig::default()
     });
-    let addr = server.local_addr();
+    let fresh = hanoi_server(ServerConfig::default());
 
-    // One client limited to a single attempt: the drain evicts it, and
-    // its report preserves the partial watermarks.
+    // The client starts on the paced server (ties go to the first
+    // mirror); the eviction lowers that mirror's health, so the
+    // reconnect goes to the fresh one.
+    let mirrors = vec![server.local_addr(), fresh.local_addr()];
     let (store, mid_stream) = common::FirstUnitSignal::new();
     let handle = std::thread::spawn(move || {
-        let mut config = fast_client(addr);
-        config.max_attempts = 1;
+        let mut config = fast_client(mirrors[0]);
+        config.mirrors = mirrors;
         WireClient::with_store(config, store).run()
     });
     mid_stream.recv().expect("the client accepts a first unit");
     let drained = server.drain(Duration::from_secs(5));
     assert!(drained.clean, "pacing connections drain at unit boundaries");
     assert_eq!(drained.forced, 0);
-    let evicted = handle.join().unwrap();
-    // A single-attempt client either got lucky and finished before the
-    // drain or was evicted with partial progress; both reports keep
-    // consistent watermarks.
-    let report = match evicted {
-        Ok(r) => r,
-        Err(nonstrict_wire::ClientError::Exhausted { .. }) => return,
-        Err(e) => panic!("unexpected client error: {e}"),
-    };
-    if !report.complete {
-        assert!(report.evictions >= 1, "incomplete without an eviction");
-        let partial: u64 = report.delivered.iter().map(|&d| u64::from(d)).sum();
-        assert!(partial > 0, "drain should land mid-stream, not pre-Hello");
-    }
+
+    let report = handle
+        .join()
+        .unwrap()
+        .expect("the resumed session completes");
+    assert!(report.complete);
+    assert!(report.evictions >= 1, "the drain evicts the client");
+    let total: u64 = report.units.iter().map(|&u| u64::from(u)).sum();
+    let partial = report.mirror_units[0];
+    assert!(
+        partial > 0 && partial < total,
+        "the drain lands mid-stream: {partial} of {total} units before it"
+    );
+    assert_eq!(report.mirror_units[1], total - partial, "nothing refetched");
+    assert!(
+        fresh.stats().resumed >= 1,
+        "the reconnect resumes from the kept watermarks"
+    );
+    assert!(fresh.drain(Duration::from_secs(5)).clean);
 }
 
 /// A consumer draining far below the configured byte-rate floor is a

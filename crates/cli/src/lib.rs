@@ -39,9 +39,10 @@ use nonstrict_core::chaos::{ChaosScenario, OverloadDims, ScenarioError};
 use nonstrict_core::experiment::Suite;
 use nonstrict_core::fleet::{run_fleet, AdmissionSettings, FleetClient, FleetSpec};
 use nonstrict_core::metrics::{cycles_to_seconds, normalized_percent, share_percent};
-use nonstrict_core::model::{OrderingSource, OutageConfig, SimConfig, VerifyMode};
+use nonstrict_core::model::{OrderingSource, SimConfig, VerifyMode};
 use nonstrict_core::report;
 use nonstrict_core::sim::{RunOutcome, Session};
+use nonstrict_netsim::outage::OutagePlan;
 use nonstrict_netsim::{Link, ShedAction};
 use nonstrict_reorder::{partition_app, static_first_use, static_first_use_plain, FirstUseOrder};
 use nonstrict_store::{DurableSession, JournalLog, RealFs, Vfs};
@@ -419,7 +420,10 @@ fn scenario_from_flags(flags: &Flags, bench: &str) -> Result<ChaosScenario, CliE
                 .map_or_else(|| key.to_owned(), |r| format!("--{}", r.flag))
         }))
     };
-    let mut sc = ChaosScenario::new(bench, Link::MODEM_28_8, OrderingSource::StaticCallGraph);
+    let mut sc = ChaosScenario::new(
+        bench,
+        SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph),
+    );
     for row in SIM_FLAGS {
         let Some(value) = flags.get(row.flag) else {
             continue;
@@ -763,7 +767,7 @@ fn parse_ordering(flags: &Flags) -> Result<OrderingSource, CliError> {
 fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
     let app = flags.app()?;
     let sc = scenario_from_flags(flags, &app.name)?;
-    let config = sc.config();
+    let config = sc.config;
     let link = config.link;
     if flags.has("clients") && (flags.has("interrupt") || flags.has("journal")) {
         return Err(CliError::usage(
@@ -813,7 +817,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
             Input::Test,
             &config,
             &journal_log(path)?,
-            OutageConfig::DEFAULT_NEGOTIATION_CYCLES,
+            OutagePlan::DEFAULT_NEGOTIATION_CYCLES,
         );
         let _ = writeln!(
             prelude,
@@ -1984,7 +1988,10 @@ mod tests {
 
     #[test]
     fn every_simulate_flag_lowers_to_an_nscr_key() {
-        let mut sc = ChaosScenario::new("hanoi", Link::T1, OrderingSource::StaticCallGraph);
+        let mut sc = ChaosScenario::new(
+            "hanoi",
+            SimConfig::non_strict(Link::T1, OrderingSource::StaticCallGraph),
+        );
         for row in SIM_FLAGS {
             let accepted = SIMULATE.takes_value(row.flag)
                 || SIMULATE.switches.split_whitespace().any(|k| k == row.flag);
@@ -2030,7 +2037,7 @@ mod tests {
         )
         .unwrap();
         let echo = out.lines().next().unwrap();
-        assert!(echo.ends_with(&format!("— {:?}", sc.config())), "{echo}");
+        assert!(echo.ends_with(&format!("— {:?}", sc.config)), "{echo}");
         // A range the artifact rejects, the flag rejects too.
         let err = run_str(&[
             "simulate",
@@ -2092,7 +2099,7 @@ mod tests {
         };
         assert_eq!(
             total(&resumed),
-            total(&plain) + OutageConfig::DEFAULT_NEGOTIATION_CYCLES
+            total(&plain) + OutagePlan::DEFAULT_NEGOTIATION_CYCLES
         );
     }
 

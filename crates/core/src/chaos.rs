@@ -9,11 +9,11 @@
 //! global contracts the per-dimension suites established:
 //!
 //! * [`ChaosScenario`] — a declarative, serializable description of one
-//!   composed run: benchmark, structural dimensions (link, ordering,
-//!   transfer, layout, execution, verify), and the six fault
-//!   dimensions, each optional. The text form ([`ChaosScenario::encode`]
-//!   / [`ChaosScenario::decode`], `NSCR 1`) is the repro artifact
-//!   format replayed by `paper chaos --repro`.
+//!   composed run: benchmark, the [`SimConfig`] (structure plus the
+//!   link-fault, outage, replica and Byzantine plans), and the fleet,
+//!   crash and disk dimensions, each optional. The text form
+//!   ([`ChaosScenario::encode`] / [`ChaosScenario::decode`], `NSCR 1`)
+//!   is the repro artifact format replayed by `paper chaos --repro`.
 //! * [`run_scenario`] — runs the scenario and applies the **global
 //!   invariant checker**: eight-bucket ledger exactness (checked in
 //!   release builds too, not just via `debug_assert`), all-dimensions-
@@ -43,8 +43,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use nonstrict_bytecode::Input;
-use nonstrict_netsim::byzantine::ByzantineMode;
+use nonstrict_netsim::byzantine::{ByzantineMode, ByzantinePlan};
 use nonstrict_netsim::contention::ShedLadder;
+use nonstrict_netsim::faults::FaultPlan;
+use nonstrict_netsim::outage::OutagePlan;
 use nonstrict_netsim::Link;
 use nonstrict_store::{FaultFs, FaultKnobs, JournalLog};
 use nonstrict_wire::SplitMix64;
@@ -52,10 +54,10 @@ use nonstrict_wire::SplitMix64;
 use crate::fleet::{run_fleet, AdmissionSettings, FleetClient, FleetSpec};
 use crate::journal::{SessionJournal, CHECKPOINT_LOG};
 use crate::model::{
-    ByzantineConfig, DataLayout, ExecutionModel, FaultConfig, OrderingSource, OutageConfig,
-    ReplicaConfig, ReplicaKill, SimConfig, TransferPolicy, VerifyMode,
+    DataLayout, ExecutionModel, OrderingSource, ReplicaConfig, ReplicaKill, SimConfig,
+    TransferPolicy, VerifyMode,
 };
-use crate::sim::{RunOutcome, Session, SimResult};
+use crate::sim::{InterruptSpec, RunOutcome, Session, SimResult};
 
 /// Magic first line of the serialized scenario format.
 pub const SCENARIO_MAGIC: &str = "NSCR";
@@ -111,16 +113,6 @@ impl OverloadDims {
     }
 }
 
-/// Where to crash the composed run: the interrupt dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct InterruptDims {
-    /// Base-timeline cycle of the kill.
-    pub at_cycle: u64,
-    /// Client downtime before the reconnect, charged to the resume
-    /// bucket.
-    pub downtime: u64,
-}
-
 /// The storage-fault dimension: the checkpoint written at a crash no
 /// longer lives in perfect memory but is appended to an `NSJL` log on
 /// a [`nonstrict_store::FaultFs`] with these knobs — torn appends, fsync
@@ -161,89 +153,38 @@ impl DiskDims {
     }
 }
 
-/// One composed chaos scenario: every structural dimension plus any
-/// subset of the seven fault dimensions, fully seeded and
+/// One composed chaos scenario: a [`SimConfig`] — the structural
+/// dimensions and the link-fault, outage, replica and Byzantine plans —
+/// plus the fleet, crash and disk dimensions, fully seeded and
 /// deterministic. Equal scenarios produce bit-identical runs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ChaosScenario {
     /// Benchmark name ([`nonstrict_workloads::build_by_name`]).
     pub bench: String,
-    /// The network link (and the fleet egress under overload).
-    pub link: Link,
-    /// First-use ordering source.
-    pub ordering: OrderingSource,
-    /// Transfer policy.
-    pub transfer: TransferPolicy,
-    /// Global-data layout.
-    pub data_layout: DataLayout,
-    /// Execution model.
-    pub execution: ExecutionModel,
-    /// Verification mode.
-    pub verify: VerifyMode,
-    /// Link-fault dimension.
-    pub faults: Option<FaultConfig>,
-    /// Outage dimension.
-    pub outages: Option<OutageConfig>,
-    /// Replica-set dimension.
-    pub replicas: Option<ReplicaConfig>,
-    /// Byzantine-mirror dimension.
-    pub byzantine: Option<ByzantineConfig>,
+    /// The single-client run; its link is also the fleet egress under
+    /// overload.
+    pub config: SimConfig,
     /// Overload dimension (fleet contention).
     pub overload: Option<OverloadDims>,
-    /// Crash/resume dimension.
-    pub interrupt: Option<InterruptDims>,
+    /// Crash/resume dimension: the kill cycle and the client downtime
+    /// charged to the resume bucket.
+    pub interrupt: Option<InterruptSpec>,
     /// Storage-fault dimension (the journal's disk round trip).
     pub disk: Option<DiskDims>,
 }
 
 impl ChaosScenario {
-    /// A quiet scenario: every fault dimension absent.
+    /// A scenario running `config` on `bench`, with the fleet, crash
+    /// and disk dimensions absent.
     #[must_use]
-    pub fn new(bench: &str, link: Link, ordering: OrderingSource) -> ChaosScenario {
+    pub fn new(bench: &str, config: SimConfig) -> ChaosScenario {
         ChaosScenario {
             bench: bench.to_owned(),
-            link,
-            ordering,
-            transfer: TransferPolicy::Parallel { limit: 4 },
-            data_layout: DataLayout::Whole,
-            execution: ExecutionModel::NonStrict,
-            verify: VerifyMode::Off,
-            faults: None,
-            outages: None,
-            replicas: None,
-            byzantine: None,
+            config,
             overload: None,
             interrupt: None,
             disk: None,
         }
-    }
-
-    /// This scenario with the link-fault dimension set.
-    #[must_use]
-    pub fn with_faults(mut self, fc: FaultConfig) -> Self {
-        self.faults = Some(fc);
-        self
-    }
-
-    /// This scenario with the outage dimension set.
-    #[must_use]
-    pub fn with_outages(mut self, oc: OutageConfig) -> Self {
-        self.outages = Some(oc);
-        self
-    }
-
-    /// This scenario with the replica dimension set.
-    #[must_use]
-    pub fn with_replicas(mut self, rc: ReplicaConfig) -> Self {
-        self.replicas = Some(rc);
-        self
-    }
-
-    /// This scenario with the byzantine dimension set.
-    #[must_use]
-    pub fn with_byzantine(mut self, bc: ByzantineConfig) -> Self {
-        self.byzantine = Some(bc);
-        self
     }
 
     /// This scenario with the overload dimension set.
@@ -256,7 +197,10 @@ impl ChaosScenario {
     /// This scenario with the crash/resume dimension set.
     #[must_use]
     pub fn with_interrupt(mut self, at_cycle: u64, downtime: u64) -> Self {
-        self.interrupt = Some(InterruptDims { at_cycle, downtime });
+        self.interrupt = Some(InterruptSpec {
+            at_cycle,
+            outage_cycles: downtime,
+        });
         self
     }
 
@@ -265,30 +209,6 @@ impl ChaosScenario {
     pub fn with_disk(mut self, d: DiskDims) -> Self {
         self.disk = Some(d);
         self
-    }
-
-    /// This scenario with `verify` as its verification mode.
-    #[must_use]
-    pub fn with_verify(mut self, verify: VerifyMode) -> Self {
-        self.verify = verify;
-        self
-    }
-
-    /// The single-client [`SimConfig`] this scenario lowers to.
-    #[must_use]
-    pub fn config(&self) -> SimConfig {
-        SimConfig {
-            link: self.link,
-            ordering: self.ordering,
-            transfer: self.transfer,
-            data_layout: self.data_layout,
-            execution: self.execution,
-            verify: self.verify,
-            faults: self.faults,
-            outages: self.outages,
-            replicas: self.replicas,
-            byzantine: self.byzantine,
-        }
     }
 
     /// The overload dimension, if it can actually contend.
@@ -308,7 +228,7 @@ impl ChaosScenario {
     /// all-rates-zero identity every per-dimension suite pins).
     #[must_use]
     pub fn is_quiet(&self) -> bool {
-        let c = self.config();
+        let c = &self.config;
         c.active_faults().is_none()
             && c.active_outages().is_none()
             && c.active_replicas().is_none()
@@ -322,12 +242,12 @@ impl ChaosScenario {
     /// when none are.
     #[must_use]
     pub fn label(&self) -> String {
-        let c = self.config();
+        let c = &self.config;
         let mut parts = Vec::new();
         if c.active_faults().is_some() {
             parts.push("faults");
         }
-        if self.verify != VerifyMode::Off {
+        if c.verify != VerifyMode::Off {
             parts.push("verify");
         }
         if c.active_outages().is_some() {
@@ -362,18 +282,19 @@ impl ChaosScenario {
     #[must_use]
     pub fn encode(&self) -> String {
         use std::fmt::Write as _;
+        let c = &self.config;
         let mut s = format!("{SCENARIO_MAGIC} {SCENARIO_VERSION}\n");
         let _ = writeln!(s, "bench = {}", self.bench);
         let ordering =
-            nonstrict_wire::config::ordering_name(crate::serve::ordering_to_wire(self.ordering))
+            nonstrict_wire::config::ordering_name(crate::serve::ordering_to_wire(c.ordering))
                 .expect("every ordering has a wire spelling");
-        let _ = writeln!(s, "link = {}", self.link.spelling());
+        let _ = writeln!(s, "link = {}", c.link.spelling());
         let _ = writeln!(s, "ordering = {ordering}");
-        let _ = writeln!(s, "transfer = {}", self.transfer.spelling());
-        let _ = writeln!(s, "layout = {}", self.data_layout.spelling());
-        let _ = writeln!(s, "execution = {}", self.execution.spelling());
-        let _ = writeln!(s, "verify = {}", self.verify.label());
-        if let Some(fc) = self.faults {
+        let _ = writeln!(s, "transfer = {}", c.transfer.spelling());
+        let _ = writeln!(s, "layout = {}", c.data_layout.spelling());
+        let _ = writeln!(s, "execution = {}", c.execution.spelling());
+        let _ = writeln!(s, "verify = {}", c.verify.label());
+        if let Some(fc) = c.faults {
             let _ = writeln!(s, "fault.seed = {}", fc.seed);
             let _ = writeln!(s, "fault.loss_pm = {}", fc.loss_pm);
             let _ = writeln!(s, "fault.corrupt_pm = {}", fc.corrupt_pm);
@@ -383,14 +304,14 @@ impl ChaosScenario {
             let _ = writeln!(s, "fault.reconnect_cycles = {}", fc.reconnect_cycles);
             let _ = writeln!(s, "fault.degrade_threshold = {}", fc.degrade_threshold);
         }
-        if let Some(oc) = self.outages {
+        if let Some(oc) = c.outages {
             let _ = writeln!(s, "outage.seed = {}", oc.seed);
             let _ = writeln!(s, "outage.rate_pm = {}", oc.rate_pm);
             let _ = writeln!(s, "outage.min_cycles = {}", oc.min_cycles);
             let _ = writeln!(s, "outage.max_cycles = {}", oc.max_cycles);
             let _ = writeln!(s, "outage.negotiation_cycles = {}", oc.negotiation_cycles);
         }
-        if let Some(rc) = self.replicas {
+        if let Some(rc) = c.replicas {
             let _ = writeln!(s, "replica.seed = {}", rc.seed);
             let _ = writeln!(s, "replica.replicas = {}", rc.replicas);
             let _ = writeln!(s, "replica.spread_pm = {}", rc.spread_pm);
@@ -403,7 +324,7 @@ impl ChaosScenario {
                 let _ = writeln!(s, "replica.kill = {}@{}", k.replica, k.at_cycle);
             }
         }
-        if let Some(bc) = self.byzantine {
+        if let Some(bc) = c.byzantine {
             let _ = writeln!(s, "byz.seed = {}", bc.seed);
             let _ = writeln!(s, "byz.mirrors = {}", bc.mirrors);
             let _ = writeln!(s, "byz.mode = {}", bc.mode.label());
@@ -424,7 +345,7 @@ impl ChaosScenario {
         }
         if let Some(i) = self.interrupt {
             let _ = writeln!(s, "interrupt.at_cycle = {}", i.at_cycle);
-            let _ = writeln!(s, "interrupt.downtime = {}", i.downtime);
+            let _ = writeln!(s, "interrupt.downtime = {}", i.outage_cycles);
         }
         if let Some(d) = self.disk {
             let _ = writeln!(s, "disk.seed = {}", d.seed);
@@ -462,7 +383,10 @@ impl ChaosScenario {
             return Err(ScenarioError::BadMagic);
         }
 
-        let mut sc = ChaosScenario::new("", Link::T1, OrderingSource::StaticCallGraph);
+        let mut sc = ChaosScenario::new(
+            "",
+            SimConfig::non_strict(Link::T1, OrderingSource::StaticCallGraph),
+        );
         let mut seen: Vec<&str> = Vec::new();
         for raw in lines {
             let line = raw.trim();
@@ -500,45 +424,54 @@ impl ChaosScenario {
             key: key.to_owned(),
             value: value.to_owned(),
         };
-        // Parses the value into `dim.field`, opening the section.
+        // Parses the value into `field` of the section at `dim`,
+        // opening the section.
         macro_rules! put {
-            ($dim:ident . $field:ident, $fresh:expr) => {
-                self.$dim.get_or_insert($fresh).$field = value.parse().map_err(|_| bad())?
+            ($($dim:ident).+, $field:ident, $fresh:expr) => {
+                self.$($dim).+.get_or_insert($fresh).$field = value.parse().map_err(|_| bad())?
             };
         }
         match key {
             "bench" => self.bench = value.to_owned(),
-            "link" => self.link = Link::parse(value).ok_or_else(bad)?,
+            "link" => self.config.link = Link::parse(value).ok_or_else(bad)?,
             "ordering" => {
-                self.ordering = nonstrict_wire::config::ordering_code(value)
+                self.config.ordering = nonstrict_wire::config::ordering_code(value)
                     .ok()
                     .and_then(crate::serve::ordering_from_wire)
                     .ok_or_else(bad)?;
             }
-            "transfer" => self.transfer = TransferPolicy::parse(value).ok_or_else(bad)?,
-            "layout" => self.data_layout = DataLayout::parse(value).ok_or_else(bad)?,
-            "execution" => self.execution = ExecutionModel::parse(value).ok_or_else(bad)?,
-            "verify" => self.verify = VerifyMode::parse(value).ok_or_else(bad)?,
-            "fault.seed" => put!(faults.seed, FaultConfig::seeded(0)),
-            "fault.loss_pm" => put!(faults.loss_pm, FaultConfig::seeded(0)),
-            "fault.corrupt_pm" => put!(faults.corrupt_pm, FaultConfig::seeded(0)),
-            "fault.drop_pm" => put!(faults.drop_pm, FaultConfig::seeded(0)),
-            "fault.droop_pm" => put!(faults.droop_pm, FaultConfig::seeded(0)),
-            "fault.semantic_pm" => put!(faults.semantic_pm, FaultConfig::seeded(0)),
-            "fault.reconnect_cycles" => put!(faults.reconnect_cycles, FaultConfig::seeded(0)),
-            "fault.degrade_threshold" => put!(faults.degrade_threshold, FaultConfig::seeded(0)),
-            "outage.seed" => put!(outages.seed, OutageConfig::seeded(0)),
-            "outage.rate_pm" => put!(outages.rate_pm, OutageConfig::seeded(0)),
-            "outage.min_cycles" => put!(outages.min_cycles, OutageConfig::seeded(0)),
-            "outage.max_cycles" => put!(outages.max_cycles, OutageConfig::seeded(0)),
-            "outage.negotiation_cycles" => {
-                put!(outages.negotiation_cycles, OutageConfig::seeded(0));
+            "transfer" => self.config.transfer = TransferPolicy::parse(value).ok_or_else(bad)?,
+            "layout" => self.config.data_layout = DataLayout::parse(value).ok_or_else(bad)?,
+            "execution" => {
+                self.config.execution = ExecutionModel::parse(value).ok_or_else(bad)?;
             }
-            "replica.seed" => put!(replicas.seed, ReplicaConfig::seeded(0)),
-            "replica.replicas" => put!(replicas.replicas, ReplicaConfig::seeded(0)),
-            "replica.spread_pm" => put!(replicas.spread_pm, ReplicaConfig::seeded(0)),
+            "verify" => self.config.verify = VerifyMode::parse(value).ok_or_else(bad)?,
+            "fault.seed" => put!(config.faults, seed, FaultPlan::seeded(0)),
+            "fault.loss_pm" => put!(config.faults, loss_pm, FaultPlan::seeded(0)),
+            "fault.corrupt_pm" => put!(config.faults, corrupt_pm, FaultPlan::seeded(0)),
+            "fault.drop_pm" => put!(config.faults, drop_pm, FaultPlan::seeded(0)),
+            "fault.droop_pm" => put!(config.faults, droop_pm, FaultPlan::seeded(0)),
+            "fault.semantic_pm" => put!(config.faults, semantic_pm, FaultPlan::seeded(0)),
+            "fault.reconnect_cycles" => put!(config.faults, reconnect_cycles, FaultPlan::seeded(0)),
+            "fault.degrade_threshold" => {
+                put!(config.faults, degrade_threshold, FaultPlan::seeded(0))
+            }
+            "outage.seed" => put!(config.outages, seed, OutagePlan::seeded(0)),
+            "outage.rate_pm" => put!(config.outages, rate_pm, OutagePlan::seeded(0)),
+            "outage.min_cycles" => put!(config.outages, min_cycles, OutagePlan::seeded(0)),
+            "outage.max_cycles" => put!(config.outages, max_cycles, OutagePlan::seeded(0)),
+            "outage.negotiation_cycles" => {
+                put!(config.outages, negotiation_cycles, OutagePlan::seeded(0));
+            }
+            "replica.seed" => put!(config.replicas, seed, ReplicaConfig::seeded(0)),
+            "replica.replicas" => put!(config.replicas, replicas, ReplicaConfig::seeded(0)),
+            "replica.spread_pm" => put!(config.replicas, spread_pm, ReplicaConfig::seeded(0)),
             "replica.hedge_deadline_cycles" => {
-                put!(replicas.hedge_deadline_cycles, ReplicaConfig::seeded(0));
+                put!(
+                    config.replicas,
+                    hedge_deadline_cycles,
+                    ReplicaConfig::seeded(0)
+                );
             }
             "replica.kill" => {
                 let (r, at) = value.split_once('@').ok_or_else(bad)?;
@@ -547,23 +480,25 @@ impl ChaosScenario {
                     at_cycle: at.parse().map_err(|_| bad())?,
                 };
                 let rc = self
+                    .config
                     .replicas
                     .as_mut()
                     .ok_or(ScenarioError::MissingKey("replica.seed"))?;
                 rc.kill = Some(kill);
             }
-            "byz.seed" => put!(byzantine.seed, ByzantineConfig::seeded(0)),
-            "byz.mirrors" => put!(byzantine.mirrors, ByzantineConfig::seeded(0)),
+            "byz.seed" => put!(config.byzantine, seed, ByzantinePlan::seeded(0)),
+            "byz.mirrors" => put!(config.byzantine, mirrors, ByzantinePlan::seeded(0)),
             "byz.mode" => {
-                self.byzantine
-                    .get_or_insert(ByzantineConfig::seeded(0))
+                self.config
+                    .byzantine
+                    .get_or_insert(ByzantinePlan::seeded(0))
                     .mode = ByzantineMode::parse(value).ok_or_else(bad)?;
             }
-            "byz.audit_rate_pm" => put!(byzantine.audit_rate_pm, ByzantineConfig::seeded(0)),
-            "overload.seed" => put!(overload.seed, OverloadDims::seeded(0)),
-            "overload.clients" => put!(overload.clients, OverloadDims::seeded(0)),
-            "overload.spread_pm" => put!(overload.spread_pm, OverloadDims::seeded(0)),
-            "overload.admit_rate" => put!(overload.admit_rate, OverloadDims::seeded(0)),
+            "byz.audit_rate_pm" => put!(config.byzantine, audit_rate_pm, ByzantinePlan::seeded(0)),
+            "overload.seed" => put!(overload, seed, OverloadDims::seeded(0)),
+            "overload.clients" => put!(overload, clients, OverloadDims::seeded(0)),
+            "overload.spread_pm" => put!(overload, spread_pm, OverloadDims::seeded(0)),
+            "overload.admit_rate" => put!(overload, admit_rate, OverloadDims::seeded(0)),
             "overload.ladder" => {
                 // Rungs `H/S/J`; `H,S,J`, the `--shed-ladder` spelling,
                 // reads the same. Their ordering is a range rule.
@@ -590,12 +525,12 @@ impl ChaosScenario {
                     .ok_or(ScenarioError::MissingKey("overload.seed"))?;
                 ov.ladder = ladder;
             }
-            "interrupt.at_cycle" => put!(interrupt.at_cycle, InterruptDims::default()),
-            "interrupt.downtime" => put!(interrupt.downtime, InterruptDims::default()),
-            "disk.seed" => put!(disk.seed, DiskDims::seeded(0)),
-            "disk.torn_pm" => put!(disk.torn_pm, DiskDims::seeded(0)),
-            "disk.lie_pm" => put!(disk.lie_pm, DiskDims::seeded(0)),
-            "disk.bitrot_pm" => put!(disk.bitrot_pm, DiskDims::seeded(0)),
+            "interrupt.at_cycle" => put!(interrupt, at_cycle, InterruptSpec::default()),
+            "interrupt.downtime" => put!(interrupt, outage_cycles, InterruptSpec::default()),
+            "disk.seed" => put!(disk, seed, DiskDims::seeded(0)),
+            "disk.torn_pm" => put!(disk, torn_pm, DiskDims::seeded(0)),
+            "disk.lie_pm" => put!(disk, lie_pm, DiskDims::seeded(0)),
+            "disk.bitrot_pm" => put!(disk, bitrot_pm, DiskDims::seeded(0)),
             _ => return Err(ScenarioError::UnknownKey(key.to_owned())),
         }
         Ok(())
@@ -628,7 +563,7 @@ impl ChaosScenario {
         if self.bench.is_empty() {
             return Err(ScenarioError::MissingKey("bench"));
         }
-        let replicas = self.replicas.map_or(Ok(1), |rc| {
+        let replicas = self.config.replicas.map_or(Ok(1), |rc| {
             within(
                 "replica.replicas",
                 rc.replicas,
@@ -637,7 +572,7 @@ impl ChaosScenario {
             )
             .map(|()| rc.replicas)
         })?;
-        if let Some(bc) = self.byzantine {
+        if let Some(bc) = self.config.byzantine {
             if bc.mirrors >= replicas {
                 return Err(ScenarioError::NoHonestMirror {
                     mirrors: bc.mirrors,
@@ -930,7 +865,7 @@ impl ChaosReport {
 /// Deterministic: equal scenarios produce equal reports, bit for bit.
 #[must_use]
 pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
-    let config = sc.config();
+    let config = sc.config;
     let mut violations = Vec::new();
 
     // Overload path: the fleet has no single journal, so the interrupt
@@ -939,14 +874,14 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
         let spec = FleetSpec {
             admission: (ov.admit_rate > 0).then(|| AdmissionSettings::per_period(ov.admit_rate)),
             ladder: ov.ladder,
-            egress: sc.link,
+            egress: config.link,
             ..FleetSpec::seeded(ov.seed)
         };
         let clients: Vec<FleetClient> = (0..ov.clients)
             .map(|i| FleetClient {
                 name: &sc.bench,
                 session,
-                link: sc.link.spread(ov.spread_pm, i),
+                link: config.link.spread(ov.spread_pm, i),
                 weight: 1,
             })
             .collect();
@@ -1031,7 +966,7 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
                             &journal,
                             &dims,
                             0,
-                            Some(i.downtime),
+                            Some(i.outage_cycles),
                             &mut violations,
                         );
                         let Some(r) = r else {
@@ -1047,7 +982,9 @@ pub fn run_scenario(session: &Session, sc: &ChaosScenario) -> ChaosReport {
                         };
                         r
                     }
-                    None => session.resume(Input::Test, &config, &journal.in_memory(), i.downtime),
+                    None => {
+                        session.resume(Input::Test, &config, &journal.in_memory(), i.outage_cycles)
+                    }
                 },
             };
             check_ledger(&r, 0, &mut violations);
@@ -1331,7 +1268,7 @@ pub fn crash_anywhere(session: &Session, sc: &ChaosScenario, downtime: u64) -> D
             divergences: Vec::new(),
         };
     }
-    let config = sc.config();
+    let config = sc.config;
     let base = session.simulate(Input::Test, &config);
     let total = base.total_cycles;
 
@@ -1439,15 +1376,15 @@ pub fn shrink(
         let drops: [fn(&mut ChaosScenario); 8] = [
             |s| s.disk = None,
             |s| s.interrupt = None,
-            |s| s.byzantine = None,
+            |s| s.config.byzantine = None,
             |s| {
-                s.replicas = None;
-                s.byzantine = None;
+                s.config.replicas = None;
+                s.config.byzantine = None;
             },
-            |s| s.outages = None,
-            |s| s.faults = None,
+            |s| s.config.outages = None,
+            |s| s.config.faults = None,
             |s| s.overload = None,
-            |s| s.verify = VerifyMode::Off,
+            |s| s.config.verify = VerifyMode::Off,
         ];
         for drop in drops {
             let mut cand = best.clone();
@@ -1537,7 +1474,7 @@ pub fn render_replay(report: &ChaosReport) -> String {
         s,
         "chaos replay: {} on {} [{}]",
         sc.bench,
-        sc.link.name,
+        sc.config.link.name,
         sc.label()
     );
     let _ = writeln!(
@@ -1573,10 +1510,10 @@ mod tests {
     use super::*;
 
     fn storm() -> ChaosScenario {
-        let mut fc = FaultConfig::seeded(7);
+        let mut fc = FaultPlan::seeded(7);
         fc.loss_pm = 20_000;
         fc.corrupt_pm = 10_000;
-        let mut oc = OutageConfig::seeded(9);
+        let mut oc = OutagePlan::seeded(9);
         oc.rate_pm = 200_000;
         oc.min_cycles = 1 << 20;
         oc.max_cycles = 1 << 23;
@@ -1586,20 +1523,26 @@ mod tests {
             replica: 2,
             at_cycle: 5_000_000,
         });
-        let mut bc = ByzantineConfig::seeded(11);
+        let mut bc = ByzantinePlan::seeded(11);
         bc.mirrors = 1;
         bc.mode = ByzantineMode::Equivocate;
         let mut dd = DiskDims::seeded(13);
         dd.torn_pm = 300_000;
         dd.bitrot_pm = 50_000;
-        ChaosScenario::new("hanoi", Link::MODEM_28_8, OrderingSource::StaticCallGraph)
+        let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph)
             .with_verify(VerifyMode::Stream)
             .with_faults(fc)
             .with_outages(oc)
             .with_replicas(rc)
-            .with_byzantine(bc)
+            .with_byzantine(bc);
+        ChaosScenario::new("hanoi", config)
             .with_interrupt(40_000_000, 2_500_000)
             .with_disk(dd)
+    }
+
+    /// A scenario with every optional dimension absent.
+    fn plain(bench: &str, link: Link, ordering: OrderingSource) -> ChaosScenario {
+        ChaosScenario::new(bench, SimConfig::non_strict(link, ordering))
     }
 
     #[test]
@@ -1608,15 +1551,14 @@ mod tests {
         let text = sc.encode();
         assert_eq!(ChaosScenario::decode(&text).unwrap(), sc);
         // Quiet scenario too.
-        let quiet = ChaosScenario::new("bit", Link::T1, OrderingSource::TrainProfile);
+        let quiet = plain("bit", Link::T1, OrderingSource::TrainProfile);
         assert_eq!(ChaosScenario::decode(&quiet.encode()).unwrap(), quiet);
         // Overload section (without an interrupt).
         let mut ov = OverloadDims::seeded(5);
         ov.clients = 4;
         ov.admit_rate = 2;
         ov.ladder = Some(ShedLadder::new(1, 2, 3).unwrap());
-        let fleet =
-            ChaosScenario::new("jess", Link::T1, OrderingSource::TestProfile).with_overload(ov);
+        let fleet = plain("jess", Link::T1, OrderingSource::TestProfile).with_overload(ov);
         assert_eq!(ChaosScenario::decode(&fleet.encode()).unwrap(), fleet);
     }
 
@@ -1749,12 +1691,12 @@ mod tests {
                     interrupt.at_cycle = 7\nlink = modem\n";
         let sc = ChaosScenario::decode(text).unwrap();
         assert_eq!(sc.bench, "hanoi");
-        assert_eq!(sc.link, Link::MODEM_28_8);
+        assert_eq!(sc.config.link, Link::MODEM_28_8);
         assert_eq!(
             sc.interrupt,
-            Some(InterruptDims {
+            Some(InterruptSpec {
                 at_cycle: 7,
-                downtime: 9
+                outage_cycles: 9
             })
         );
     }
@@ -1762,7 +1704,7 @@ mod tests {
     #[test]
     fn labels_name_the_active_dimensions() {
         assert_eq!(
-            ChaosScenario::new("hanoi", Link::T1, OrderingSource::StaticCallGraph).label(),
+            plain("hanoi", Link::T1, OrderingSource::StaticCallGraph).label(),
             "quiet"
         );
         assert_eq!(
@@ -1770,31 +1712,31 @@ mod tests {
             "faults+verify+outage+replicas+byz+crash+disk"
         );
         // Armed-but-quiet dimensions stay out of the label.
-        let armed = ChaosScenario::new("hanoi", Link::T1, OrderingSource::StaticCallGraph)
-            .with_faults(FaultConfig::seeded(1))
-            .with_outages(OutageConfig::seeded(2))
-            .with_disk(DiskDims::seeded(3));
+        let config = SimConfig::non_strict(Link::T1, OrderingSource::StaticCallGraph)
+            .with_faults(FaultPlan::seeded(1))
+            .with_outages(OutagePlan::seeded(2));
+        let armed = ChaosScenario::new("hanoi", config).with_disk(DiskDims::seeded(3));
         assert_eq!(armed.label(), "quiet");
         assert!(armed.is_quiet());
     }
 
     #[test]
     fn custom_links_and_transfers_round_trip() {
-        let mut sc = ChaosScenario::new("bit", Link::T1, OrderingSource::SourceOrder);
-        sc.link = Link {
+        let mut sc = plain("bit", Link::T1, OrderingSource::SourceOrder);
+        sc.config.link = Link {
             cycles_per_byte: 777,
             name: "custom",
         };
-        sc.transfer = TransferPolicy::Parallel { limit: usize::MAX };
-        sc.data_layout = DataLayout::Partitioned;
-        sc.execution = ExecutionModel::Strict;
-        let rt = ChaosScenario::decode(&sc.encode()).unwrap();
+        sc.config.transfer = TransferPolicy::Parallel { limit: usize::MAX };
+        sc.config.data_layout = DataLayout::Partitioned;
+        sc.config.execution = ExecutionModel::Strict;
+        let rt = ChaosScenario::decode(&sc.encode()).unwrap().config;
         assert_eq!(rt.link.cycles_per_byte, 777);
-        assert_eq!(rt.transfer, sc.transfer);
+        assert_eq!(rt.transfer, sc.config.transfer);
         assert_eq!(rt.data_layout, DataLayout::Partitioned);
         assert_eq!(rt.execution, ExecutionModel::Strict);
         // Orderings and transfers use the CLI's spellings.
-        sc.transfer = TransferPolicy::Interleaved;
+        sc.config.transfer = TransferPolicy::Interleaved;
         let text = sc.encode();
         assert!(text.contains("ordering = source\n"), "{text}");
         assert!(text.contains("transfer = interleaved\n"), "{text}");
@@ -1809,29 +1751,24 @@ mod tests {
         let mut calls = 0u32;
         let out = shrink(&sc, &mut |c| {
             calls += 1;
-            c.faults.is_some_and(|f| f.loss_pm >= 3) && c.interrupt.is_some()
+            c.config.faults.is_some_and(|f| f.loss_pm >= 3) && c.interrupt.is_some()
         });
         assert_eq!(calls, out.tests_run);
         assert!(out.tests_run <= SHRINK_BUDGET);
         let m = out.scenario;
+        let c = m.config;
         assert_eq!(
-            m.faults.unwrap().loss_pm,
+            c.faults.unwrap().loss_pm,
             3,
             "loss bisects to the threshold"
         );
-        assert_eq!(m.faults.unwrap().seed, 0, "seed zeroes");
-        assert!(m.outages.is_none(), "outage dimension drops");
-        assert!(m.replicas.is_none(), "replica dimension drops");
-        assert!(m.byzantine.is_none(), "byzantine dimension drops");
+        assert_eq!(c.faults.unwrap().seed, 0, "seed zeroes");
+        assert!(c.outages.is_none(), "outage dimension drops");
+        assert!(c.replicas.is_none(), "replica dimension drops");
+        assert!(c.byzantine.is_none(), "byzantine dimension drops");
         assert!(m.disk.is_none(), "disk dimension drops");
-        assert_eq!(m.verify, VerifyMode::Off, "verify drops");
-        assert_eq!(
-            m.interrupt,
-            Some(InterruptDims {
-                at_cycle: 0,
-                downtime: 0
-            })
-        );
+        assert_eq!(c.verify, VerifyMode::Off, "verify drops");
+        assert_eq!(m.interrupt, Some(InterruptSpec::default()));
     }
 
     #[test]

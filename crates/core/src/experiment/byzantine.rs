@@ -12,12 +12,12 @@
 //! what they caught.
 
 use nonstrict_bytecode::Input;
-use nonstrict_netsim::byzantine::ByzantineMode;
+use nonstrict_netsim::byzantine::{ByzantineMode, ByzantinePlan};
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
 use crate::metrics::{normalized_percent, share_percent};
-use crate::model::{ByzantineConfig, OrderingSource, ReplicaConfig, ReplicaKill, SimConfig};
+use crate::model::{OrderingSource, ReplicaConfig, ReplicaKill, SimConfig};
 use crate::sim::SimResult;
 
 /// One swept cell: mirror count, dishonest-mirror count, misbehavior
@@ -62,15 +62,16 @@ pub fn sweep_replicas(replicas: u32) -> ReplicaConfig {
     rc
 }
 
-/// The sweep's byzantine config at one cell.
+/// The sweep's byzantine plan at one cell.
 #[must_use]
-pub fn sweep_byzantine(cell: ByzantineCell) -> ByzantineConfig {
+pub fn sweep_byzantine(cell: ByzantineCell) -> ByzantinePlan {
     let (_, mirrors, mode, audit_rate_pm) = cell;
-    let mut bc = ByzantineConfig::seeded(BYZANTINE_SEED);
-    bc.mirrors = mirrors;
-    bc.mode = mode;
-    bc.audit_rate_pm = audit_rate_pm;
-    bc
+    ByzantinePlan {
+        mirrors,
+        mode,
+        audit_rate_pm,
+        ..ByzantinePlan::seeded(BYZANTINE_SEED)
+    }
 }
 
 /// One benchmark × link × sweep cell of the byzantine sweep.

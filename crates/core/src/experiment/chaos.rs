@@ -11,16 +11,16 @@
 //! command) and leave every published-table row untouched.
 
 use nonstrict_bytecode::Input;
+use nonstrict_netsim::byzantine::ByzantinePlan;
 use nonstrict_netsim::contention::ShedLadder;
+use nonstrict_netsim::faults::FaultPlan;
+use nonstrict_netsim::outage::OutagePlan;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
 use crate::chaos::{self, ChaosScenario, OverloadDims};
 use crate::metrics::normalized_percent;
-use crate::model::{
-    ByzantineConfig, FaultConfig, OrderingSource, OutageConfig, ReplicaConfig, ReplicaKill,
-    SimConfig, VerifyMode,
-};
+use crate::model::{OrderingSource, ReplicaConfig, ReplicaKill, SimConfig, VerifyMode};
 use crate::sim::SimResult;
 
 /// Seed for every sweep scenario, so the whole table is reproducible.
@@ -38,19 +38,20 @@ pub const CHAOS_DOWNTIME: u64 = 2_000_000;
 /// depends on the storm's own wall clock.
 #[must_use]
 pub fn sweep_scenarios(bench: &str, link: Link) -> Vec<ChaosScenario> {
-    let base = ChaosScenario::new(bench, link, OrderingSource::StaticCallGraph);
-    let quiet = base
-        .clone()
-        .with_faults(FaultConfig::seeded(CHAOS_SEED))
-        .with_outages(OutageConfig::seeded(CHAOS_SEED))
-        .with_replicas(ReplicaConfig::seeded(CHAOS_SEED))
-        .with_byzantine(ByzantineConfig::seeded(CHAOS_SEED))
-        .with_overload(OverloadDims::seeded(CHAOS_SEED));
-    let mut fc = FaultConfig::seeded(CHAOS_SEED);
+    let base = SimConfig::non_strict(link, OrderingSource::StaticCallGraph);
+    let scenario = |config| ChaosScenario::new(bench, config);
+    let quiet = scenario(
+        base.with_faults(FaultPlan::seeded(CHAOS_SEED))
+            .with_outages(OutagePlan::seeded(CHAOS_SEED))
+            .with_replicas(ReplicaConfig::seeded(CHAOS_SEED))
+            .with_byzantine(ByzantinePlan::seeded(CHAOS_SEED)),
+    )
+    .with_overload(OverloadDims::seeded(CHAOS_SEED));
+    let mut fc = FaultPlan::seeded(CHAOS_SEED);
     fc.loss_pm = 15_000;
     fc.corrupt_pm = 8_000;
     fc.semantic_pm = 3_000;
-    let mut oc = OutageConfig::seeded(CHAOS_SEED ^ 0x0abe);
+    let mut oc = OutagePlan::seeded(CHAOS_SEED ^ 0x0abe);
     oc.rate_pm = 150_000;
     oc.min_cycles = 1 << 20;
     oc.max_cycles = 1 << 23;
@@ -60,7 +61,7 @@ pub fn sweep_scenarios(bench: &str, link: Link) -> Vec<ChaosScenario> {
         replica: 1,
         at_cycle: 1,
     });
-    let mut bc = ByzantineConfig::seeded(CHAOS_SEED ^ 0xb12a);
+    let mut bc = ByzantinePlan::seeded(CHAOS_SEED ^ 0xb12a);
     bc.mirrors = 1;
     let mut ov = OverloadDims::seeded(CHAOS_SEED ^ 0x10ad);
     ov.clients = 4;
@@ -71,17 +72,18 @@ pub fn sweep_scenarios(bench: &str, link: Link) -> Vec<ChaosScenario> {
     );
     vec![
         quiet,
-        base.clone().with_faults(fc),
-        base.clone().with_faults(fc).with_verify(VerifyMode::Stream),
-        base.clone().with_faults(fc).with_outages(oc),
-        base.clone().with_replicas(rc).with_byzantine(bc),
-        base.clone()
-            .with_verify(VerifyMode::Stream)
-            .with_faults(fc)
-            .with_outages(oc)
-            .with_replicas(rc)
-            .with_byzantine(bc),
-        base.with_faults(fc).with_overload(ov),
+        scenario(base.with_faults(fc)),
+        scenario(base.with_faults(fc).with_verify(VerifyMode::Stream)),
+        scenario(base.with_faults(fc).with_outages(oc)),
+        scenario(base.with_replicas(rc).with_byzantine(bc)),
+        scenario(
+            base.with_verify(VerifyMode::Stream)
+                .with_faults(fc)
+                .with_outages(oc)
+                .with_replicas(rc)
+                .with_byzantine(bc),
+        ),
+        scenario(base.with_faults(fc)).with_overload(ov),
     ]
 }
 
@@ -122,7 +124,7 @@ pub fn chaos_sweep(suite: &Suite) -> Vec<ChaosRow> {
             // The crash cell: the storm interrupted halfway through its
             // own wall clock (which varies per benchmark × link).
             let storm = scenarios[5].clone();
-            let storm_total = s.simulate(Input::Test, &storm.config()).total_cycles;
+            let storm_total = s.simulate(Input::Test, &storm.config).total_cycles;
             scenarios.push(storm.with_interrupt(storm_total / 2, CHAOS_DOWNTIME));
             for sc in scenarios {
                 let report = chaos::run_scenario(s, &sc);

@@ -11,11 +11,12 @@
 //! class to strict demand-fetch, and that the run still completed.
 
 use nonstrict_bytecode::Input;
+use nonstrict_netsim::faults::FaultPlan;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS, ORDERINGS};
 use crate::metrics::{normalized_percent, share_percent};
-use crate::model::{FaultConfig, OrderingSource, SimConfig};
+use crate::model::{OrderingSource, SimConfig};
 use crate::sim::SimResult;
 
 /// The swept unit-loss rates, parts-per-million per delivery attempt:
@@ -25,17 +26,18 @@ pub const LOSS_SWEEP_PM: [u32; 4] = [0, 1_000, 10_000, 50_000];
 /// Seed for every sweep cell, so the whole table is reproducible.
 pub const FAULT_SEED: u64 = 0x0bad_1147;
 
-/// The sweep's fault config at one loss level: corruption at half the
+/// The sweep's fault plan at one loss level: corruption at half the
 /// loss rate, drops and droop at a tenth — a link whose failure modes
 /// scale together.
 #[must_use]
-pub fn sweep_config(loss_pm: u32) -> FaultConfig {
-    let mut fc = FaultConfig::seeded(FAULT_SEED);
-    fc.loss_pm = loss_pm;
-    fc.corrupt_pm = loss_pm / 2;
-    fc.drop_pm = loss_pm / 10;
-    fc.droop_pm = loss_pm / 10;
-    fc
+pub fn sweep_config(loss_pm: u32) -> FaultPlan {
+    FaultPlan {
+        loss_pm,
+        corrupt_pm: loss_pm / 2,
+        drop_pm: loss_pm / 10,
+        droop_pm: loss_pm / 10,
+        ..FaultPlan::seeded(FAULT_SEED)
+    }
 }
 
 /// One benchmark × link × ordering × loss-rate cell of the sweep.

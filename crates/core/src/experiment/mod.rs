@@ -277,6 +277,16 @@ pub struct InterleavedTable {
 /// Table 7 (and Table 10's right half): interleaved file transfer.
 #[must_use]
 pub fn interleaved_table(suite: &Suite, data_layout: DataLayout) -> InterleavedTable {
+    six_col_table(suite, TransferPolicy::Interleaved, data_layout)
+}
+
+/// `transfer` under `data_layout` on both links and every ordering, in
+/// the Table 7 six-column layout.
+fn six_col_table(
+    suite: &Suite,
+    transfer: TransferPolicy,
+    data_layout: DataLayout,
+) -> InterleavedTable {
     let rows: Vec<SixColRow> = suite
         .sessions
         .iter()
@@ -285,7 +295,7 @@ pub fn interleaved_table(suite: &Suite, data_layout: DataLayout) -> InterleavedT
             for (k, link) in LINKS.iter().enumerate() {
                 for (o, ordering) in ORDERINGS.iter().enumerate() {
                     let config = SimConfig {
-                        transfer: TransferPolicy::Interleaved,
+                        transfer,
                         data_layout,
                         ..SimConfig::non_strict(*link, *ordering)
                     };
@@ -364,62 +374,67 @@ pub fn table9(suite: &Suite) -> Vec<Table9Row> {
 /// with the Table 7 six-column layout.
 #[must_use]
 pub fn table10(suite: &Suite) -> (InterleavedTable, InterleavedTable) {
-    // Parallel(4) with partitioning, presented in six-column form.
-    let rows: Vec<SixColRow> = suite
-        .sessions
-        .iter()
-        .map(|s| {
-            let mut cols = [0.0; 6];
-            for (k, link) in LINKS.iter().enumerate() {
-                for (o, ordering) in ORDERINGS.iter().enumerate() {
-                    let config = SimConfig {
-                        data_layout: DataLayout::Partitioned,
-                        ..SimConfig::non_strict(*link, *ordering)
-                    };
-                    cols[k * 3 + o] = suite.normalized(s, &config);
-                }
-            }
-            SixColRow {
-                name: s.app.name.clone(),
-                cols,
-            }
-        })
-        .collect();
-    let mut avg = [0.0; 6];
-    for (c, cell) in avg.iter_mut().enumerate() {
-        *cell = mean(&rows.iter().map(|r| r.cols[c]).collect::<Vec<_>>());
-    }
-    let parallel = InterleavedTable {
-        data_layout: DataLayout::Partitioned,
-        rows,
-        avg,
-    };
-    let interleaved = interleaved_table(suite, DataLayout::Partitioned);
-    (parallel, interleaved)
+    let parallel = TransferPolicy::Parallel { limit: 4 };
+    (
+        six_col_table(suite, parallel, DataLayout::Partitioned),
+        interleaved_table(suite, DataLayout::Partitioned),
+    )
 }
 
-/// Figure 6: the four summary series (parallel, parallel+DP,
-/// interleaved, interleaved+DP), each (T1 SCG/Train/Test, modem
-/// SCG/Train/Test) averages.
-#[must_use]
-pub fn fig6(suite: &Suite) -> [[f64; 6]; 4] {
-    let p_whole = parallel_table_avgs(suite, DataLayout::Whole);
-    let p_part = parallel_table_avgs(suite, DataLayout::Partitioned);
-    let i_whole = interleaved_table(suite, DataLayout::Whole).avg;
-    let i_part = interleaved_table(suite, DataLayout::Partitioned).avg;
-    [p_whole, p_part, i_whole, i_part]
+/// The simulated transfer tables — Tables 5, 6, 7 and 10 — each swept
+/// once, so that `paper all` and the CSV export can derive Figure 6
+/// from them instead of sweeping again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TransferTables {
+    /// Table 5: parallel file transfer on the T1 link.
+    pub table5: ParallelTable,
+    /// Table 6: parallel file transfer on the modem link.
+    pub table6: ParallelTable,
+    /// Table 7: interleaved file transfer.
+    pub table7: InterleavedTable,
+    /// Table 10: parallel(4) and interleaved transfer, both with
+    /// partitioned global data.
+    pub table10: (InterleavedTable, InterleavedTable),
 }
 
-/// Limit-4 parallel averages in six-column form.
-fn parallel_table_avgs(suite: &Suite, data_layout: DataLayout) -> [f64; 6] {
-    let mut out = [0.0; 6];
-    for (k, link) in LINKS.iter().enumerate() {
-        let t = parallel_table(suite, *link, data_layout);
-        for o in 0..3 {
-            out[k * 3 + o] = t.avg[o][2]; // the "Four" column
+impl TransferTables {
+    /// Sweeps the four tables over the suite.
+    #[must_use]
+    pub fn new(suite: &Suite) -> TransferTables {
+        TransferTables {
+            table5: parallel_table(suite, Link::T1, DataLayout::Whole),
+            table6: parallel_table(suite, Link::MODEM_28_8, DataLayout::Whole),
+            table7: interleaved_table(suite, DataLayout::Whole),
+            table10: table10(suite),
         }
     }
-    out
+
+    /// Figure 6 from the tables' AVG rows: the four summary series
+    /// (parallel, parallel+DP, interleaved, interleaved+DP), each as
+    /// (T1 SCG/Train/Test, modem SCG/Train/Test) averages. The parallel
+    /// series is the limit-4 column of Tables 5 and 6.
+    #[must_use]
+    pub fn fig6(&self) -> [[f64; 6]; 4] {
+        let mut parallel = [0.0; 6];
+        for (k, table) in [&self.table5, &self.table6].into_iter().enumerate() {
+            for (o, avg) in table.avg.iter().enumerate() {
+                parallel[k * 3 + o] = avg[2]; // the "Four" column
+            }
+        }
+        let (parallel_dp, interleaved_dp) = &self.table10;
+        [
+            parallel,
+            parallel_dp.avg,
+            self.table7.avg,
+            interleaved_dp.avg,
+        ]
+    }
+}
+
+/// Figure 6: the four summary series of [`TransferTables::fig6`].
+#[must_use]
+pub fn fig6(suite: &Suite) -> [[f64; 6]; 4] {
+    TransferTables::new(suite).fig6()
 }
 
 #[cfg(test)]

@@ -12,11 +12,12 @@
 //! the outage-free total plus the metered resume cost, never a restart.
 
 use nonstrict_bytecode::Input;
+use nonstrict_netsim::outage::OutagePlan;
 use nonstrict_netsim::Link;
 
 use super::{Suite, LINKS};
 use crate::metrics::{normalized_percent, share_percent};
-use crate::model::{OrderingSource, OutageConfig, SimConfig};
+use crate::model::{OrderingSource, SimConfig};
 use crate::sim::SimResult;
 
 /// The swept outage severities, `(rate_pm, outage_cycles)`: probability
@@ -33,16 +34,17 @@ pub const OUTAGE_SWEEP: [(u32, u64); 4] = [
 /// Seed for every sweep cell, so the whole table is reproducible.
 pub const OUTAGE_SEED: u64 = 0x5e55_10f5;
 
-/// The sweep's outage config at one severity: the duration is pinned
+/// The sweep's outage plan at one severity: the duration is pinned
 /// (`min = max`) so each cell's downtime is an exact multiple of the
 /// event count.
 #[must_use]
-pub fn sweep_config(rate_pm: u32, outage_cycles: u64) -> OutageConfig {
-    let mut oc = OutageConfig::seeded(OUTAGE_SEED);
-    oc.rate_pm = rate_pm;
-    oc.min_cycles = outage_cycles;
-    oc.max_cycles = outage_cycles;
-    oc
+pub fn sweep_config(rate_pm: u32, outage_cycles: u64) -> OutagePlan {
+    OutagePlan {
+        rate_pm,
+        min_cycles: outage_cycles,
+        max_cycles: outage_cycles,
+        ..OutagePlan::seeded(OUTAGE_SEED)
+    }
 }
 
 /// One benchmark × link × severity cell of the sweep.

@@ -11,7 +11,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::experiment::Suite;
-use crate::report::RESULTS;
+use crate::report::csv_tables;
 
 /// Writes every table and figure as CSV into `dir` (created if needed).
 ///
@@ -23,15 +23,11 @@ use crate::report::RESULTS;
 pub fn export_csv(suite: &Suite, dir: &Path) -> io::Result<Vec<PathBuf>> {
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
-    // The summary is prose with no CSV; skipping it saves re-running
-    // Table 4 and Figure 6.
-    for (_, build) in RESULTS.iter().filter(|(name, _)| *name != "summary") {
-        for table in build(suite) {
-            if let Some(file) = table.file {
-                let path = dir.join(file);
-                fs::write(&path, table.render_csv())?;
-                written.push(path);
-            }
+    for table in csv_tables(suite) {
+        if let Some(file) = table.file {
+            let path = dir.join(file);
+            fs::write(&path, table.render_csv())?;
+            written.push(path);
         }
     }
     Ok(written)

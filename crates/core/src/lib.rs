@@ -66,15 +66,15 @@ pub mod table;
 
 pub use chaos::{
     crash_anywhere, replay_repro, run_scenario, shrink, ChaosReport, ChaosScenario, ChaosViolation,
-    DifferentialReport, DiskDims, InterruptDims, OverloadDims, ScenarioError, ShrinkOutcome,
+    DifferentialReport, DiskDims, OverloadDims, ScenarioError, ShrinkOutcome,
 };
 pub use fleet::{run_fleet, AdmissionSettings, ClientOutcome, FleetClient, FleetResult, FleetSpec};
 pub use journal::{negotiate, Negotiation, SessionJournal, SessionManifest};
 pub use manifest::build_manifest;
 pub use metrics::CycleLedger;
 pub use model::{
-    ByzantineConfig, DataLayout, ExecutionModel, FaultConfig, OrderingSource, OutageConfig,
-    ReplicaConfig, ReplicaKill, SimConfig, TransferPolicy, VerifyMode,
+    DataLayout, ExecutionModel, OrderingSource, ReplicaConfig, ReplicaKill, SimConfig,
+    TransferPolicy, VerifyMode,
 };
 pub use serve::{
     build_plan, ordering_from_wire, ordering_to_wire, plan_from_session, verify_payloads,

@@ -1,6 +1,6 @@
 //! Simulation configuration: the paper's design space as one type.
 
-use nonstrict_netsim::byzantine::{ByzantineMode, ByzantinePlan};
+use nonstrict_netsim::byzantine::ByzantinePlan;
 use nonstrict_netsim::faults::FaultPlan;
 use nonstrict_netsim::outage::OutagePlan;
 use nonstrict_netsim::replica::{replica_seed, ReplicaProfile, MAX_REPLICAS};
@@ -154,154 +154,6 @@ impl DataLayout {
     }
 }
 
-/// Link-fault injection settings: a seeded, deterministic description
-/// of an unreliable link plus the recovery protocol's degradation
-/// threshold. Rates are parts-per-million so the config stays `Copy`,
-/// `Eq`, and `Hash` like the rest of [`SimConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FaultConfig {
-    /// Seed for every fault draw; same seed, same run, bit for bit.
-    pub seed: u64,
-    /// Per-attempt unit-loss probability (ppm).
-    pub loss_pm: u32,
-    /// Per-attempt unit-corruption probability (ppm).
-    pub corrupt_pm: u32,
-    /// Per-attempt connection-drop probability (ppm).
-    pub drop_pm: u32,
-    /// Fraction of delivery time (ppm) spent in half-rate droop windows.
-    pub droop_pm: u32,
-    /// Per-attempt semantic-corruption probability (ppm): the unit
-    /// passes CRC but fails incremental validation, is quarantined, and
-    /// refetched like a corrupt unit.
-    pub semantic_pm: u32,
-    /// Reconnect latency after a drop, in cycles.
-    pub reconnect_cycles: u64,
-    /// Misprediction-plus-fault pressure (stalls + retransmissions) on a
-    /// class before it is demoted from non-strict streaming to strict
-    /// demand-fetch; 0 disables degradation.
-    pub degrade_threshold: u32,
-}
-
-impl FaultConfig {
-    /// Default reconnect latency (~2 ms on the 500 MHz Alpha).
-    pub const DEFAULT_RECONNECT_CYCLES: u64 = 1_000_000;
-
-    /// Default degradation threshold: a class tolerates this many
-    /// combined stall-plus-retry events before falling back to strict.
-    pub const DEFAULT_DEGRADE_THRESHOLD: u32 = 24;
-
-    /// A fault config with every rate zero under `seed` — the protocol
-    /// is armed but the link is perfect.
-    #[must_use]
-    pub fn seeded(seed: u64) -> FaultConfig {
-        FaultConfig {
-            seed,
-            loss_pm: 0,
-            corrupt_pm: 0,
-            drop_pm: 0,
-            droop_pm: 0,
-            semantic_pm: 0,
-            reconnect_cycles: Self::DEFAULT_RECONNECT_CYCLES,
-            degrade_threshold: Self::DEFAULT_DEGRADE_THRESHOLD,
-        }
-    }
-
-    /// Whether any fault can actually occur. An inactive config charges
-    /// no checksum overhead and perturbs no timeline: results are
-    /// byte-identical to a perfect-link run.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.loss_pm > 0
-            || self.corrupt_pm > 0
-            || self.drop_pm > 0
-            || self.droop_pm > 0
-            || self.semantic_pm > 0
-    }
-
-    /// The netsim-level realization of this config.
-    #[must_use]
-    pub fn plan(&self) -> FaultPlan {
-        FaultPlan {
-            seed: self.seed,
-            loss_pm: self.loss_pm,
-            corrupt_pm: self.corrupt_pm,
-            drop_pm: self.drop_pm,
-            droop_pm: self.droop_pm,
-            semantic_pm: self.semantic_pm,
-            reconnect_cycles: self.reconnect_cycles,
-        }
-    }
-}
-
-/// Connection-outage injection settings: a seeded, deterministic
-/// description of full connection losses (client partitioned or killed)
-/// layered on top of whatever [`FaultConfig`] does to the live link.
-/// Rates are parts-per-million per
-/// [`nonstrict_netsim::OUTAGE_PERIOD_CYCLES`] so the config stays
-/// `Copy`, `Eq`, and `Hash` like the rest of [`SimConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OutageConfig {
-    /// Seed for every outage draw; same seed, same outages, bit for
-    /// bit.
-    pub seed: u64,
-    /// Probability (ppm) that each outage-draw period suffers a full
-    /// connection loss.
-    pub rate_pm: u32,
-    /// Shortest connection-loss duration, in cycles.
-    pub min_cycles: u64,
-    /// Longest connection-loss duration, in cycles.
-    pub max_cycles: u64,
-    /// Reconnect handshake paid after every outage: link
-    /// re-establishment plus journal validation before bytes flow
-    /// again.
-    pub negotiation_cycles: u64,
-}
-
-impl OutageConfig {
-    /// Default resume-negotiation latency (~1 ms on the 500 MHz Alpha):
-    /// connection setup plus the journal CRC/epoch exchange.
-    pub const DEFAULT_NEGOTIATION_CYCLES: u64 = 500_000;
-
-    /// Default shortest outage (~8 ms on the Alpha).
-    pub const DEFAULT_MIN_CYCLES: u64 = 1 << 22;
-
-    /// Default longest outage (~537 ms on the Alpha).
-    pub const DEFAULT_MAX_CYCLES: u64 = 1 << 28;
-
-    /// An outage config with rate zero under `seed` — the resume
-    /// machinery is armed but the connection never actually dies.
-    #[must_use]
-    pub fn seeded(seed: u64) -> OutageConfig {
-        OutageConfig {
-            seed,
-            rate_pm: 0,
-            min_cycles: Self::DEFAULT_MIN_CYCLES,
-            max_cycles: Self::DEFAULT_MAX_CYCLES,
-            negotiation_cycles: Self::DEFAULT_NEGOTIATION_CYCLES,
-        }
-    }
-
-    /// Whether an outage can actually occur. An inactive config
-    /// perturbs no timeline: results are byte-identical to an
-    /// uninterrupted run.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.rate_pm > 0 && self.max_cycles > 0
-    }
-
-    /// The netsim-level realization of this config.
-    #[must_use]
-    pub fn plan(&self) -> OutagePlan {
-        OutagePlan {
-            seed: self.seed,
-            rate_pm: self.rate_pm,
-            min_cycles: self.min_cycles,
-            max_cycles: self.max_cycles,
-            negotiation_cycles: self.negotiation_cycles,
-        }
-    }
-}
-
 /// One mirror killed mid-run, for failover testing: the replica stops
 /// serving at the given base-timeline cycle; routing fails over to the
 /// surviving mirrors at the next unit boundary.
@@ -315,7 +167,7 @@ pub struct ReplicaKill {
 
 /// Replica-set transfer settings: N mirrors of the restructured
 /// program, each with its own bandwidth spread and independently
-/// seeded fault/outage profile derived from the session config. Stays
+/// seeded fault/outage profile derived from the session's plans. Stays
 /// `Copy`, `Eq`, and `Hash` like the rest of [`SimConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReplicaConfig {
@@ -380,33 +232,31 @@ impl ReplicaConfig {
     }
 
     /// The netsim-level mirror profiles this config and the session's
-    /// fault/outage settings lower to. Mirror `i` runs the session's
-    /// fault rates under its own sub-seed (a perfect plan when faults
+    /// fault and outage plans lower to. Mirror `i` runs the session's
+    /// fault rates under its own sub-seed (a perfect link when faults
     /// are off) and the session's outage rates under its own sub-seed
-    /// (quiet when outages are off); server-side outage draws are
-    /// salted apart from the client-side ambient schedule.
+    /// (never interrupted when outages are off); server-side outage
+    /// draws are salted apart from the client-side ambient schedule.
     #[must_use]
     pub fn profiles(&self, config: &SimConfig) -> Vec<ReplicaProfile> {
         let n = self.replicas.clamp(1, Self::MAX_REPLICAS);
         (0..n)
             .map(|i| {
                 let link = config.link.spread(self.spread_pm, i);
-                let faults = config.active_faults().map_or_else(
-                    || FaultPlan::perfect(replica_seed(self.seed, i)),
-                    |fc| {
-                        let mut plan = fc.plan();
-                        plan.seed = replica_seed(plan.seed, i);
-                        plan
+                let faults = match config.active_faults() {
+                    Some(fp) => FaultPlan {
+                        seed: replica_seed(fp.seed, i),
+                        ..fp
                     },
-                );
-                let outages = config.active_outages().map_or_else(
-                    || OutagePlan::quiet(replica_seed(self.seed, i)),
-                    |oc| {
-                        let mut plan = oc.plan();
-                        plan.seed = replica_seed(plan.seed ^ 0x6d69_7272_6f72_5f73, i);
-                        plan
+                    None => FaultPlan::seeded(replica_seed(self.seed, i)),
+                };
+                let outages = match config.active_outages() {
+                    Some(op) => OutagePlan {
+                        seed: replica_seed(op.seed ^ 0x6d69_7272_6f72_5f73, i),
+                        ..op
                     },
-                );
+                    None => OutagePlan::seeded(replica_seed(self.seed, i)),
+                };
                 let dead_from = self.kill.filter(|k| k.replica == i).map(|k| k.at_cycle);
                 ReplicaProfile {
                     link,
@@ -416,71 +266,6 @@ impl ReplicaConfig {
                 }
             })
             .collect()
-    }
-}
-
-/// Byzantine-misbehavior injection settings: how many of the replica
-/// set's mirrors serve wrong bytes, in which way, and how aggressively
-/// the client cross-audits the fleet. Only meaningful layered on an
-/// active [`ReplicaConfig`]; stays `Copy`, `Eq`, and `Hash` like the
-/// rest of [`SimConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ByzantineConfig {
-    /// Seed for every misbehavior and audit draw; same seed, same
-    /// divergences, bit for bit.
-    pub seed: u64,
-    /// Number of misbehaving mirrors. The *highest-indexed* `mirrors`
-    /// replicas of the set misbehave, so mirror 0 (the base-seed
-    /// origin) stays honest whenever `mirrors < replicas`. 0 is an
-    /// all-honest fleet: byte-identical to no byzantine config at all,
-    /// at any audit rate.
-    pub mirrors: u32,
-    /// What the misbehaving mirrors do.
-    pub mode: ByzantineMode,
-    /// Cross-mirror audit sampling rate (ppm): the fraction of units
-    /// re-fetched from a second mirror and compared byte-for-byte,
-    /// which is the only defense that catches manifest-colluding
-    /// mirrors.
-    pub audit_rate_pm: u32,
-}
-
-impl ByzantineConfig {
-    /// Default cross-mirror audit rate: 5% of units.
-    pub const DEFAULT_AUDIT_RATE_PM: u32 = 50_000;
-
-    /// A byzantine config with zero misbehaving mirrors under `seed` —
-    /// the manifest layer is described but never armed.
-    #[must_use]
-    pub fn seeded(seed: u64) -> ByzantineConfig {
-        ByzantineConfig {
-            seed,
-            mirrors: 0,
-            mode: ByzantineMode::default(),
-            audit_rate_pm: Self::DEFAULT_AUDIT_RATE_PM,
-        }
-    }
-
-    /// Whether any mirror can actually misbehave. An inactive config
-    /// arms no manifest layer, charges no integrity cycles, and
-    /// perturbs no timeline: results are byte-identical to an honest
-    /// fleet.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.mirrors >= 1
-    }
-
-    /// The netsim-level realization of this config. `manifest_bytes`
-    /// is the wire size of the session's unit manifest, which the
-    /// client re-pins after an epoch fence.
-    #[must_use]
-    pub fn plan(&self, manifest_bytes: u64) -> ByzantinePlan {
-        ByzantinePlan {
-            seed: self.seed,
-            byzantine: self.mirrors,
-            mode: self.mode,
-            audit_rate_pm: self.audit_rate_pm,
-            manifest_bytes,
-        }
     }
 }
 
@@ -538,22 +323,22 @@ pub struct SimConfig {
     pub data_layout: DataLayout,
     /// Execution model.
     pub execution: ExecutionModel,
-    /// Link-fault injection; `None` (or an all-zero config) is a
-    /// perfect link.
-    pub faults: Option<FaultConfig>,
+    /// Link-fault injection; `None` (or an all-zero plan) is a perfect
+    /// link.
+    pub faults: Option<FaultPlan>,
     /// Verification mode: whether execution is gated on verified
     /// prefixes and verify cycles are charged.
     pub verify: VerifyMode,
-    /// Full connection-loss injection; `None` (or a zero-rate config)
+    /// Full connection-loss injection; `None` (or a zero-rate plan)
     /// never interrupts the session.
-    pub outages: Option<OutageConfig>,
+    pub outages: Option<OutagePlan>,
     /// Replica-set transfer; `None` (or a one-mirror config) is the
     /// single origin server.
     pub replicas: Option<ReplicaConfig>,
     /// Byzantine-misbehavior injection over the replica set; `None`
-    /// (or a zero-mirror config, or no active replica set to misbehave
+    /// (or a zero-mirror plan, or no active replica set to misbehave
     /// in) is an honest fleet with no manifest layer armed.
-    pub byzantine: Option<ByzantineConfig>,
+    pub byzantine: Option<ByzantinePlan>,
 }
 
 impl SimConfig {
@@ -563,16 +348,9 @@ impl SimConfig {
     #[must_use]
     pub fn strict(link: Link) -> Self {
         SimConfig {
-            link,
-            ordering: OrderingSource::SourceOrder,
             transfer: TransferPolicy::Strict,
-            data_layout: DataLayout::Whole,
             execution: ExecutionModel::Strict,
-            faults: None,
-            verify: VerifyMode::Off,
-            outages: None,
-            replicas: None,
-            byzantine: None,
+            ..SimConfig::non_strict(link, OrderingSource::SourceOrder)
         }
     }
 
@@ -596,7 +374,7 @@ impl SimConfig {
 
     /// This configuration with fault injection enabled.
     #[must_use]
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
     }
@@ -610,7 +388,7 @@ impl SimConfig {
 
     /// This configuration with outage injection enabled.
     #[must_use]
-    pub fn with_outages(mut self, outages: OutageConfig) -> Self {
+    pub fn with_outages(mut self, outages: OutagePlan) -> Self {
         self.outages = Some(outages);
         self
     }
@@ -625,26 +403,26 @@ impl SimConfig {
     /// This configuration with byzantine misbehavior injected into the
     /// replica set.
     #[must_use]
-    pub fn with_byzantine(mut self, byzantine: ByzantineConfig) -> Self {
+    pub fn with_byzantine(mut self, byzantine: ByzantinePlan) -> Self {
         self.byzantine = Some(byzantine);
         self
     }
 
-    /// The fault config, if it can actually perturb the run. An
-    /// all-zero config is normalized away here so every consumer treats
-    /// it exactly like `None`.
+    /// The fault plan, if it can actually perturb the run. An all-zero
+    /// plan is normalized away here so every consumer treats it exactly
+    /// like `None`.
     #[must_use]
-    pub fn active_faults(&self) -> Option<FaultConfig> {
-        self.faults.filter(FaultConfig::is_active)
+    pub fn active_faults(&self) -> Option<FaultPlan> {
+        self.faults.filter(FaultPlan::is_active)
     }
 
-    /// The outage config, if it can actually interrupt the run. A
-    /// zero-rate config is normalized away here so every consumer
-    /// treats it exactly like `None` — outage-free runs stay
-    /// byte-identical to the committed results.
+    /// The outage plan, if it can actually interrupt the run. A
+    /// zero-rate plan is normalized away here so every consumer treats
+    /// it exactly like `None` — outage-free runs stay byte-identical to
+    /// the committed results.
     #[must_use]
-    pub fn active_outages(&self) -> Option<OutageConfig> {
-        self.outages.filter(OutageConfig::is_active)
+    pub fn active_outages(&self) -> Option<OutagePlan> {
+        self.outages.filter(OutagePlan::is_active)
     }
 
     /// The replica config, if there is an actual choice of mirrors. A
@@ -656,15 +434,15 @@ impl SimConfig {
         self.replicas.filter(ReplicaConfig::is_active)
     }
 
-    /// The byzantine config, if a mirror can actually misbehave. A
-    /// zero-mirror config — or any byzantine config without an active
+    /// The byzantine plan, if a mirror can actually misbehave. A
+    /// zero-mirror plan — or any byzantine plan without an active
     /// replica set to misbehave inside — is normalized away here so
     /// every consumer treats it exactly like `None`: honest-fleet runs
     /// stay byte-identical to the committed results at any audit rate.
     #[must_use]
-    pub fn active_byzantine(&self) -> Option<ByzantineConfig> {
+    pub fn active_byzantine(&self) -> Option<ByzantinePlan> {
         self.active_replicas()?;
-        self.byzantine.filter(ByzantineConfig::is_active)
+        self.byzantine.filter(ByzantinePlan::is_active)
     }
 
     /// Whether this is the no-overlap strict baseline.
@@ -697,7 +475,7 @@ mod tests {
 
     #[test]
     fn inactive_fault_configs_are_normalized_away() {
-        let zero = FaultConfig::seeded(42);
+        let zero = FaultPlan::seeded(42);
         assert!(!zero.is_active());
         let cfg = SimConfig::strict(Link::T1).with_faults(zero);
         assert_eq!(
@@ -721,13 +499,13 @@ mod tests {
 
     #[test]
     fn inactive_outage_configs_are_normalized_away() {
-        let zero = OutageConfig::seeded(42);
+        let zero = OutagePlan::seeded(42);
         assert!(!zero.is_active());
         let cfg = SimConfig::strict(Link::T1).with_outages(zero);
         assert_eq!(
             cfg.active_outages(),
             None,
-            "a zero-rate outage config never interrupts"
+            "a zero-rate outage plan never interrupts"
         );
         let mut stormy = zero;
         stormy.rate_pm = 10_000;
@@ -738,27 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn outage_config_lowers_to_a_matching_plan() {
-        let mut oc = OutageConfig::seeded(7);
-        oc.rate_pm = 2_000;
-        let plan = oc.plan();
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.rate_pm, 2_000);
-        assert_eq!(plan.min_cycles, OutageConfig::DEFAULT_MIN_CYCLES);
-        assert_eq!(plan.max_cycles, OutageConfig::DEFAULT_MAX_CYCLES);
-        assert_eq!(
-            plan.negotiation_cycles,
-            OutageConfig::DEFAULT_NEGOTIATION_CYCLES
-        );
-    }
-
-    #[test]
     fn semantic_rate_alone_activates_the_fault_config() {
-        let mut fc = FaultConfig::seeded(9);
+        let mut fc = FaultPlan::seeded(9);
         assert!(!fc.is_active());
         fc.semantic_pm = 5_000;
         assert!(fc.is_active());
-        assert_eq!(fc.plan().semantic_pm, 5_000);
     }
 
     #[test]
@@ -780,7 +542,7 @@ mod tests {
     fn replica_profiles_spread_bandwidth_and_seeds() {
         let mut rc = ReplicaConfig::seeded(7);
         rc.replicas = 3;
-        let mut fc = FaultConfig::seeded(99);
+        let mut fc = FaultPlan::seeded(99);
         fc.loss_pm = 1_000;
         let cfg = SimConfig::non_strict(Link::T1, OrderingSource::StaticCallGraph).with_faults(fc);
         let profiles = rc.profiles(&cfg);
@@ -795,7 +557,7 @@ mod tests {
         assert_eq!(profiles[0].faults.seed, 99, "mirror 0 keeps the base seed");
         assert_ne!(profiles[1].faults.seed, profiles[2].faults.seed);
         assert!(profiles.iter().all(|p| p.faults.loss_pm == 1_000));
-        assert!(profiles.iter().all(|p| p.outages.is_quiet()));
+        assert!(profiles.iter().all(|p| !p.outages.is_active()));
         assert!(profiles.iter().all(|p| p.dead_from.is_none()));
     }
 
@@ -818,7 +580,7 @@ mod tests {
 
     #[test]
     fn inactive_byzantine_configs_are_normalized_away() {
-        let honest = ByzantineConfig::seeded(42);
+        let honest = ByzantinePlan::seeded(42);
         assert!(!honest.is_active());
         let mut rc = ReplicaConfig::seeded(7);
         rc.replicas = 3;
@@ -837,7 +599,7 @@ mod tests {
 
     #[test]
     fn byzantine_without_an_active_replica_set_is_inert() {
-        let mut byz = ByzantineConfig::seeded(3);
+        let mut byz = ByzantinePlan::seeded(3);
         byz.mirrors = 2;
         let solo = SimConfig::strict(Link::T1).with_byzantine(byz);
         assert_eq!(
@@ -847,31 +609,5 @@ mod tests {
         );
         let one_mirror = solo.with_replicas(ReplicaConfig::seeded(7));
         assert_eq!(one_mirror.active_byzantine(), None);
-    }
-
-    #[test]
-    fn byzantine_config_lowers_to_a_matching_plan() {
-        let mut bc = ByzantineConfig::seeded(11);
-        bc.mirrors = 2;
-        bc.mode = ByzantineMode::Collude;
-        bc.audit_rate_pm = 125_000;
-        let plan = bc.plan(4_096);
-        assert_eq!(plan.seed, 11);
-        assert_eq!(plan.byzantine, 2);
-        assert_eq!(plan.mode, ByzantineMode::Collude);
-        assert_eq!(plan.audit_rate_pm, 125_000);
-        assert_eq!(plan.manifest_bytes, 4_096);
-    }
-
-    #[test]
-    fn fault_config_lowers_to_a_matching_plan() {
-        let mut fc = FaultConfig::seeded(7);
-        fc.loss_pm = 1_000;
-        fc.droop_pm = 2_000;
-        let plan = fc.plan();
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.loss_pm, 1_000);
-        assert_eq!(plan.droop_pm, 2_000);
-        assert_eq!(plan.reconnect_cycles, FaultConfig::DEFAULT_RECONNECT_CYCLES);
     }
 }

@@ -2,7 +2,8 @@
 //! [`Table`]: the paper's Tables 2–10 and Figure 6 with the published
 //! values beside the measured ones, the headline summary, and the seven
 //! robustness sweeps. [`RESULTS`] names them; `paper <name>`, `paper
-//! all` and [`crate::export::export_csv`] all walk it.
+//! all` and [`crate::export::export_csv`] all walk it, and the last two
+//! sweep Tables 5, 6, 7 and 10 once for Figure 6 as well.
 
 use nonstrict_netsim::Link;
 use nonstrict_workloads::stats::paper_row;
@@ -21,13 +22,15 @@ pub const RESULTS: [(&str, Build); 18] = [
     ("table2", |s| vec![table2(s)]),
     ("table3", |s| vec![table3(s)]),
     ("table4", |s| vec![table4(s)]),
-    ("table5", |s| vec![parallel(s, Link::T1)]),
-    ("table6", |s| vec![parallel(s, Link::MODEM_28_8)]),
-    ("table7", |s| vec![table7(s)]),
+    ("table5", |s| parallel_on(s, Link::T1)),
+    ("table6", |s| parallel_on(s, Link::MODEM_28_8)),
+    ("table7", |s| {
+        vec![table7(experiment::interleaved_table(s, DataLayout::Whole))]
+    }),
     ("table8", |s| vec![table8(s)]),
     ("table9", |s| vec![table9(s)]),
-    ("table10", table10),
-    ("fig6", |s| vec![fig6(s)]),
+    ("table10", |s| table10(experiment::table10(s))),
+    ("fig6", |s| vec![fig6(experiment::fig6(s))]),
     ("summary", |s| vec![summary(s)]),
     ("faults", |s| vec![faults(s)]),
     ("verify", |s| vec![verify(s)]),
@@ -46,14 +49,44 @@ const PAPER_TABLES: usize = 10;
 #[must_use]
 pub fn lookup(name: &str) -> Option<Build> {
     if name == "all" {
-        return Some(|s| {
-            RESULTS[..PAPER_TABLES]
-                .iter()
-                .flat_map(|(_, b)| b(s))
-                .collect()
-        });
+        return Some(paper_tables);
     }
     RESULTS.iter().find(|(n, _)| *n == name).map(|(_, b)| *b)
+}
+
+/// The first [`PAPER_TABLES`] results, as their [`RESULTS`] entries
+/// build them, but with Tables 5, 6, 7 and 10 swept once: Figure 6 is
+/// averaged from them instead of sweeping them again.
+fn paper_tables(suite: &Suite) -> Vec<Table> {
+    let t = experiment::TransferTables::new(suite);
+    let fig6 = fig6(t.fig6());
+    let mut tables = vec![
+        table2(suite),
+        table3(suite),
+        table4(suite),
+        parallel(t.table5),
+        parallel(t.table6),
+        table7(t.table7),
+        table8(suite),
+        table9(suite),
+    ];
+    tables.extend(table10(t.table10));
+    tables.push(fig6);
+    tables
+}
+
+/// Every table [`crate::export::export_csv`] writes, in order: the
+/// paper's as `paper all` builds them, then the sweeps'. The summary is
+/// prose with no CSV, so it is skipped rather than built.
+#[must_use]
+pub fn csv_tables(suite: &Suite) -> Vec<Table> {
+    let sweeps = RESULTS[PAPER_TABLES..]
+        .iter()
+        .filter(|(name, _)| *name != "summary");
+    paper_tables(suite)
+        .into_iter()
+        .chain(sweeps.flat_map(|(_, build)| build(suite)))
+        .collect()
 }
 
 /// Every name [`lookup`] accepts, `|`-separated.
@@ -210,9 +243,19 @@ fn table4(suite: &Suite) -> Table {
     t.finish(Vec::new())
 }
 
+/// Table 5 (T1) or 6 (modem), swept on its own.
+fn parallel_on(suite: &Suite, link: Link) -> Vec<Table> {
+    vec![parallel(experiment::parallel_table(
+        suite,
+        link,
+        DataLayout::Whole,
+    ))]
+}
+
 /// Table 5 (T1) or 6 (modem): one text line per benchmark, one CSV row
 /// per benchmark, ordering and concurrency limit.
-fn parallel(suite: &Suite, link: Link) -> Table {
+fn parallel(table: experiment::ParallelTable) -> Table {
+    let link = table.link;
     let (number, file, published, published_avg) = if link == Link::T1 {
         ("5", "table5.csv", &paper::TABLE5_T1, paper::TABLE5_T1_AVG)
     } else {
@@ -223,7 +266,6 @@ fn parallel(suite: &Suite, link: Link) -> Table {
             paper::TABLE6_MODEM_AVG,
         )
     };
-    let table = experiment::parallel_table(suite, link, DataLayout::Whole);
     let mut rows: Vec<_> = table
         .rows
         .into_iter()
@@ -310,9 +352,8 @@ fn interleaved(
     t.finish(vec![format!("{:8}{avg}", "AVG")])
 }
 
-fn table7(suite: &Suite) -> Table {
+fn table7(table: experiment::InterleavedTable) -> Table {
     let published: Vec<[f64; 6]> = paper::TABLE7.into_iter().map(six).collect();
-    let table = experiment::interleaved_table(suite, DataLayout::Whole);
     interleaved(
         table,
         "Table 7: Interleaved File Transfer",
@@ -321,8 +362,9 @@ fn table7(suite: &Suite) -> Table {
     )
 }
 
-fn table10(suite: &Suite) -> Vec<Table> {
-    let (parallel, interleaved_dp) = experiment::table10(suite);
+fn table10(
+    (parallel, interleaved_dp): (experiment::InterleavedTable, experiment::InterleavedTable),
+) -> Vec<Table> {
     let (pp, pi): (Vec<[f64; 6]>, Vec<[f64; 6]>) = paper::TABLE10.into_iter().unzip();
     vec![
         interleaved(
@@ -340,14 +382,13 @@ fn table10(suite: &Suite) -> Vec<Table> {
     ]
 }
 
-fn fig6(suite: &Suite) -> Table {
+fn fig6(measured: [[f64; 6]; 4]) -> Table {
     let series = [
         ("Parallel File Transfer", "parallel"),
         ("PFT + Data Partitioned", "parallel_partitioned"),
         ("Interleaved File Transfer", "interleaved"),
         ("IFT + Data Partitioned", "interleaved_partitioned"),
     ];
-    let measured = experiment::fig6(suite);
     let rows: Vec<_> = (0..4)
         .map(|i| (series[i], measured[i], Some(paper::FIG6[i])))
         .collect();

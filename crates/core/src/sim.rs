@@ -98,7 +98,7 @@ pub struct OutageSummary {
 }
 
 /// Where to kill a run and how long the client stays down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct InterruptSpec {
     /// Base-timeline cycle at which the connection and client die
     /// together; the run checkpoints at the first trace-event boundary
@@ -205,7 +205,7 @@ fn ambient_shift(
     let Some(oc) = config.active_outages() else {
         return (0, base_latency, OutageSummary::default());
     };
-    let mut sched = OutageSchedule::new(oc.plan());
+    let mut sched = OutageSchedule::new(oc);
     let shift = sched.shift_before(base_total);
     let n = sched.outages_before(base_total);
     let outage = OutageSummary {
@@ -220,19 +220,6 @@ fn ambient_shift(
 /// frame verification.
 fn pin_cost(link: Link, manifest: &UnitManifest) -> u64 {
     link.cycles_for(manifest.wire_bytes()) + DIGEST_CHECK_CYCLES
-}
-
-impl SimResult {
-    /// Overlap efficiency: fraction of total time the CPU was executing
-    /// rather than stalled (1.0 = transfer fully hidden after
-    /// invocation).
-    #[must_use]
-    pub fn busy_fraction(&self) -> f64 {
-        if self.total_cycles == 0 {
-            return 1.0;
-        }
-        self.ledger.exec as f64 / self.total_cycles as f64
-    }
 }
 
 /// A prepared benchmark: traces collected on both inputs, orderings and
@@ -426,7 +413,7 @@ impl Session {
                 Box::new(strict),
                 &units,
                 config.link,
-                config.active_faults().map(|fc| fc.plan()),
+                config.active_faults(),
                 None,
             );
             let entry_unit = units[entry_class].unit_count() - 1;
@@ -521,7 +508,7 @@ impl Session {
             )),
         };
         // Each mirror runs the session's fault and outage rates under its
-        // own sub-seed; an active byzantine config arms the manifest
+        // own sub-seed; an active byzantine plan arms the manifest
         // layer on top of the routing.
         let profiles = config
             .active_replicas()
@@ -530,18 +517,10 @@ impl Session {
         let set = config.active_replicas().map(|rc| ReplicaSet {
             profiles: &profiles,
             hedge_deadline: rc.hedge_deadline_cycles,
-            byzantine: config
-                .active_byzantine()
-                .zip(manifest)
-                .map(|(bc, m)| bc.plan(m.wire_bytes())),
+            byzantine: config.active_byzantine(),
+            manifest_bytes: manifest.map_or(0, UnitManifest::wire_bytes),
         });
-        FaultLayer::new(
-            base,
-            units,
-            config.link,
-            config.active_faults().map(|fc| fc.plan()),
-            set,
-        )
+        FaultLayer::new(base, units, config.link, config.active_faults(), set)
     }
 
     /// Replays the input's trace against `engine`, optionally starting
@@ -1357,7 +1336,7 @@ mod tests {
         let mut rc = crate::model::ReplicaConfig::seeded(0x5e7);
         rc.replicas = 3;
         rc.hedge_deadline_cycles = 500_000;
-        let mut fc = crate::model::FaultConfig::seeded(0x5e7);
+        let mut fc = nonstrict_netsim::faults::FaultPlan::seeded(0x5e7);
         fc.loss_pm = 50_000;
         fc.corrupt_pm = 10_000;
         for mode in [VerifyMode::Off, VerifyMode::Stream, VerifyMode::Full] {
@@ -1413,7 +1392,7 @@ mod tests {
         let s = session();
         let mut rc = crate::model::ReplicaConfig::seeded(11);
         rc.replicas = 3;
-        let mut fc = crate::model::FaultConfig::seeded(11);
+        let mut fc = nonstrict_netsim::faults::FaultPlan::seeded(11);
         fc.loss_pm = 100_000;
         let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph)
             .with_faults(fc)
@@ -1514,7 +1493,7 @@ mod tests {
     #[test]
     fn ambient_outages_insert_pure_downtime() {
         let s = session();
-        let mut oc = crate::model::OutageConfig::seeded(7);
+        let mut oc = nonstrict_netsim::outage::OutagePlan::seeded(7);
         oc.rate_pm = 600_000;
         oc.min_cycles = 1 << 20;
         oc.max_cycles = 1 << 24;

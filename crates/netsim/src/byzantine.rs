@@ -105,43 +105,57 @@ impl ByzantineMode {
 
 /// A seeded, deterministic misbehavior plan: which mirrors of a replica
 /// set are Byzantine, how they diverge, and how aggressively the client
-/// cross-audits.
+/// cross-audits. Only meaningful over a replica set with a choice of
+/// mirrors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ByzantinePlan {
-    /// Seed for every divergence and audit draw.
+    /// Seed for every divergence and audit draw; same seed, same
+    /// divergences, bit for bit.
     pub seed: u64,
     /// Number of Byzantine mirrors. The **highest-indexed** mirrors of
     /// the set misbehave, so mirror 0 (the origin-seeded primary)
-    /// stays honest whenever `byzantine < replicas`.
-    pub byzantine: u32,
+    /// stays honest whenever `mirrors < replicas`. 0 is an all-honest
+    /// fleet: byte-identical to no plan at all, at any audit rate.
+    pub mirrors: u32,
     /// How the Byzantine mirrors misbehave.
     pub mode: ByzantineMode,
-    /// Cross-mirror audit sampling rate in ppm of delivered units.
+    /// Cross-mirror audit sampling rate in ppm of delivered units: the
+    /// fraction re-fetched from a second mirror and compared
+    /// byte-for-byte, the only defense that catches colluding mirrors.
     pub audit_rate_pm: u32,
-    /// Encoded size of the origin's unit manifest in wire bytes; the
-    /// client fetches and pins it before the first unit, and re-pins
-    /// it when the epoch fence crosses.
-    pub manifest_bytes: u64,
 }
 
 impl ByzantinePlan {
-    /// An all-honest plan (no Byzantine mirrors, auditing off).
+    /// Default cross-mirror audit rate: 5% of units.
+    pub const DEFAULT_AUDIT_RATE_PM: u32 = 50_000;
+
+    /// A plan with zero Byzantine mirrors under `seed` and the default
+    /// mode and audit rate: the manifest layer is described but never
+    /// armed.
     #[must_use]
-    pub fn honest(seed: u64) -> ByzantinePlan {
+    pub fn seeded(seed: u64) -> ByzantinePlan {
         ByzantinePlan {
             seed,
-            byzantine: 0,
-            mode: ByzantineMode::Equivocate,
-            audit_rate_pm: 0,
-            manifest_bytes: 0,
+            mirrors: 0,
+            mode: ByzantineMode::default(),
+            audit_rate_pm: Self::DEFAULT_AUDIT_RATE_PM,
         }
     }
 
+    /// Whether any mirror can actually misbehave. An inactive plan
+    /// arms no manifest layer, charges no integrity cycles, and
+    /// perturbs no timeline: results are byte-identical to an honest
+    /// fleet.
+    #[must_use]
+    pub fn is_active(&self) -> bool {
+        self.mirrors >= 1
+    }
+
     /// Whether mirror `replica` of an `n`-mirror set is Byzantine: the
-    /// highest `byzantine` indices misbehave.
+    /// highest `mirrors` indices misbehave.
     #[must_use]
     pub fn is_byzantine(&self, replica: usize, n: usize) -> bool {
-        let byz = (self.byzantine as usize).min(n);
+        let byz = (self.mirrors as usize).min(n);
         replica >= n - byz
     }
 
@@ -249,8 +263,8 @@ mod tests {
     #[test]
     fn highest_indexed_mirrors_are_byzantine() {
         let plan = ByzantinePlan {
-            byzantine: 2,
-            ..ByzantinePlan::honest(7)
+            mirrors: 2,
+            ..ByzantinePlan::seeded(7)
         };
         assert!(!plan.is_byzantine(0, 4));
         assert!(!plan.is_byzantine(1, 4));
@@ -259,8 +273,8 @@ mod tests {
         // More byzantine than mirrors: everyone misbehaves, nothing
         // underflows.
         assert!(ByzantinePlan {
-            byzantine: 9,
-            ..ByzantinePlan::honest(7)
+            mirrors: 9,
+            ..ByzantinePlan::seeded(7)
         }
         .is_byzantine(0, 2));
     }
@@ -268,9 +282,9 @@ mod tests {
     #[test]
     fn honest_mirrors_never_diverge() {
         let plan = ByzantinePlan {
-            byzantine: 1,
+            mirrors: 1,
             mode: ByzantineMode::Equivocate,
-            ..ByzantinePlan::honest(3)
+            ..ByzantinePlan::seeded(3)
         };
         for c in 0..8 {
             for u in 0..8 {
@@ -282,11 +296,10 @@ mod tests {
     #[test]
     fn equivocation_draws_are_deterministic_and_seeded() {
         let mk = |seed| ByzantinePlan {
-            seed,
-            byzantine: 1,
+            mirrors: 1,
             mode: ByzantineMode::Equivocate,
             audit_rate_pm: 0,
-            manifest_bytes: 0,
+            ..ByzantinePlan::seeded(seed)
         };
         let a: Vec<bool> = (0..256)
             .map(|u| mk(1).diverges(1, 0, u, 2, false))
@@ -306,9 +319,9 @@ mod tests {
     #[test]
     fn stale_epoch_keys_on_the_fence_only() {
         let plan = ByzantinePlan {
-            byzantine: 1,
+            mirrors: 1,
             mode: ByzantineMode::StaleEpoch,
-            ..ByzantinePlan::honest(5)
+            ..ByzantinePlan::seeded(5)
         };
         for u in 0..32 {
             assert!(
@@ -326,11 +339,14 @@ mod tests {
     fn audit_sampler_matches_its_rate() {
         let plan = ByzantinePlan {
             audit_rate_pm: 250_000,
-            ..ByzantinePlan::honest(11)
+            ..ByzantinePlan::seeded(11)
         };
         let hits = (0..1024).filter(|&u| plan.audits(0, u)).count();
         assert!(hits > 180 && hits < 330, "≈25% of 1024 draws, got {hits}");
-        let off = ByzantinePlan::honest(11);
+        let off = ByzantinePlan {
+            audit_rate_pm: 0,
+            ..plan
+        };
         assert!((0..1024).all(|u| !off.audits(0, u)));
     }
 

@@ -105,11 +105,13 @@ pub struct UnitDelivery {
 }
 
 /// A deterministic, seeded description of everything that can go wrong
-/// on a link. All rates are parts-per-million so the plan stays `Eq` and
+/// on a link, plus the recovery protocol's degradation threshold. All
+/// rates are parts-per-million so the plan stays `Copy`, `Eq` and
 /// `Hash`-able; a plan with every rate zero is a perfect link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
-    /// Seed for every per-unit draw and the droop-window phase.
+    /// Seed for every per-unit draw and the droop-window phase; same
+    /// seed, same run, bit for bit.
     pub seed: u64,
     /// Per-attempt probability (ppm) a unit's payload is lost.
     pub loss_pm: u32,
@@ -117,17 +119,22 @@ pub struct FaultPlan {
     pub corrupt_pm: u32,
     /// Per-attempt probability (ppm) the connection drops mid-unit.
     pub drop_pm: u32,
+    /// Fraction (ppm) of base delivery time spent in half-rate droop
+    /// windows.
+    pub droop_pm: u32,
     /// Per-attempt probability (ppm) a unit passes its CRC but fails
     /// semantic validation at the verified-prefix gate (an adversarial
     /// or garbled-in-flight unit whose damage the checksum missed). The
     /// receiver quarantines it and re-fetches, exactly like a CRC
     /// failure.
     pub semantic_pm: u32,
-    /// Fraction (ppm) of base delivery time spent in half-rate droop
-    /// windows.
-    pub droop_pm: u32,
     /// Cycles to re-establish the connection after a drop.
     pub reconnect_cycles: u64,
+    /// Misprediction-plus-fault pressure (stalls + retransmissions) on a
+    /// class before the session above demotes it from non-strict
+    /// streaming to strict demand-fetch; 0 disables degradation. The
+    /// link itself never reads it.
+    pub degrade_threshold: u32,
 }
 
 /// SplitMix64: the standard 64-bit finalizer used for per-unit draws
@@ -148,28 +155,40 @@ const SALT_PHASE: u64 = 0x5048_4153_5048_4153;
 const SALT_SEMANTIC: u64 = 0x5345_4d41_5345_4d41;
 
 impl FaultPlan {
-    /// A perfect link under `seed`: every rate zero, default reconnect.
+    /// Default reconnect latency (~2 ms on the 500 MHz Alpha).
+    pub const DEFAULT_RECONNECT_CYCLES: u64 = 1_000_000;
+
+    /// Default degradation threshold: a class tolerates this many
+    /// combined stall-plus-retry events before falling back to strict.
+    pub const DEFAULT_DEGRADE_THRESHOLD: u32 = 24;
+
+    /// A perfect link under `seed`: every rate zero, the default
+    /// reconnect latency and degradation threshold. The protocol is
+    /// armed but nothing goes wrong.
     #[must_use]
-    pub fn perfect(seed: u64) -> FaultPlan {
+    pub fn seeded(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             loss_pm: 0,
             corrupt_pm: 0,
             drop_pm: 0,
-            semantic_pm: 0,
             droop_pm: 0,
-            reconnect_cycles: 1_000_000,
+            semantic_pm: 0,
+            reconnect_cycles: Self::DEFAULT_RECONNECT_CYCLES,
+            degrade_threshold: Self::DEFAULT_DEGRADE_THRESHOLD,
         }
     }
 
-    /// Whether this plan can never perturb a timeline.
+    /// Whether any fault can actually occur. An inactive plan charges
+    /// no checksum overhead and perturbs no timeline: results are
+    /// byte-identical to a perfect-link run.
     #[must_use]
-    pub fn is_perfect(&self) -> bool {
-        self.loss_pm == 0
-            && self.corrupt_pm == 0
-            && self.drop_pm == 0
-            && self.semantic_pm == 0
-            && self.droop_pm == 0
+    pub fn is_active(&self) -> bool {
+        self.loss_pm > 0
+            || self.corrupt_pm > 0
+            || self.drop_pm > 0
+            || self.droop_pm > 0
+            || self.semantic_pm > 0
     }
 
     /// The deterministic draw for `(class, unit, attempt, salt)`.
@@ -323,7 +342,7 @@ impl FaultLayer {
     ) -> Self {
         let mut layer = FaultLayer {
             base,
-            droop: FaultPlan::perfect(0),
+            droop: FaultPlan::seeded(0),
             prefix: Vec::with_capacity(units.len()),
             serving: Vec::with_capacity(units.len()),
             class_events: vec![0; units.len()],
@@ -463,13 +482,13 @@ mod tests {
 
     fn lossy(seed: u64) -> FaultPlan {
         FaultPlan {
-            seed,
             loss_pm: 200_000,
             corrupt_pm: 100_000,
             drop_pm: 50_000,
-            semantic_pm: 50_000,
             droop_pm: 100_000,
+            semantic_pm: 50_000,
             reconnect_cycles: 500_000,
+            ..FaultPlan::seeded(seed)
         }
     }
 
@@ -502,8 +521,8 @@ mod tests {
 
     #[test]
     fn perfect_plan_is_the_identity() {
-        let plan = FaultPlan::perfect(42);
-        assert!(plan.is_perfect());
+        let plan = FaultPlan::seeded(42);
+        assert!(!plan.is_active());
         assert_eq!(plan.remap(123_456_789), 123_456_789);
         let d = plan.unit_delivery(3, 7, 10_000);
         assert_eq!(
@@ -519,7 +538,7 @@ mod tests {
     fn zero_rate_wrapper_matches_the_inner_engine_exactly() {
         let units = sample_units();
         let mut bare = engine(&units);
-        let mut faulted = layer(&units, FaultPlan::perfect(9));
+        let mut faulted = layer(&units, FaultPlan::seeded(9));
         for (c, u) in units.iter().enumerate() {
             for i in 0..u.unit_count() {
                 assert_eq!(faulted.unit_ready(c, i, 0), bare.unit_ready(c, i, 0));
@@ -550,13 +569,9 @@ mod tests {
         // Certain loss: every attempt fails, but the cap forces
         // completion with a bounded penalty.
         let plan = FaultPlan {
-            seed: 1,
             loss_pm: 1_000_000,
-            corrupt_pm: 0,
-            drop_pm: 0,
-            semantic_pm: 0,
-            droop_pm: 0,
             reconnect_cycles: 0,
+            ..FaultPlan::seeded(1)
         };
         let d = plan.unit_delivery(0, 0, 1_000);
         assert_eq!(d.attempts, RETRY_CAP);
@@ -574,13 +589,9 @@ mod tests {
         // A plan with only semantic faults: every failed attempt is a
         // quarantine, charged the same NAK timing as a corruption.
         let semantic = FaultPlan {
-            seed: 6,
-            loss_pm: 0,
-            corrupt_pm: 0,
-            drop_pm: 0,
             semantic_pm: 400_000,
-            droop_pm: 0,
             reconnect_cycles: 0,
+            ..FaultPlan::seeded(6)
         };
         let crc = FaultPlan {
             corrupt_pm: 400_000,

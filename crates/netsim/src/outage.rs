@@ -28,12 +28,16 @@ const SALT_OUTAGE_HIT: u64 = 0x4f55_5447_4f55_5447;
 const SALT_OUTAGE_START: u64 = 0x5354_5254_5354_5254;
 const SALT_OUTAGE_LEN: u64 = 0x4c45_4e47_4c45_4e47;
 
-/// A deterministic, seeded description of full connection losses. Rates
+/// A deterministic, seeded description of full connection losses
+/// (client partitioned or killed), layered on top of whatever the
+/// [`FaultPlan`](crate::faults::FaultPlan) does to the live link. Rates
 /// are parts-per-million per [`OUTAGE_PERIOD_CYCLES`] so the plan stays
-/// `Eq` and `Hash`-able; a zero-rate plan never interrupts anything.
+/// `Copy`, `Eq` and `Hash`-able; a zero-rate plan never interrupts
+/// anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OutagePlan {
-    /// Seed for every per-period draw.
+    /// Seed for every per-period draw; same seed, same outages, bit for
+    /// bit.
     pub seed: u64,
     /// Probability (ppm) that a given base-time period contains an
     /// outage.
@@ -60,22 +64,35 @@ pub struct OutageEvent {
 }
 
 impl OutagePlan {
-    /// A plan that never interrupts, under `seed`.
+    /// Default resume-negotiation latency (~1 ms on the 500 MHz Alpha):
+    /// connection setup plus the journal CRC/epoch exchange.
+    pub const DEFAULT_NEGOTIATION_CYCLES: u64 = 500_000;
+
+    /// Default shortest outage (~8 ms on the Alpha).
+    pub const DEFAULT_MIN_CYCLES: u64 = 1 << 22;
+
+    /// Default longest outage (~537 ms on the Alpha).
+    pub const DEFAULT_MAX_CYCLES: u64 = 1 << 28;
+
+    /// A plan with rate zero under `seed` and the default durations and
+    /// negotiation: the resume machinery is armed but the connection
+    /// never actually dies.
     #[must_use]
-    pub fn quiet(seed: u64) -> OutagePlan {
+    pub fn seeded(seed: u64) -> OutagePlan {
         OutagePlan {
             seed,
             rate_pm: 0,
-            min_cycles: 0,
-            max_cycles: 0,
-            negotiation_cycles: 0,
+            min_cycles: Self::DEFAULT_MIN_CYCLES,
+            max_cycles: Self::DEFAULT_MAX_CYCLES,
+            negotiation_cycles: Self::DEFAULT_NEGOTIATION_CYCLES,
         }
     }
 
-    /// Whether this plan can never produce an outage.
+    /// Whether an outage can actually occur. An inactive plan perturbs
+    /// no timeline: results are byte-identical to an uninterrupted run.
     #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.rate_pm == 0 || self.max_cycles == 0
+    pub fn is_active(&self) -> bool {
+        self.rate_pm > 0 && self.max_cycles > 0
     }
 
     fn draw(&self, period: u64, salt: u64) -> u64 {
@@ -86,7 +103,7 @@ impl OutagePlan {
     /// Deterministic in `(seed, k)`.
     #[must_use]
     pub fn event_in_period(&self, k: u64) -> Option<OutageEvent> {
-        if self.is_quiet() {
+        if !self.is_active() {
             return None;
         }
         let h = self.draw(k, SALT_OUTAGE_HIT);
@@ -131,15 +148,9 @@ impl OutageSchedule {
         }
     }
 
-    /// The plan this schedule realizes.
-    #[must_use]
-    pub fn plan(&self) -> OutagePlan {
-        self.plan
-    }
-
     /// Materializes every period whose events could start before `t`.
     fn ensure(&mut self, t: u64) {
-        if self.plan.is_quiet() {
+        if !self.plan.is_active() {
             return;
         }
         while self.next_period.saturating_mul(OUTAGE_PERIOD_CYCLES) <= t {
@@ -172,23 +183,11 @@ impl OutageSchedule {
     }
 
     /// Rewrites a base-timeline instant into wall time. Monotone (an
-    /// outage only ever delays), and the identity for a quiet plan.
+    /// outage only ever delays), and the identity for an inactive plan.
     #[must_use]
     pub fn remap(&mut self, t: u64) -> u64 {
         let s = self.shift_before(t);
         t.saturating_add(s)
-    }
-
-    /// The materialized outages that began strictly before base time
-    /// `t`, in start order.
-    #[must_use]
-    pub fn events_before(&mut self, t: u64) -> Vec<OutageEvent> {
-        self.ensure(t);
-        self.events
-            .iter()
-            .take_while(|&&(e, _)| e.start < t)
-            .map(|&(e, _)| e)
-            .collect()
     }
 }
 
@@ -198,17 +197,17 @@ mod tests {
 
     fn stormy(seed: u64) -> OutagePlan {
         OutagePlan {
-            seed,
             rate_pm: 400_000,
             min_cycles: 1 << 20,
             max_cycles: 1 << 24,
             negotiation_cycles: 250_000,
+            ..OutagePlan::seeded(seed)
         }
     }
 
     #[test]
     fn quiet_plan_is_the_identity() {
-        let mut s = OutageSchedule::new(OutagePlan::quiet(7));
+        let mut s = OutageSchedule::new(OutagePlan::seeded(7));
         for t in [0, 1, 12_345, u64::MAX / 2] {
             assert_eq!(s.remap(t), t);
             assert_eq!(s.shift_before(t), 0);

@@ -131,7 +131,7 @@ pub struct ReplicaStats {
 /// plan's outage windows; zero otherwise. Windows can outlast their
 /// draw period, so every period that could still cover `t` is checked.
 fn outage_wait(plan: &OutagePlan, t: u64) -> u64 {
-    if plan.is_quiet() {
+    if !plan.is_active() {
         return 0;
     }
     let first = t.saturating_sub(plan.max_cycles) / OUTAGE_PERIOD_CYCLES;
@@ -165,6 +165,10 @@ pub struct ReplicaSet<'a> {
     /// an epoch fence at the midpoint of the class-major strict
     /// timeline (the origin's mid-stream re-restructure).
     pub byzantine: Option<ByzantinePlan>,
+    /// Encoded size of the origin's unit manifest in wire bytes; the
+    /// client fetches and pins it before the first unit, and re-pins
+    /// it when the epoch fence crosses.
+    pub manifest_bytes: u64,
 }
 
 impl FaultLayer {
@@ -296,7 +300,7 @@ impl FaultLayer {
                         fence_crossed = true;
                         istats.manifest_pins += 1;
                         integrity = integrity
-                            .saturating_add(link.cycles_for(p.manifest_bytes))
+                            .saturating_add(link.cycles_for(set.manifest_bytes))
                             .saturating_add(DIGEST_CHECK_CYCLES);
                     }
                     let past_fence = fence_est.is_some_and(|f| est >= f);
@@ -465,8 +469,8 @@ mod tests {
     fn perfect_profile(seed: u64) -> ReplicaProfile {
         ReplicaProfile {
             link: LINK,
-            faults: FaultPlan::perfect(seed),
-            outages: OutagePlan::quiet(seed),
+            faults: FaultPlan::seeded(seed),
+            outages: OutagePlan::seeded(seed),
             dead_from: None,
         }
     }
@@ -474,13 +478,11 @@ mod tests {
     fn lossy_profile(seed: u64) -> ReplicaProfile {
         ReplicaProfile {
             faults: FaultPlan {
-                seed,
                 loss_pm: 400_000,
                 corrupt_pm: 100_000,
                 drop_pm: 50_000,
-                semantic_pm: 0,
-                droop_pm: 0,
                 reconnect_cycles: 500_000,
+                ..FaultPlan::seeded(seed)
             },
             ..perfect_profile(seed)
         }
@@ -496,6 +498,7 @@ mod tests {
             profiles,
             hedge_deadline,
             byzantine,
+            manifest_bytes: 64,
         };
         FaultLayer::new(Box::new(engine(units)), units, LINK, None, Some(set))
     }
@@ -685,11 +688,11 @@ mod tests {
             .collect();
         let stormy = ReplicaProfile {
             outages: OutagePlan {
-                seed: 9,
                 rate_pm: 1_000_000,
                 min_cycles: OUTAGE_PERIOD_CYCLES / 2,
                 max_cycles: OUTAGE_PERIOD_CYCLES / 2,
                 negotiation_cycles: 0,
+                ..OutagePlan::seeded(9)
             },
             ..perfect_profile(9)
         };
@@ -720,10 +723,9 @@ mod tests {
         let profiles = [perfect_profile(1), perfect_profile(2)];
         let plan = ByzantinePlan {
             seed: 5,
-            byzantine: 1,
+            mirrors: 1,
             mode: ByzantineMode::Equivocate,
             audit_rate_pm: 0,
-            manifest_bytes: 64,
         };
         // Kill mirror 0 so the byzantine mirror 1 serves first.
         let dead_primary = [
@@ -762,10 +764,9 @@ mod tests {
         let profiles = [perfect_profile(1), perfect_profile(2), perfect_profile(3)];
         let plan = ByzantinePlan {
             seed: 5,
-            byzantine: 2,
+            mirrors: 2,
             mode: ByzantineMode::Equivocate,
             audit_rate_pm: 0,
-            manifest_bytes: 64,
         };
         // Kill the honest primary's rank: mirrors 1 and 2 are
         // byzantine, mirror 0 honest; force routing through a
@@ -829,10 +830,9 @@ mod tests {
         let mk = |audit_rate_pm| {
             let plan = ByzantinePlan {
                 seed: 5,
-                byzantine: 2,
+                mirrors: 2,
                 mode: ByzantineMode::Collude,
                 audit_rate_pm,
-                manifest_bytes: 64,
             };
             layered(&units, &p, 0, Some(plan)).integrity_stats()
         };
@@ -867,10 +867,9 @@ mod tests {
         let p = [perfect_profile(1), perfect_profile(2)];
         let plan = ByzantinePlan {
             seed: 5,
-            byzantine: 1,
+            mirrors: 1,
             mode: ByzantineMode::StaleEpoch,
             audit_rate_pm: 0,
-            manifest_bytes: 64,
         };
         let set = layered(&units, &p, 0, Some(plan));
         let st = set.integrity_stats();
@@ -927,10 +926,9 @@ mod tests {
         let profiles = [lossy_profile(3), lossy_profile(4), lossy_profile(5)];
         let plan = ByzantinePlan {
             seed: 5,
-            byzantine: 1,
+            mirrors: 1,
             mode: ByzantineMode::Equivocate,
             audit_rate_pm: 200_000,
-            manifest_bytes: 64,
         };
         let mut bare = engine(&units);
         let mut set = layered(&units, &profiles, 100_000, Some(plan));

@@ -148,7 +148,7 @@ pub fn parse_mirrors(spec: &str) -> Result<Vec<std::net::SocketAddr>, ConfigErro
 
 /// The six shared fault knobs, exactly as the simulator spells them:
 /// `--fault-seed` plus five parts-per-million rates. The simulator maps
-/// them to `FaultConfig`; the chaos proxy maps them to socket-level
+/// them to `FaultPlan`; the chaos proxy maps them to socket-level
 /// faults (loss → mid-frame cut, drop → connection abort, corrupt →
 /// byte flip, droop → stall, semantic → frame reorder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

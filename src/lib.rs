@@ -47,21 +47,22 @@ pub mod prelude {
     pub use nonstrict_bytecode::program::{Application, Input};
     pub use nonstrict_core::chaos::{
         crash_anywhere, replay_repro, run_scenario, shrink, ChaosReport, ChaosScenario,
-        ChaosViolation, DifferentialReport, InterruptDims, OverloadDims, ScenarioError,
-        ShrinkOutcome,
+        ChaosViolation, DifferentialReport, OverloadDims, ScenarioError, ShrinkOutcome,
     };
     pub use nonstrict_core::fleet::{
         run_fleet, AdmissionSettings, ClientOutcome, FleetClient, FleetResult, FleetSpec,
     };
     pub use nonstrict_core::metrics::{normalized_percent, CycleLedger};
     pub use nonstrict_core::model::{
-        ByzantineConfig, DataLayout, ExecutionModel, FaultConfig, OrderingSource, OutageConfig,
-        ReplicaConfig, ReplicaKill, SimConfig, TransferPolicy, VerifyMode,
+        DataLayout, ExecutionModel, OrderingSource, ReplicaConfig, ReplicaKill, SimConfig,
+        TransferPolicy, VerifyMode,
     };
     pub use nonstrict_core::sim::{
         simulate, InterruptSpec, OutageSummary, RunOutcome, Session, SimResult,
     };
-    pub use nonstrict_netsim::byzantine::{ByzantineMode, IntegrityStats};
+    pub use nonstrict_netsim::byzantine::{ByzantineMode, ByzantinePlan, IntegrityStats};
     pub use nonstrict_netsim::contention::{drr_schedule, ClientDemand, ShedAction, ShedLadder};
+    pub use nonstrict_netsim::faults::FaultPlan;
     pub use nonstrict_netsim::link::Link;
+    pub use nonstrict_netsim::outage::OutagePlan;
 }

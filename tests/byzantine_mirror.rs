@@ -7,7 +7,7 @@
 //!    links undetected), the diverging mirror is quarantined, and the
 //!    client still executes exactly what an all-honest fleet delivers.
 //! 2. **An honest fleet is byte-identical at every audit rate** — a
-//!    `ByzantineConfig` with zero dishonest mirrors normalizes away:
+//!    `ByzantinePlan` with zero dishonest mirrors normalizes away:
 //!    the whole `SimResult` equals the no-byzantine run bit for bit, at
 //!    any audit-rate setting.
 //! 3. **A stale-epoch mirror never contributes a post-fence unit** —
@@ -34,8 +34,8 @@ fn primary_dead_mirrors() -> ReplicaConfig {
     rc
 }
 
-fn byz(mirrors: u32, mode: ByzantineMode, audit_rate_pm: u32) -> ByzantineConfig {
-    let mut bc = ByzantineConfig::seeded(0xb12a_47f1);
+fn byz(mirrors: u32, mode: ByzantineMode, audit_rate_pm: u32) -> ByzantinePlan {
+    let mut bc = ByzantinePlan::seeded(0xb12a_47f1);
     bc.mirrors = mirrors;
     bc.mode = mode;
     bc.audit_rate_pm = audit_rate_pm;
@@ -175,10 +175,10 @@ fn collusion_is_invisible_to_digests_and_caught_by_audits() {
 #[test]
 fn byzantine_mirrors_compose_with_faults_and_outages() {
     let session = Session::new(nonstrict::workloads::hanoi::build()).unwrap();
-    let mut faults = FaultConfig::seeded(0xc4a0_5001);
+    let mut faults = FaultPlan::seeded(0xc4a0_5001);
     faults.loss_pm = 10_000;
     faults.corrupt_pm = 5_000;
-    let mut outages = OutageConfig::seeded(0xc4a0_5002);
+    let mut outages = OutagePlan::seeded(0xc4a0_5002);
     outages.rate_pm = 60;
     let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph)
         .with_replicas(primary_dead_mirrors())

@@ -36,11 +36,11 @@ fn session() -> Session {
 
 /// The full composed storm: every single-client dimension active.
 fn storm(seed: u64) -> ChaosScenario {
-    let mut fc = FaultConfig::seeded(seed);
+    let mut fc = FaultPlan::seeded(seed);
     fc.loss_pm = 15_000;
     fc.corrupt_pm = 8_000;
     fc.semantic_pm = 3_000;
-    let mut oc = OutageConfig::seeded(seed ^ 0x0abe);
+    let mut oc = OutagePlan::seeded(seed ^ 0x0abe);
     oc.rate_pm = 150_000;
     oc.min_cycles = 1 << 20;
     oc.max_cycles = 1 << 23;
@@ -50,14 +50,15 @@ fn storm(seed: u64) -> ChaosScenario {
         replica: 1,
         at_cycle: 30_000_000,
     });
-    let mut bc = ByzantineConfig::seeded(seed ^ 0xb12a);
+    let mut bc = ByzantinePlan::seeded(seed ^ 0xb12a);
     bc.mirrors = 1;
-    ChaosScenario::new("Hanoi", Link::MODEM_28_8, OrderingSource::StaticCallGraph)
+    let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph)
         .with_verify(VerifyMode::Stream)
         .with_faults(fc)
         .with_outages(oc)
         .with_replicas(rc)
-        .with_byzantine(bc)
+        .with_byzantine(bc);
+    ChaosScenario::new("Hanoi", config)
 }
 
 #[test]
@@ -87,33 +88,38 @@ fn seeded_dimension_subsets_pass_every_global_invariant() {
     let session = session();
     for seed in 0..chaos_seeds() {
         let full = storm(seed);
+        let storm = full.config;
+        let hanoi = |config| ChaosScenario::new("Hanoi", config);
         // Dimension subsets: quiet, each alone, pairs, and the storm.
         let subsets: Vec<ChaosScenario> = vec![
-            ChaosScenario::new("Hanoi", Link::MODEM_28_8, OrderingSource::StaticCallGraph),
-            ChaosScenario {
+            hanoi(SimConfig::non_strict(
+                Link::MODEM_28_8,
+                OrderingSource::StaticCallGraph,
+            )),
+            hanoi(SimConfig {
                 outages: None,
                 replicas: None,
                 byzantine: None,
                 verify: VerifyMode::Off,
-                ..full.clone()
-            },
-            ChaosScenario {
+                ..storm
+            }),
+            hanoi(SimConfig {
                 faults: None,
                 replicas: None,
                 byzantine: None,
-                ..full.clone()
-            },
-            ChaosScenario {
+                ..storm
+            }),
+            hanoi(SimConfig {
                 faults: None,
                 outages: None,
                 byzantine: None,
                 verify: VerifyMode::Off,
-                ..full.clone()
-            },
-            ChaosScenario {
+                ..storm
+            }),
+            hanoi(SimConfig {
                 outages: None,
-                ..full.clone()
-            },
+                ..storm
+            }),
             full.clone(),
             full.clone().with_interrupt(25_000_000, DOWNTIME),
         ];
@@ -140,12 +146,12 @@ fn quiet_scenarios_are_byte_identical_to_stripped_runs() {
     let session = session();
     // Armed-but-quiet in every dimension at once: all the machinery
     // described, none of it active — must match the bare config.
-    let sc = ChaosScenario::new("Hanoi", Link::T1, OrderingSource::StaticCallGraph)
-        .with_faults(FaultConfig::seeded(1))
-        .with_outages(OutageConfig::seeded(2))
+    let config = SimConfig::non_strict(Link::T1, OrderingSource::StaticCallGraph)
+        .with_faults(FaultPlan::seeded(1))
+        .with_outages(OutagePlan::seeded(2))
         .with_replicas(ReplicaConfig::seeded(3))
-        .with_byzantine(ByzantineConfig::seeded(4))
-        .with_overload(OverloadDims::seeded(5));
+        .with_byzantine(ByzantinePlan::seeded(4));
+    let sc = ChaosScenario::new("Hanoi", config).with_overload(OverloadDims::seeded(5));
     assert!(sc.is_quiet());
     let report = chaos::run_scenario(&session, &sc);
     assert!(report.passed(), "{:?}", report.violations);
@@ -172,14 +178,14 @@ fn a_known_bad_scenario_shrinks_to_a_replayable_repro() {
     assert!(failing(min), "the minimized scenario must still fail");
     // Shrinking dropped the dimensions irrelevant to a retry.
     assert!(
-        min.outages.is_none(),
+        min.config.outages.is_none(),
         "outages are pure downtime, not retries"
     );
     assert!(
         min.interrupt.is_none(),
         "the crash is irrelevant to retries"
     );
-    assert_eq!(min.verify, VerifyMode::Off);
+    assert_eq!(min.config.verify, VerifyMode::Off);
     // The artifact round-trips and replays to identical text.
     let artifact = min.encode();
     assert_eq!(ChaosScenario::decode(&artifact).unwrap(), *min);
@@ -205,11 +211,33 @@ fn committed_repro_corpus_replays_bit_for_bit_and_passes() {
         artifacts.len() >= 4,
         "the corpus must keep its seed artifacts, found {artifacts:?}"
     );
+    // Each artifact's goldens: `<stem>.replay.txt` is the stdout of
+    // `nonstrict paper chaos --repro <artifact>` (the report plus one
+    // newline), `<stem>.encode.txt` its canonical re-encoding, which
+    // spells out every default a section opened with.
+    let golden = |path: &std::path::Path, kind: &str| {
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        let g = corpus.join("golden").join(format!("{stem}.{kind}.txt"));
+        std::fs::read_to_string(&g)
+            .unwrap_or_else(|e| panic!("golden file {} must be readable: {e}", g.display()))
+    };
     for path in artifacts {
         let text = std::fs::read_to_string(&path).unwrap();
         let sc = ChaosScenario::decode(&text)
             .unwrap_or_else(|e| panic!("{} must decode: {e}", path.display()));
+        assert_eq!(
+            sc.encode(),
+            golden(&path, "encode"),
+            "{} must decode to its pinned scenario",
+            path.display()
+        );
         let first = chaos::replay_repro(&text).unwrap();
+        assert_eq!(
+            format!("{first}\n"),
+            golden(&path, "replay"),
+            "{} must replay to its pinned report",
+            path.display()
+        );
         assert_eq!(
             first,
             chaos::replay_repro(&text).unwrap(),
@@ -230,8 +258,8 @@ fn disk_dimension_composes_with_interrupts_and_round_trips() {
     use nonstrict_core::DiskDims;
     let session = session();
     // Armed but quiet: a seeded disk with zero rates must not perturb.
-    let quiet = ChaosScenario::new("Hanoi", Link::T1, OrderingSource::StaticCallGraph)
-        .with_disk(DiskDims::seeded(11));
+    let t1 = SimConfig::non_strict(Link::T1, OrderingSource::StaticCallGraph);
+    let quiet = ChaosScenario::new("Hanoi", t1).with_disk(DiskDims::seeded(11));
     assert!(quiet.is_quiet(), "zero-rate disk dims are quiet");
 
     // Active storage faults composed with link faults and a mid-run
@@ -242,11 +270,12 @@ fn disk_dimension_composes_with_interrupts_and_round_trips() {
     dd.torn_pm = 400_000;
     dd.lie_pm = 150_000;
     dd.bitrot_pm = 120_000;
-    let mut fc = FaultConfig::seeded(4);
+    let mut fc = FaultPlan::seeded(4);
     fc.loss_pm = 10_000;
-    let sc = ChaosScenario::new("Hanoi", Link::MODEM_28_8, OrderingSource::StaticCallGraph)
+    let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph)
         .with_verify(VerifyMode::Stream)
-        .with_faults(fc)
+        .with_faults(fc);
+    let sc = ChaosScenario::new("Hanoi", config)
         .with_disk(dd)
         .with_interrupt(25_000_000, DOWNTIME);
     assert!(sc.label().contains("disk"), "label: {}", sc.label());
@@ -270,8 +299,7 @@ fn disk_dimension_composes_with_interrupts_and_round_trips() {
     for seed in 0..chaos_seeds() {
         let mut probe_dims = dd;
         probe_dims.seed = seed;
-        let probe = ChaosScenario::new("Hanoi", Link::T1, OrderingSource::StaticCallGraph)
-            .with_disk(probe_dims);
+        let probe = ChaosScenario::new("Hanoi", t1).with_disk(probe_dims);
         let report = chaos::run_scenario(&session, &probe);
         assert!(report.passed(), "seed {seed}: {:?}", report.violations);
     }
@@ -284,11 +312,10 @@ fn overload_compositions_keep_per_client_exactness() {
     ov.clients = 6;
     ov.admit_rate = 2;
     ov.ladder = Some(ShedLadder::new(2_000_000, 20_000_000, 200_000_000).unwrap());
-    let mut fc = FaultConfig::seeded(5);
+    let mut fc = FaultPlan::seeded(5);
     fc.loss_pm = 10_000;
-    let sc = ChaosScenario::new("Hanoi", Link::T1, OrderingSource::StaticCallGraph)
-        .with_faults(fc)
-        .with_overload(ov);
+    let config = SimConfig::non_strict(Link::T1, OrderingSource::StaticCallGraph).with_faults(fc);
+    let sc = ChaosScenario::new("Hanoi", config).with_overload(ov);
     let report = chaos::run_scenario(&session, &sc);
     assert!(report.passed(), "{:?}", report.violations);
     let fd = report

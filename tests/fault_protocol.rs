@@ -1,7 +1,7 @@
 //! End-to-end properties of the fault-injection layer and the resilient
 //! transfer protocol:
 //!
-//! 1. **Zero-rate equivalence** — a `FaultConfig` whose rates are all
+//! 1. **Zero-rate equivalence** — a `FaultPlan` whose rates are all
 //!    zero is byte-identical to no fault config at all, for every
 //!    transfer policy: the protocol must cost nothing when the link is
 //!    perfect.
@@ -17,7 +17,7 @@
 //!    still completes.
 
 use nonstrict::prelude::*;
-use nonstrict_netsim::{FaultPlan, Link, OutagePlan, OutageSchedule};
+use nonstrict_netsim::{Link, OutageSchedule};
 use nonstrict_workloads::rng::StdRng;
 
 mod common;
@@ -32,8 +32,8 @@ fn policies() -> [TransferPolicy; 4] {
     ]
 }
 
-fn lossy(seed: u64) -> FaultConfig {
-    let mut fc = FaultConfig::seeded(seed);
+fn lossy(seed: u64) -> FaultPlan {
+    let mut fc = FaultPlan::seeded(seed);
     fc.loss_pm = 100_000; // 10% per attempt
     fc.corrupt_pm = 50_000;
     fc.drop_pm = 20_000;
@@ -48,7 +48,7 @@ fn zero_rate_faults_are_byte_identical_to_a_perfect_link() {
         for transfer in policies() {
             let mut perfect = SimConfig::non_strict(link, OrderingSource::StaticCallGraph);
             perfect.transfer = transfer;
-            let armed = perfect.with_faults(FaultConfig::seeded(0xdead_beef));
+            let armed = perfect.with_faults(FaultPlan::seeded(0xdead_beef));
             assert_eq!(
                 session.simulate(Input::Test, &perfect),
                 session.simulate(Input::Test, &armed),
@@ -60,7 +60,7 @@ fn zero_rate_faults_are_byte_identical_to_a_perfect_link() {
         let base = SimConfig::strict(link);
         assert_eq!(
             session.simulate(Input::Test, &base),
-            session.simulate(Input::Test, &base.with_faults(FaultConfig::seeded(7))),
+            session.simulate(Input::Test, &base.with_faults(FaultPlan::seeded(7))),
         );
     }
 }
@@ -117,7 +117,7 @@ fn same_seed_replays_bit_for_bit() {
 fn droop_remap_is_strictly_monotone_across_random_plans() {
     let mut rng = StdRng::seed_from_u64(0xd00b_0b5e);
     for case in 0..64 {
-        let mut plan = FaultPlan::perfect(rng.next_u64());
+        let mut plan = FaultPlan::seeded(rng.next_u64());
         plan.droop_pm = rng.gen_range(0..=1_000_000u32);
         // Probe around window edges at many scales plus random points:
         // the remap is piecewise linear, so the corners are where a
@@ -144,7 +144,7 @@ fn droop_remap_is_strictly_monotone_across_random_plans() {
 fn droop_free_plans_remap_to_the_identity() {
     let mut rng = StdRng::seed_from_u64(0x1dea_717e);
     for _ in 0..64 {
-        let mut plan = FaultPlan::perfect(rng.next_u64());
+        let mut plan = FaultPlan::seeded(rng.next_u64());
         // Any mix of non-droop faults: they retime deliveries, never the
         // ambient clock.
         plan.loss_pm = rng.gen_range(0..=1_000_000u32);
@@ -167,7 +167,7 @@ fn outage_remap_composed_with_droop_remap_stays_monotone() {
     // zero — for every seeded (plan, schedule) pair.
     for seed in 0..chaos_seeds() {
         let mut rng = StdRng::seed_from_u64(0xc0de_0000 ^ seed);
-        let mut plan = FaultPlan::perfect(rng.next_u64());
+        let mut plan = FaultPlan::seeded(rng.next_u64());
         plan.droop_pm = rng.gen_range(0..=1_000_000u32);
         let outages = OutagePlan {
             seed: rng.next_u64(),
@@ -218,7 +218,7 @@ fn retry_cap_forced_successes_are_counted_not_hidden() {
     // A link where every attempt fails: only the retry cap's final
     // forced-through attempt ever delivers, and each such synthetic
     // success must be reported.
-    let mut fc = FaultConfig::seeded(11);
+    let mut fc = FaultPlan::seeded(11);
     fc.loss_pm = 1_000_000;
     let config =
         SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph).with_faults(fc);

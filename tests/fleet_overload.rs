@@ -172,7 +172,7 @@ fn a_contended_fleet_accounts_every_cycle_under_full_pressure() {
     .into_iter()
     .map(|app| Session::new(app).unwrap())
     .collect();
-    let mut faults = FaultConfig::seeded(0x000f_1ee7);
+    let mut faults = FaultPlan::seeded(0x000f_1ee7);
     faults.loss_pm = 10_000;
     let mut replicas = ReplicaConfig::seeded(0x000f_1ee7);
     replicas.replicas = 2;
@@ -246,7 +246,7 @@ fn a_fleet_of_one_cannot_move_any_committed_number() {
     // contention layer must be invisible at fleet size one — with or
     // without admission control — so regenerating those files with the
     // fleet code present stays byte-identical.
-    let mut faults = FaultConfig::seeded(0x0bad_1147);
+    let mut faults = FaultPlan::seeded(0x0bad_1147);
     faults.loss_pm = 10_000;
     let mut replicas = ReplicaConfig::seeded(0x0e11_ca5e);
     replicas.replicas = 2;

@@ -203,7 +203,7 @@ fn zero_rate_outages_are_byte_identical_to_no_config() {
         ] {
             let mut quiet = SimConfig::non_strict(link, OrderingSource::StaticCallGraph);
             quiet.transfer = transfer;
-            let armed = quiet.with_outages(OutageConfig::seeded(0xcafe));
+            let armed = quiet.with_outages(OutagePlan::seeded(0xcafe));
             assert_eq!(
                 session.simulate(Input::Test, &quiet),
                 session.simulate(Input::Test, &armed),
@@ -214,7 +214,7 @@ fn zero_rate_outages_are_byte_identical_to_no_config() {
         let base = SimConfig::strict(link);
         assert_eq!(
             session.simulate(Input::Test, &base),
-            session.simulate(Input::Test, &base.with_outages(OutageConfig::seeded(5))),
+            session.simulate(Input::Test, &base.with_outages(OutagePlan::seeded(5))),
         );
     }
 }
@@ -223,7 +223,7 @@ fn zero_rate_outages_are_byte_identical_to_no_config() {
 fn seeded_outage_chaos_inserts_pure_downtime() {
     let session = Session::new(nonstrict::workloads::hanoi::build()).unwrap();
     for seed in 0..chaos_seeds() {
-        let mut oc = OutageConfig::seeded(seed);
+        let mut oc = OutagePlan::seeded(seed);
         oc.rate_pm = 500_000;
         oc.min_cycles = 1 << 20;
         oc.max_cycles = 1 << 24;

@@ -63,14 +63,6 @@ impl Suite {
     pub fn names(&self) -> Vec<String> {
         self.sessions.iter().map(|s| s.app.name.clone()).collect()
     }
-
-    /// Normalized execution time (%) for one configuration, Test input.
-    #[must_use]
-    pub fn normalized(&self, session: &Session, config: &SimConfig) -> f64 {
-        let base = session.simulate(Input::Test, &SimConfig::strict(config.link));
-        let r = session.simulate(Input::Test, config);
-        normalized_percent(r.total_cycles, base.total_cycles)
-    }
 }
 
 /// Table 2: computed program statistics (delegates to the workloads
@@ -222,6 +214,7 @@ pub fn parallel_table(suite: &Suite, link: Link, data_layout: DataLayout) -> Par
         .sessions
         .iter()
         .map(|s| {
+            let base = s.simulate(Input::Test, &SimConfig::strict(link));
             let mut cells = [[0.0; 4]; 3];
             for (o, ordering) in ORDERINGS.iter().enumerate() {
                 for (l, &limit) in LIMITS.iter().enumerate() {
@@ -230,7 +223,8 @@ pub fn parallel_table(suite: &Suite, link: Link, data_layout: DataLayout) -> Par
                         data_layout,
                         ..SimConfig::non_strict(link, *ordering)
                     };
-                    cells[o][l] = suite.normalized(s, &config);
+                    let r = s.simulate(Input::Test, &config);
+                    cells[o][l] = normalized_percent(r.total_cycles, base.total_cycles);
                 }
             }
             ParallelRow {
@@ -293,13 +287,15 @@ fn six_col_table(
         .map(|s| {
             let mut cols = [0.0; 6];
             for (k, link) in LINKS.iter().enumerate() {
+                let base = s.simulate(Input::Test, &SimConfig::strict(*link));
                 for (o, ordering) in ORDERINGS.iter().enumerate() {
                     let config = SimConfig {
                         transfer,
                         data_layout,
                         ..SimConfig::non_strict(*link, *ordering)
                     };
-                    cols[k * 3 + o] = suite.normalized(s, &config);
+                    let r = s.simulate(Input::Test, &config);
+                    cols[k * 3 + o] = normalized_percent(r.total_cycles, base.total_cycles);
                 }
             }
             SixColRow {

@@ -1,5 +1,6 @@
 //! Simulation configuration: the paper's design space as one type.
 
+use nonstrict_bytecode::Input;
 use nonstrict_netsim::byzantine::ByzantinePlan;
 use nonstrict_netsim::faults::FaultPlan;
 use nonstrict_netsim::outage::OutagePlan;
@@ -32,6 +33,16 @@ impl OrderingSource {
             OrderingSource::StaticCallGraph => "SCG",
             OrderingSource::TrainProfile => "Train",
             OrderingSource::TestProfile => "Test",
+        }
+    }
+
+    /// The input whose profiling run this ordering is built from, or
+    /// `None` for the orderings that need no run.
+    pub(crate) fn profile_input(self) -> Option<Input> {
+        match self {
+            OrderingSource::SourceOrder | OrderingSource::StaticCallGraph => None,
+            OrderingSource::TrainProfile => Some(Input::Train),
+            OrderingSource::TestProfile => Some(Input::Test),
         }
     }
 }

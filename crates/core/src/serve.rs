@@ -4,9 +4,11 @@
 //! benchmarks, or journals — it streams opaque unit bytes and
 //! negotiates opaque watermarks. This module supplies the content side:
 //!
-//! * [`build_plan`] turns a benchmark into a [`ServePlan`]: profile,
-//!   order, restructure, then split every restructured class file into
-//!   its **actual** non-strict transfer units
+//! * [`build_plan`] turns a benchmark into a [`ServePlan`]: compute the
+//!   one ordering it serves (the profile orderings run the program once,
+//!   on their own input; the static ones run nothing), restructure by
+//!   it, then split every restructured class file into its **actual**
+//!   non-strict transfer units
 //!   (`nonstrict_classfile::stream_units` — prelude bytes first, then
 //!   one delimiter-closed unit per method), with per-class epochs
 //!   derived from the real unit digests and the NSUM manifest frame
@@ -21,11 +23,13 @@ use nonstrict_bytecode::InterpError;
 use nonstrict_classfile::stream::{stream_digests, stream_units};
 use nonstrict_classfile::{ClassFileError, StreamLoader};
 use nonstrict_netsim::crc32;
+use nonstrict_profile::collect;
+use nonstrict_reorder::{restructure, static_first_use, RestructuredApp};
 use nonstrict_wire::{content_digest_of, ClassPlan, ServePlan, UnitManifest};
 
 use crate::journal::SessionManifest;
 use crate::model::OrderingSource;
-use crate::sim::Session;
+use crate::sim::{first_use_order, Session};
 
 /// Why a serve plan could not be built.
 #[derive(Debug)]
@@ -92,7 +96,9 @@ pub fn ordering_to_wire(source: OrderingSource) -> u8 {
 }
 
 /// Builds the serve plan for `benchmark` under `ordering`: the complete
-/// pipeline from workload to wire-ready bytes.
+/// pipeline from workload to wire-ready bytes. Only `ordering` is
+/// computed, so the plan equals [`plan_from_session`]'s for the same
+/// benchmark without profiling both inputs or restructuring four times.
 ///
 /// # Errors
 ///
@@ -101,8 +107,17 @@ pub fn ordering_to_wire(source: OrderingSource) -> u8 {
 pub fn build_plan(benchmark: &str, ordering: OrderingSource) -> Result<ServePlan, ServeError> {
     let app = nonstrict_workloads::build_by_name(benchmark)
         .ok_or_else(|| ServeError::UnknownBenchmark(benchmark.to_owned()))?;
-    let session = Session::new(app)?;
-    plan_from_session(&session, benchmark, ordering).map_err(ServeError::from)
+    let run = ordering
+        .profile_input()
+        .map(|input| collect(&app, input))
+        .transpose()?;
+    let order = first_use_order(
+        &app.program,
+        ordering,
+        &static_first_use(&app.program),
+        run.as_ref().map(|r| &r.profile),
+    );
+    plan_from_restructured(&restructure(&app, &order), benchmark).map_err(ServeError::from)
 }
 
 /// [`build_plan`] for an already-profiled [`Session`] (the differential
@@ -116,7 +131,15 @@ pub fn plan_from_session(
     benchmark: &str,
     ordering: OrderingSource,
 ) -> Result<ServePlan, ClassFileError> {
-    let restructured = session.restructured(ordering);
+    plan_from_restructured(session.restructured(ordering), benchmark)
+}
+
+/// Splits every class of `restructured` into its stream units and pins
+/// them in a fresh plan for `benchmark`.
+fn plan_from_restructured(
+    restructured: &RestructuredApp,
+    benchmark: &str,
+) -> Result<ServePlan, ClassFileError> {
     let mut classes = Vec::with_capacity(restructured.classes.len());
     let mut class_epochs = Vec::with_capacity(restructured.classes.len());
     let mut method_counts = Vec::with_capacity(restructured.classes.len());
@@ -244,6 +267,29 @@ mod tests {
             build_plan("fortran", OrderingSource::StaticCallGraph),
             Err(ServeError::UnknownBenchmark(_))
         ));
+    }
+
+    /// `build_plan` computes only the ordering it serves, yet serves
+    /// exactly the plan of a fully prepared [`Session`], for every
+    /// benchmark and ordering.
+    #[test]
+    fn build_plan_equals_the_session_plan_everywhere() {
+        for app in nonstrict_workloads::build_all() {
+            let name = app.name.to_ascii_lowercase();
+            let session = Session::new(app).unwrap();
+            for ordering in [
+                OrderingSource::SourceOrder,
+                OrderingSource::StaticCallGraph,
+                OrderingSource::TrainProfile,
+                OrderingSource::TestProfile,
+            ] {
+                assert_eq!(
+                    build_plan(&name, ordering).unwrap(),
+                    plan_from_session(&session, &name, ordering).unwrap(),
+                    "{name} {ordering:?}"
+                );
+            }
+        }
     }
 
     #[test]

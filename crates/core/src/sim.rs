@@ -8,14 +8,14 @@
 //! with transfer" accounting, including demand fetches on misprediction
 //! and transfer termination when execution finishes first.
 
-use nonstrict_bytecode::{method_verify_cost, Application, Input, InterpError};
+use nonstrict_bytecode::{method_verify_cost, Application, Input, InterpError, Program};
 use nonstrict_netsim::{
     add_checksum_overhead, class_units, crc32, greedy_schedule, ClassUnits, FaultLayer, FaultStats,
     IntegrityStats, InterleavedEngine, Link, OutageSchedule, ParallelEngine, ReplicaSet,
     ReplicaStats, StrictEngine, Surcharge, TransferEngine, Weights, DELIMITER_BYTES,
     DIGEST_CHECK_CYCLES,
 };
-use nonstrict_profile::{collect, Collected, TraceEvent};
+use nonstrict_profile::{collect, Collected, FirstUseProfile, TraceEvent};
 use nonstrict_reorder::{
     partition_app, restructure, static_first_use, ClassLayout, ClassPartition, FirstUseOrder,
     RestructuredApp,
@@ -222,6 +222,32 @@ fn pin_cost(link: Link, manifest: &UnitManifest) -> u64 {
     link.cycles_for(manifest.wire_bytes()) + DIGEST_CHECK_CYCLES
 }
 
+/// The first-use ordering `source` of `program`. `scg` is the static
+/// call-graph order, which the profile orderings also use to place the
+/// methods their run never reached; `profile` is the first-use profile
+/// of the run on [`OrderingSource::profile_input`], read only by those
+/// orderings.
+///
+/// # Panics
+///
+/// If `source` is a profile ordering and `profile` is `None`.
+pub(crate) fn first_use_order(
+    program: &Program,
+    source: OrderingSource,
+    scg: &FirstUseOrder,
+    profile: Option<&FirstUseProfile>,
+) -> FirstUseOrder {
+    match source {
+        OrderingSource::SourceOrder => FirstUseOrder::source_order(program),
+        OrderingSource::StaticCallGraph => scg.clone(),
+        OrderingSource::TrainProfile | OrderingSource::TestProfile => FirstUseOrder::from_profile(
+            program,
+            profile.expect("a profile ordering is built from its run"),
+            scg,
+        ),
+    }
+}
+
 /// A prepared benchmark: traces collected on both inputs, orderings and
 /// partitions computed once, ready to simulate any [`SimConfig`]
 /// cheaply.
@@ -255,13 +281,19 @@ pub struct Session {
     partitions: Vec<ClassPartition>,
 }
 
+/// The orderings a [`Session`] holds, in slot order.
+const ORDER_SLOTS: [OrderingSource; 4] = [
+    OrderingSource::SourceOrder,
+    OrderingSource::StaticCallGraph,
+    OrderingSource::TrainProfile,
+    OrderingSource::TestProfile,
+];
+
 fn order_slot(source: OrderingSource) -> usize {
-    match source {
-        OrderingSource::SourceOrder => 0,
-        OrderingSource::StaticCallGraph => 1,
-        OrderingSource::TrainProfile => 2,
-        OrderingSource::TestProfile => 3,
-    }
+    ORDER_SLOTS
+        .iter()
+        .position(|&s| s == source)
+        .expect("every ordering has a slot")
 }
 
 impl Session {
@@ -275,16 +307,14 @@ impl Session {
         let test = collect(&app, Input::Test)?;
         let train = collect(&app, Input::Train)?;
         let scg = static_first_use(&app.program);
-        let source = FirstUseOrder::source_order(&app.program);
-        let train_order = FirstUseOrder::from_profile(&app.program, &train.profile, &scg);
-        let test_order = FirstUseOrder::from_profile(&app.program, &test.profile, &scg);
-        let orders = [source, scg, train_order, test_order];
-        let restructured = [
-            restructure(&app, &orders[0]),
-            restructure(&app, &orders[1]),
-            restructure(&app, &orders[2]),
-            restructure(&app, &orders[3]),
-        ];
+        let orders = ORDER_SLOTS.map(|source| {
+            let profile = source.profile_input().map(|input| match input {
+                Input::Test => &test.profile,
+                Input::Train => &train.profile,
+            });
+            first_use_order(&app.program, source, &scg, profile)
+        });
+        let restructured = orders.each_ref().map(|order| restructure(&app, order));
         let partitions = partition_app(&app);
         Ok(Session {
             app,

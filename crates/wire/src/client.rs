@@ -45,13 +45,26 @@
 //! the pinned manifest digest before it is offered back — so the
 //! fail-closed invariant survives the round trip through disk.
 
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::crc::crc32;
 use crate::frame::{read_frame, ClassAdvert, EvictReason, Frame, FrameError, ResumeEntry};
 use crate::manifest::{content_digest_of, UnitManifest};
+
+/// Capacity of the buffer a connection reads its frames through. One
+/// socket read refills it, so a run of small unit frames costs one read
+/// between them instead of two reads (header, then body) per frame.
+pub const READ_BUFFER_BYTES: usize = 64 * 1024;
+
+/// The reader a client connection reads its Welcome and every later
+/// frame through. Each refill is one read of `inner`, so a socket's read
+/// timeout still bounds every wait, and [`crate::frame::read_frame`]
+/// still checks a frame's length cap before allocating its body.
+pub fn frame_reader<R: Read>(inner: R) -> BufReader<R> {
+    BufReader::with_capacity(READ_BUFFER_BYTES, inner)
+}
 
 /// Full health in parts-per-million — a mirror that has never faulted.
 ///
@@ -694,8 +707,12 @@ impl WireClient {
             };
         }
 
+        // Everything the server sends is read through one buffer, which
+        // this connection owns: a reconnect starts a fresh one, and any
+        // bytes still buffered are dropped with the connection.
+        let mut reader = frame_reader(&stream);
         // First response decides the session: Welcome, Retry, or Evict.
-        let mut expected: Vec<u32> = match read_frame(&mut stream) {
+        let mut expected: Vec<u32> = match read_frame(&mut reader) {
             Ok(Frame::Welcome {
                 generation,
                 manifest_epoch,
@@ -761,7 +778,7 @@ impl WireClient {
         };
 
         loop {
-            match read_frame(&mut stream) {
+            match read_frame(&mut reader) {
                 Ok(Frame::Unit {
                     class,
                     unit,

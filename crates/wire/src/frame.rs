@@ -311,41 +311,14 @@ impl Frame {
     /// Encodes the frame: kind, length prefix, payload, CRC trailer.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD, "honest frames fit");
-        let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-        out.push(self.kind());
-        out.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("payload fits u32")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&payload);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    fn kind(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => KIND_HELLO,
-            Frame::Welcome { .. } => KIND_WELCOME,
-            Frame::Retry { .. } => KIND_RETRY,
-            Frame::Unit { .. } => KIND_UNIT,
-            Frame::Evict { .. } => KIND_EVICT,
-            Frame::Bye { .. } => KIND_BYE,
-        }
-    }
-
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+        let mut out = Vec::new();
         match self {
             Frame::Hello {
                 version,
                 benchmark,
                 ordering,
                 resume,
-            } => {
+            } => seal(&mut out, KIND_HELLO, |p| {
                 p.extend_from_slice(&HELLO_MAGIC);
                 p.extend_from_slice(&version.to_le_bytes());
                 let name = benchmark.as_bytes();
@@ -363,13 +336,13 @@ impl Frame {
                     p.extend_from_slice(&r.epoch.to_le_bytes());
                     p.extend_from_slice(&r.delivered.to_le_bytes());
                 }
-            }
+            }),
             Frame::Welcome {
                 generation,
                 manifest_epoch,
                 manifest,
                 classes,
-            } => {
+            } => seal(&mut out, KIND_WELCOME, |p| {
                 p.extend_from_slice(&generation.to_le_bytes());
                 p.extend_from_slice(&manifest_epoch.to_le_bytes());
                 p.extend_from_slice(
@@ -388,30 +361,28 @@ impl Frame {
                     p.extend_from_slice(&c.units.to_le_bytes());
                     p.extend_from_slice(&c.start.to_le_bytes());
                 }
-            }
-            Frame::Retry { after_ms } => p.extend_from_slice(&after_ms.to_le_bytes()),
+            }),
+            Frame::Retry { after_ms } => seal(&mut out, KIND_RETRY, |p| {
+                p.extend_from_slice(&after_ms.to_le_bytes());
+            }),
             Frame::Unit {
                 class,
                 unit,
                 payload,
-            } => {
-                p.extend_from_slice(&class.to_le_bytes());
-                p.extend_from_slice(&unit.to_le_bytes());
-                p.extend_from_slice(payload);
-            }
+            } => encode_unit(&mut out, *class, *unit, payload),
             Frame::Evict {
                 reason,
                 resume_after_ms,
-            } => {
+            } => seal(&mut out, KIND_EVICT, |p| {
                 p.push(reason.code());
                 p.extend_from_slice(&resume_after_ms.to_le_bytes());
-            }
-            Frame::Bye { classes, bytes } => {
+            }),
+            Frame::Bye { classes, bytes } => seal(&mut out, KIND_BYE, |p| {
                 p.extend_from_slice(&classes.to_le_bytes());
                 p.extend_from_slice(&bytes.to_le_bytes());
-            }
+            }),
         }
-        p
+        out
     }
 
     /// Decodes one frame from the front of `buf`, returning the frame
@@ -554,6 +525,36 @@ impl Frame {
         }
         Ok(frame)
     }
+}
+
+/// Writes one frame into `out`, replacing its contents: the kind byte,
+/// the length prefix, the payload that `payload` appends, and the CRC
+/// trailer.
+fn seal(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.push(kind);
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = out.len() - 5;
+    debug_assert!(len <= MAX_FRAME_PAYLOAD, "honest frames fit");
+    out[1..5].copy_from_slice(&u32::try_from(len).expect("payload fits u32").to_le_bytes());
+    let crc = crc32(out);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Encodes a [`Frame::Unit`] from borrowed bytes into `out`, replacing
+/// its contents. This is the one Unit layout: [`Frame::encode`] calls it
+/// too, so a server that keeps one `out` per connection writes exactly
+/// the bytes of `Frame::Unit { class, unit, payload }.encode()` without
+/// copying the payload into a frame first.
+pub fn encode_unit(out: &mut Vec<u8>, class: u32, unit: u32, payload: &[u8]) {
+    out.clear();
+    out.reserve(FRAME_OVERHEAD + 8 + payload.len());
+    seal(out, KIND_UNIT, |p| {
+        p.extend_from_slice(&class.to_le_bytes());
+        p.extend_from_slice(&unit.to_le_bytes());
+        p.extend_from_slice(payload);
+    });
 }
 
 /// Reads exactly one frame from `r` (blocking, honoring the stream's

@@ -1,8 +1,9 @@
 //! The fault-tolerant transfer server.
 //!
 //! A small threaded accept/stream stack (std only): one thread per
-//! admitted connection, which encodes each frame and writes it straight
-//! to the socket; the socket send buffer is the bounded queue. The
+//! admitted connection, which encodes each unit from the plan's bytes
+//! into one buffer it reuses and writes every frame to the socket with
+//! one write; the socket send buffer is the bounded queue. The
 //! robustness ladder:
 //!
 //! * **Accept-side admission**: a token bucket
@@ -35,7 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::accept::{accept_until_stopped, StopSignal};
-use crate::frame::{read_frame, EvictReason, Frame};
+use crate::frame::{encode_unit, read_frame, EvictReason, Frame};
 use crate::plan::ServePlan;
 
 /// Tuning for a [`WireServer`].
@@ -511,9 +512,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // just ends the connection.
     let started = Instant::now();
     let mut written = 0u64;
-    let mut send = |frame: &Frame| -> bool {
-        let buf = frame.encode();
-        if let Err(e) = (&stream).write_all(&buf) {
+    let mut send = |buf: &[u8]| -> bool {
+        if let Err(e) = (&stream).write_all(buf) {
             if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
                 shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
             }
@@ -537,7 +537,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         manifest: plan.manifest.clone(),
         classes: adverts.clone(),
     };
-    let end = if send(&welcome) {
+    let end = if send(&welcome.encode()) {
         stream_units(&plan, &adverts, &mut send, shared)
     } else {
         StreamEnd::Aborted
@@ -555,27 +555,33 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 classes: u32::try_from(plan.classes.len()).unwrap_or(u32::MAX),
                 bytes,
             };
-            if send(&bye) {
+            if send(&bye.encode()) {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             }
         }
         StreamEnd::Drained => {
             shared.stats.evicted_drain.fetch_add(1, Ordering::Relaxed);
-            send(&Frame::Evict {
-                reason: EvictReason::Drain,
-                resume_after_ms: cfg.resume_after_ms,
-            });
+            send(
+                &Frame::Evict {
+                    reason: EvictReason::Drain,
+                    resume_after_ms: cfg.resume_after_ms,
+                }
+                .encode(),
+            );
         }
         StreamEnd::Aborted => {}
     }
 }
 
+/// Streams every unit the adverts leave to send, each encoded from the
+/// plan's own bytes into one buffer that the whole connection reuses.
 fn stream_units(
     plan: &ServePlan,
     adverts: &[crate::frame::ClassAdvert],
-    send: &mut impl FnMut(&Frame) -> bool,
+    send: &mut impl FnMut(&[u8]) -> bool,
     shared: &Shared,
 ) -> StreamEnd {
+    let mut buf = Vec::new();
     for (ci, class) in plan.classes.iter().enumerate() {
         let start = adverts[ci].start as usize;
         for (ui, payload) in class.units.iter().enumerate().skip(start) {
@@ -589,12 +595,13 @@ fn stream_units(
             if shared.stop.is_raised() {
                 return StreamEnd::Drained;
             }
-            let frame = Frame::Unit {
-                class: u32::try_from(ci).unwrap_or(u32::MAX),
-                unit: u32::try_from(ui).unwrap_or(u32::MAX),
-                payload: payload.clone(),
-            };
-            if !send(&frame) {
+            encode_unit(
+                &mut buf,
+                u32::try_from(ci).unwrap_or(u32::MAX),
+                u32::try_from(ui).unwrap_or(u32::MAX),
+                payload,
+            );
+            if !send(&buf) {
                 return StreamEnd::Aborted;
             }
             let sent_now = shared.stats.units_sent.fetch_add(1, Ordering::Relaxed) + 1;

@@ -3,11 +3,15 @@
 //! closed under truncation at *every* prefix length, and negotiate
 //! resume watermarks from what a client's report proves it holds.
 
+use std::io::Read;
+
 use nonstrict_core::build_plan;
 use nonstrict_core::model::OrderingSource;
-use nonstrict_wire::frame::read_frame;
+use nonstrict_wire::client::{frame_reader, READ_BUFFER_BYTES};
+use nonstrict_wire::frame::{encode_unit, read_frame};
 use nonstrict_wire::{
-    crc32, ClientReport, Frame, FrameError, ResumeEntry, UnitManifest, PROTOCOL_VERSION,
+    crc32, ClientReport, Frame, FrameError, ResumeEntry, UnitManifest, MAX_FRAME_PAYLOAD,
+    PROTOCOL_VERSION,
 };
 
 /// One plan for the whole file: hanoi is the smallest benchmark that
@@ -64,6 +68,112 @@ fn every_frame_kind_round_trips_with_real_content() {
         let mut reader = bytes.as_slice();
         assert_eq!(read_frame(&mut reader).expect("stream read"), frame);
     }
+    // The server encodes each unit from the plan's bytes into one buffer
+    // it reuses: whatever that buffer held before, its bytes must be
+    // exactly the owned frame's. The largest payload fills the frame to
+    // its cap, and comes first so every later frame reuses its buffer.
+    let largest = vec![0xa5; MAX_FRAME_PAYLOAD - 8];
+    let units = plan.classes.iter().enumerate().flat_map(|(ci, class)| {
+        (class.units.iter().enumerate()).map(move |(ui, p)| (ci as u32, ui as u32, p.as_slice()))
+    });
+    let mut buf = Vec::new();
+    let mut encoded = 0;
+    for (class, unit, payload) in [(7, 9, largest.as_slice())]
+        .into_iter()
+        .chain(units)
+        .chain([(1, 2, &[][..])])
+    {
+        encode_unit(&mut buf, class, unit, payload);
+        let owned = Frame::Unit {
+            class,
+            unit,
+            payload: payload.to_vec(),
+        };
+        assert_eq!(buf, owned.encode(), "unit {class}/{unit}");
+        assert_eq!(Frame::decode(&buf), Ok((owned, buf.len())));
+        encoded += 1;
+    }
+    assert_eq!(encoded, plan.total_units() + 2);
+}
+
+/// A reader over `bytes` that counts its calls and returns at most
+/// `max_per_read` bytes from each.
+struct CountingReader<'a> {
+    bytes: &'a [u8],
+    max_per_read: usize,
+    reads: usize,
+}
+
+impl Read for CountingReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        let n = buf.len().min(self.max_per_read).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// The client reads a connection through one buffer: every frame of a
+/// whole jess session decodes through it even when each underlying read
+/// yields one byte, and a stream that has the bytes ready costs one
+/// underlying read per buffer refill instead of two per frame.
+#[test]
+fn the_client_reader_decodes_a_session_in_few_reads() {
+    let plan = build_plan("jess", OrderingSource::StaticCallGraph).expect("jess builds");
+    let mut frames = vec![Frame::Welcome {
+        generation: plan.generation,
+        manifest_epoch: plan.manifest_epoch,
+        manifest: plan.manifest.clone(),
+        classes: plan.negotiate(&[]),
+    }];
+    for (ci, class) in plan.classes.iter().enumerate() {
+        for (ui, payload) in class.units.iter().enumerate() {
+            frames.push(Frame::Unit {
+                class: ci as u32,
+                unit: ui as u32,
+                payload: payload.clone(),
+            });
+        }
+    }
+    frames.push(Frame::Bye {
+        classes: plan.classes.len() as u32,
+        bytes: plan.total_bytes(),
+    });
+    let stream: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+    let read_all = |max_per_read: usize| {
+        let mut inner = CountingReader {
+            bytes: &stream,
+            max_per_read,
+            reads: 0,
+        };
+        let mut reader = frame_reader(&mut inner);
+        for (i, frame) in frames.iter().enumerate() {
+            assert_eq!(read_frame(&mut reader).as_ref(), Ok(frame), "frame {i}");
+        }
+        drop(reader);
+        assert!(inner.bytes.is_empty(), "every byte was read");
+        inner.reads
+    };
+    assert_eq!(read_all(1), stream.len(), "one byte per read");
+    let reads = read_all(usize::MAX);
+    let bound = stream.len().div_ceil(READ_BUFFER_BYTES) + 1;
+    assert!(
+        reads <= bound,
+        "{reads} reads for {} frames ({} bytes); at most {bound}",
+        frames.len(),
+        stream.len()
+    );
+    // Unbuffered, the same stream costs a header and a body read each.
+    let mut raw = CountingReader {
+        bytes: &stream,
+        max_per_read: usize::MAX,
+        reads: 0,
+    };
+    for _ in &frames {
+        read_frame(&mut raw).expect("unbuffered read");
+    }
+    assert_eq!(raw.reads, 2 * frames.len());
 }
 
 #[test]

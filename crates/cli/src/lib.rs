@@ -1695,6 +1695,43 @@ mod tests {
         }
     }
 
+    /// The `NSJL` checkpoint file `simulate --interrupt` writes, byte for
+    /// byte against committed files: the plain modem kill, and a
+    /// composed storm whose record carries demotion, stall events,
+    /// linker bits, non-zero recovery/hedge/integrity buckets, a pinned
+    /// manifest digest and replica-served fetch-log entries. Disk chaos
+    /// tears these records at seeded offsets, so their layout is pinned.
+    #[test]
+    fn interrupt_checkpoint_matches_the_golden_files() {
+        let cases: [(&str, &[u8]); 2] = [
+            (
+                "simulate hanoi --link modem --interrupt 2000000000",
+                include_bytes!("../golden/checkpoint_hanoi_modem.nsjl"),
+            ),
+            (
+                "simulate hanoi --link modem --replicas 3 --byzantine-mirrors 1 \
+                 --byzantine-seed 7 --fault-seed 5 --loss 700000 --semantic 200000 \
+                 --corrupt 50000 --drop 20000 --verify stream --outage-seed 3 \
+                 --outage-rate 400000 --interrupt 6000000000",
+                include_bytes!("../golden/checkpoint_composed.nsjl"),
+            ),
+        ];
+        for (i, (args, golden)) in cases.into_iter().enumerate() {
+            let path = std::env::temp_dir().join(format!(
+                "nonstrict-cli-golden-{}-{i}.nsjl",
+                std::process::id()
+            ));
+            let path = path.to_str().unwrap().to_string();
+            let mut args: Vec<&str> = args.split_whitespace().collect();
+            args.extend(["--journal", &path]);
+            let out = run_str(&args).unwrap();
+            let written = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert!(out.contains("session killed"), "{out}");
+            assert_eq!(written, golden, "{args:?}");
+        }
+    }
+
     #[test]
     fn list_shows_all_benchmarks() {
         let out = run_str(&["list"]).unwrap();

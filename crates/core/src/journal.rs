@@ -6,10 +6,12 @@
 //! **delivered** unit watermarks (the resumable streams are strictly
 //! in-order, so a watermark is exact), per-class **verified** state
 //! (which prefixes already paid their verification charge, and the
-//! incremental linker's arrival/resolution verdicts), the accounting
+//! incremental linking steps of §3.1 as three bitmaps), the accounting
 //! ledger so the resumed run's cycle books continue exactly, and the
 //! demand-fetch log that lets the server reconstruct its transfer state
-//! from the client's requests alone.
+//! from the client's requests alone. It is also the simulator replay's
+//! only mutable state: a replay starts from a [`SessionJournal`] and
+//! advances it in place, so a kill hands over the state as it stands.
 //!
 //! It persists as one record of a [`JournalLog`], the same `NSJL` log
 //! the wire client's [`nonstrict_store::DurableSession`] writes. The log
@@ -114,20 +116,6 @@ impl ClassCheckpoint {
             demoted: false,
             stall_events: 0,
         }
-    }
-
-    /// Discards every cached verdict, as targeted invalidation must
-    /// when the server's layout epoch moved. The degradation history
-    /// (demotion, stall pressure) survives — it describes the link, not
-    /// the bytes.
-    pub fn invalidate(&mut self, new_epoch: u32) {
-        self.epoch = new_epoch;
-        self.delivered = 0;
-        self.globals_verified = false;
-        self.methods_verified.iter_mut().for_each(|v| *v = false);
-        self.linker_verified.iter_mut().for_each(|v| *v = false);
-        self.linker_resolved.iter_mut().for_each(|v| *v = false);
-        self.linker_globals = false;
     }
 }
 
@@ -367,6 +355,33 @@ impl<'a> Reader<'a> {
 }
 
 impl SessionJournal {
+    /// A pristine checkpoint of `manifest`'s session: nothing replayed,
+    /// charged, delivered or verified, every class under its current
+    /// epoch. A fresh replay starts from it.
+    #[must_use]
+    pub fn fresh(manifest: &SessionManifest) -> SessionJournal {
+        SessionJournal {
+            manifest_epoch: manifest.epoch,
+            manifest_digest: 0,
+            next_event: 0,
+            clock: 0,
+            ledger: CycleLedger::default(),
+            stalls: 0,
+            outages: 0,
+            resumes: 0,
+            refetched_classes: 0,
+            invocation_latency: None,
+            session_degraded: false,
+            classes: manifest
+                .class_epochs
+                .iter()
+                .zip(&manifest.method_counts)
+                .map(|(&e, &n)| ClassCheckpoint::fresh(e, n))
+                .collect(),
+            fetch_log: Vec::new(),
+        }
+    }
+
     /// Serializes the checkpoint into one log record: the
     /// [`CHECKPOINT_TAG`], then the content.
     #[must_use]
@@ -559,11 +574,13 @@ impl SessionJournal {
     }
 
     /// Rejects a checkpoint whose replay state points outside the
-    /// session: a fetch-log entry naming a class or unit that does not
-    /// exist (`unit_counts[c]` units in class `c`), or a next event
-    /// beyond the `trace_len`-event trace. The frame CRC is not a MAC,
-    /// so a forged record can be well framed and still out of shape;
-    /// replay must never index with it.
+    /// session or contradicts the linking order: a fetch-log entry
+    /// naming a class or unit that does not exist (`unit_counts[c]`
+    /// units in class `c`), a next event beyond the `trace_len`-event
+    /// trace, a method resolved but never verified, or a method linker
+    /// bit in a class whose prelude never arrived. The frame CRC is not
+    /// a MAC, so a forged record can be well framed and still out of
+    /// shape; replay must never continue from it.
     ///
     /// # Errors
     ///
@@ -584,6 +601,22 @@ impl SessionJournal {
                     return malformed("fetch-log unit out of range")
                 }
                 Some(_) => {}
+            }
+        }
+        for cp in &self.classes {
+            let verified = cp.linker_verified.iter();
+            if cp
+                .linker_resolved
+                .iter()
+                .zip(verified)
+                .any(|(&r, &v)| r && !v)
+            {
+                return malformed("linker resolution before arrival verification");
+            }
+            if !cp.linker_globals
+                && (cp.linker_verified.contains(&true) || cp.linker_resolved.contains(&true))
+            {
+                return malformed("linker method bit before the class prelude");
             }
         }
         Ok(())
@@ -779,21 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_discards_verdicts_but_keeps_link_history() {
-        let mut cp = sample().classes[0].clone();
-        cp.demoted = true;
-        cp.invalidate(0x9999);
-        assert_eq!(cp.epoch, 0x9999);
-        assert_eq!(cp.delivered, 0);
-        assert!(!cp.globals_verified);
-        assert!(cp.methods_verified.iter().all(|v| !v));
-        assert!(cp.linker_verified.iter().all(|v| !v));
-        assert!(cp.linker_resolved.iter().all(|v| !v));
-        assert!(cp.demoted, "link-quality history survives invalidation");
-        assert_eq!(cp.stall_events, 5);
-    }
-
-    #[test]
     fn manifest_epoch_tracks_class_epochs() {
         let a = SessionManifest::new(vec![1, 2, 3], vec![0, 0, 0]);
         let b = SessionManifest::new(vec![1, 2, 4], vec![0, 0, 0]);
@@ -885,5 +903,34 @@ mod tests {
             sample().check_replayable(&units, 16),
             malformed("next event beyond the trace")
         );
+    }
+
+    #[test]
+    fn resolved_method_without_its_verified_bit_is_malformed() {
+        let mut j = sample();
+        j.classes[0].linker_resolved[2] = true;
+        assert_eq!(
+            j.check_replayable(&[2, 10], 17),
+            Err(StoreError::Malformed {
+                what: WHAT,
+                why: "linker resolution before arrival verification"
+            })
+        );
+    }
+
+    #[test]
+    fn method_bit_without_the_class_prelude_is_malformed() {
+        let malformed = Err(StoreError::Malformed {
+            what: WHAT,
+            why: "linker method bit before the class prelude",
+        });
+        // A verified-only bit and a verified-and-resolved bit, each in a
+        // class whose prelude never arrived.
+        let mut j = sample();
+        j.classes[1].linker_verified[4] = true;
+        assert_eq!(j.check_replayable(&[2, 10], 17), malformed);
+        let mut j = sample();
+        j.classes[0].linker_globals = false;
+        assert_eq!(j.check_replayable(&[2, 10], 17), malformed);
     }
 }

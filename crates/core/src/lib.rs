@@ -10,9 +10,6 @@
 //!   Train profile, Test profile), transfer policy (strict sequential,
 //!   parallel with a concurrent-file limit, interleaved), and data
 //!   layout (whole vs partitioned globals).
-//! * [`linker`] — the incremental JVM linking model of §3.1:
-//!   verification steps keyed to what has arrived, preparation at
-//!   global-data arrival, lazy resolution at first execution.
 //! * [`sim`] — the event-driven co-simulator: replays a real execution
 //!   trace against a transfer engine, stalling at method delimiters that
 //!   have not arrived ([`sim::simulate`] / [`sim::Session`]).
@@ -55,7 +52,6 @@ pub mod export;
 pub mod fleet;
 pub mod jit;
 pub mod journal;
-pub mod linker;
 pub mod manifest;
 pub mod metrics;
 pub mod model;

@@ -25,7 +25,7 @@ use nonstrict_classfile::{ClassFileError, StreamLoader};
 use nonstrict_netsim::crc32;
 use nonstrict_profile::collect;
 use nonstrict_reorder::{restructure, static_first_use, RestructuredApp};
-use nonstrict_wire::{content_digest_of, ClassPlan, ServePlan, UnitManifest};
+use nonstrict_wire::{ClassPlan, ServePlan, UnitManifest};
 
 use crate::journal::SessionManifest;
 use crate::model::OrderingSource;
@@ -140,11 +140,11 @@ fn plan_from_restructured(
     restructured: &RestructuredApp,
     benchmark: &str,
 ) -> Result<ServePlan, ClassFileError> {
-    let mut classes = Vec::with_capacity(restructured.classes.len());
+    let mut payloads = Vec::with_capacity(restructured.classes.len());
     let mut class_epochs = Vec::with_capacity(restructured.classes.len());
     let mut method_counts = Vec::with_capacity(restructured.classes.len());
     for class in &restructured.classes {
-        let units = stream_units(class)?;
+        payloads.push(stream_units(class)?);
         let digests = stream_digests(class)?;
         // Per-class layout epoch: a CRC over the real unit digests, so
         // any byte change in any unit moves the epoch and invalidates
@@ -153,38 +153,23 @@ fn plan_from_restructured(
         for d in &digests {
             digest_bytes.extend_from_slice(&d.to_le_bytes());
         }
-        let epoch = crc32(&digest_bytes);
-        class_epochs.push(epoch);
+        class_epochs.push(crc32(&digest_bytes));
         method_counts.push(class.methods.len());
-        classes.push(ClassPlan { epoch, units });
     }
-    let manifest_epoch = SessionManifest::new(class_epochs, method_counts).epoch;
+    let session = SessionManifest::new(class_epochs, method_counts);
+    let manifest_epoch = session.epoch;
     // The wire manifest digests the units' actual bytes (not their
     // sizes, as the co-simulator's size-granular model does): the
     // client verifies every delivered unit's content against this
     // pinned table, so a mirror serving same-size wrong bytes is
     // caught at the first divergent unit.
-    let unit_digests = classes
-        .iter()
-        .enumerate()
-        .map(|(ci, class)| {
-            let ci = u32::try_from(ci).expect("class index fits u32");
-            class
-                .units
-                .iter()
-                .enumerate()
-                .map(|(ui, payload)| {
-                    let ui = u32::try_from(ui).expect("unit index fits u32");
-                    content_digest_of(manifest_epoch, ci, ui, payload)
-                })
-                .collect()
-        })
+    let manifest = UnitManifest::from_payloads(&payloads, manifest_epoch).encode();
+    let classes = session
+        .class_epochs
+        .into_iter()
+        .zip(payloads)
+        .map(|(epoch, units)| ClassPlan { epoch, units })
         .collect();
-    let manifest = UnitManifest {
-        epoch: manifest_epoch,
-        unit_digests,
-    }
-    .encode();
     Ok(ServePlan {
         benchmark: benchmark.to_ascii_lowercase(),
         // Fresh plans start at generation 0; the fleet supervisor

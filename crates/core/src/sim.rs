@@ -17,8 +17,7 @@ use nonstrict_netsim::{
 };
 use nonstrict_profile::{collect, Collected, FirstUseProfile, TraceEvent};
 use nonstrict_reorder::{
-    partition_app, restructure, static_first_use, ClassLayout, ClassPartition, FirstUseOrder,
-    RestructuredApp,
+    partition_app, restructure, static_first_use, ClassPartition, FirstUseOrder, RestructuredApp,
 };
 use nonstrict_store::JournalLog;
 use nonstrict_wire::UnitManifest;
@@ -26,7 +25,6 @@ use nonstrict_wire::UnitManifest;
 use crate::journal::{
     negotiate, ClassCheckpoint, FetchRecord, Negotiation, SessionJournal, SessionManifest,
 };
-use crate::linker::{ClassLinkState, IncrementalLinker, LinkStats};
 use crate::manifest::build_manifest;
 use crate::metrics::CycleLedger;
 use crate::model::{
@@ -78,6 +76,35 @@ pub struct SimResult {
     pub integrity: IntegrityStats,
 }
 
+/// Incremental-linking counts of one run (§3.1). Linking performs
+/// verification, preparation and resolution; a non-strict JVM splits
+/// them across arrival events: steps 1–2 and preparation when a class's
+/// global data arrives, step 3 as each method arrives, step 4 and lazy
+/// resolution at each method's first execution. The paper charges no
+/// cycles for these steps, so the replay only records them, in its
+/// checkpoint's linker bitmaps, and the counts are read off those.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LinkStats {
+    /// Classes whose global data was verified (steps 1–2).
+    pub classes_verified: usize,
+    /// Methods verified on arrival (step 3).
+    pub methods_verified: usize,
+    /// Methods resolved at first execution (step 4 + lazy resolution).
+    pub methods_resolved: usize,
+}
+
+impl LinkStats {
+    /// Counts the linker bits set in `classes`.
+    fn of(classes: &[ClassCheckpoint]) -> LinkStats {
+        let set = |bits: &[bool]| bits.iter().filter(|&&b| b).count();
+        LinkStats {
+            classes_verified: classes.iter().filter(|cp| cp.linker_globals).count(),
+            methods_verified: classes.iter().map(|cp| set(&cp.linker_verified)).sum(),
+            methods_resolved: classes.iter().map(|cp| set(&cp.linker_resolved)).sum(),
+        }
+    }
+}
+
 /// Outage-and-resume counts of one run: full connection losses
 /// survived and journal-backed resumes performed. The cycles they cost
 /// are the ledger's `resume` bucket. All-zero when nothing interrupted
@@ -121,73 +148,33 @@ pub enum RunOutcome {
     Interrupted(SessionJournal),
 }
 
-/// Everything a replay needs besides the engine, bundled so the replay
+/// Everything a replay reads besides its state, bundled so the replay
 /// signature stays readable.
 #[derive(Clone, Copy)]
 struct ReplayEnv<'a> {
     config: &'a SimConfig,
-    layouts: &'a [ClassLayout],
     units: &'a [ClassUnits],
-    exec_cycles: u64,
     /// The unit manifest the client pins, built once per run; `None`
     /// when no byzantine plan is armed.
     manifest: Option<&'a UnitManifest>,
-}
-
-/// State carried into a resumed replay after a successful negotiation.
-struct ResumeCarry {
-    /// The trusted journal, with stale classes already re-stamped to
-    /// the current epochs.
-    journal: SessionJournal,
-    /// Cycles to charge to the resume bucket up front: outage downtime
-    /// plus the targeted refetch/re-verify of stale classes (and the
-    /// manifest re-pin, when the origin's manifest moved while the
-    /// client was away).
-    extra_resume: u64,
-    /// Stale classes refetched during negotiation.
-    refetched: u32,
-    /// Manifest re-pins the negotiation performed because the pinned
-    /// digest no longer matched the origin's current manifest.
+    /// Kill the run at the first trace-event boundary at or past this
+    /// base cycle (if the run lasts that long).
+    stop_at: Option<u64>,
+    /// Manifest re-pins the reconnect negotiation performed; the
+    /// checkpoint record does not carry them.
     repins: u32,
 }
 
-/// How a replay starts and stops.
-enum ReplayMode {
-    /// Fresh run to completion.
-    Run,
-    /// Fresh run, killed at the first event boundary at or past
-    /// `at_cycle` (if the run lasts that long).
-    RunUntil {
-        at_cycle: u64,
-    },
-    Resume(Box<ResumeCarry>),
-}
-
-/// The replay's full mutable state, split out so an interrupt can
-/// serialize it into a [`SessionJournal`] and a resume can restore it.
-struct ReplayState {
-    clock: u64,
-    /// Every bucket but `queue` (fleet-only); `exec` counts the trace
-    /// executed so far.
-    ledger: CycleLedger,
-    manifest_repins: u32,
-    stalls: u32,
-    outage: OutageSummary,
-    invocation_latency: Option<u64>,
-    globals_verified: Vec<bool>,
-    methods_verified: Vec<Vec<bool>>,
-    stall_events: Vec<u64>,
-    demoted: Vec<bool>,
-    degraded_classes: u32,
-    session_degraded: bool,
-    /// Which `(class, unit)` pairs have been requested from the engine
-    /// at least once; only first requests drive engine state.
-    requested: Vec<Vec<bool>>,
-    /// First request per `(class, unit)`, in order, with its base-time
-    /// instant — replaying these against a fresh engine reconstructs
-    /// the server's transfer state exactly.
-    fetch_log: Vec<FetchRecord>,
-    next_event: usize,
+impl RunOutcome {
+    /// The result of a replay that has no interrupt point.
+    fn finished(self) -> SimResult {
+        match self {
+            RunOutcome::Finished(r) => *r,
+            RunOutcome::Interrupted(_) => {
+                unreachable!("a replay with no interrupt point always finishes")
+            }
+        }
+    }
 }
 
 /// Applies a config's ambient outages to a base-timeline result: the
@@ -412,89 +399,71 @@ impl Session {
     /// Simulates one configuration on `input`.
     #[must_use]
     pub fn simulate(&self, input: Input, config: &SimConfig) -> SimResult {
-        let units = self.units_for(config);
-        let order = self.order(config.ordering);
-        let layouts = &self.restructured(config.ordering).layouts;
-        let exec_cycles = self.exec_cycles(input);
-
-        if config.is_baseline() {
-            // The paper's base case: one class at a time in source
-            // order, execution strictly after transfer — total is the
-            // exact sum (Table 3). When verification is on, every class
-            // is verified in full as it loads, before execution.
-            let entry_class = self.app.program.entry().class.0 as usize;
-            let (verify_cycles, entry_verify) = match config.verify {
-                VerifyMode::Off => (0, 0),
-                VerifyMode::Stream | VerifyMode::Full => {
-                    (self.full_verify_cost(), self.class_verify_cost(entry_class))
-                }
-            };
-            let class_order: Vec<usize> = (0..units.len()).collect();
-            let mut strict = StrictEngine::new(config.link, &units, &class_order);
-            let perfect_finish = strict.finish_time();
-            // Under faults the same transfer runs through the fault
-            // layer: everything beyond the perfect-link finish is
-            // recovery time. The strict baseline downloads from the
-            // primary mirror, whose seed and link are exactly the
-            // session's — replica routing never perturbs it, and with
-            // no mirror choice there is nothing for a byzantine plan to
-            // subvert.
-            let mut engine = FaultLayer::new(
-                Box::new(strict),
-                &units,
-                config.link,
-                config.active_faults(),
-                None,
-            );
-            let entry_unit = units[entry_class].unit_count() - 1;
-            let base_latency = engine.unit_ready(entry_class, entry_unit, 0) + entry_verify;
-            let finish = engine.finish_time();
-            let base_total = finish + verify_cycles + exec_cycles;
-            let (resume, invocation_latency, outage) =
-                ambient_shift(config, base_total, base_latency);
-            let mut ledger = CycleLedger {
-                exec: exec_cycles,
-                verify: verify_cycles,
-                resume,
-                ..CycleLedger::default()
-            };
-            ledger.charge_stall(
-                finish,
-                Surcharge {
-                    recovery: finish - perfect_finish,
-                    ..Surcharge::default()
-                },
-            );
-            let total_cycles = base_total + resume;
-            ledger.assert_exact(total_cycles, "strict baseline");
-            return SimResult {
-                total_cycles,
-                ledger,
-                invocation_latency,
-                stalls: 1,
-                link_stats: LinkStats::default(),
-                faults: engine.fault_stats(),
-                degraded_classes: 0,
-                session_degraded: false,
-                completed: true,
-                outage,
-                replica: ReplicaStats::default(),
-                integrity: IntegrityStats::default(),
-            };
+        if !config.is_baseline() {
+            return self.replay_fresh(input, config, None).finished();
         }
-
-        let manifest = self.byzantine_manifest(config, &units);
-        let env = ReplayEnv {
-            config,
-            layouts,
-            units: &units,
-            exec_cycles,
-            manifest: manifest.as_ref(),
+        // The paper's base case: one class at a time in source order,
+        // execution strictly after transfer — total is the exact sum
+        // (Table 3). When verification is on, every class is verified in
+        // full as it loads, before execution.
+        let units = self.units_for(config);
+        let exec_cycles = self.exec_cycles(input);
+        let entry_class = self.app.program.entry().class.0 as usize;
+        let (verify_cycles, entry_verify) = match config.verify {
+            VerifyMode::Off => (0, 0),
+            VerifyMode::Stream | VerifyMode::Full => {
+                (self.full_verify_cost(), self.class_verify_cost(entry_class))
+            }
         };
-        let mut engine = self.build_engine(&env, order);
-        match self.replay(input, &env, &mut engine, ReplayMode::Run) {
-            RunOutcome::Finished(r) => *r,
-            RunOutcome::Interrupted(_) => unreachable!("an uninterrupted replay always finishes"),
+        let class_order: Vec<usize> = (0..units.len()).collect();
+        let mut strict = StrictEngine::new(config.link, &units, &class_order);
+        let perfect_finish = strict.finish_time();
+        // Under faults the same transfer runs through the fault layer:
+        // everything beyond the perfect-link finish is recovery time.
+        // The strict baseline downloads from the primary mirror, whose
+        // seed and link are exactly the session's — replica routing
+        // never perturbs it, and with no mirror choice there is nothing
+        // for a byzantine plan to subvert.
+        let mut engine = FaultLayer::new(
+            Box::new(strict),
+            &units,
+            config.link,
+            config.active_faults(),
+            None,
+        );
+        let entry_unit = units[entry_class].unit_count() - 1;
+        let base_latency = engine.unit_ready(entry_class, entry_unit, 0) + entry_verify;
+        let finish = engine.finish_time();
+        let base_total = finish + verify_cycles + exec_cycles;
+        let (resume, invocation_latency, outage) = ambient_shift(config, base_total, base_latency);
+        let mut ledger = CycleLedger {
+            exec: exec_cycles,
+            verify: verify_cycles,
+            resume,
+            ..CycleLedger::default()
+        };
+        ledger.charge_stall(
+            finish,
+            Surcharge {
+                recovery: finish - perfect_finish,
+                ..Surcharge::default()
+            },
+        );
+        let total_cycles = base_total + resume;
+        ledger.assert_exact(total_cycles, "strict baseline");
+        SimResult {
+            total_cycles,
+            ledger,
+            invocation_latency,
+            stalls: 1,
+            link_stats: LinkStats::default(),
+            faults: engine.fault_stats(),
+            degraded_classes: 0,
+            session_degraded: false,
+            completed: true,
+            outage,
+            replica: ReplicaStats::default(),
+            integrity: IntegrityStats::default(),
         }
     }
 
@@ -502,14 +471,14 @@ impl Session {
     /// engine its transfer policy names, under the fault layer. Resume
     /// uses this too: a journal is replayed against a *fresh* engine
     /// built exactly like the one that died.
-    fn build_engine(&self, env: &ReplayEnv<'_>, order: &FirstUseOrder) -> FaultLayer {
+    fn build_engine(&self, env: &ReplayEnv<'_>) -> FaultLayer {
         let ReplayEnv {
             config,
-            layouts,
             units,
             manifest,
             ..
         } = *env;
+        let order = self.order(config.ordering);
         let class_order_fu: Vec<usize> = order.class_order().iter().map(|c| c.0 as usize).collect();
         let weights = match config.ordering {
             OrderingSource::TrainProfile => Weights::Profile(&self.train.profile),
@@ -521,6 +490,7 @@ impl Session {
                 Box::new(StrictEngine::new(config.link, units, &class_order_fu))
             }
             TransferPolicy::Parallel { limit } => {
+                let layouts = &self.restructured(config.ordering).layouts;
                 let schedule = greedy_schedule(&self.app, order, units, layouts, weights);
                 Box::new(ParallelEngine::new(
                     config.link,
@@ -553,37 +523,55 @@ impl Session {
         FaultLayer::new(base, units, config.link, config.active_faults(), set)
     }
 
-    /// Replays the input's trace against `engine`, optionally starting
-    /// from a restored checkpoint or stopping at an interrupt point.
+    /// Replays `config` on `input` from a fresh checkpoint, killed per
+    /// `stop_at`.
+    fn replay_fresh(&self, input: Input, config: &SimConfig, stop_at: Option<u64>) -> RunOutcome {
+        let units = self.units_for(config);
+        let session = self.manifest_of(&units);
+        let manifest = self.byzantine_manifest(config, &units, &session);
+        let mut journal = SessionJournal::fresh(&session);
+        if let Some(m) = &manifest {
+            // Manifest pinning: before any unit flows, the client
+            // fetches the content-addressed unit manifest from the
+            // origin, verifies its frame, and pins its digest — the
+            // trust root every later digest check compares against.
+            let pin = pin_cost(config.link, m);
+            journal.clock += pin;
+            journal.ledger.integrity += pin;
+            journal.manifest_digest = m.digest();
+        }
+        let env = ReplayEnv {
+            config,
+            units: &units,
+            manifest: manifest.as_ref(),
+            stop_at,
+            repins: 0,
+        };
+        self.replay(input, &env, journal)
+    }
+
+    /// Replays the input's trace from checkpoint `j` against a fresh
+    /// engine. The checkpoint is the replay's only mutable state: the
+    /// replay reads and advances it in place and, when killed at
+    /// `env.stop_at`, stamps the delivered watermarks and returns it as
+    /// the record the client persists.
     ///
     /// The replay runs entirely on the **base timeline**: an outage
     /// freezes the client and the link together, so everything that
     /// happens after a resume happens at exactly the base instants it
     /// would have without the outage. Downtime is accounted separately
     /// in the resume bucket and added to wall time at the end.
-    fn replay(
-        &self,
-        input: Input,
-        env: &ReplayEnv<'_>,
-        engine: &mut FaultLayer,
-        mode: ReplayMode,
-    ) -> RunOutcome {
+    fn replay(&self, input: Input, env: &ReplayEnv<'_>, mut j: SessionJournal) -> RunOutcome {
         let ReplayEnv {
             config,
-            layouts,
             units,
-            exec_cycles,
-            manifest,
+            stop_at,
+            repins,
+            ..
         } = *env;
-        let trace = &self.collected(input).trace;
-        let mut linker = IncrementalLinker::new(
-            &self
-                .app
-                .classes
-                .iter()
-                .map(|c| c.methods.len())
-                .collect::<Vec<_>>(),
-        );
+        let layouts = &self.restructured(config.ordering).layouts;
+        let mut engine = self.build_engine(env);
+        let events = self.collected(input).trace.events();
         let cpi = self.app.cpi;
         let nclasses = units.len();
 
@@ -611,122 +599,49 @@ impl Session {
             .active_replicas()
             .and_then(|rc| rc.sole_survivor_from());
 
-        let mut st = ReplayState {
-            clock: 0,
-            ledger: CycleLedger::default(),
-            manifest_repins: 0,
-            stalls: 0,
-            outage: OutageSummary::default(),
-            invocation_latency: None,
-            globals_verified: vec![false; nclasses],
-            methods_verified: self
-                .app
-                .program
-                .classes()
-                .iter()
-                .map(|c| vec![false; c.methods.len()])
-                .collect(),
-            stall_events: vec![0; nclasses],
-            demoted: vec![false; nclasses],
-            degraded_classes: 0,
-            session_degraded: false,
-            requested: units.iter().map(|u| vec![false; u.unit_count()]).collect(),
-            fetch_log: Vec::new(),
-            next_event: 0,
-        };
-
-        let stop_at = match mode {
-            ReplayMode::RunUntil { at_cycle } => Some(at_cycle),
-            ReplayMode::Run | ReplayMode::Resume(_) => None,
-        };
-        if !matches!(mode, ReplayMode::Resume(_)) {
-            // Manifest pinning: before any unit flows, the client
-            // fetches the content-addressed unit manifest from the
-            // origin, verifies its frame, and pins its digest — the
-            // trust root every later digest check compares against.
-            // Zero when no byzantine plan is armed; resumed runs
-            // restore the pre-crash charge from the journal instead.
-            let pin = manifest.map_or(0, |m| pin_cost(config.link, m));
-            st.clock += pin;
-            st.ledger.integrity += pin;
-        }
-        if let ReplayMode::Resume(carry) = mode {
-            let j = &carry.journal;
-            st.clock = j.clock;
-            st.ledger = CycleLedger {
-                resume: j.ledger.resume + carry.extra_resume,
-                ..j.ledger
-            };
-            st.manifest_repins = carry.repins;
-            st.stalls = j.stalls;
-            st.outage = OutageSummary {
-                outages: j.outages + 1,
-                resumes: j.resumes + 1,
-                refetched_classes: j.refetched_classes + carry.refetched,
-                failed_closed: false,
-            };
-            st.invocation_latency = j.invocation_latency;
-            st.session_degraded = j.session_degraded;
-            st.next_event = usize::try_from(j.next_event).unwrap_or(usize::MAX);
-            for (c, cp) in j.classes.iter().enumerate() {
-                st.globals_verified[c] = cp.globals_verified;
-                st.methods_verified[c].copy_from_slice(&cp.methods_verified);
-                st.demoted[c] = cp.demoted;
-                st.stall_events[c] = cp.stall_events;
-                if cp.demoted {
-                    st.degraded_classes += 1;
-                }
-                // The linker's verdicts rebuild by replaying its
-                // idempotent arrival calls from the journaled bitmaps.
-                if cp.linker_globals {
-                    linker.globals_arrived(c);
-                    for (pos, &v) in cp.linker_verified.iter().enumerate() {
-                        if v {
-                            linker.method_arrived(c, pos);
-                        }
-                    }
-                    for (pos, &r) in cp.linker_resolved.iter().enumerate() {
-                        if r {
-                            linker.method_executed(c, pos);
-                        }
-                    }
-                }
-            }
-            // Cross-session cache consistency: the server's transfer
-            // state is reconstructed by replaying the demand-request
-            // log against the fresh engine. Every scheduling decision
-            // an engine makes is driven by first requests, so identical
-            // requests at identical base instants rebuild identical
-            // state.
-            for f in &j.fetch_log {
-                let _ = engine.unit_ready(f.class as usize, f.unit as usize, f.at);
-                st.requested[f.class as usize][f.unit as usize] = true;
-            }
-            st.fetch_log.clone_from(&j.fetch_log);
+        // Cross-session cache consistency: the server's transfer state
+        // is reconstructed by replaying the demand-request log (empty on
+        // a fresh run) against the fresh engine. Every scheduling
+        // decision an engine makes is driven by first requests, so
+        // identical requests at identical base instants rebuild
+        // identical state. Only first requests drive engine state, so
+        // the log also says which `(class, unit)` pairs were requested.
+        let mut requested: Vec<Vec<bool>> =
+            units.iter().map(|u| vec![false; u.unit_count()]).collect();
+        for f in &j.fetch_log {
+            let _ = engine.unit_ready(f.class as usize, f.unit as usize, f.at);
+            requested[f.class as usize][f.unit as usize] = true;
         }
 
-        let events = trace.events();
-        while st.next_event < events.len() {
-            if let Some(at) = stop_at {
-                if st.clock >= at {
-                    // The connection (and client) die here; what the
-                    // client persisted is the checkpoint.
-                    return RunOutcome::Interrupted(self.checkpoint(env, engine, &linker, &st));
+        while j.next_event < events.len() as u64 {
+            if stop_at.is_some_and(|at| j.clock >= at) {
+                // The connection (and client) die here. Streams deliver
+                // strictly in order, so the first unit not yet arrived
+                // is the exact watermark. The probe may demand-start an
+                // idle class inside the dying engine, but that engine
+                // dies with this crash — the resumed engine is rebuilt
+                // from the fetch log alone.
+                for (c, cp) in j.classes.iter_mut().enumerate() {
+                    let arrived = (0..units[c].unit_count())
+                        .take_while(|&u| engine.unit_ready(c, u, j.clock) <= j.clock)
+                        .count();
+                    cp.delivered = u32::try_from(arrived).expect("unit count fits u32");
                 }
+                return RunOutcome::Interrupted(j);
             }
-            match events[st.next_event] {
+            match events[j.next_event as usize] {
                 TraceEvent::Enter(m) => {
                     let c = m.class.0 as usize;
                     let pos = layouts[c].position_of(m.method);
-                    if !st.session_degraded && strict_from.is_some_and(|t| st.clock >= t) {
-                        st.session_degraded = true;
+                    if !j.session_degraded && strict_from.is_some_and(|t| j.clock >= t) {
+                        j.session_degraded = true;
                     }
                     // Whole-file verification cannot begin before the
                     // whole file arrived, so `VerifyMode::Full` forfeits
                     // non-strict overlap and gates on the last unit.
                     let strict_entry = config.execution == ExecutionModel::Strict
-                        || st.session_degraded
-                        || st.demoted[c]
+                        || j.session_degraded
+                        || j.classes[c].demoted
                         || verify == VerifyMode::Full;
                     let unit = if strict_entry {
                         // Strict execution waits for the entire class.
@@ -734,30 +649,30 @@ impl Session {
                     } else {
                         ClassUnits::method_unit(pos)
                     };
-                    if !st.requested[c][unit] {
-                        st.requested[c][unit] = true;
-                        st.fetch_log.push(FetchRecord {
+                    if !requested[c][unit] {
+                        requested[c][unit] = true;
+                        j.fetch_log.push(FetchRecord {
                             class: u32::try_from(c).expect("class index fits u32"),
                             unit: u32::try_from(unit).expect("unit index fits u32"),
                             replica: engine.serving_replica(c, unit),
-                            at: st.clock,
+                            at: j.clock,
                         });
                     }
-                    let ready = engine.unit_ready(c, unit, st.clock);
-                    if ready > st.clock {
-                        st.ledger
-                            .charge_stall(ready - st.clock, engine.last_surcharge());
-                        st.stalls += 1;
-                        st.stall_events[c] += 1;
-                        st.clock = ready;
+                    let ready = engine.unit_ready(c, unit, j.clock);
+                    if ready > j.clock {
+                        j.ledger
+                            .charge_stall(ready - j.clock, engine.last_surcharge());
+                        j.stalls += 1;
+                        j.classes[c].stall_events += 1;
+                        j.clock = ready;
                     }
-                    if degrade_threshold > 0 && !st.demoted[c] {
-                        let pressure = st.stall_events[c] + engine.class_fault_events(c);
+                    if degrade_threshold > 0 && !j.classes[c].demoted {
+                        let pressure = j.classes[c].stall_events + engine.class_fault_events(c);
                         if pressure >= u64::from(degrade_threshold) {
-                            st.demoted[c] = true;
-                            st.degraded_classes += 1;
-                            if u64::from(st.degraded_classes) * 2 > nclasses as u64 {
-                                st.session_degraded = true;
+                            j.classes[c].demoted = true;
+                            let demoted = j.classes.iter().filter(|cp| cp.demoted).count();
+                            if demoted * 2 > nclasses {
+                                j.session_degraded = true;
                             }
                             if verify == VerifyMode::Stream {
                                 // Demotion refetches the class as one
@@ -765,177 +680,117 @@ impl Session {
                                 // verdicts are discarded and the whole
                                 // file is re-verified from scratch.
                                 let cost = self.class_verify_cost(c);
-                                st.ledger.verify += cost;
-                                st.clock += cost;
-                                st.globals_verified[c] = true;
-                                for v in &mut st.methods_verified[c] {
-                                    *v = true;
-                                }
+                                j.ledger.verify += cost;
+                                j.clock += cost;
+                                j.classes[c].globals_verified = true;
+                                j.classes[c].methods_verified.fill(true);
                             }
                         }
                     }
+                    let cp = &mut j.classes[c];
                     if verify != VerifyMode::Off {
-                        if !st.globals_verified[c] {
+                        if !cp.globals_verified {
                             // Steps 1–2: the class's global data just
                             // became needed; verify it before any of
                             // its methods may run.
-                            st.globals_verified[c] = true;
+                            cp.globals_verified = true;
                             let cost = self.global_verify_cost(c);
-                            st.ledger.verify += cost;
-                            st.clock += cost;
+                            j.ledger.verify += cost;
+                            j.clock += cost;
                         }
                         if strict_entry {
                             // The whole file is present: verify every
                             // still-unverified method before entry.
-                            for mi in 0..st.methods_verified[c].len() {
-                                if !st.methods_verified[c][mi] {
-                                    st.methods_verified[c][mi] = true;
+                            for (mi, v) in cp.methods_verified.iter_mut().enumerate() {
+                                if !*v {
+                                    *v = true;
                                     let cost = self.method_verify_cost_at(c, mi);
-                                    st.ledger.verify += cost;
-                                    st.clock += cost;
+                                    j.ledger.verify += cost;
+                                    j.clock += cost;
                                 }
                             }
                         } else {
                             let mi = m.method as usize;
-                            if !st.methods_verified[c][mi] {
-                                st.methods_verified[c][mi] = true;
-                                // Steps 3–4 run for real: the method is
-                                // re-verified against the finished
-                                // program, exactly what the streaming
-                                // loader does at delimiter arrival.
-                                let check = self.app.program.verify_method(m);
-                                debug_assert!(
-                                    check.is_ok(),
-                                    "streamed method failed re-verification: {check:?}"
+                            if !cp.methods_verified[mi] {
+                                cp.methods_verified[mi] = true;
+                                // Steps 3–4 run for real in checked
+                                // builds: the method is re-verified
+                                // against the finished program, exactly
+                                // what the streaming loader does at
+                                // delimiter arrival.
+                                debug_assert_eq!(
+                                    self.app.program.verify_method(m),
+                                    Ok(()),
+                                    "streamed method failed re-verification"
                                 );
-                                let _ = check;
                                 let cost = self.method_verify_cost_at(c, mi);
-                                st.ledger.verify += cost;
-                                st.clock += cost;
+                                j.ledger.verify += cost;
+                                j.clock += cost;
                             }
                         }
                     }
-                    linker.globals_arrived(c);
-                    linker.method_arrived(c, pos);
-                    linker.method_executed(c, pos);
-                    if st.invocation_latency.is_none() {
-                        st.invocation_latency = Some(st.clock);
+                    // Linking (§3.1): the prelude, the method's bytes
+                    // and its first execution all lie behind this one
+                    // gate, so the three steps are recorded together.
+                    cp.linker_globals = true;
+                    cp.linker_verified[pos] = true;
+                    cp.linker_resolved[pos] = true;
+                    if j.invocation_latency.is_none() {
+                        j.invocation_latency = Some(j.clock);
                     }
                 }
                 TraceEvent::Run { method: _, count } => {
-                    st.clock += count * cpi;
-                    st.ledger.exec += count * cpi;
+                    j.clock += count * cpi;
+                    j.ledger.exec += count * cpi;
                 }
                 TraceEvent::Exit(_) => {}
             }
-            st.next_event += 1;
+            j.next_event += 1;
         }
 
-        debug_assert!(linker.consistent());
         debug_assert_eq!(
-            st.ledger.exec, exec_cycles,
+            j.ledger.exec,
+            self.exec_cycles(input),
             "the replay must execute the whole trace"
         );
         CycleLedger {
             resume: 0,
-            ..st.ledger
+            ..j.ledger
         }
         .assert_exact(
-            st.clock,
+            j.clock,
             "every base-clock advance must land in exactly one accounting bucket",
         );
         let (shift, invocation_latency, crossed) =
-            ambient_shift(config, st.clock, st.invocation_latency.unwrap_or(0));
-        st.ledger.resume += shift;
-        st.outage.outages += crossed.outages;
-        st.outage.resumes += crossed.resumes;
-        let total_cycles = st.clock + st.ledger.resume;
-        st.ledger.assert_exact(total_cycles, "replay completion");
+            ambient_shift(config, j.clock, j.invocation_latency.unwrap_or(0));
+        j.ledger.resume += shift;
+        let total_cycles = j.clock + j.ledger.resume;
+        j.ledger.assert_exact(total_cycles, "replay completion");
         let mut integrity = engine.integrity_stats();
         // The engine counts epoch-fence re-pins; the replay charges the
         // initial origin pin, and a reconnect negotiation may have
         // re-pinned a moved manifest.
-        integrity.manifest_pins += u32::from(integrity.armed) + st.manifest_repins;
+        integrity.manifest_pins += u32::from(integrity.armed) + repins;
+        let degraded_classes = j.classes.iter().filter(|cp| cp.demoted).count();
         RunOutcome::Finished(Box::new(SimResult {
             total_cycles,
-            ledger: st.ledger,
+            ledger: j.ledger,
             invocation_latency,
-            stalls: st.stalls,
-            link_stats: linker.stats(),
+            stalls: j.stalls,
+            link_stats: LinkStats::of(&j.classes),
             faults: engine.fault_stats(),
-            degraded_classes: st.degraded_classes,
-            session_degraded: st.session_degraded,
+            degraded_classes: u32::try_from(degraded_classes).expect("class count fits u32"),
+            session_degraded: j.session_degraded,
             completed: true,
-            outage: st.outage,
+            outage: OutageSummary {
+                outages: j.outages + crossed.outages,
+                resumes: j.resumes + crossed.resumes,
+                refetched_classes: j.refetched_classes,
+                failed_closed: false,
+            },
             replica: engine.replica_stats(),
             integrity,
         }))
-    }
-
-    /// Snapshots a dying replay into a durable [`SessionJournal`]:
-    /// delivered watermarks probed from the engine, verification
-    /// verdicts, linker state, the accounting ledger, and the
-    /// demand-request log.
-    fn checkpoint(
-        &self,
-        env: &ReplayEnv<'_>,
-        engine: &mut FaultLayer,
-        linker: &IncrementalLinker,
-        st: &ReplayState,
-    ) -> SessionJournal {
-        let units = env.units;
-        let session = self.manifest_of(units);
-        let classes = (0..units.len())
-            .map(|c| {
-                // Streams deliver strictly in order, so the first unit
-                // not yet arrived is the exact watermark. The probe may
-                // demand-start an idle class inside the dying engine,
-                // but that engine dies with this crash — the resumed
-                // engine is rebuilt from the fetch log alone.
-                let mut delivered = 0u32;
-                for u in 0..units[c].unit_count() {
-                    if engine.unit_ready(c, u, st.clock) > st.clock {
-                        break;
-                    }
-                    delivered = u32::try_from(u + 1).expect("unit count fits u32");
-                }
-                let nm = st.methods_verified[c].len();
-                ClassCheckpoint {
-                    epoch: session.class_epochs[c],
-                    delivered,
-                    globals_verified: st.globals_verified[c],
-                    methods_verified: st.methods_verified[c].clone(),
-                    linker_globals: linker.class_state(c) == ClassLinkState::GlobalsVerified,
-                    linker_verified: (0..nm)
-                        .map(|p| linker.method_state(c, p).verified)
-                        .collect(),
-                    linker_resolved: (0..nm)
-                        .map(|p| linker.method_state(c, p).resolved)
-                        .collect(),
-                    demoted: st.demoted[c],
-                    stall_events: st.stall_events[c],
-                }
-            })
-            .collect();
-        SessionJournal {
-            manifest_epoch: session.epoch,
-            // The pinned manifest digest rides in the checkpoint so a
-            // reconnect can tell whether the origin's manifest moved
-            // while the client was away (zero when no byzantine plan is
-            // armed).
-            manifest_digest: env.manifest.map_or(0, UnitManifest::digest),
-            next_event: st.next_event as u64,
-            clock: st.clock,
-            ledger: st.ledger,
-            stalls: st.stalls,
-            outages: st.outage.outages,
-            resumes: st.outage.resumes,
-            refetched_classes: st.outage.refetched_classes,
-            invocation_latency: st.invocation_latency,
-            session_degraded: st.session_degraded,
-            classes,
-            fetch_log: st.fetch_log.clone(),
-        }
     }
 
     /// The server's current view of the session's transfer manifest
@@ -965,13 +820,18 @@ impl Session {
         SessionManifest::new(class_epochs, method_counts)
     }
 
-    /// The unit manifest the client pins under `config`, or `None` when
-    /// no byzantine plan is armed (unarmored runs pin nothing, so they
-    /// stay byte-identical). Built once per run and passed to whatever
-    /// needs its pin cost or digest.
-    fn byzantine_manifest(&self, config: &SimConfig, units: &[ClassUnits]) -> Option<UnitManifest> {
+    /// The unit manifest the client pins under `config`, bound to the
+    /// `session` layout epoch, or `None` when no byzantine plan is armed
+    /// (unarmored runs pin nothing, so they stay byte-identical). Built
+    /// once per run and passed to whatever needs its pin cost or digest.
+    fn byzantine_manifest(
+        &self,
+        config: &SimConfig,
+        units: &[ClassUnits],
+        session: &SessionManifest,
+    ) -> Option<UnitManifest> {
         config.active_byzantine()?;
-        Some(build_manifest(units, self.manifest_of(units).epoch))
+        Some(build_manifest(units, session.epoch))
     }
 
     /// Runs `config` on `input` but kills the session — connection and
@@ -980,55 +840,20 @@ impl Session {
     /// persists. Completes normally if the run finishes first.
     #[must_use]
     pub fn run_until(&self, input: Input, config: &SimConfig, at_cycle: u64) -> RunOutcome {
-        let units = self.units_for(config);
-        if config.is_baseline() {
-            let r = self.simulate(input, config);
-            if at_cycle >= r.total_cycles {
-                return RunOutcome::Finished(Box::new(r));
-            }
-            // The strict baseline has no replay state to checkpoint:
-            // its journal is a ledger entry, and the sequential
-            // download resumes from its byte watermark with nothing
-            // lost.
-            let manifest = self.manifest_of(&units);
-            let classes = manifest
-                .class_epochs
-                .iter()
-                .zip(&manifest.method_counts)
-                .map(|(&e, &n)| ClassCheckpoint::fresh(e, n))
-                .collect();
-            let journal = SessionJournal {
-                manifest_epoch: manifest.epoch,
-                manifest_digest: 0,
-                next_event: 0,
-                clock: at_cycle,
-                ledger: CycleLedger {
-                    stall: at_cycle,
-                    ..CycleLedger::default()
-                },
-                stalls: 0,
-                outages: 0,
-                resumes: 0,
-                refetched_classes: 0,
-                invocation_latency: None,
-                session_degraded: false,
-                classes,
-                fetch_log: Vec::new(),
-            };
-            return RunOutcome::Interrupted(journal);
+        if !config.is_baseline() {
+            return self.replay_fresh(input, config, Some(at_cycle));
         }
-        let order = self.order(config.ordering);
-        let layouts = &self.restructured(config.ordering).layouts;
-        let manifest = self.byzantine_manifest(config, &units);
-        let env = ReplayEnv {
-            config,
-            layouts,
-            units: &units,
-            exec_cycles: self.exec_cycles(input),
-            manifest: manifest.as_ref(),
-        };
-        let mut engine = self.build_engine(&env, order);
-        self.replay(input, &env, &mut engine, ReplayMode::RunUntil { at_cycle })
+        let r = self.simulate(input, config);
+        if at_cycle >= r.total_cycles {
+            return RunOutcome::Finished(Box::new(r));
+        }
+        // The strict baseline has no replay state to checkpoint: its
+        // journal is a ledger entry, and the sequential download resumes
+        // from its byte watermark with nothing lost.
+        let mut journal = SessionJournal::fresh(&self.manifest(config));
+        journal.clock = at_cycle;
+        journal.ledger.stall = at_cycle;
+        RunOutcome::Interrupted(journal)
     }
 
     /// Reconnects with the checkpoint stored in `log` after `downtime`
@@ -1054,76 +879,68 @@ impl Session {
         downtime: u64,
     ) -> SimResult {
         let units = self.units_for(config);
-        let manifest = self.manifest_of(&units);
-        match negotiate(log, &manifest) {
-            Negotiation::Resume { journal, stale } => {
-                if config.is_baseline() {
-                    // The sequential download resumes from its byte
-                    // watermark: nothing pre-crash is lost or redone.
-                    let mut r = self.simulate(input, config);
-                    let carried = journal.ledger.resume + downtime;
-                    r.total_cycles += carried;
-                    r.ledger.resume += carried;
-                    r.outage.outages += journal.outages + 1;
-                    r.outage.resumes += journal.resumes + 1;
-                    return r;
-                }
-                let unit_counts: Vec<usize> = units.iter().map(ClassUnits::unit_count).collect();
-                let trace_len = self.collected(input).trace.events().len();
-                if journal.check_replayable(&unit_counts, trace_len).is_err() {
-                    return self.restart_fail_closed(input, config, downtime, true);
-                }
-                let mut journal = *journal;
-                let mut extra = downtime;
-                for &c in &stale {
-                    extra += self.refetch_cost(
-                        config,
-                        &units,
-                        &mut journal.classes[c],
-                        manifest.class_epochs[c],
-                        c,
-                    );
-                }
-                let refetched = u32::try_from(stale.len()).unwrap_or(u32::MAX);
-                // Epoch fencing across the outage: if the origin
-                // re-restructured while the client was away, the pinned
-                // manifest digest no longer matches — re-pin the new
-                // manifest inside the resume window before any further
-                // digest check can be trusted.
-                let current = self.byzantine_manifest(config, &units);
-                let mut repins = 0;
-                if let Some(m) = current
-                    .as_ref()
-                    .filter(|m| m.digest() != journal.manifest_digest)
-                {
-                    extra += pin_cost(config.link, m);
-                    repins = 1;
-                }
-                let order = self.order(config.ordering);
-                let env = ReplayEnv {
-                    config,
-                    layouts: &self.restructured(config.ordering).layouts,
-                    units: &units,
-                    exec_cycles: self.exec_cycles(input),
-                    manifest: current.as_ref(),
-                };
-                let mut engine = self.build_engine(&env, order);
-                let mode = ReplayMode::Resume(Box::new(ResumeCarry {
-                    journal,
-                    extra_resume: extra,
-                    refetched,
-                    repins,
-                }));
-                match self.replay(input, &env, &mut engine, mode) {
-                    RunOutcome::Finished(r) => *r,
-                    RunOutcome::Interrupted(_) => {
-                        unreachable!("a resumed run has no interrupt point")
-                    }
-                }
+        let session = self.manifest_of(&units);
+        let (mut journal, stale) = match negotiate(log, &session) {
+            Negotiation::Resume { journal, stale } => (*journal, stale),
+            Negotiation::Fresh => return self.restart_fail_closed(input, config, downtime, false),
+            Negotiation::FailClosed(_) => {
+                return self.restart_fail_closed(input, config, downtime, true)
             }
-            Negotiation::Fresh => self.restart_fail_closed(input, config, downtime, false),
-            Negotiation::FailClosed(_) => self.restart_fail_closed(input, config, downtime, true),
+        };
+        if config.is_baseline() {
+            // The sequential download resumes from its byte watermark:
+            // nothing pre-crash is lost or redone.
+            let mut r = self.simulate(input, config);
+            let carried = journal.ledger.resume + downtime;
+            r.total_cycles += carried;
+            r.ledger.resume += carried;
+            r.outage.outages += journal.outages + 1;
+            r.outage.resumes += journal.resumes + 1;
+            return r;
         }
+        let unit_counts: Vec<usize> = units.iter().map(ClassUnits::unit_count).collect();
+        let trace_len = self.collected(input).trace.events().len();
+        if journal.check_replayable(&unit_counts, trace_len).is_err() {
+            return self.restart_fail_closed(input, config, downtime, true);
+        }
+        // The reconnect itself lands in the checkpoint before the replay
+        // continues from it: the downtime, the targeted refetch of stale
+        // classes, and this outage and resume.
+        let mut extra = downtime;
+        for &c in &stale {
+            extra += self.refetch_cost(
+                config,
+                &units,
+                &mut journal.classes[c],
+                session.class_epochs[c],
+                c,
+            );
+        }
+        // Epoch fencing across the outage: if the origin re-restructured
+        // while the client was away, the pinned manifest digest no
+        // longer matches — re-pin the new manifest inside the resume
+        // window before any further digest check can be trusted.
+        let current = self.byzantine_manifest(config, &units, &session);
+        let mut repins = 0;
+        if let Some(m) = current
+            .as_ref()
+            .filter(|m| m.digest() != journal.manifest_digest)
+        {
+            extra += pin_cost(config.link, m);
+            repins = 1;
+        }
+        journal.ledger.resume += extra;
+        journal.outages += 1;
+        journal.resumes += 1;
+        journal.refetched_classes += u32::try_from(stale.len()).unwrap_or(u32::MAX);
+        let env = ReplayEnv {
+            config,
+            units: &units,
+            manifest: current.as_ref(),
+            stop_at: None,
+            repins,
+        };
+        self.replay(input, &env, journal).finished()
     }
 
     /// Charges the targeted invalidation of one stale class: refetch

@@ -834,6 +834,15 @@ fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
     } else {
         session.simulate(Input::Test, &config)
     };
+    // Checked in release too, as `chaos::run_scenario` does: a ledger
+    // whose buckets do not sum to the total is a fault, not a result.
+    if r.ledger.total() != r.total_cycles {
+        return Err(CliError::failed(format!(
+            "ledger inexact: total {} != bucket sum {}",
+            r.total_cycles,
+            r.ledger.total()
+        )));
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -2021,6 +2030,34 @@ mod tests {
             assert_eq!(err.code, 2);
             assert!(err.message.contains("1..=8"), "{}", err.message);
         }
+    }
+
+    #[test]
+    fn outage_cycles_that_would_overflow_the_ledger_are_a_usage_error() {
+        let max = ChaosScenario::MAX_CYCLES;
+        for cycles in [u64::MAX, max + 1] {
+            let cycles = cycles.to_string();
+            let flags = ["--outage-rate", "1000000", "--outage-cycles", &cycles];
+            let err = run_str(&[&["simulate", "hanoi"][..], &flags].concat()).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(
+                err.message
+                    .contains(&format!("--outage-cycles expects 0..={max}, got {cycles}")),
+                "{}",
+                err.message
+            );
+        }
+        let max = max.to_string();
+        let out = run_str(&[
+            "simulate",
+            "hanoi",
+            "--outage-rate",
+            "1000000",
+            "--outage-cycles",
+            &max,
+        ])
+        .expect("the ceiling itself runs");
+        assert!(out.contains("total:"), "{out}");
     }
 
     #[test]

@@ -174,6 +174,13 @@ pub struct ChaosScenario {
 }
 
 impl ChaosScenario {
+    /// The largest value a cycle-valued key may take: 2^40 cycles,
+    /// about 37 minutes on the 500 MHz Alpha. Far above any modelled
+    /// delay, and low enough that no sum the replay forms from these
+    /// knobs (a run's outages times their downtime, on top of its base
+    /// clock) can overflow a `u64`.
+    pub const MAX_CYCLES: u64 = 1 << 40;
+
     /// A scenario running `config` on `bench`, with the fleet, crash
     /// and disk dimensions absent.
     #[must_use]
@@ -541,14 +548,21 @@ impl ChaosScenario {
     /// Byzantine mirrors leave at least one honest mirror (a scenario
     /// without a replica set has one, the origin) and audit at most
     /// every unit (1e6 ppm); a fleet has 1..=64 clients and an ordered
-    /// shed ladder; and an active fleet is never interrupted (it has no
-    /// single journal to crash).
+    /// shed ladder; every cycle-valued key is at most
+    /// [`Self::MAX_CYCLES`]; and an active fleet is never interrupted
+    /// (it has no single journal to crash).
     ///
     /// # Errors
     ///
     /// The first rule broken, as a typed [`ScenarioError`].
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        fn within(key: &'static str, value: u32, min: u32, max: u32) -> Result<(), ScenarioError> {
+        fn within(
+            key: &'static str,
+            value: impl Into<u64>,
+            min: u64,
+            max: u64,
+        ) -> Result<(), ScenarioError> {
+            let value = value.into();
             if (min..=max).contains(&value) {
                 Ok(())
             } else {
@@ -568,7 +582,7 @@ impl ChaosScenario {
                 "replica.replicas",
                 rc.replicas,
                 1,
-                ReplicaConfig::MAX_REPLICAS,
+                ReplicaConfig::MAX_REPLICAS.into(),
             )
             .map(|()| rc.replicas)
         })?;
@@ -582,7 +596,12 @@ impl ChaosScenario {
             within("byz.audit_rate_pm", bc.audit_rate_pm, 0, 1_000_000)?;
         }
         if let Some(ov) = self.overload {
-            within("overload.clients", ov.clients, 1, OverloadDims::MAX_CLIENTS)?;
+            within(
+                "overload.clients",
+                ov.clients,
+                1,
+                OverloadDims::MAX_CLIENTS.into(),
+            )?;
             if let Some(l) = ov.ladder {
                 ShedLadder::new(l.drop_hedges, l.force_strict, l.shed).map_err(|_| {
                     ScenarioError::BadValue {
@@ -591,6 +610,25 @@ impl ChaosScenario {
                     }
                 })?;
             }
+        }
+        let cycles = |key, value: u64| within(key, value, 0, Self::MAX_CYCLES);
+        if let Some(f) = self.config.faults {
+            cycles("fault.reconnect_cycles", f.reconnect_cycles)?;
+        }
+        if let Some(oc) = self.config.outages {
+            cycles("outage.min_cycles", oc.min_cycles)?;
+            cycles("outage.max_cycles", oc.max_cycles)?;
+            cycles("outage.negotiation_cycles", oc.negotiation_cycles)?;
+        }
+        if let Some(rc) = self.config.replicas {
+            cycles("replica.hedge_deadline_cycles", rc.hedge_deadline_cycles)?;
+            if let Some(kill) = rc.kill {
+                cycles("replica.kill", kill.at_cycle)?;
+            }
+        }
+        if let Some(i) = self.interrupt {
+            cycles("interrupt.at_cycle", i.at_cycle)?;
+            cycles("interrupt.downtime", i.outage_cycles)?;
         }
         if self.active_overload().is_some() && self.interrupt.is_some() {
             return Err(ScenarioError::Conflict(
@@ -625,16 +663,16 @@ pub enum ScenarioError {
     /// A required key is missing (or a dependent key appeared without
     /// its section anchor).
     MissingKey(&'static str),
-    /// A count or rate outside its key's range.
+    /// A count, rate or cycle count outside its key's range.
     OutOfRange {
         /// The offending key.
         key: &'static str,
         /// The value given.
-        value: u32,
+        value: u64,
         /// Smallest legal value.
-        min: u32,
+        min: u64,
         /// Largest legal value.
-        max: u32,
+        max: u64,
     },
     /// Every mirror of the replica set is Byzantine: the origin-pinned
     /// manifest's refetch path has no honest mirror to fail over to.
@@ -1616,7 +1654,7 @@ mod tests {
         ));
         // Counts and rates outside their ranges are rejected, never
         // clamped, allocated for, or run.
-        let out_of_range = |body: &str, key: &'static str, value: u32, min: u32, max: u32| {
+        let out_of_range = |body: &str, key: &'static str, value: u64, min: u64, max: u64| {
             assert_eq!(
                 ChaosScenario::decode(&format!("NSCR 1\nbench = hanoi\n{body}")),
                 Err(ScenarioError::OutOfRange {
@@ -1644,6 +1682,29 @@ mod tests {
             1_000_001,
             0,
             1_000_000,
+        );
+        // Cycle-valued keys stop where a replay's sums could overflow.
+        let max = ChaosScenario::MAX_CYCLES;
+        for key in [
+            "outage.max_cycles",
+            "outage.min_cycles",
+            "outage.negotiation_cycles",
+            "fault.reconnect_cycles",
+            "replica.hedge_deadline_cycles",
+            "interrupt.at_cycle",
+            "interrupt.downtime",
+        ] {
+            out_of_range(&format!("{key} = {}\n", u64::MAX), key, u64::MAX, 0, max);
+            out_of_range(&format!("{key} = {}\n", max + 1), key, max + 1, 0, max);
+            let body = format!("NSCR 1\nbench = hanoi\n{key} = {max}\n");
+            assert!(ChaosScenario::decode(&body).is_ok(), "{body}");
+        }
+        out_of_range(
+            &format!("replica.seed = 1\nreplica.kill = 0@{}\n", max + 1),
+            "replica.kill",
+            max + 1,
+            0,
+            max,
         );
         // At least one mirror stays honest.
         for body in [

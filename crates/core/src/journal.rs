@@ -158,6 +158,19 @@ pub struct SessionJournal {
     pub fetch_log: Vec<FetchRecord>,
 }
 
+/// The largest clock, and the largest ledger total, a replayable
+/// checkpoint may carry: 2^48 cycles, about six days on the 500 MHz
+/// Alpha. From there a replay adds at most the rest of one run plus the
+/// downtime of the outages it crosses, whose knobs are bounded by
+/// [`crate::chaos::ChaosScenario::MAX_CYCLES`], so no sum overflows.
+pub const MAX_CHECKPOINT_CYCLES: u64 = 1 << 48;
+
+/// The largest stall, outage, resume or refetch count a replayable
+/// checkpoint may carry. A replay adds at most one stall per trace
+/// event, one outage and resume per outage it crosses and one refetch
+/// per class, which stays far below `u32::MAX` from here.
+pub const MAX_CHECKPOINT_COUNT: u32 = 1 << 30;
+
 /// The server's view of the session: current layout epochs to validate
 /// a returning client's checkpoint against.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -578,9 +591,12 @@ impl SessionJournal {
     /// naming a class or unit that does not exist (`unit_counts[c]`
     /// units in class `c`), a next event beyond the `trace_len`-event
     /// trace, a method resolved but never verified, or a method linker
-    /// bit in a class whose prelude never arrived. The frame CRC is not
-    /// a MAC, so a forged record can be well framed and still out of
-    /// shape; replay must never continue from it.
+    /// bit in a class whose prelude never arrived. It also rejects a
+    /// clock or ledger above [`MAX_CHECKPOINT_CYCLES`] and a counter
+    /// above [`MAX_CHECKPOINT_COUNT`], which the replay could not
+    /// advance without overflow. The frame CRC is not a MAC, so a
+    /// forged record can be well framed and still out of shape; replay
+    /// must never continue from it.
     ///
     /// # Errors
     ///
@@ -593,6 +609,23 @@ impl SessionJournal {
         let malformed = |why| Err(StoreError::Malformed { what: WHAT, why });
         if self.next_event > trace_len as u64 {
             return malformed("next event beyond the trace");
+        }
+        if self.clock > MAX_CHECKPOINT_CYCLES {
+            return malformed("clock beyond the cycle ceiling");
+        }
+        let booked =
+            (self.ledger.buckets().iter()).try_fold(0u64, |sum, &(_, c)| sum.checked_add(c));
+        if booked.is_none_or(|total| total > MAX_CHECKPOINT_CYCLES) {
+            return malformed("ledger beyond the cycle ceiling");
+        }
+        let counts = [
+            self.stalls,
+            self.outages,
+            self.resumes,
+            self.refetched_classes,
+        ];
+        if counts.iter().any(|&n| n > MAX_CHECKPOINT_COUNT) {
+            return malformed("counter beyond the count ceiling");
         }
         for f in &self.fetch_log {
             match unit_counts.get(f.class as usize) {
@@ -903,6 +936,48 @@ mod tests {
             sample().check_replayable(&units, 16),
             malformed("next event beyond the trace")
         );
+    }
+
+    #[test]
+    fn replay_state_the_replay_cannot_advance_is_malformed() {
+        let units = [2, 10];
+        let malformed = |why| Err(StoreError::Malformed { what: WHAT, why });
+        let clock = malformed("clock beyond the cycle ceiling");
+        let ledger = malformed("ledger beyond the cycle ceiling");
+        let counter = malformed("counter beyond the count ceiling");
+        let mut j = sample();
+        j.clock = MAX_CHECKPOINT_CYCLES;
+        assert_eq!(j.check_replayable(&units, 17), Ok(()), "the ceiling itself");
+        j.clock = u64::MAX - 5;
+        assert_eq!(j.check_replayable(&units, 17), clock);
+        let mut j = sample();
+        j.ledger.stall = MAX_CHECKPOINT_CYCLES;
+        assert_eq!(j.check_replayable(&units, 17), ledger, "one bucket over");
+        let mut j = sample();
+        j.ledger.exec = u64::MAX;
+        j.ledger.resume = u64::MAX;
+        assert_eq!(j.check_replayable(&units, 17), ledger, "a sum that wraps");
+        let mut j = sample();
+        j.ledger = CycleLedger {
+            exec: MAX_CHECKPOINT_CYCLES / 2,
+            integrity: MAX_CHECKPOINT_CYCLES / 2 + 1,
+            ..CycleLedger::default()
+        };
+        assert_eq!(
+            j.check_replayable(&units, 17),
+            ledger,
+            "buckets over in sum"
+        );
+        for field in 0..4 {
+            let mut j = sample();
+            *[
+                &mut j.stalls,
+                &mut j.outages,
+                &mut j.resumes,
+                &mut j.refetched_classes,
+            ][field] = u32::MAX;
+            assert_eq!(j.check_replayable(&units, 17), counter, "counter {field}");
+        }
     }
 
     #[test]

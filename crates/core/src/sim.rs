@@ -887,6 +887,11 @@ impl Session {
                 return self.restart_fail_closed(input, config, downtime, true)
             }
         };
+        let unit_counts: Vec<usize> = units.iter().map(ClassUnits::unit_count).collect();
+        let trace_len = self.collected(input).trace.events().len();
+        if journal.check_replayable(&unit_counts, trace_len).is_err() {
+            return self.restart_fail_closed(input, config, downtime, true);
+        }
         if config.is_baseline() {
             // The sequential download resumes from its byte watermark:
             // nothing pre-crash is lost or redone.
@@ -897,11 +902,6 @@ impl Session {
             r.outage.outages += journal.outages + 1;
             r.outage.resumes += journal.resumes + 1;
             return r;
-        }
-        let unit_counts: Vec<usize> = units.iter().map(ClassUnits::unit_count).collect();
-        let trace_len = self.collected(input).trace.events().len();
-        if journal.check_replayable(&unit_counts, trace_len).is_err() {
-            return self.restart_fail_closed(input, config, downtime, true);
         }
         // The reconnect itself lands in the checkpoint before the replay
         // continues from it: the downtime, the targeted refetch of stale
@@ -1422,6 +1422,26 @@ mod tests {
         let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
         let mut journal = midway_checkpoint(&s, &config);
         journal.next_event = u64::MAX;
+        let r = s.resume(Input::Test, &config, &journal.in_memory(), 1_000);
+        assert_failed_closed(&s, &r, 1_000);
+    }
+
+    #[test]
+    fn forged_clock_fails_closed_instead_of_panicking() {
+        let s = session();
+        let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
+        let mut journal = midway_checkpoint(&s, &config);
+        journal.clock = u64::MAX - 5;
+        let r = s.resume(Input::Test, &config, &journal.in_memory(), 1_000);
+        assert_failed_closed(&s, &r, 1_000);
+    }
+
+    #[test]
+    fn forged_outage_count_fails_closed_instead_of_panicking() {
+        let s = session();
+        let config = SimConfig::non_strict(Link::MODEM_28_8, OrderingSource::StaticCallGraph);
+        let mut journal = midway_checkpoint(&s, &config);
+        journal.outages = u32::MAX;
         let r = s.resume(Input::Test, &config, &journal.in_memory(), 1_000);
         assert_failed_closed(&s, &r, 1_000);
     }

@@ -44,14 +44,24 @@
 //! reload — `nonstrict-store` re-verifies every cached unit against
 //! the pinned manifest digest before it is offered back — so the
 //! fail-closed invariant survives the round trip through disk.
+//!
+//! Each unit costs one pass over its bytes. A connection reads every
+//! frame into one buffer it reuses, keeps a `Unit` as a slice of that
+//! buffer, and checks it with one fused loop
+//! (`crc::unit_sums`) that yields the frame CRC, the payload's
+//! own CRC for [`ClientReport::unit_crcs`] and the content digest. The
+//! checks still run in the fail-closed order: CRC (stream fault), then
+//! order (order violation), then digest (quarantine), then acceptance.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::crc::crc32;
-use crate::frame::{read_frame, ClassAdvert, EvictReason, Frame, FrameError, ResumeEntry};
-use crate::manifest::{content_digest_of, UnitManifest};
+use crate::frame::{
+    read_frame_into, ClassAdvert, EvictReason, Frame, FrameError, FrameView, ResumeEntry, UnitFrame,
+};
+use crate::manifest::UnitManifest;
 
 /// Capacity of the buffer a connection reads its frames through. One
 /// socket read refills it, so a run of small unit frames costs one read
@@ -60,8 +70,8 @@ pub const READ_BUFFER_BYTES: usize = 64 * 1024;
 
 /// The reader a client connection reads its Welcome and every later
 /// frame through. Each refill is one read of `inner`, so a socket's read
-/// timeout still bounds every wait, and [`crate::frame::read_frame`]
-/// still checks a frame's length cap before allocating its body.
+/// timeout still bounds every wait, and [`crate::frame::read_frame_into`]
+/// still checks a frame's length cap before growing its buffer.
 pub fn frame_reader<R: Read>(inner: R) -> BufReader<R> {
     BufReader::with_capacity(READ_BUFFER_BYTES, inner)
 }
@@ -455,6 +465,7 @@ pub struct WireClient {
     store: Option<Box<dyn SessionStore>>,
 }
 
+#[derive(Debug)]
 enum Attempt {
     Done,
     /// Back off this mirror and reconnect (possibly elsewhere).
@@ -707,12 +718,15 @@ impl WireClient {
             };
         }
 
-        // Everything the server sends is read through one buffer, which
-        // this connection owns: a reconnect starts a fresh one, and any
+        // Everything the server sends is read through one buffer, and
+        // each frame is read out of it into a second one; this
+        // connection owns both, so a reconnect starts fresh, and any
         // bytes still buffered are dropped with the connection.
         let mut reader = frame_reader(&stream);
+        let mut frame = Vec::new();
         // First response decides the session: Welcome, Retry, or Evict.
-        let mut expected: Vec<u32> = match read_frame(&mut reader) {
+        let first = read_frame_into(&mut reader, &mut frame).and_then(Frame::decode);
+        let mut expected: Vec<u32> = match first.map(|(f, _)| f) {
             Ok(Frame::Welcome {
                 generation,
                 manifest_epoch,
@@ -778,83 +792,26 @@ impl WireClient {
         };
 
         loop {
-            match read_frame(&mut reader) {
-                Ok(Frame::Unit {
-                    class,
-                    unit,
-                    payload,
-                }) => {
-                    let ci = class as usize;
-                    if ci >= self.classes.len() || unit != expected[ci] {
-                        // Out-of-order or out-of-range: fail closed.
-                        // Nothing is journaled; the reconnect resumes
-                        // from the last good boundary.
-                        self.report.order_violations += 1;
-                        return Attempt::Backoff {
-                            hint: Duration::ZERO,
-                            decay: true,
-                        };
-                    }
-                    let pin = self.pin.as_ref().expect("welcome pinned before units");
-                    let Some(&want) = pin.digests.get(ci).and_then(|d| d.get(unit as usize)) else {
-                        self.report.order_violations += 1;
-                        return Attempt::Backoff {
-                            hint: Duration::ZERO,
-                            decay: true,
-                        };
-                    };
-                    if content_digest_of(pin.epoch, class, unit, &payload) != want {
-                        // The frame CRC passed — whoever forged the
-                        // bytes re-sealed it — but the bytes don't hash
-                        // to the *pinned* manifest entry. This mirror
-                        // is serving a different program: quarantine.
-                        self.report.digest_rejects += 1;
-                        return Attempt::Quarantine;
-                    }
-                    if let Err(e) = self.accept_unit(mi, ci, &payload) {
-                        return Attempt::Fatal(ClientError::Store {
-                            op: e.op,
-                            detail: e.detail,
-                        });
-                    }
-                    expected[ci] += 1;
-                    if let Some(k) = self.config.kill_after_units {
-                        if self.delivered_total >= k {
-                            // The process-crash probe: die for good at
-                            // this unit boundary. The journal keeps
-                            // everything accepted so far.
-                            return Attempt::Fatal(ClientError::Killed {
-                                delivered: self.delivered_total,
-                            });
-                        }
-                    }
-                    if let Some(k) = self.config.disconnect_after_units {
-                        if !self.disconnect_fired && self.delivered_total >= k {
-                            // The crash-anywhere probe: die exactly at
-                            // this unit boundary, once.
-                            self.disconnect_fired = true;
-                            self.report.stream_faults += 1;
-                            return Attempt::Backoff {
-                                hint: Duration::ZERO,
-                                decay: true,
-                            };
-                        }
+            match read_frame_into(&mut reader, &mut frame).and_then(FrameView::parse) {
+                Ok(FrameView::Unit(unit)) => {
+                    if let Some(end) = self.on_unit(mi, &unit, &mut expected) {
+                        return end;
                     }
                 }
-                Ok(Frame::Evict {
+                Ok(FrameView::Other(Frame::Evict {
                     reason: EvictReason::Incompatible,
                     ..
-                }) => return Attempt::Fatal(ClientError::Incompatible),
-                Ok(Frame::Evict {
+                })) => return Attempt::Fatal(ClientError::Incompatible),
+                Ok(FrameView::Other(Frame::Evict {
                     resume_after_ms, ..
-                }) => {
+                })) => {
                     self.report.evictions += 1;
                     return Attempt::Backoff {
                         hint: Duration::from_millis(u64::from(resume_after_ms)),
                         decay: true,
                     };
                 }
-                Ok(Frame::Bye { .. }) => {
+                Ok(FrameView::Other(Frame::Bye { .. })) => {
                     if !self.classes.is_empty()
                         && self.classes.iter().all(|c| c.delivered == c.units)
                     {
@@ -868,7 +825,7 @@ impl WireClient {
                         decay: true,
                     };
                 }
-                Ok(_) => {
+                Ok(FrameView::Other(_)) => {
                     self.report.order_violations += 1;
                     return Attempt::Backoff {
                         hint: Duration::ZERO,
@@ -878,6 +835,70 @@ impl WireClient {
                 Err(e) => return self.stream_fault(e),
             }
         }
+    }
+
+    /// Takes one Unit frame, fail-closed in this order: a bad CRC is a
+    /// stream fault; then an out-of-order or out-of-range unit is an
+    /// order violation; then bytes that do not hash to the pinned
+    /// manifest entry quarantine the mirror; only then is the unit
+    /// accepted. Returns how the attempt ends, or `None` to read on.
+    fn on_unit(&mut self, mi: usize, frame: &UnitFrame, expected: &mut [u32]) -> Option<Attempt> {
+        let pin = self.pin.as_ref().expect("welcome pinned before units");
+        let sums = match frame.check(pin.epoch) {
+            Ok(sums) => sums,
+            Err(e) => return Some(self.stream_fault(e)),
+        };
+        let (class, unit) = (frame.class, frame.unit);
+        let ci = class as usize;
+        let want = pin.digests.get(ci).and_then(|d| d.get(unit as usize));
+        let Some(&want) = want.filter(|_| expected.get(ci) == Some(&unit)) else {
+            // Out-of-order or out-of-range: fail closed. Nothing is
+            // journaled; the reconnect resumes from the last good
+            // boundary.
+            self.report.order_violations += 1;
+            return Some(Attempt::Backoff {
+                hint: Duration::ZERO,
+                decay: true,
+            });
+        };
+        if sums.digest != want {
+            // The frame CRC passed — whoever forged the bytes re-sealed
+            // it — but the bytes don't hash to the *pinned* manifest
+            // entry. This mirror is serving a different program:
+            // quarantine.
+            self.report.digest_rejects += 1;
+            return Some(Attempt::Quarantine);
+        }
+        if let Err(e) = self.accept_unit(mi, ci, frame.payload, sums.payload_crc) {
+            return Some(Attempt::Fatal(ClientError::Store {
+                op: e.op,
+                detail: e.detail,
+            }));
+        }
+        expected[ci] += 1;
+        if let Some(k) = self.config.kill_after_units {
+            if self.delivered_total >= k {
+                // The process-crash probe: die for good at this unit
+                // boundary. The journal keeps everything accepted so
+                // far.
+                return Some(Attempt::Fatal(ClientError::Killed {
+                    delivered: self.delivered_total,
+                }));
+            }
+        }
+        if let Some(k) = self.config.disconnect_after_units {
+            if !self.disconnect_fired && self.delivered_total >= k {
+                // The crash-anywhere probe: die exactly at this unit
+                // boundary, once.
+                self.disconnect_fired = true;
+                self.report.stream_faults += 1;
+                return Some(Attempt::Backoff {
+                    hint: Duration::ZERO,
+                    decay: true,
+                });
+            }
+        }
+        None
     }
 
     fn stream_fault(&mut self, _e: FrameError) -> Attempt {
@@ -1021,14 +1042,26 @@ impl WireClient {
                     }
                 }
             }
+            // Room for every unit the class still streams, so accepting
+            // one never reallocates. The count is the pinned manifest's,
+            // checked against the advert above.
+            let room = (advert.units as usize).saturating_sub(class.crcs.len());
+            class.crcs.reserve_exact(room);
+            class.sizes.reserve_exact(room);
             expected.push(advert.start);
         }
         Adopt::Go(expected)
     }
 
-    fn accept_unit(&mut self, mi: usize, ci: usize, payload: &[u8]) -> Result<(), StoreFault> {
+    fn accept_unit(
+        &mut self,
+        mi: usize,
+        ci: usize,
+        payload: &[u8],
+        crc: u32,
+    ) -> Result<(), StoreFault> {
         let class = &mut self.classes[ci];
-        class.crcs.push(crc32(payload));
+        class.crcs.push(crc);
         class
             .sizes
             .push(u32::try_from(payload.len()).unwrap_or(u32::MAX));
@@ -1080,6 +1113,135 @@ fn backoff_delay(base: Duration, cap: Duration, consecutive_failures: u32) -> Du
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One attempt against a fake mirror that answers the Hello with
+    /// the `tiny` plan's Welcome followed by `frames`, then holds the
+    /// connection open until the client hangs up (so the attempt ends on
+    /// what the frames did, never on an early EOF).
+    fn attempt_against(frames: Vec<u8>) -> (WireClient, Attempt) {
+        use std::net::TcpListener;
+        let plan = crate::server::tests::tiny_plan();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mirror = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().expect("accept");
+            crate::frame::read_frame(&mut peer).expect("hello");
+            let mut out = Frame::Welcome {
+                generation: plan.generation,
+                manifest_epoch: plan.manifest_epoch,
+                manifest: plan.manifest.clone(),
+                classes: plan.negotiate(&[]),
+            }
+            .encode();
+            out.extend_from_slice(&frames);
+            peer.write_all(&out).expect("frames");
+            let _ = peer.read(&mut [0u8; 1]);
+        });
+        let mut client = WireClient::new(ClientConfig::new(addr, "tiny"));
+        let end = client.attempt(0);
+        mirror.join().expect("mirror");
+        (client, end)
+    }
+
+    /// `tiny`'s unit `unit` of class 0, with `payload` in place of its
+    /// bytes when given, under a valid frame CRC.
+    fn tiny_unit(unit: u32, payload: Option<&[u8]>) -> Vec<u8> {
+        let plan = crate::server::tests::tiny_plan();
+        let bytes = payload.unwrap_or(&plan.classes[0].units[unit as usize]);
+        Frame::Unit {
+            class: 0,
+            unit,
+            payload: bytes.to_vec(),
+        }
+        .encode()
+    }
+
+    #[test]
+    fn a_corrupted_unit_frame_is_a_stream_fault_before_anything_else() {
+        // Byte 5 is the class id: flipped, the frame also names a class
+        // that does not exist, which must not count as an order
+        // violation. Byte 13 is the payload: flipped, the bytes also
+        // miss their digest, which must not quarantine the mirror.
+        for at in [5, 13] {
+            let mut frame = tiny_unit(0, None);
+            frame[at] ^= 0x40;
+            let (client, end) = attempt_against(frame);
+            assert!(
+                matches!(end, Attempt::Backoff { decay: true, .. }),
+                "{at}: {end:?}"
+            );
+            let r = &client.report;
+            assert_eq!(r.stream_faults, 1, "flip at {at}");
+            assert_eq!(
+                (r.order_violations, r.digest_rejects),
+                (0, 0),
+                "flip at {at}"
+            );
+            assert_eq!(client.delivered_total, 0);
+        }
+    }
+
+    #[test]
+    fn an_out_of_order_unit_is_an_order_violation_before_a_digest_check() {
+        let (client, end) = attempt_against(tiny_unit(1, Some(b"forged and early")));
+        assert!(
+            matches!(end, Attempt::Backoff { decay: true, .. }),
+            "{end:?}"
+        );
+        let r = &client.report;
+        assert_eq!(
+            (r.stream_faults, r.order_violations, r.digest_rejects),
+            (0, 1, 0)
+        );
+    }
+
+    #[test]
+    fn a_forged_unit_under_a_valid_crc_quarantines_its_mirror() {
+        let (client, end) = attempt_against(tiny_unit(0, Some(b"prelude bytez")));
+        assert!(matches!(end, Attempt::Quarantine), "{end:?}");
+        let r = &client.report;
+        assert_eq!(
+            (r.stream_faults, r.order_violations, r.digest_rejects),
+            (0, 0, 1)
+        );
+        assert_eq!(client.delivered_total, 0, "a forged unit is never accepted");
+    }
+
+    #[test]
+    fn a_unit_frame_too_short_for_its_ids_is_a_stream_fault() {
+        for len in 0..8u32 {
+            let mut frame = vec![crate::frame::KIND_UNIT];
+            frame.extend_from_slice(&len.to_le_bytes());
+            frame.resize(5 + len as usize, 0);
+            let crc = crc32(&frame);
+            frame.extend_from_slice(&crc.to_le_bytes());
+            let (client, end) = attempt_against(frame);
+            assert!(
+                matches!(end, Attempt::Backoff { decay: true, .. }),
+                "{len}: {end:?}"
+            );
+            let r = &client.report;
+            assert_eq!((r.stream_faults, r.order_violations), (1, 0), "len {len}");
+        }
+    }
+
+    #[test]
+    fn honest_units_are_accepted_with_their_payload_crcs() {
+        let mut frames = tiny_unit(0, None);
+        frames.extend(tiny_unit(1, None));
+        frames.extend(
+            Frame::Bye {
+                classes: 1,
+                bytes: 0,
+            }
+            .encode(),
+        );
+        let (client, end) = attempt_against(frames);
+        assert!(matches!(end, Attempt::Done), "{end:?}");
+        let plan = crate::server::tests::tiny_plan();
+        let want: Vec<u32> = plan.classes[0].units.iter().map(|u| crc32(u)).collect();
+        assert_eq!(client.classes[0].crcs, want);
+    }
 
     #[test]
     fn backoff_doubles_and_caps() {

@@ -15,6 +15,12 @@
 //! artifacts written before it still verify. The tests keep that
 //! bitwise loop as the oracle and compare the two on every chunk-tail
 //! shape.
+//!
+//! The wire client checks each unit with `unit_sums`, which runs the
+//! frame CRC, the payload's own CRC and the FNV-1a content digest in
+//! one loop over the payload instead of three.
+
+use crate::manifest::{digest_fold, digest_step};
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -57,30 +63,90 @@ const fn tables() -> [[u32; 256]; 8] {
 /// ```
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &TABLES;
-    let mut crc = !0u32;
+    !update(!0, data)
+}
+
+/// The CRC register after `data`, continuing from register `crc` (the
+/// un-inverted state; a fresh CRC starts from `!0`).
+fn update(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        crc = step8(crc, c);
     }
-    for &byte in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
+    chunks.remainder().iter().fold(crc, |crc, &b| step1(crc, b))
+}
+
+/// Folds one 8-byte chunk into the register: the slicing-by-8 step.
+#[inline]
+fn step8(crc: u32, c: &[u8]) -> u32 {
+    let t = &TABLES;
+    let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+    t[7][(lo & 0xff) as usize]
+        ^ t[6][((lo >> 8) & 0xff) as usize]
+        ^ t[5][((lo >> 16) & 0xff) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xff) as usize]
+        ^ t[2][((hi >> 8) & 0xff) as usize]
+        ^ t[1][((hi >> 16) & 0xff) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// Folds one byte into the register: the bytewise step.
+#[inline]
+fn step1(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize]
+}
+
+/// The three sums a `Unit` frame's payload is checked against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct UnitSums {
+    /// CRC32 of the frame up to its trailer: its header, then the
+    /// payload.
+    pub frame_crc: u32,
+    /// CRC32 of the payload alone (the client's per-unit report).
+    pub payload_crc: u32,
+    /// The payload's content digest, as
+    /// [`crate::manifest::content_digest_of`] computes it.
+    pub digest: u32,
+}
+
+/// Computes a unit's three sums in one pass over `payload`: the frame
+/// CRC continued from `frame_head` (the frame's bytes before the
+/// payload), the payload's own CRC, and the content digest continued
+/// from `digest_head` ([`crate::manifest::digest_head`] of the unit's
+/// key). The two CRC registers take table steps while the digest's
+/// multiply chain runs, so the pass costs about as much as the digest
+/// alone.
+#[must_use]
+pub(crate) fn unit_sums(frame_head: &[u8], digest_head: u64, payload: &[u8]) -> UnitSums {
+    let mut frame = update(!0, frame_head);
+    let mut own = !0u32;
+    let mut h = digest_head;
+    let mut chunks = payload.chunks_exact(8);
+    for c in &mut chunks {
+        frame = step8(frame, c);
+        own = step8(own, c);
+        for &b in c {
+            h = digest_step(h, b);
+        }
     }
-    !crc
+    for &b in chunks.remainder() {
+        frame = step1(frame, b);
+        own = step1(own, b);
+        h = digest_step(h, b);
+    }
+    UnitSums {
+        frame_crc: !frame,
+        payload_crc: !own,
+        digest: digest_fold(h),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::{content_digest_of, digest_head};
     use crate::SplitMix64;
 
     /// The bit-at-a-time definition, kept as the oracle.
@@ -132,6 +198,46 @@ mod tests {
             let len = usize::try_from(rng.below(64 * 1024 + 1)).expect("fits");
             let buf = random_bytes(&mut rng, len);
             assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {len}");
+        }
+    }
+
+    /// The fused pass against its three definitions: the frame CRC of
+    /// `head ‖ payload`, the payload's own CRC and its content digest.
+    fn assert_fused_matches(head: &[u8], payload: &[u8]) {
+        let (epoch, class, unit) = (0x1234_5678_9abc_def0, 7, 11);
+        let whole: Vec<u8> = head.iter().chain(payload).copied().collect();
+        assert_eq!(
+            unit_sums(head, digest_head(epoch, class, unit), payload),
+            UnitSums {
+                frame_crc: crc32(&whole),
+                payload_crc: crc32(payload),
+                digest: content_digest_of(epoch, class, unit, payload),
+            },
+            "head {}, payload {}",
+            head.len(),
+            payload.len()
+        );
+    }
+
+    #[test]
+    fn fused_unit_sums_match_their_definitions_on_every_chunk_tail() {
+        let buf = random_bytes(&mut SplitMix64(0xf05e), 256 + 8 + 13);
+        for start in 0..8 {
+            for len in 0..=256 {
+                let payload = &buf[13 + start..13 + start + len];
+                assert_fused_matches(&buf[..13], payload);
+                assert_fused_matches(&[], payload);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_unit_sums_match_their_definitions_on_seeded_buffers() {
+        let mut rng = SplitMix64(1998);
+        for _ in 0..32 {
+            let len = usize::try_from(rng.below(16 * 1024 + 1)).expect("fits");
+            let head = random_bytes(&mut rng, 13);
+            assert_fused_matches(&head, &random_bytes(&mut rng, len));
         }
     }
 

@@ -25,7 +25,8 @@
 use std::io::{self, Read};
 
 use crate::caps;
-use crate::crc::crc32;
+use crate::crc::{crc32, unit_sums, UnitSums};
+use crate::manifest::digest_head;
 
 /// Protocol version carried in every [`Frame::Hello`].
 ///
@@ -312,13 +313,21 @@ impl Frame {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded frame to `out`, after whatever it already
+    /// holds: a server encodes a batch of frames back to back into one
+    /// buffer and writes them together.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 version,
                 benchmark,
                 ordering,
                 resume,
-            } => seal(&mut out, KIND_HELLO, |p| {
+            } => seal(out, KIND_HELLO, |p| {
                 p.extend_from_slice(&HELLO_MAGIC);
                 p.extend_from_slice(&version.to_le_bytes());
                 let name = benchmark.as_bytes();
@@ -342,47 +351,27 @@ impl Frame {
                 manifest_epoch,
                 manifest,
                 classes,
-            } => seal(&mut out, KIND_WELCOME, |p| {
-                p.extend_from_slice(&generation.to_le_bytes());
-                p.extend_from_slice(&manifest_epoch.to_le_bytes());
-                p.extend_from_slice(
-                    &u32::try_from(manifest.len())
-                        .expect("manifest fits u32")
-                        .to_le_bytes(),
-                );
-                p.extend_from_slice(manifest);
-                p.extend_from_slice(
-                    &u32::try_from(classes.len())
-                        .expect("classes fit u32")
-                        .to_le_bytes(),
-                );
-                for c in classes {
-                    p.extend_from_slice(&c.epoch.to_le_bytes());
-                    p.extend_from_slice(&c.units.to_le_bytes());
-                    p.extend_from_slice(&c.start.to_le_bytes());
-                }
-            }),
-            Frame::Retry { after_ms } => seal(&mut out, KIND_RETRY, |p| {
+            } => append_welcome(out, *generation, *manifest_epoch, manifest, classes),
+            Frame::Retry { after_ms } => seal(out, KIND_RETRY, |p| {
                 p.extend_from_slice(&after_ms.to_le_bytes());
             }),
             Frame::Unit {
                 class,
                 unit,
                 payload,
-            } => encode_unit(&mut out, *class, *unit, payload),
+            } => append_unit(out, *class, *unit, payload),
             Frame::Evict {
                 reason,
                 resume_after_ms,
-            } => seal(&mut out, KIND_EVICT, |p| {
+            } => seal(out, KIND_EVICT, |p| {
                 p.push(reason.code());
                 p.extend_from_slice(&resume_after_ms.to_le_bytes());
             }),
-            Frame::Bye { classes, bytes } => seal(&mut out, KIND_BYE, |p| {
+            Frame::Bye { classes, bytes } => seal(out, KIND_BYE, |p| {
                 p.extend_from_slice(&classes.to_le_bytes());
                 p.extend_from_slice(&bytes.to_le_bytes());
             }),
         }
-        out
     }
 
     /// Decodes one frame from the front of `buf`, returning the frame
@@ -527,28 +516,58 @@ impl Frame {
     }
 }
 
-/// Writes one frame into `out`, replacing its contents: the kind byte,
-/// the length prefix, the payload that `payload` appends, and the CRC
-/// trailer.
+/// Appends one frame to `out`: the kind byte, the length prefix, the
+/// payload that `payload` appends, and the CRC trailer.
 fn seal(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
-    out.clear();
+    let at = out.len();
     out.push(kind);
     out.extend_from_slice(&[0; 4]);
     payload(out);
-    let len = out.len() - 5;
+    let len = out.len() - at - 5;
     debug_assert!(len <= MAX_FRAME_PAYLOAD, "honest frames fit");
-    out[1..5].copy_from_slice(&u32::try_from(len).expect("payload fits u32").to_le_bytes());
-    let crc = crc32(out);
+    out[at + 1..at + 5]
+        .copy_from_slice(&u32::try_from(len).expect("payload fits u32").to_le_bytes());
+    let crc = crc32(&out[at..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Encodes a [`Frame::Unit`] from borrowed bytes into `out`, replacing
-/// its contents. This is the one Unit layout: [`Frame::encode`] calls it
-/// too, so a server that keeps one `out` per connection writes exactly
-/// the bytes of `Frame::Unit { class, unit, payload }.encode()` without
-/// copying the payload into a frame first.
-pub fn encode_unit(out: &mut Vec<u8>, class: u32, unit: u32, payload: &[u8]) {
-    out.clear();
+/// Appends a [`Frame::Welcome`] built from borrowed parts to `out`: the
+/// one Welcome layout, which [`Frame::encode`] uses too.
+pub(crate) fn append_welcome(
+    out: &mut Vec<u8>,
+    generation: u32,
+    manifest_epoch: u64,
+    manifest: &[u8],
+    classes: &[ClassAdvert],
+) {
+    seal(out, KIND_WELCOME, |p| {
+        p.extend_from_slice(&generation.to_le_bytes());
+        p.extend_from_slice(&manifest_epoch.to_le_bytes());
+        p.extend_from_slice(
+            &u32::try_from(manifest.len())
+                .expect("manifest fits u32")
+                .to_le_bytes(),
+        );
+        p.extend_from_slice(manifest);
+        p.extend_from_slice(
+            &u32::try_from(classes.len())
+                .expect("classes fit u32")
+                .to_le_bytes(),
+        );
+        for c in classes {
+            p.extend_from_slice(&c.epoch.to_le_bytes());
+            p.extend_from_slice(&c.units.to_le_bytes());
+            p.extend_from_slice(&c.start.to_le_bytes());
+        }
+    });
+}
+
+/// Appends a [`Frame::Unit`] built from borrowed bytes to `out`: the one
+/// Unit layout, which [`Frame::encode`] uses too, so a server batching
+/// frames into one buffer writes exactly the bytes of
+/// `Frame::Unit { class, unit, payload }.encode()` without copying the
+/// payload into a frame first.
+pub fn append_unit(out: &mut Vec<u8>, class: u32, unit: u32, payload: &[u8]) {
     out.reserve(FRAME_OVERHEAD + 8 + payload.len());
     seal(out, KIND_UNIT, |p| {
         p.extend_from_slice(&class.to_le_bytes());
@@ -566,9 +585,9 @@ pub fn encode_unit(out: &mut Vec<u8>, class: u32, unit: u32, payload: &[u8]) {
 /// EOF; any decode variant on a hostile or torn frame. The length cap
 /// is enforced before the payload buffer is allocated.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
-    let whole = read_raw_frame(r)?;
-    let (frame, consumed) = Frame::decode(&whole)?;
-    debug_assert_eq!(consumed, whole.len());
+    let mut buf = Vec::new();
+    let (frame, consumed) = Frame::decode(read_frame_into(r, &mut buf)?)?;
+    debug_assert_eq!(consumed, buf.len());
     Ok(frame)
 }
 
@@ -581,6 +600,23 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
 /// [`FrameError::Io`]/[`FrameError::Truncated`] on stream failure;
 /// [`FrameError::Oversized`] (pre-allocation) on an absurd length.
 pub fn read_raw_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
+    let mut buf = Vec::new();
+    read_frame_into(r, &mut buf)?;
+    Ok(buf)
+}
+
+/// Reads one frame from `r` into `buf` and returns its bytes, unchecked.
+/// `buf` is meant to be reused from frame to frame: it grows to the
+/// largest frame read so far and is never zeroed again.
+///
+/// # Errors
+///
+/// [`FrameError::Io`]/[`FrameError::Truncated`] on stream failure;
+/// [`FrameError::Oversized`] on an absurd length, before `buf` grows.
+pub(crate) fn read_frame_into<'a>(
+    r: &mut impl Read,
+    buf: &'a mut Vec<u8>,
+) -> Result<&'a [u8], FrameError> {
     let mut header = [0u8; 5];
     r.read_exact(&mut header)?;
     let len = u32::from_le_bytes(header[1..5].try_into().expect("len")) as usize;
@@ -591,10 +627,89 @@ pub fn read_raw_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
             cap: MAX_FRAME_PAYLOAD as u64,
         });
     }
-    let mut whole = vec![0u8; FRAME_OVERHEAD + len];
+    let total = FRAME_OVERHEAD + len;
+    if buf.len() < total {
+        buf.resize(total, 0);
+    }
+    let whole = &mut buf[..total];
     whole[..5].copy_from_slice(&header);
     r.read_exact(&mut whole[5..])?;
     Ok(whole)
+}
+
+/// Bytes of a Unit frame before its payload: kind, length, class, unit.
+const UNIT_HEAD: usize = 5 + 8;
+
+/// A frame read into a reused buffer: a Unit stays borrowed from that
+/// buffer, and every other kind is decoded and CRC-checked.
+#[derive(Debug)]
+pub(crate) enum FrameView<'a> {
+    /// A Unit frame whose CRC is not checked yet.
+    Unit(UnitFrame<'a>),
+    /// Any other frame, decoded.
+    Other(Frame),
+}
+
+/// A Unit frame borrowed from the bytes it was read into. Nothing in it
+/// is trusted until [`UnitFrame::check`] has matched its CRC: the class
+/// and unit ids are read from unchecked bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UnitFrame<'a> {
+    /// Class index, as the frame claims it.
+    pub class: u32,
+    /// Unit index within the class, as the frame claims it.
+    pub unit: u32,
+    /// The unit's bytes.
+    pub payload: &'a [u8],
+    head: &'a [u8],
+    trailer: u32,
+}
+
+impl UnitFrame<'_> {
+    /// Checks the frame CRC and returns the payload's own CRC and its
+    /// content digest under `epoch`, all from one pass over the payload
+    /// (`crc::unit_sums`).
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::CrcMismatch`] when the trailer does not match.
+    pub(crate) fn check(&self, epoch: u64) -> Result<UnitSums, FrameError> {
+        let sums = unit_sums(
+            self.head,
+            digest_head(epoch, self.class, self.unit),
+            self.payload,
+        );
+        if sums.frame_crc == self.trailer {
+            Ok(sums)
+        } else {
+            Err(FrameError::CrcMismatch)
+        }
+    }
+}
+
+impl<'a> FrameView<'a> {
+    /// Views the bytes of one whole frame, as [`read_frame_into`]
+    /// returns them. A Unit frame with room for its class and unit ids
+    /// is borrowed; anything else goes through [`Frame::decode`], so a
+    /// shorter Unit frame fails closed there.
+    ///
+    /// # Errors
+    ///
+    /// Any [`Frame::decode`] error for a frame that is not borrowed.
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<FrameView<'a>, FrameError> {
+        if bytes.first() != Some(&KIND_UNIT) || bytes.len() < UNIT_HEAD + 4 {
+            return Frame::decode(bytes).map(|(frame, _)| FrameView::Other(frame));
+        }
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("len"));
+        let end = bytes.len() - 4;
+        Ok(FrameView::Unit(UnitFrame {
+            class: word(5),
+            unit: word(9),
+            payload: &bytes[UNIT_HEAD..end],
+            head: &bytes[..UNIT_HEAD],
+            trailer: word(end),
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -753,6 +868,40 @@ mod tests {
         let crc = crc32(&bytes[..crc_at]);
         bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(Frame::decode(&bytes), Err(FrameError::UnknownKind(0x7f)));
+    }
+
+    #[test]
+    fn a_unit_view_borrows_what_decode_owns_and_fails_closed_on_every_flip() {
+        let epoch = 0x1234_5678_9abc_def0;
+        for payload in [vec![], b"method bytes".to_vec(), vec![0x5a; 300]] {
+            let bytes = Frame::Unit {
+                class: 2,
+                unit: 5,
+                payload: payload.clone(),
+            }
+            .encode();
+            let Ok(FrameView::Unit(view)) = FrameView::parse(&bytes) else {
+                panic!("a unit frame is viewed, not decoded");
+            };
+            assert_eq!((view.class, view.unit, view.payload), (2, 5, &payload[..]));
+            let sums = view.check(epoch).expect("an honest frame checks");
+            assert_eq!(sums.payload_crc, crc32(&payload));
+            assert_eq!(
+                sums.digest,
+                crate::manifest::content_digest_of(epoch, 2, 5, &payload)
+            );
+            for i in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[i] ^= 0x40;
+                if let Ok(FrameView::Unit(view)) = FrameView::parse(&bad) {
+                    assert_eq!(
+                        view.check(epoch),
+                        Err(FrameError::CrcMismatch),
+                        "flip at {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

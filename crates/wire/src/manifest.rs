@@ -97,21 +97,45 @@ impl std::error::Error for ManifestError {}
 /// for every delivered `Unit` frame and compares against the pinned
 /// manifest entry — a forged payload of the *same size* under a
 /// re-sealed frame CRC still lands on a different digest.
+///
+/// The client computes the same value inside its one pass over a
+/// unit's bytes (`crc::unit_sums`), from the same head, step and fold
+/// helpers.
 #[must_use]
 pub fn content_digest_of(epoch: u64, class: u32, unit: u32, payload: &[u8]) -> u32 {
-    let mut h = FNV_OFFSET;
+    digest_fold(fnv(digest_head(epoch, class, unit), payload))
+}
+
+/// The content digest's state after its key: FNV-1a over `epoch`,
+/// `class` and `unit`, little-endian.
+#[must_use]
+pub(crate) fn digest_head(epoch: u64, class: u32, unit: u32) -> u64 {
     let mut head = [0u8; 16];
     head[..8].copy_from_slice(&epoch.to_le_bytes());
     head[8..12].copy_from_slice(&class.to_le_bytes());
     head[12..16].copy_from_slice(&unit.to_le_bytes());
-    for b in head.iter().chain(payload.iter()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    fnv(FNV_OFFSET, &head)
+}
+
+/// One FNV-1a step: folds `byte` into the state `h`.
+#[must_use]
+#[inline]
+pub(crate) fn digest_step(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds a 64-bit FNV-1a state to the 32-bit digest.
+#[must_use]
+#[inline]
+pub(crate) fn digest_fold(h: u64) -> u32 {
     #[allow(clippy::cast_possible_truncation)]
     {
         (h ^ (h >> 32)) as u32
     }
+}
+
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| digest_step(h, b))
 }
 
 /// The content-addressed unit manifest: one digest per transfer unit,
@@ -140,15 +164,7 @@ impl UnitManifest {
         buf[8..12].copy_from_slice(&class.to_le_bytes());
         buf[12..16].copy_from_slice(&unit.to_le_bytes());
         buf[16..24].copy_from_slice(&size.to_le_bytes());
-        let mut h = FNV_OFFSET;
-        for &b in &buf {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            (h ^ (h >> 32)) as u32
-        }
+        digest_fold(fnv(FNV_OFFSET, &buf))
     }
 
     /// Builds a manifest from per-class unit payloads using the

@@ -1,10 +1,14 @@
 //! The fault-tolerant transfer server.
 //!
 //! A small threaded accept/stream stack (std only): one thread per
-//! admitted connection, which encodes each unit from the plan's bytes
-//! into one buffer it reuses and writes every frame to the socket with
-//! one write; the socket send buffer is the bounded queue. The
-//! robustness ladder:
+//! admitted connection, which encodes its Welcome and then each unit,
+//! from the plan's bytes, back to back into one buffer it reuses, and
+//! writes that buffer with one `write_all` per [`WRITE_BATCH_BYTES`]
+//! instead of one per frame. It writes early before every pace wait,
+//! at the unit that fires the crash hook, and with the closing `Bye` or
+//! drain `Evict`; the bytes a client reads are those of one write per
+//! frame. The socket send buffer is the bounded queue. The robustness
+//! ladder:
 //!
 //! * **Accept-side admission**: a token bucket
 //!   ([`AdmissionController`]) gates new connections; when it is dry —
@@ -17,7 +21,7 @@
 //!   and the next write blocks the connection's thread until the peer
 //!   drains or the write deadline evicts it, so nothing buffers the
 //!   whole benchmark in memory.
-//! * **Slow-consumer eviction**: after every write the connection
+//! * **Slow-consumer eviction**: after every batch write the connection
 //!   checks its delivered bytes per second against a floor, past a
 //!   grace window; a client draining slower (a slow-loris keeping the
 //!   socket barely alive) is evicted.
@@ -36,8 +40,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::accept::{accept_until_stopped, StopSignal};
-use crate::frame::{encode_unit, read_frame, EvictReason, Frame};
+use crate::frame::{append_unit, append_welcome, read_frame, EvictReason, Frame};
 use crate::plan::ServePlan;
+
+/// Bytes of frames a connection batches before it writes them: one
+/// `write_all` per batch instead of one per frame. A batch ends at the
+/// frame that crosses this size, so it may run one frame over.
+pub const WRITE_BATCH_BYTES: usize = 16 * 1024;
 
 /// Tuning for a [`WireServer`].
 #[derive(Debug, Clone)]
@@ -505,45 +514,26 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         shared.stats.resumed.fetch_add(1, Ordering::Relaxed);
     }
 
-    // Each frame goes straight to the socket, whose send buffer and
-    // write deadline are the bounded queue and its backpressure. A write
-    // that hits its deadline or a breach of the byte-rate floor evicts
-    // a slow consumer at this frame boundary; a reset or closed peer
-    // just ends the connection.
-    let started = Instant::now();
-    let mut written = 0u64;
-    let mut send = |buf: &[u8]| -> bool {
-        if let Err(e) = (&stream).write_all(buf) {
-            if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
-                shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
-            }
-            return false;
-        }
-        written += buf.len() as u64;
-        let elapsed = started.elapsed();
-        if cfg.min_bytes_per_sec > 0 && elapsed >= cfg.slow_grace {
-            let floor = u128::from(cfg.min_bytes_per_sec) * elapsed.as_millis() / 1000;
-            if u128::from(written) < floor {
-                shared.stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return false;
-            }
-        }
-        true
+    // The Welcome and the units are encoded back to back into one
+    // buffer, written in batches; the socket's send buffer and write
+    // deadline are the bounded queue and its backpressure.
+    let mut out = Outbox {
+        stream: &stream,
+        shared,
+        buf: Vec::with_capacity(2 * WRITE_BATCH_BYTES),
+        units: 0,
+        bytes: 0,
+        written: 0,
+        started: Instant::now(),
     };
-    let welcome = Frame::Welcome {
-        generation: plan.generation,
-        manifest_epoch: plan.manifest_epoch,
-        manifest: plan.manifest.clone(),
-        classes: adverts.clone(),
-    };
-    let end = if send(&welcome.encode()) {
-        stream_units(&plan, &adverts, &mut send, shared)
-    } else {
-        StreamEnd::Aborted
-    };
-
-    match end {
+    append_welcome(
+        &mut out.buf,
+        plan.generation,
+        plan.manifest_epoch,
+        &plan.manifest,
+        &adverts,
+    );
+    match stream_units(&plan, &adverts, &mut out, shared) {
         StreamEnd::Completed => {
             let bytes: u64 = adverts
                 .iter()
@@ -551,37 +541,91 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 .flat_map(|(a, c)| c.units.iter().skip(a.start as usize))
                 .map(|u| u.len() as u64)
                 .sum();
-            let bye = Frame::Bye {
+            Frame::Bye {
                 classes: u32::try_from(plan.classes.len()).unwrap_or(u32::MAX),
                 bytes,
-            };
-            if send(&bye.encode()) {
+            }
+            .encode_into(&mut out.buf);
+            if out.flush() {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             }
         }
         StreamEnd::Drained => {
             shared.stats.evicted_drain.fetch_add(1, Ordering::Relaxed);
-            send(
-                &Frame::Evict {
-                    reason: EvictReason::Drain,
-                    resume_after_ms: cfg.resume_after_ms,
-                }
-                .encode(),
-            );
+            Frame::Evict {
+                reason: EvictReason::Drain,
+                resume_after_ms: cfg.resume_after_ms,
+            }
+            .encode_into(&mut out.buf);
+            out.flush();
         }
+        // A hard kill or a dead connection: the unwritten batch is
+        // dropped, and nothing more is said.
         StreamEnd::Aborted => {}
     }
 }
 
+/// A connection's one output buffer. Frames are encoded into it back to
+/// back and written by [`Outbox::flush`]; the units and payload bytes it
+/// holds count as sent once a flush has written them.
+struct Outbox<'a> {
+    stream: &'a TcpStream,
+    shared: &'a Shared,
+    buf: Vec<u8>,
+    /// Units batched in `buf`.
+    units: u64,
+    /// Payload bytes of those units.
+    bytes: u64,
+    /// Bytes written so far, for the slow-consumer floor.
+    written: u64,
+    started: Instant,
+}
+
+impl Outbox<'_> {
+    /// Writes the batch with one `write_all`. A write that hits its
+    /// deadline, or a breach of the byte-rate floor after it, evicts a
+    /// slow consumer; a reset or closed peer just ends the connection.
+    /// Returns whether the connection lives on.
+    fn flush(&mut self) -> bool {
+        let (cfg, stats) = (&self.shared.config, &self.shared.stats);
+        if let Err(e) = self.stream.write_all(&self.buf) {
+            if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
+                stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
+            }
+            return false;
+        }
+        self.written += self.buf.len() as u64;
+        self.buf.clear();
+        let units = std::mem::take(&mut self.units);
+        stats.units_sent.fetch_add(units, Ordering::Relaxed);
+        let bytes = std::mem::take(&mut self.bytes);
+        stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+        let elapsed = self.started.elapsed();
+        if cfg.min_bytes_per_sec > 0 && elapsed >= cfg.slow_grace {
+            let floor = u128::from(cfg.min_bytes_per_sec) * elapsed.as_millis() / 1000;
+            if u128::from(self.written) < floor {
+                stats.evicted_slow.fetch_add(1, Ordering::Relaxed);
+                let _ = self.stream.shutdown(std::net::Shutdown::Both);
+                return false;
+            }
+        }
+        true
+    }
+}
+
 /// Streams every unit the adverts leave to send, each encoded from the
-/// plan's own bytes into one buffer that the whole connection reuses.
+/// plan's own bytes into the connection's outbox, which is written
+/// whenever it holds [`WRITE_BATCH_BYTES`]. It is written early before
+/// every pace wait, so a paced session writes one unit at a time, and
+/// at the unit that reaches the crash hook, so exactly that many units
+/// are on the wire when the server dies.
 fn stream_units(
     plan: &ServePlan,
     adverts: &[crate::frame::ClassAdvert],
-    send: &mut impl FnMut(&[u8]) -> bool,
+    out: &mut Outbox,
     shared: &Shared,
 ) -> StreamEnd {
-    let mut buf = Vec::new();
+    let cfg = &shared.config;
     for (ci, class) in plan.classes.iter().enumerate() {
         let start = adverts[ci].start as usize;
         for (ui, payload) in class.units.iter().enumerate().skip(start) {
@@ -595,31 +639,28 @@ fn stream_units(
             if shared.stop.is_raised() {
                 return StreamEnd::Drained;
             }
-            encode_unit(
-                &mut buf,
+            append_unit(
+                &mut out.buf,
                 u32::try_from(ci).unwrap_or(u32::MAX),
                 u32::try_from(ui).unwrap_or(u32::MAX),
                 payload,
             );
-            if !send(&buf) {
+            out.units += 1;
+            out.bytes += payload.len() as u64;
+            let crash = cfg
+                .kill_after_units
+                .is_some_and(|k| shared.stats.units_sent.load(Ordering::Relaxed) + out.units >= k);
+            let due = crash || cfg.pace_per_unit.is_some() || out.buf.len() >= WRITE_BATCH_BYTES;
+            if due && !out.flush() {
                 return StreamEnd::Aborted;
             }
-            let sent_now = shared.stats.units_sent.fetch_add(1, Ordering::Relaxed) + 1;
-            shared
-                .stats
-                .bytes_sent
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            if shared
-                .config
-                .kill_after_units
-                .is_some_and(|k| sent_now >= k)
-            {
+            if crash {
                 // The seeded crash plan landed on this unit boundary:
                 // die server-wide, right now.
                 shared.kill();
                 return StreamEnd::Aborted;
             }
-            if let Some(pace) = shared.config.pace_per_unit {
+            if let Some(pace) = cfg.pace_per_unit {
                 // Drain, kill and drop raise the stop signal, which cuts
                 // the pace short; the loop head then sees why.
                 shared.stop.wait(pace);

@@ -74,11 +74,24 @@ fn crash_at_every_unit_boundary_matches_uninterrupted_run() {
 }
 
 /// The chaos proxy injects socket-level faults at several seeds; every
-/// client must still converge to the exact baseline payloads.
+/// client must still converge to the exact baseline payloads. A paced
+/// server writes one unit at a time, so the proxy sees a frame per
+/// write.
 #[test]
 fn chaos_seeds_converge_to_identical_payloads() {
+    chaos_seed_sweep(Some(Duration::from_micros(100)));
+}
+
+/// The same sweep against an unpaced server, which writes its frames in
+/// batches: the proxy's faults then land inside multi-frame writes.
+#[test]
+fn chaos_seeds_converge_against_a_batching_server() {
+    chaos_seed_sweep(None);
+}
+
+fn chaos_seed_sweep(pace_per_unit: Option<Duration>) {
     let server = hanoi_server(ServerConfig {
-        pace_per_unit: Some(Duration::from_micros(100)),
+        pace_per_unit,
         ..ServerConfig::default()
     });
     let addr = server.local_addr();

@@ -8,7 +8,7 @@ use std::io::Read;
 use nonstrict_core::build_plan;
 use nonstrict_core::model::OrderingSource;
 use nonstrict_wire::client::{frame_reader, READ_BUFFER_BYTES};
-use nonstrict_wire::frame::{encode_unit, read_frame};
+use nonstrict_wire::frame::{append_unit, read_frame};
 use nonstrict_wire::{
     crc32, ClientReport, Frame, FrameError, ResumeEntry, UnitManifest, MAX_FRAME_PAYLOAD,
     PROTOCOL_VERSION,
@@ -68,10 +68,11 @@ fn every_frame_kind_round_trips_with_real_content() {
         let mut reader = bytes.as_slice();
         assert_eq!(read_frame(&mut reader).expect("stream read"), frame);
     }
-    // The server encodes each unit from the plan's bytes into one buffer
-    // it reuses: whatever that buffer held before, its bytes must be
-    // exactly the owned frame's. The largest payload fills the frame to
-    // its cap, and comes first so every later frame reuses its buffer.
+    // The server appends each unit, from the plan's bytes, to one buffer
+    // it reuses and writes in batches: whatever that buffer held before,
+    // the bytes appended must be exactly the owned frame's. The largest
+    // payload fills the frame to its cap, and comes first so every later
+    // frame lands behind it.
     let largest = vec![0xa5; MAX_FRAME_PAYLOAD - 8];
     let units = plan.classes.iter().enumerate().flat_map(|(ci, class)| {
         (class.units.iter().enumerate()).map(move |(ui, p)| (ci as u32, ui as u32, p.as_slice()))
@@ -83,14 +84,15 @@ fn every_frame_kind_round_trips_with_real_content() {
         .chain(units)
         .chain([(1, 2, &[][..])])
     {
-        encode_unit(&mut buf, class, unit, payload);
+        let at = buf.len();
+        append_unit(&mut buf, class, unit, payload);
         let owned = Frame::Unit {
             class,
             unit,
             payload: payload.to_vec(),
         };
-        assert_eq!(buf, owned.encode(), "unit {class}/{unit}");
-        assert_eq!(Frame::decode(&buf), Ok((owned, buf.len())));
+        assert_eq!(buf[at..], owned.encode(), "unit {class}/{unit}");
+        assert_eq!(Frame::decode(&buf[at..]), Ok((owned, buf.len() - at)));
         encoded += 1;
     }
     assert_eq!(encoded, plan.total_units() + 2);

@@ -566,9 +566,9 @@ impl SessionJournal {
     /// no record survived (the checkpoint's append was torn away or
     /// never landed); otherwise the [`SessionJournal::decode`] error.
     pub fn load(log: &JournalLog) -> Result<SessionJournal, StoreError> {
-        let recovered = log.recover()?;
+        let recovered = log.recover(|_, frame| crc32(frame))?;
         let record = recovered
-            .records
+            .records()
             .last()
             .ok_or(StoreError::Truncated { what: WHAT })?;
         SessionJournal::decode(record)

@@ -23,6 +23,7 @@
 //! costs O(bytes), not O(bytes²). The log must be the only writer of
 //! its file; clones share what it remembers.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -42,16 +43,30 @@ pub const LOG_VERSION: u16 = 1;
 pub const MAX_RECORD_BYTES: u64 = 1 << 24;
 
 const HEADER_LEN: usize = 6;
-const FRAME_OVERHEAD: usize = 8; // len u32 + crc u32
+/// Bytes of a frame's length prefix, before its record.
+pub(crate) const LEN_PREFIX: usize = 4;
+const FRAME_OVERHEAD: usize = LEN_PREFIX + 4; // len u32 + crc u32
 
-/// What recovery found.
+/// What recovery found: the log's bytes, read once, and where each
+/// record sits in them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Recovered {
-    /// Every complete, CRC-valid record payload, in append order.
-    pub records: Vec<Vec<u8>>,
+    /// The log file's bytes up to the end of its last valid frame
+    /// (empty for an absent log).
+    pub bytes: Vec<u8>,
+    /// Each complete, CRC-valid record's range in `bytes`, in append
+    /// order.
+    pub spans: Vec<Range<usize>>,
     /// Bytes of torn tail that were truncated away (zero on a clean
     /// log).
     pub torn_bytes: u64,
+}
+
+impl Recovered {
+    /// Every surviving record's bytes, in append order.
+    pub fn records(&self) -> impl DoubleEndedIterator<Item = &[u8]> + ExactSizeIterator + '_ {
+        self.spans.iter().map(|span| &self.bytes[span.clone()])
+    }
 }
 
 /// What a [`JournalLog`] knows about its file's header.
@@ -93,7 +108,19 @@ impl JournalLog {
     /// [`StoreError::Oversized`] for a record beyond
     /// [`MAX_RECORD_BYTES`]; otherwise whatever the VFS reports.
     pub fn append_record(&self, payload: &[u8]) -> Result<(), StoreError> {
-        check_len(payload)?;
+        self.append_parts(&mut Vec::new(), &[payload])
+    }
+
+    /// [`append_record`](JournalLog::append_record) of the record
+    /// `parts` concatenated, framed in `frame`: a buffer the caller
+    /// keeps across appends, so a steady stream of appends allocates
+    /// nothing and copies each byte once before its one VFS append.
+    ///
+    /// # Errors
+    ///
+    /// As for [`append_record`](JournalLog::append_record).
+    pub fn append_parts(&self, frame: &mut Vec<u8>, parts: &[&[u8]]) -> Result<(), StoreError> {
+        check_len(parts.iter().map(|p| p.len()).sum())?;
         let mut state = self.header.load(Ordering::Relaxed);
         if state == HEADER_UNKNOWN {
             state = match self.vfs.read(&self.name) {
@@ -108,9 +135,9 @@ impl JournalLog {
         if state == HEADER_ABSENT {
             self.vfs.append(&self.name, &header())?;
         }
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-        push_frame(&mut frame, payload);
-        self.vfs.append(&self.name, &frame)?;
+        frame.clear();
+        push_frame(frame, parts);
+        self.vfs.append(&self.name, frame)?;
         self.set_header(HEADER_PRESENT);
         Ok(())
     }
@@ -127,9 +154,19 @@ impl JournalLog {
         Ok(())
     }
 
-    /// Scans the log, truncates a torn tail back to the last valid
-    /// frame (rewriting the file durably when it does), and returns
-    /// every surviving record.
+    /// Scans the log in one walk over its bytes, truncates a torn
+    /// tail back to the last valid frame (rewriting the file durably
+    /// when it does), and returns the bytes with every surviving
+    /// record's span.
+    ///
+    /// The per-frame check is a parameter: `frame_crc(at, frame)`
+    /// returns the CRC32 of `frame` — a complete frame's length prefix
+    /// and record, starting at byte `at` of [`Recovered::bytes`] — and
+    /// the walk compares it with the frame's trailer. It sees every
+    /// complete frame once, in log order. A plain caller passes
+    /// `|_, frame| crc32(frame)`; a caller that needs its own sums over
+    /// a record computes them in the same pass. When a check fails,
+    /// recovery fails, voiding everything the callback saw.
     ///
     /// An absent file is an empty log. A file too short to hold the
     /// header is all torn tail: it is removed and reported, because a
@@ -143,9 +180,12 @@ impl JournalLog {
     /// complete frame whose trailer disagrees (bit rot — nothing after
     /// it can be ordered, so nothing is trusted);
     /// [`StoreError::Oversized`] for a hostile declared length.
-    pub fn recover(&self) -> Result<Recovered, StoreError> {
+    pub fn recover(
+        &self,
+        mut frame_crc: impl FnMut(usize, &[u8]) -> u32,
+    ) -> Result<Recovered, StoreError> {
         self.set_header(HEADER_UNKNOWN);
-        let bytes = match self.vfs.read(&self.name) {
+        let mut bytes = match self.vfs.read(&self.name) {
             Ok(b) => b,
             Err(StoreError::NotFound { .. }) => {
                 self.set_header(HEADER_ABSENT);
@@ -158,8 +198,8 @@ impl JournalLog {
             // torn tail, nothing recoverable.
             self.remove()?;
             return Ok(Recovered {
-                records: Vec::new(),
                 torn_bytes: bytes.len() as u64,
+                ..Recovered::default()
             });
         }
         if bytes[..4] != LOG_MAGIC {
@@ -172,12 +212,11 @@ impl JournalLog {
                 version,
             });
         }
-        let mut records = Vec::new();
+        let mut spans = Vec::new();
         let mut pos = HEADER_LEN;
-        let mut good_end = pos;
         while pos < bytes.len() {
             let remaining = bytes.len() - pos;
-            if remaining < 4 {
+            if remaining < LEN_PREFIX {
                 break; // torn: not even a length prefix
             }
             let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len")) as usize;
@@ -191,28 +230,29 @@ impl JournalLog {
             if remaining < len + FRAME_OVERHEAD {
                 break; // torn: the frame never finished landing
             }
-            let frame_end = pos + 4 + len;
+            let frame_end = pos + LEN_PREFIX + len;
             let stored =
                 u32::from_le_bytes(bytes[frame_end..frame_end + 4].try_into().expect("len"));
-            if crc32(&bytes[pos..frame_end]) != stored {
+            if frame_crc(pos, &bytes[pos..frame_end]) != stored {
                 // The frame is fully present but wrong: that is rot or
                 // forgery, not a torn write. Fail closed — append order
                 // beyond this point cannot be trusted.
                 return Err(StoreError::CrcMismatch { what: "NSJL log" });
             }
-            records.push(bytes[pos + 4..frame_end].to_vec());
+            spans.push(pos + LEN_PREFIX..frame_end);
             pos = frame_end + 4;
-            good_end = pos;
         }
-        let torn_bytes = (bytes.len() - good_end) as u64;
+        let torn_bytes = (bytes.len() - pos) as u64;
         if torn_bytes > 0 {
             // Compact the torn tail away so the next append starts at a
             // frame boundary.
-            self.vfs.write_atomic(&self.name, &bytes[..good_end])?;
+            bytes.truncate(pos);
+            self.vfs.write_atomic(&self.name, &bytes)?;
         }
         self.set_header(HEADER_PRESENT);
         Ok(Recovered {
-            records,
+            bytes,
+            spans,
             torn_bytes,
         })
     }
@@ -227,8 +267,8 @@ impl JournalLog {
     pub fn rewrite(&self, records: &[Vec<u8>]) -> Result<(), StoreError> {
         let mut buf = header();
         for payload in records {
-            check_len(payload)?;
-            push_frame(&mut buf, payload);
+            check_len(payload.len())?;
+            push_frame(&mut buf, &[payload]);
         }
         self.set_header(HEADER_UNKNOWN);
         self.vfs.write_atomic(&self.name, &buf)?;
@@ -244,26 +284,27 @@ fn header() -> Vec<u8> {
     header
 }
 
-fn check_len(payload: &[u8]) -> Result<(), StoreError> {
-    if payload.len() as u64 > MAX_RECORD_BYTES {
+fn check_len(len: usize) -> Result<(), StoreError> {
+    if len as u64 > MAX_RECORD_BYTES {
         return Err(StoreError::Oversized {
             what: "log record",
-            declared: payload.len() as u64,
+            declared: len as u64,
             cap: MAX_RECORD_BYTES,
         });
     }
     Ok(())
 }
 
-/// Appends `len ‖ payload ‖ crc32(len ‖ payload)` to `buf`.
-fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+/// Appends `len ‖ payload ‖ crc32(len ‖ payload)` to `buf`, where
+/// `payload` is `parts` concatenated.
+fn push_frame(buf: &mut Vec<u8>, parts: &[&[u8]]) {
     let at = buf.len();
-    buf.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("cap fits u32")
-            .to_le_bytes(),
-    );
-    buf.extend_from_slice(payload);
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    buf.reserve(len + FRAME_OVERHEAD);
+    buf.extend_from_slice(&u32::try_from(len).expect("cap fits u32").to_le_bytes());
+    for part in parts {
+        buf.extend_from_slice(part);
+    }
     let crc = crc32(&buf[at..]);
     buf.extend_from_slice(&crc.to_le_bytes());
 }
@@ -275,6 +316,16 @@ mod tests {
 
     fn mem() -> Arc<FaultFs> {
         Arc::new(FaultFs::new(FaultKnobs::quiet(1)))
+    }
+
+    /// Recovers `log` with the plain frame check.
+    fn plain(log: &JournalLog) -> Result<Recovered, StoreError> {
+        log.recover(|_, frame| crc32(frame))
+    }
+
+    /// The records `recovered` holds, copied out.
+    fn records(recovered: &Recovered) -> Vec<Vec<u8>> {
+        recovered.records().map(<[u8]>::to_vec).collect()
     }
 
     /// An honest store that counts `read` calls.
@@ -325,14 +376,14 @@ mod tests {
             log.append_record(&[i]).unwrap();
         }
         assert_eq!(fs.reads(), 1, "later appends must not read the file");
-        let got = log.recover().unwrap();
-        assert_eq!(got.records.len(), 65);
-        assert_eq!(got.records[0], b"first".to_vec());
+        let got = plain(&log).unwrap();
+        assert_eq!(records(&got).len(), 65);
+        assert_eq!(records(&got)[0], b"first".to_vec());
         // A log that has recovered, rewritten or removed its file knows
         // the header state without a probe.
         for step in 0..3 {
             match step {
-                0 => drop(log.recover().unwrap()),
+                0 => drop(plain(&log).unwrap()),
                 1 => log.rewrite(&[b"kept".to_vec()]).unwrap(),
                 _ => log.remove().unwrap(),
             }
@@ -350,31 +401,31 @@ mod tests {
         // A clone shares what the log knows about its file.
         log.clone().remove().unwrap();
         log.append_record(b"fresh").unwrap();
-        assert_eq!(log.recover().unwrap().records, vec![b"fresh".to_vec()]);
+        assert_eq!(records(&plain(&log).unwrap()), vec![b"fresh".to_vec()]);
         log.rewrite(&[b"base".to_vec()]).unwrap();
         log.append_record(b"tail").unwrap();
         assert_eq!(
-            log.recover().unwrap().records,
+            records(&plain(&log).unwrap()),
             vec![b"base".to_vec(), b"tail".to_vec()]
         );
         log.rewrite(&[]).unwrap();
         log.append_record(b"only").unwrap();
-        let got = JournalLog::new(fs.clone(), "j.nsjl").recover().unwrap();
-        assert_eq!(got.records, vec![b"only".to_vec()]);
+        let got = plain(&JournalLog::new(fs.clone(), "j.nsjl")).unwrap();
+        assert_eq!(records(&got), vec![b"only".to_vec()]);
     }
 
     #[test]
     fn append_and_recover_round_trip_in_order() {
         let fs = mem();
         let log = JournalLog::new(fs.clone(), "j.nsjl");
-        assert_eq!(log.recover().unwrap(), Recovered::default());
+        assert_eq!(plain(&log).unwrap(), Recovered::default());
         log.append_record(b"one").unwrap();
         log.append_record(b"").unwrap();
         log.append_record(b"three").unwrap();
-        let got = log.recover().unwrap();
+        let got = plain(&log).unwrap();
         assert_eq!(got.torn_bytes, 0);
         assert_eq!(
-            got.records,
+            records(&got),
             vec![b"one".to_vec(), Vec::new(), b"three".to_vec()]
         );
     }
@@ -387,26 +438,28 @@ mod tests {
         log.append_record(b"beta").unwrap();
         log.append_record(b"gamma").unwrap();
         let full = fs.read("j.nsjl").unwrap();
-        let whole = log.recover().unwrap().records;
+        let whole = records(&plain(&log).unwrap());
         assert_eq!(whole.len(), 3);
         for cut in 0..full.len() {
             let fs2 = mem();
             fs2.set_durable("j.nsjl", full[..cut].to_vec());
             let log2 = JournalLog::new(fs2.clone(), "j.nsjl");
-            let got = log2
-                .recover()
-                .expect("prefix truncation is always a torn tail");
+            let got = plain(&log2).expect("prefix truncation is always a torn tail");
             // The recovered records are a prefix of the full set.
-            assert!(got.records.len() <= whole.len());
-            assert_eq!(got.records[..], whole[..got.records.len()], "cut at {cut}");
+            assert!(records(&got).len() <= whole.len());
+            assert_eq!(
+                records(&got)[..],
+                whole[..records(&got).len()],
+                "cut at {cut}"
+            );
             assert!(
-                got.torn_bytes > 0 || got.records.len() < whole.len(),
+                got.torn_bytes > 0 || records(&got).len() < whole.len(),
                 "cut at {cut} lost bytes without reporting a torn tail"
             );
             // Recovery compacted: a second recovery is clean and equal.
-            let again = log2.recover().unwrap();
+            let again = plain(&log2).unwrap();
             assert_eq!(again.torn_bytes, 0, "cut at {cut}");
-            assert_eq!(again.records, got.records, "cut at {cut}");
+            assert_eq!(records(&again), records(&got), "cut at {cut}");
         }
     }
 
@@ -423,23 +476,20 @@ mod tests {
         rotted[HEADER_LEN + 5] ^= 0x10;
         fs.set_durable("j.nsjl", rotted);
         assert_eq!(
-            log.recover(),
+            plain(&log),
             Err(StoreError::CrcMismatch { what: "NSJL log" })
         );
         // Wrong magic.
         let mut bad = full.clone();
         bad[0] ^= 0xff;
         fs.set_durable("j.nsjl", bad);
-        assert_eq!(
-            log.recover(),
-            Err(StoreError::BadMagic { what: "NSJL log" })
-        );
+        assert_eq!(plain(&log), Err(StoreError::BadMagic { what: "NSJL log" }));
         // Future version.
         let mut newer = full.clone();
         newer[4] = 0xee;
         fs.set_durable("j.nsjl", newer);
         assert!(matches!(
-            log.recover(),
+            plain(&log),
             Err(StoreError::BadVersion { version: 0xee, .. })
         ));
         // Forged huge length, re-sealed CRC: rejected before allocation.
@@ -450,7 +500,7 @@ mod tests {
         forged.extend_from_slice(&frame);
         fs.set_durable("j.nsjl", forged);
         assert!(matches!(
-            log.recover(),
+            plain(&log),
             Err(StoreError::Oversized {
                 what: "log record",
                 ..
@@ -467,17 +517,15 @@ mod tests {
             fs.set_kill_at(1);
             log.append_record(b"doomed-record").unwrap_err();
             fs.crash();
-            let got = log
-                .recover()
-                .expect("a killed append must stay recoverable");
+            let got = plain(&log).expect("a killed append must stay recoverable");
             assert!(
-                !got.records.is_empty(),
+                !records(&got).is_empty(),
                 "seed {seed}: the fsynced record survives"
             );
-            assert_eq!(got.records[0], b"stable-record".to_vec());
-            assert!(got.records.len() <= 2, "seed {seed}");
-            if got.records.len() == 2 {
-                assert_eq!(got.records[1], b"doomed-record".to_vec());
+            assert_eq!(records(&got)[0], b"stable-record".to_vec());
+            assert!(records(&got).len() <= 2, "seed {seed}");
+            if records(&got).len() == 2 {
+                assert_eq!(records(&got)[1], b"doomed-record".to_vec());
             }
         }
     }
@@ -490,8 +538,8 @@ mod tests {
             log.append_record(&[i]).unwrap();
         }
         log.rewrite(&[vec![42], vec![43]]).unwrap();
-        let got = log.recover().unwrap();
-        assert_eq!(got.records, vec![vec![42], vec![43]]);
+        let got = plain(&log).unwrap();
+        assert_eq!(records(&got), vec![vec![42], vec![43]]);
         assert_eq!(got.torn_bytes, 0);
     }
 }

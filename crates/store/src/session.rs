@@ -7,38 +7,53 @@
 //! resets, negotiated truncations and completion are small records.
 //! A pin or a generation rollover compacts the log with
 //! [`JournalLog::rewrite`], so the file holds at most one generation,
-//! and a unit costs one append. After a process kill,
-//! [`DurableSession::warm_start`] rebuilds the session from the
-//! **longest verified prefix** that file can prove:
+//! and a unit costs one append, framed in one buffer the session
+//! reuses. After a process kill, [`DurableSession::warm_start`] rebuilds
+//! the session from the **longest verified prefix** that file can
+//! prove, in one walk over the journal's bytes ([`JournalLog::recover`]).
+//! The file is read once and no record is copied; for each complete
+//! frame, in order, the walk:
 //!
-//! 1. recover the journal: a torn tail is truncated, and rot anywhere
-//!    else — a rotted unit record included — fails closed, because the
-//!    frame CRC no longer vouches for anything after it;
-//! 2. replay records in order, each unit placed by its own class/unit
-//!    identity. A *gap* in a class's unit sequence (an
-//!    acked-but-never-durable append, i.e. an fsync lie) ends that
-//!    class's trusted prefix at the gap, because everything after it
-//!    was journaled under assumptions the disk silently dropped;
-//! 3. while replaying, decode the manifest each `Pin` record carries —
-//!    bytes that no longer decode fail closed — and drop any record
-//!    for a class that manifest does not have;
-//! 4. re-hash every replayed payload with [`content_digest_of`] and
-//!    compare it with the **pinned manifest's** digest. The first unit
-//!    that disagrees — a self-consistent but poisoned record — ends the
-//!    warm prefix for its class; the tail is refetched from the wire,
-//!    never executed from disk.
+//! 1. decodes the record. A record that does not decode, or a `Pin`
+//!    whose manifest does not decode, fails closed once the walk ends,
+//!    unless a later frame fails first: a frame error outranks a record
+//!    error. A `Pin` starts a generation, with one class entry per class
+//!    of its manifest; a record for any other class is dropped;
+//! 2. places a unit record by its own class/unit identity. A *gap* in a
+//!    class's unit sequence (an acked-but-never-durable append, i.e. an
+//!    fsync lie) ends that class's trusted prefix at the gap, because
+//!    everything after it was journaled under assumptions the disk
+//!    silently dropped;
+//! 3. checks a unit record that extends its class in one pass over its
+//!    payload ([`unit_sums`]): the frame CRC, continued from the length
+//!    prefix and the record head; the payload's own CRC for
+//!    [`WarmClass::crcs`]; and the content digest under the epoch of the
+//!    pinned manifest. Every other record's frame gets a plain CRC;
+//! 4. compares the frame CRC with the frame's trailer. A mismatch is rot
+//!    — a rotted unit record included — and fails the whole journal
+//!    closed, because the frame CRC no longer vouches for anything after
+//!    it. A torn tail is truncated.
+//!
+//! When the walk ends, each class's prefix ends at its first unit whose
+//! digest disagrees with the **pinned manifest's** — a self-consistent
+//! but poisoned record; the tail is refetched from the wire, never
+//! executed from disk. The [`WarmSession`] handed to the client owns
+//! the recovered bytes, and names the manifest and every payload by its
+//! span in them.
 //!
 //! The replay is fail-closed at every layer, but never fail-*stuck*: a
 //! broken store yields a cold start, and a cold start always converges,
 //! because the wire protocol re-delivers from unit 0.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use nonstrict_wire::client::{SessionStore, StoreFault, WarmClass, WarmSession};
+use nonstrict_wire::crc::unit_sums;
 use nonstrict_wire::crc32;
-use nonstrict_wire::manifest::{content_digest_of, UnitManifest};
+use nonstrict_wire::manifest::UnitManifest;
 
-use crate::log::JournalLog;
+use crate::log::{JournalLog, LEN_PREFIX};
 use crate::vfs::Vfs;
 use crate::StoreError;
 
@@ -55,7 +70,7 @@ const TAG_COMPLETE: u8 = 0x06;
 /// Bytes before a `Pin` record's manifest: tag, generation.
 const PIN_HEAD: usize = 5;
 /// Bytes before a `Unit` record's payload: tag, class, unit, epoch,
-/// units.
+/// units. No record's head is longer.
 const UNIT_HEAD: usize = 17;
 
 /// One journal record, decoded; variable-length fields borrow from the
@@ -86,49 +101,47 @@ enum Record<'a> {
     Complete,
 }
 
-impl Record<'_> {
-    fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match *self {
+impl<'a> Record<'a> {
+    /// Writes the record's tag and fixed fields into `head`, and returns
+    /// their length with the variable-length body that follows them (a
+    /// manifest, a payload, or nothing).
+    fn split(&self, head: &mut [u8; UNIT_HEAD]) -> (usize, &'a [u8]) {
+        let (tag, fields, n, body): (u8, [u32; 4], usize, &'a [u8]) = match *self {
             Record::Pin {
                 generation,
                 manifest,
-            } => {
-                buf.reserve(PIN_HEAD + manifest.len());
-                buf.push(TAG_PIN);
-                put_u32s(&mut buf, &[generation]);
-                buf.extend_from_slice(manifest);
-            }
+            } => (TAG_PIN, [generation, 0, 0, 0], 1, manifest),
             Record::Unit {
                 class,
                 unit,
                 epoch,
                 units,
                 payload,
-            } => {
-                buf.reserve(UNIT_HEAD + payload.len());
-                buf.push(TAG_UNIT);
-                put_u32s(&mut buf, &[class, unit, epoch, units]);
-                buf.extend_from_slice(payload);
-            }
+            } => (TAG_UNIT, [class, unit, epoch, units], 4, payload),
             Record::ResetClass {
                 class,
                 epoch,
                 units,
-            } => {
-                buf.push(TAG_RESET_CLASS);
-                put_u32s(&mut buf, &[class, epoch, units]);
-            }
+            } => (TAG_RESET_CLASS, [class, epoch, units, 0], 3, &[]),
             Record::Truncate { class, delivered } => {
-                buf.push(TAG_TRUNCATE);
-                put_u32s(&mut buf, &[class, delivered]);
+                (TAG_TRUNCATE, [class, delivered, 0, 0], 2, &[])
             }
-            Record::Complete => buf.push(TAG_COMPLETE),
+            Record::Complete => (TAG_COMPLETE, [0; 4], 0, &[]),
+        };
+        head[0] = tag;
+        for (slot, field) in head[1..].chunks_exact_mut(4).zip(&fields[..n]) {
+            slot.copy_from_slice(&field.to_le_bytes());
         }
-        buf
+        (1 + 4 * n, body)
     }
 
-    fn decode(bytes: &[u8]) -> Result<Record<'_>, StoreError> {
+    fn encode(&self) -> Vec<u8> {
+        let mut head = [0; UNIT_HEAD];
+        let (n, body) = self.split(&mut head);
+        [&head[..n], body].concat()
+    }
+
+    fn decode(bytes: &'a [u8]) -> Result<Record<'a>, StoreError> {
         let what = "NSJL session record";
         let need = |n: usize, exact: bool| -> Result<(), StoreError> {
             if bytes.len() == n || (!exact && bytes.len() > n) {
@@ -190,24 +203,15 @@ impl Record<'_> {
     }
 }
 
-fn put_u32s(buf: &mut Vec<u8>, fields: &[u32]) {
-    for f in fields {
-        buf.extend_from_slice(&f.to_le_bytes());
-    }
-}
-
 /// What a typed recovery found on disk — the testable face of
 /// [`DurableSession::warm_start`], with the fail-closed decisions made
 /// visible instead of collapsed into `None`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredSession {
-    /// The pinned restructure generation.
-    pub generation: u32,
-    /// The pinned manifest's encoded bytes, as its `Pin` record
-    /// carried them (structurally decoded).
-    pub manifest: Vec<u8>,
-    /// Per-class verified warm prefixes.
-    pub classes: Vec<WarmClass>,
+    /// The verified state, exactly as the warm start hands it to the
+    /// client: the recovered bytes, the pinned manifest's span in them
+    /// and each class's verified prefix.
+    pub warm: WarmSession,
     /// Bytes the journal recovery truncated as a torn tail.
     pub torn_bytes: u64,
     /// Unit records dropped during replay or verification: sequence
@@ -218,32 +222,220 @@ pub struct RecoveredSession {
     pub completed: bool,
 }
 
-/// The last `Pin` record, its manifest decoded.
-struct Pinned<'a> {
-    generation: u32,
-    bytes: &'a [u8],
-    manifest: UnitManifest,
-}
-
-/// Journal replay output, borrowing from the recovered records.
+/// One recovery walk: the replay of every record the walk has checked
+/// so far, built frame by frame inside [`JournalLog::recover`].
 #[derive(Default)]
-struct Replayed<'a> {
-    pin: Option<Pinned<'a>>,
-    /// One entry per class of the pinned manifest: a record for any
-    /// other class cannot be verified, so it is dropped.
-    classes: Vec<ReplayClass<'a>>,
+struct Replay {
+    pin: Option<Pinned>,
     dropped: u64,
     completed: bool,
+    /// The first record that did not decode. It is reported only once
+    /// every frame has checked out, because a frame error outranks a
+    /// record error; no record after it is replayed.
+    error: Option<StoreError>,
 }
 
-#[derive(Debug, Clone, Default)]
-struct ReplayClass<'a> {
-    epoch: u32,
-    units: u32,
-    payloads: Vec<&'a [u8]>,
+/// The last `Pin` record and what was replayed under it.
+struct Pinned {
+    generation: u32,
+    /// The manifest's span in the recovered bytes.
+    span: Range<usize>,
+    manifest: UnitManifest,
+    /// One entry per class of the manifest: a record for any other
+    /// class cannot be verified, so it is dropped.
+    classes: Vec<ReplayClass>,
+}
+
+#[derive(Default)]
+struct ReplayClass {
+    warm: WarmClass,
+    /// The first unit whose payload does not re-hash to the pinned
+    /// manifest's digest: the warm prefix ends there.
+    poisoned: Option<usize>,
     /// Set when a sequence gap ended this class's trusted prefix; no
     /// later record for the class may extend it.
     gapped: bool,
+}
+
+impl ReplayClass {
+    /// Keeps units `..n`: a truncation, or a re-delivery of unit `n`.
+    fn truncate(&mut self, n: usize) {
+        self.warm.crcs.truncate(n);
+        self.warm.sizes.truncate(n);
+        self.warm.payloads.truncate(n);
+        if self.poisoned.is_some_and(|p| p >= n) {
+            self.poisoned = None;
+        }
+    }
+}
+
+impl Replay {
+    /// The walk's per-frame check: replays the record of `frame` (its
+    /// length prefix, then its record), which starts at `at` in the
+    /// recovered bytes, and returns the frame's CRC32. A unit record
+    /// that extends a class is checked by one pass over its payload,
+    /// which also yields the payload's CRC and its content digest.
+    fn frame(&mut self, at: usize, frame: &[u8]) -> u32 {
+        if self.error.is_some() {
+            return crc32(frame);
+        }
+        match Record::decode(&frame[LEN_PREFIX..]) {
+            Err(e) => self.error = Some(e),
+            Ok(Record::Pin {
+                generation,
+                manifest,
+            }) => match UnitManifest::decode(manifest) {
+                Ok(manifest) => {
+                    self.pin = Some(Pinned {
+                        generation,
+                        span: at + LEN_PREFIX + PIN_HEAD..at + frame.len(),
+                        classes: (0..manifest.unit_digests.len())
+                            .map(|_| ReplayClass::default())
+                            .collect(),
+                        manifest,
+                    });
+                    self.completed = false;
+                }
+                Err(_) => {
+                    self.error = Some(StoreError::Malformed {
+                        what: "pinned manifest",
+                        why: "the Pin record's manifest does not decode",
+                    });
+                }
+            },
+            Ok(Record::Unit {
+                class,
+                unit,
+                epoch,
+                units,
+                ..
+            }) => {
+                if let Some(crc) = self.unit(at, frame, class, unit, epoch, units) {
+                    return crc;
+                }
+            }
+            Ok(Record::ResetClass {
+                class,
+                epoch,
+                units,
+            }) => {
+                if let Some(c) = self.class(class) {
+                    *c = ReplayClass::default();
+                    c.warm.epoch = epoch;
+                    c.warm.units = units;
+                }
+            }
+            Ok(Record::Truncate { class, delivered }) => {
+                if let Some(c) = self.class(class) {
+                    c.truncate(delivered as usize);
+                }
+            }
+            Ok(Record::Complete) => self.completed = true,
+        }
+        crc32(frame)
+    }
+
+    fn class(&mut self, class: u32) -> Option<&mut ReplayClass> {
+        self.pin.as_mut()?.classes.get_mut(class as usize)
+    }
+
+    /// Replays a unit record; returns its frame's CRC32, or `None` when
+    /// the record is dropped unchecked: its class is not in the pinned
+    /// manifest, or a gap precedes it.
+    fn unit(
+        &mut self,
+        at: usize,
+        frame: &[u8],
+        class: u32,
+        unit: u32,
+        epoch: u32,
+        units: u32,
+    ) -> Option<u32> {
+        let Some(pin) = self.pin.as_mut() else {
+            self.dropped += 1;
+            return None;
+        };
+        let digests = pin.manifest.unit_digests.get(class as usize);
+        let (Some(c), Some(digests)) = (pin.classes.get_mut(class as usize), digests) else {
+            self.dropped += 1;
+            return None;
+        };
+        let ui = unit as usize;
+        if c.gapped || ui > c.warm.crcs.len() {
+            // A record for a unit we never journaled the predecessor
+            // of: an earlier acked append was never durable. Everything
+            // from the gap on is untrusted for this class.
+            c.gapped = true;
+            self.dropped += 1;
+            return None;
+        }
+        let head = LEN_PREFIX + UNIT_HEAD;
+        let payload = &frame[head..];
+        let sums = unit_sums(&frame[..head], pin.manifest.epoch, class, unit, payload);
+        c.warm.epoch = epoch;
+        c.warm.units = units;
+        // unit <= delivered: later records win (a re-delivery after
+        // truncation overwrites).
+        c.truncate(ui);
+        if c.warm.crcs.capacity() == 0 {
+            // Only units the manifest has digests for can verify: size
+            // the class's lists once, not per unit.
+            c.warm.crcs.reserve(digests.len());
+            c.warm.sizes.reserve(digests.len());
+            c.warm.payloads.reserve(digests.len());
+        }
+        c.warm.crcs.push(sums.payload_crc);
+        c.warm
+            .sizes
+            .push(u32::try_from(payload.len()).unwrap_or(u32::MAX));
+        c.warm.payloads.push(at + head..at + frame.len());
+        if c.poisoned.is_none() && digests.get(ui) != Some(&sums.digest) {
+            // Poisoned, or a unit the manifest has no digest for: the
+            // warm prefix will end here unless a later record replaces
+            // it.
+            c.poisoned = Some(ui);
+        }
+        Some(sums.frame_crc)
+    }
+
+    /// The verified session over the walk's `bytes`: each class's
+    /// prefix ends at its first poisoned unit, whose tail is refetched
+    /// from the wire, never executed.
+    fn finish(
+        self,
+        bytes: Vec<u8>,
+        torn_bytes: u64,
+    ) -> Result<Option<RecoveredSession>, StoreError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let Some(pin) = self.pin else {
+            return Ok(None);
+        };
+        let mut dropped = self.dropped;
+        let classes = pin
+            .classes
+            .into_iter()
+            .map(|mut c| {
+                if let Some(p) = c.poisoned {
+                    dropped += (c.warm.crcs.len() - p) as u64;
+                    c.truncate(p);
+                }
+                c.warm
+            })
+            .collect();
+        Ok(Some(RecoveredSession {
+            warm: WarmSession {
+                generation: pin.generation,
+                bytes,
+                manifest: pin.span,
+                classes,
+            },
+            torn_bytes,
+            dropped_units: dropped,
+            completed: self.completed,
+        }))
+    }
 }
 
 /// The durable session store: one [`JournalLog`] over one [`Vfs`].
@@ -252,6 +444,9 @@ pub struct DurableSession {
     /// Whether a manifest is pinned: set by `on_pin` and by a warm
     /// start. A unit record before any pin is refused.
     pinned: bool,
+    /// The buffer every appended record is framed in, reused so that
+    /// journaling a unit allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl DurableSession {
@@ -261,6 +456,7 @@ impl DurableSession {
         DurableSession {
             log: JournalLog::new(vfs, JOURNAL_NAME),
             pinned: false,
+            frame: Vec::new(),
         }
     }
 
@@ -271,86 +467,12 @@ impl DurableSession {
         }
     }
 
-    fn append(&self, op: &'static str, record: &Record) -> Result<(), StoreFault> {
+    fn append(&mut self, op: &'static str, record: &Record) -> Result<(), StoreFault> {
+        let mut head = [0; UNIT_HEAD];
+        let (n, body) = record.split(&mut head);
         self.log
-            .append_record(&record.encode())
+            .append_parts(&mut self.frame, &[&head[..n], body])
             .map_err(|e| Self::fault(op, &e))
-    }
-
-    /// Replays recovered journal records into per-class state.
-    fn replay(records: &[Vec<u8>]) -> Result<Replayed<'_>, StoreError> {
-        let mut r = Replayed::default();
-        for raw in records {
-            match Record::decode(raw)? {
-                Record::Pin {
-                    generation,
-                    manifest: bytes,
-                } => {
-                    let manifest =
-                        UnitManifest::decode(bytes).map_err(|_| StoreError::Malformed {
-                            what: "pinned manifest",
-                            why: "the Pin record's manifest does not decode",
-                        })?;
-                    r = Replayed {
-                        classes: vec![ReplayClass::default(); manifest.unit_digests.len()],
-                        pin: Some(Pinned {
-                            generation,
-                            bytes,
-                            manifest,
-                        }),
-                        dropped: r.dropped,
-                        completed: false,
-                    };
-                }
-                Record::Unit {
-                    class,
-                    unit,
-                    epoch,
-                    units,
-                    payload,
-                } => {
-                    let Some(c) = r.classes.get_mut(class as usize) else {
-                        r.dropped += 1;
-                        continue;
-                    };
-                    if c.gapped || unit as usize > c.payloads.len() {
-                        // A record for a unit we never journaled the
-                        // predecessor of: an earlier acked append was
-                        // never durable. Everything from the gap on is
-                        // untrusted for this class.
-                        c.gapped = true;
-                        r.dropped += 1;
-                        continue;
-                    }
-                    c.epoch = epoch;
-                    c.units = units;
-                    // unit <= delivered: later records win (a
-                    // re-delivery after truncation overwrites).
-                    c.payloads.truncate(unit as usize);
-                    c.payloads.push(payload);
-                }
-                Record::ResetClass {
-                    class,
-                    epoch,
-                    units,
-                } => {
-                    if let Some(c) = r.classes.get_mut(class as usize) {
-                        *c = ReplayClass {
-                            epoch,
-                            units,
-                            ..ReplayClass::default()
-                        };
-                    }
-                }
-                Record::Truncate { class, delivered } => {
-                    if let Some(c) = r.classes.get_mut(class as usize) {
-                        c.payloads.truncate(delivered as usize);
-                    }
-                }
-                Record::Complete => r.completed = true,
-            }
-        }
-        Ok(r)
     }
 
     /// Typed recovery: everything [`warm_start`](SessionStore::warm_start)
@@ -365,47 +487,11 @@ impl DurableSession {
     /// pinned manifest that does not decode.
     pub fn recover_session(&mut self) -> Result<Option<RecoveredSession>, StoreError> {
         self.pinned = false;
-        let recovered = self.log.recover()?;
-        let replayed = Self::replay(&recovered.records)?;
-        let Some(pin) = replayed.pin else {
-            return Ok(None);
-        };
-        let mut dropped = replayed.dropped;
-        let mut classes = Vec::with_capacity(replayed.classes.len());
-        let all_digests = &pin.manifest.unit_digests;
-        for (ci, (c, digests)) in replayed.classes.iter().zip(all_digests).enumerate() {
-            let class_id = u32::try_from(ci).expect("class index fits u32");
-            let mut warm = WarmClass {
-                epoch: c.epoch,
-                units: c.units,
-                ..WarmClass::default()
-            };
-            for (ui, &payload) in c.payloads.iter().enumerate() {
-                let unit_id = u32::try_from(ui).expect("unit index fits u32");
-                let digest = content_digest_of(pin.manifest.epoch, class_id, unit_id, payload);
-                if digests.get(ui) != Some(&digest) {
-                    // Poisoned, or a unit the manifest has no digest
-                    // for: the warm prefix ends here, and the tail is
-                    // refetched from the wire, never executed.
-                    dropped += (c.payloads.len() - ui) as u64;
-                    break;
-                }
-                warm.crcs.push(crc32(payload));
-                warm.sizes
-                    .push(u32::try_from(payload.len()).unwrap_or(u32::MAX));
-                warm.payloads.push(payload.to_vec());
-            }
-            classes.push(warm);
-        }
-        self.pinned = true;
-        Ok(Some(RecoveredSession {
-            generation: pin.generation,
-            manifest: pin.bytes.to_vec(),
-            classes,
-            torn_bytes: recovered.torn_bytes,
-            dropped_units: dropped,
-            completed: replayed.completed,
-        }))
+        let mut replay = Replay::default();
+        let recovered = self.log.recover(|at, frame| replay.frame(at, frame))?;
+        let session = replay.finish(recovered.bytes, recovered.torn_bytes)?;
+        self.pinned = session.is_some();
+        Ok(session)
     }
 }
 
@@ -415,12 +501,7 @@ impl SessionStore for DurableSession {
         // scrub the broken log so the restarted session journals onto
         // a clean slate instead of appending after rot.
         match self.recover_session() {
-            Ok(Some(r)) => Some(WarmSession {
-                generation: r.generation,
-                manifest: r.manifest,
-                classes: r.classes,
-            }),
-            Ok(None) => None,
+            Ok(r) => r.map(|r| r.warm),
             Err(_) => {
                 let _ = self.log.remove();
                 None
@@ -513,6 +594,15 @@ mod tests {
         UnitManifest::from_payloads(&payloads(), 0xabcd_0001)
     }
 
+    /// Every class's recovered payloads, copied out.
+    fn warm_payloads(r: &RecoveredSession) -> Vec<Vec<Vec<u8>>> {
+        let warm = &r.warm;
+        warm.classes
+            .iter()
+            .map(|c| warm.payloads(c).expect("spans lie in the recovered bytes"))
+            .collect()
+    }
+
     /// Streams the whole scripted session through a store; returns the
     /// number of mutating VFS ops it took.
     fn stream_all(fs: &Arc<FaultFs>) -> Result<u64, StoreFault> {
@@ -535,16 +625,19 @@ mod tests {
         stream_all(&fs).unwrap();
         let mut s = DurableSession::new(fs.clone());
         let r = s.recover_session().unwrap().unwrap();
-        assert_eq!(r.generation, 7);
+        assert_eq!(r.warm.generation, 7);
         assert!(r.completed);
         assert_eq!(r.torn_bytes, 0);
         assert_eq!(r.dropped_units, 0);
-        assert_eq!(r.classes.len(), 2);
+        assert_eq!(r.warm.classes.len(), 2);
+        assert_eq!(warm_payloads(&r), payloads());
         for (ci, class) in payloads().iter().enumerate() {
-            assert_eq!(r.classes[ci].payloads, *class);
             let crcs: Vec<u32> = class.iter().map(|p| crc32(p)).collect();
-            assert_eq!(r.classes[ci].crcs, crcs);
+            assert_eq!(r.warm.classes[ci].crcs, crcs);
+            let sizes: Vec<u32> = class.iter().map(|p| p.len() as u32).collect();
+            assert_eq!(r.warm.classes[ci].sizes, sizes);
         }
+        assert_eq!(r.warm.bytes[r.warm.manifest.clone()], manifest().encode());
     }
 
     #[test]
@@ -565,14 +658,14 @@ mod tests {
             // Recovery may fail closed (e.g. the pin never made it);
             // what it must never do is hand back a wrong byte.
             if let Ok(Some(r)) = s.recover_session() {
-                assert_eq!(r.generation, 7, "kill at op {k}");
-                for (ci, warm) in r.classes.iter().enumerate() {
-                    let want = &full.classes[ci];
-                    let n = warm.payloads.len();
+                assert_eq!(r.warm.generation, 7, "kill at op {k}");
+                let (got, want) = (warm_payloads(&r), warm_payloads(&full));
+                for (ci, warm) in r.warm.classes.iter().enumerate() {
+                    let n = got[ci].len();
                     assert!(
-                        n <= want.payloads.len()
-                            && warm.payloads[..] == want.payloads[..n]
-                            && warm.crcs[..] == want.crcs[..n],
+                        n <= want[ci].len()
+                            && got[ci][..] == want[ci][..n]
+                            && warm.crcs[..] == full.warm.classes[ci].crcs[..n],
                         "kill at op {k}: class {ci} prefix diverges"
                     );
                 }
@@ -599,10 +692,10 @@ mod tests {
             match s.recover_session() {
                 Ok(Some(r)) => {
                     let full = payloads();
-                    for (ci, warm) in r.classes.iter().enumerate() {
-                        let n = warm.payloads.len();
+                    for (ci, warm) in warm_payloads(&r).iter().enumerate() {
+                        let n = warm.len();
                         assert!(
-                            warm.payloads[..] == full[ci][..n],
+                            warm[..] == full[ci][..n],
                             "seed {seed}: class {ci} warm prefix diverges"
                         );
                         if n < full[ci].len() {
@@ -671,7 +764,12 @@ mod tests {
             let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(6)));
             stream_all(&fs).unwrap();
             let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
-            let mut records = log.recover().unwrap().records;
+            let mut records: Vec<Vec<u8>> = log
+                .recover(|_, frame| crc32(frame))
+                .unwrap()
+                .records()
+                .map(<[u8]>::to_vec)
+                .collect();
             let last = records[0].len() - 1;
             records[0][last] ^= 0x01;
             let want = if reseal {
@@ -713,7 +811,7 @@ mod tests {
         let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
         log.append_record(&forged.encode()).unwrap();
         let r = DurableSession::new(fs).recover_session().unwrap().unwrap();
-        assert_eq!(r.classes.len(), payloads().len());
+        assert_eq!(r.warm.classes.len(), payloads().len());
         assert_eq!(r.dropped_units, 1);
     }
 
@@ -729,8 +827,8 @@ mod tests {
         s.on_unit(0, 0, 1, 3, &payloads()[0][0]).unwrap();
         let mut s2 = DurableSession::new(fs.clone());
         let r = s2.recover_session().unwrap().unwrap();
-        assert_eq!(r.generation, 4);
-        assert_eq!(r.classes[0].payloads, vec![payloads()[0][0].clone()]);
+        assert_eq!(r.warm.generation, 4);
+        assert_eq!(warm_payloads(&r)[0], vec![payloads()[0][0].clone()]);
     }
 
     #[test]
@@ -746,6 +844,6 @@ mod tests {
         s.on_unit(0, 1, 1, 3, &payloads()[0][1]).unwrap();
         let mut s2 = DurableSession::new(fs.clone());
         let r = s2.recover_session().unwrap().unwrap();
-        assert_eq!(r.classes[0].payloads, payloads()[0][..2].to_vec());
+        assert_eq!(warm_payloads(&r)[0], payloads()[0][..2].to_vec());
     }
 }

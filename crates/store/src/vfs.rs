@@ -401,20 +401,13 @@ impl Vfs for FaultFs {
             // fault knob — append durability only covers *completed*
             // appends.
             let cut = s.rng.below(bytes.len() as u64 + 1) as usize;
-            let prefix = bytes[..cut].to_vec();
-            s.durable.entry(name.to_owned()).or_default().extend(prefix);
+            append_to(&mut s.durable, name, &bytes[..cut]);
             return Err(StoreError::Killed { op: s.ops });
         }
-        s.visible
-            .entry(name.to_owned())
-            .or_default()
-            .extend_from_slice(bytes);
+        append_to(&mut s.visible, name, bytes);
         let lie_pm = s.knobs.lie_pm;
         if !s.rng.hit_pm(lie_pm) {
-            s.durable
-                .entry(name.to_owned())
-                .or_default()
-                .extend_from_slice(bytes);
+            append_to(&mut s.durable, name, bytes);
         }
         Ok(())
     }
@@ -443,6 +436,17 @@ impl Vfs for FaultFs {
             return Err(StoreError::Killed { op: s.ops });
         }
         Ok(s.visible.keys().cloned().collect())
+    }
+}
+
+/// Appends `bytes` to file `name` of `files`, creating it if absent;
+/// only a new file allocates its name.
+fn append_to(files: &mut BTreeMap<String, Vec<u8>>, name: &str, bytes: &[u8]) {
+    match files.get_mut(name) {
+        Some(content) => content.extend_from_slice(bytes),
+        None => {
+            files.insert(name.to_owned(), bytes.to_vec());
+        }
     }
 }
 

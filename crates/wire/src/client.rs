@@ -41,7 +41,7 @@
 //! manifest pin, per-unit watermarks, and unit bytes as they are
 //! accepted, and a fresh client warm-resumes from whatever verified
 //! prefix the store can prove after a kill. The store is untrusted on
-//! reload — `nonstrict-store` re-verifies every cached unit against
+//! reload — `nonstrict-store` re-verifies every journaled unit against
 //! the pinned manifest digest before it is offered back — so the
 //! fail-closed invariant survives the round trip through disk.
 //!
@@ -55,6 +55,7 @@
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use crate::crc::crc32;
@@ -70,7 +71,7 @@ pub const READ_BUFFER_BYTES: usize = 64 * 1024;
 
 /// The reader a client connection reads its Welcome and every later
 /// frame through. Each refill is one read of `inner`, so a socket's read
-/// timeout still bounds every wait, and [`crate::frame::read_frame_into`]
+/// timeout still bounds every wait, and `frame::read_frame_into`
 /// still checks a frame's length cap before growing its buffer.
 pub fn frame_reader<R: Read>(inner: R) -> BufReader<R> {
     BufReader::with_capacity(READ_BUFFER_BYTES, inner)
@@ -139,22 +140,40 @@ pub struct WarmClass {
     pub crcs: Vec<u32>,
     /// Size of each verified unit, in unit order.
     pub sizes: Vec<u32>,
-    /// The verified unit payloads, in unit order.
-    pub payloads: Vec<Vec<u8>>,
+    /// Where each verified unit's payload sits in
+    /// [`WarmSession::bytes`], in unit order.
+    pub payloads: Vec<Range<usize>>,
 }
 
 /// A warm-start snapshot: everything a [`SessionStore`] could verify
-/// from its journal and cache. The client re-decodes and re-pins the
-/// manifest bytes itself — the store proves integrity, the client
+/// from its journal. It owns the bytes the store read back, and names
+/// the manifest and every payload by its span in them, so nothing is
+/// copied on the way to the client. The client re-decodes and re-pins
+/// the manifest bytes itself — the store proves integrity, the client
 /// still owns the trust decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmSession {
     /// Restructure generation of the pinned manifest.
     pub generation: u32,
-    /// The pinned manifest's encoded NSUM bytes.
-    pub manifest: Vec<u8>,
+    /// The bytes the store recovered.
+    pub bytes: Vec<u8>,
+    /// Where the pinned manifest's encoded NSUM bytes sit in `bytes`.
+    pub manifest: Range<usize>,
     /// Per-class verified prefixes.
     pub classes: Vec<WarmClass>,
+}
+
+impl WarmSession {
+    /// `class`'s verified payloads copied out of [`WarmSession::bytes`],
+    /// in unit order; `None` when a span lies outside them.
+    #[must_use]
+    pub fn payloads(&self, class: &WarmClass) -> Option<Vec<Vec<u8>>> {
+        class
+            .payloads
+            .iter()
+            .map(|span| self.bytes.get(span.clone()).map(<[u8]>::to_vec))
+            .collect()
+    }
 }
 
 /// The client's durable-state hook. Implementations (see
@@ -531,13 +550,26 @@ impl WireClient {
 
     /// Seeds the session from a warm-start snapshot. The manifest is
     /// re-decoded and re-pinned here — a snapshot whose manifest fails
-    /// to decode is discarded wholesale (cold start), because nothing
-    /// in it can be verified without the pin.
+    /// to decode, or whose spans lie outside its bytes, is discarded
+    /// wholesale (cold start), because nothing in it can be verified
+    /// without the pin. Payloads are copied out of the snapshot only
+    /// when [`ClientConfig::keep_payloads`] is set.
     fn apply_warm(&mut self, warm: WarmSession) {
-        let Ok(decoded) = UnitManifest::decode(&warm.manifest) else {
+        let Some(manifest) = warm.bytes.get(warm.manifest.clone()) else {
             return;
         };
-        let crc = crc32(&warm.manifest);
+        let Ok(decoded) = UnitManifest::decode(manifest) else {
+            return;
+        };
+        let payloads: Option<Vec<_>> = if self.config.keep_payloads {
+            warm.classes.iter().map(|c| warm.payloads(c)).collect()
+        } else {
+            Some(vec![Vec::new(); warm.classes.len()])
+        };
+        let Some(payloads) = payloads else {
+            return;
+        };
+        let crc = crc32(manifest);
         self.report.generation = warm.generation;
         self.report.manifest_epoch = decoded.epoch;
         self.report.manifest_crc = crc;
@@ -549,18 +581,15 @@ impl WireClient {
         });
         self.classes = warm
             .classes
-            .iter()
-            .map(|c| ClassState {
+            .into_iter()
+            .zip(payloads)
+            .map(|(c, payloads)| ClassState {
                 epoch: c.epoch,
                 units: c.units,
                 delivered: u32::try_from(c.crcs.len()).unwrap_or(u32::MAX),
-                crcs: c.crcs.clone(),
-                sizes: c.sizes.clone(),
-                payloads: if self.config.keep_payloads {
-                    c.payloads.clone()
-                } else {
-                    Vec::new()
-                },
+                crcs: c.crcs,
+                sizes: c.sizes,
+                payloads,
             })
             .collect();
         self.delivered_total = self.classes.iter().map(|c| u64::from(c.delivered)).sum();

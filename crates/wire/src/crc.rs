@@ -16,11 +16,13 @@
 //! bitwise loop as the oracle and compare the two on every chunk-tail
 //! shape.
 //!
-//! The wire client checks each unit with `unit_sums`, which runs the
-//! frame CRC, the payload's own CRC and the FNV-1a content digest in
-//! one loop over the payload instead of three.
+//! [`unit_sums`] runs a unit's frame CRC, the payload's own CRC and
+//! its FNV-1a content digest in one loop over the payload instead of
+//! three. The wire client checks each `Unit` frame with it, and the
+//! durable store checks each journaled unit record with it on a warm
+//! restart.
 
-use crate::manifest::{digest_fold, digest_step};
+use crate::manifest::{digest_fold, digest_head, digest_step};
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -98,10 +100,10 @@ fn step1(crc: u32, byte: u8) -> u32 {
     (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize]
 }
 
-/// The three sums a `Unit` frame's payload is checked against.
+/// The three sums a unit's payload is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct UnitSums {
-    /// CRC32 of the frame up to its trailer: its header, then the
+pub struct UnitSums {
+    /// CRC32 of the frame up to its trailer: its head, then the
     /// payload.
     pub frame_crc: u32,
     /// CRC32 of the payload alone (the client's per-unit report).
@@ -113,16 +115,26 @@ pub(crate) struct UnitSums {
 
 /// Computes a unit's three sums in one pass over `payload`: the frame
 /// CRC continued from `frame_head` (the frame's bytes before the
-/// payload), the payload's own CRC, and the content digest continued
-/// from `digest_head` ([`crate::manifest::digest_head`] of the unit's
-/// key). The two CRC registers take table steps while the digest's
-/// multiply chain runs, so the pass costs about as much as the digest
-/// alone.
+/// payload), the payload's own CRC, and the content digest of unit
+/// `unit` of class `class` under `epoch`. The two CRC registers take
+/// table steps while the digest's multiply chain runs, so the pass
+/// costs about as much as the digest alone.
+///
+/// ```
+/// use nonstrict_wire::crc::unit_sums;
+/// use nonstrict_wire::crc32;
+/// use nonstrict_wire::manifest::content_digest_of;
+///
+/// let sums = unit_sums(b"head", 7, 1, 2, b"payload");
+/// assert_eq!(sums.frame_crc, crc32(b"headpayload"));
+/// assert_eq!(sums.payload_crc, crc32(b"payload"));
+/// assert_eq!(sums.digest, content_digest_of(7, 1, 2, b"payload"));
+/// ```
 #[must_use]
-pub(crate) fn unit_sums(frame_head: &[u8], digest_head: u64, payload: &[u8]) -> UnitSums {
+pub fn unit_sums(frame_head: &[u8], epoch: u64, class: u32, unit: u32, payload: &[u8]) -> UnitSums {
     let mut frame = update(!0, frame_head);
     let mut own = !0u32;
-    let mut h = digest_head;
+    let mut h = digest_head(epoch, class, unit);
     let mut chunks = payload.chunks_exact(8);
     for c in &mut chunks {
         frame = step8(frame, c);
@@ -146,7 +158,7 @@ pub(crate) fn unit_sums(frame_head: &[u8], digest_head: u64, payload: &[u8]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{content_digest_of, digest_head};
+    use crate::manifest::content_digest_of;
     use crate::SplitMix64;
 
     /// The bit-at-a-time definition, kept as the oracle.
@@ -207,7 +219,7 @@ mod tests {
         let (epoch, class, unit) = (0x1234_5678_9abc_def0, 7, 11);
         let whole: Vec<u8> = head.iter().chain(payload).copied().collect();
         assert_eq!(
-            unit_sums(head, digest_head(epoch, class, unit), payload),
+            unit_sums(head, epoch, class, unit, payload),
             UnitSums {
                 frame_crc: crc32(&whole),
                 payload_crc: crc32(payload),

@@ -34,7 +34,7 @@
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -149,6 +149,26 @@ fn get_backend_addr(shared: &SharedAddr) -> Option<SocketAddr> {
     *shared.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Fleet-wide kill and start counts, published by the control loop
+/// before each wait, for a caller blocked in
+/// [`FleetSupervisor::wait_for`].
+#[derive(Default)]
+struct Progress {
+    /// Crash-plan kills, then backend starts, summed over the mirrors.
+    counts: Mutex<(u32, u32)>,
+    changed: Condvar,
+}
+
+impl Progress {
+    fn publish(&self, slots: &[Slot]) {
+        let counts = slots.iter().fold((0, 0), |(kills, starts), slot| {
+            (kills + slot.status.kills, starts + slot.status.starts)
+        });
+        *self.counts.lock().unwrap_or_else(PoisonError::into_inner) = counts;
+        self.changed.notify_all();
+    }
+}
+
 /// One mirror slot, owned by the control thread.
 struct Slot {
     backend_addr: SharedAddr,
@@ -185,6 +205,7 @@ pub struct FleetSupervisor {
     /// is the shutdown signal.
     rollover_tx: Option<Sender<Sender<()>>>,
     generation: Arc<AtomicU32>,
+    progress: Arc<Progress>,
     control: Option<JoinHandle<FleetReport>>,
 }
 
@@ -226,8 +247,10 @@ impl FleetSupervisor {
             start_backend(&mut slot, 0, &factory, &config);
             slots.push(slot);
         }
+        let progress = Arc::new(Progress::default());
         let control = {
             let generation = Arc::clone(&generation);
+            let progress = Arc::clone(&progress);
             std::thread::spawn(move || {
                 let slot_threads: Vec<(Arc<StopSignal>, JoinHandle<()>)> = listeners
                     .into_iter()
@@ -239,7 +262,14 @@ impl FleetSupervisor {
                         (stop, thread)
                     })
                     .collect();
-                let report = control_loop(slots, &factory, &config, &rollover_rx, &generation);
+                let report = control_loop(
+                    slots,
+                    &factory,
+                    &config,
+                    &rollover_rx,
+                    &generation,
+                    &progress,
+                );
                 for (stop, _) in &slot_threads {
                     stop.close();
                 }
@@ -253,6 +283,7 @@ impl FleetSupervisor {
             addrs,
             rollover_tx: Some(rollover_tx),
             generation,
+            progress,
             control: Some(control),
         })
     }
@@ -268,6 +299,34 @@ impl FleetSupervisor {
     #[must_use]
     pub fn generation(&self) -> u32 {
         self.generation.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the crash plan has killed `kills` backends and the
+    /// fleet has started `starts` (first starts and restarts alike), or
+    /// until `timeout` passes; returns whether both counts were
+    /// reached. The control loop wakes the wait whenever it has acted.
+    pub fn wait_for(&self, kills: u32, starts: u32, timeout: Duration) -> bool {
+        let until = Instant::now() + timeout;
+        let mut counts = self
+            .progress
+            .counts
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if counts.0 >= kills && counts.1 >= starts {
+                return true;
+            }
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            counts = self
+                .progress
+                .changed
+                .wait_timeout(counts, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 
     /// Drives a live epoch rollover: bumps the generation, drains every
@@ -367,9 +426,11 @@ fn control_loop(
     config: &FleetConfig,
     rollover: &Receiver<Sender<()>>,
     generation: &AtomicU32,
+    progress: &Progress,
 ) -> FleetReport {
     let mut report = FleetReport::default();
     loop {
+        progress.publish(&slots);
         // Sleep until the earliest kill, restart or probe any slot is
         // due, unless a rollover request or the hang-up comes first.
         let due = slots

@@ -26,7 +26,6 @@ use std::io::{self, Read};
 
 use crate::caps;
 use crate::crc::{crc32, unit_sums, UnitSums};
-use crate::manifest::digest_head;
 
 /// Protocol version carried in every [`Frame::Hello`].
 ///
@@ -674,11 +673,7 @@ impl UnitFrame<'_> {
     ///
     /// [`FrameError::CrcMismatch`] when the trailer does not match.
     pub(crate) fn check(&self, epoch: u64) -> Result<UnitSums, FrameError> {
-        let sums = unit_sums(
-            self.head,
-            digest_head(epoch, self.class, self.unit),
-            self.payload,
-        );
+        let sums = unit_sums(self.head, epoch, self.class, self.unit, self.payload);
         if sums.frame_crc == self.trailer {
             Ok(sums)
         } else {

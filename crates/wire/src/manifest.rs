@@ -98,9 +98,9 @@ impl std::error::Error for ManifestError {}
 /// manifest entry — a forged payload of the *same size* under a
 /// re-sealed frame CRC still lands on a different digest.
 ///
-/// The client computes the same value inside its one pass over a
-/// unit's bytes (`crc::unit_sums`), from the same head, step and fold
-/// helpers.
+/// The wire client and the durable store compute the same value inside
+/// their one pass over a unit's bytes ([`crate::crc::unit_sums`]), from
+/// the same head, step and fold helpers.
 #[must_use]
 pub fn content_digest_of(epoch: u64, class: u32, unit: u32, payload: &[u8]) -> u32 {
     digest_fold(fnv(digest_head(epoch, class, unit), payload))

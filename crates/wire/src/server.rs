@@ -279,6 +279,35 @@ impl WireServer {
         }
     }
 
+    /// Blocks until `done` holds for a stats snapshot and the number of
+    /// connections still being handled, or until `timeout` passes, and
+    /// returns whether it held. It re-checks each time a connection
+    /// handler exits, so it waits on the event that ends a connection
+    /// (completion, eviction, a closed peer) instead of polling.
+    pub fn wait_until(
+        &self,
+        timeout: Duration,
+        done: impl Fn(&ServerStats, usize) -> bool,
+    ) -> bool {
+        let until = Instant::now() + timeout;
+        let mut active = self.shared.lock_active();
+        loop {
+            if done(&self.stats(), *active) {
+                return true;
+            }
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            active = self
+                .shared
+                .handler_exited
+                .wait_timeout(active, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
     /// Hard-kills the server: stops admission and tears down every
     /// live socket immediately, with no Evict or Bye. Clients observe
     /// a mid-stream reset and fail over; their journals still hold

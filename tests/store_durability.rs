@@ -211,7 +211,12 @@ fn every_manifest_prefix_truncation_fails_closed() {
     assert!(drained.clean);
 
     let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
-    let records = log.recover().expect("journal recovers").records;
+    let records: Vec<Vec<u8>> = log
+        .recover(|_, frame| crc32(frame))
+        .expect("journal recovers")
+        .records()
+        .map(<[u8]>::to_vec)
+        .collect();
     // A compacted session log starts with its Pin record: the tag, the
     // generation (u32) and the manifest bytes.
     let (pin_head, full) = records[0].split_at(PIN_HEAD);
@@ -404,16 +409,20 @@ fn corpus_torn_journal_tail_truncates_to_last_valid_frame() {
     let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(0)));
     fs.set_durable(JOURNAL_NAME, read_corpus("torn-tail.nsjl"));
     let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
-    let recovered = log.recover().expect("torn tail is recoverable");
-    assert_eq!(recovered.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+    let recovered = log
+        .recover(|_, frame| crc32(frame))
+        .expect("torn tail is recoverable");
+    assert!(recovered.records().eq([b"alpha".as_slice(), b"beta"]));
     assert_eq!(
         recovered.torn_bytes, 7,
         "4-byte length prefix + 3 cut bytes"
     );
     // The compaction rewrote the durable file: a second recovery sees a
     // clean log with no torn tail.
-    let again = log.recover().expect("compacted log recovers");
-    assert_eq!(again.records.len(), 2);
+    let again = log
+        .recover(|_, frame| crc32(frame))
+        .expect("compacted log recovers");
+    assert_eq!(again.records().len(), 2);
     assert_eq!(again.torn_bytes, 0);
 }
 
@@ -425,7 +434,8 @@ fn corpus_rotted_journal_frame_fails_closed() {
     fs.set_durable(JOURNAL_NAME, read_corpus("rotted-frame.nsjl"));
     let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
     assert_eq!(
-        log.recover().expect_err("rot must not recover"),
+        log.recover(|_, frame| crc32(frame))
+            .expect_err("rot must not recover"),
         StoreError::CrcMismatch { what: "NSJL log" }
     );
 }
@@ -461,10 +471,11 @@ fn corpus_wrong_digest_unit_record_ends_the_class_prefix() {
         .recover_session()
         .expect("the poison is self-consistent")
         .expect("the pin survives");
-    assert_eq!(r.classes[0].payloads, vec![CORPUS_TRUE_PAYLOAD.to_vec()]);
+    let honest = Some(vec![CORPUS_TRUE_PAYLOAD.to_vec()]);
+    assert_eq!(r.warm.payloads(&r.warm.classes[0]), honest);
     assert_eq!(r.dropped_units, 1);
     let warm = session.warm_start().expect("a warm start");
-    assert_eq!(warm.classes[0].payloads, vec![CORPUS_TRUE_PAYLOAD.to_vec()]);
+    assert_eq!(warm.payloads(&warm.classes[0]), honest);
 }
 
 /// A retired-format cache entry fails closed wherever it lands: under
@@ -478,7 +489,7 @@ fn assert_cache_entry_fails_closed(name: &str) {
         .expect("the journal is honest")
         .expect("the pin survives");
     assert!(
-        r.classes.iter().all(|c| c.payloads.is_empty()),
+        r.warm.classes.iter().all(|c| c.payloads.is_empty()),
         "{name} contributed a warm unit"
     );
     let (_fs, mut session) = store_with(JOURNAL_NAME, name);
@@ -499,4 +510,205 @@ fn corpus_bitrot_cache_entry_is_rejected() {
 #[test]
 fn corpus_wrong_digest_cache_entry_is_rejected() {
     assert_cache_entry_fails_closed("wrong-digest-entry.nsuc");
+}
+
+// ---------------------------------------------------------------------------
+// Decoded-field mutation
+// ---------------------------------------------------------------------------
+
+/// Session record tags, as `nonstrict_store::session` writes them.
+const PIN_TAG: u8 = 0x01;
+const UNIT_TAG: u8 = 0x02;
+const RESET_CLASS_TAG: u8 = 0x03;
+const TRUNCATE_TAG: u8 = 0x04;
+
+/// The classes the mutation session streams: two of a few units each.
+fn mutation_payloads() -> Vec<Vec<Vec<u8>>> {
+    vec![
+        vec![
+            b"c0u0".to_vec(),
+            b"c0u1-a longer unit".to_vec(),
+            b"c0u2".to_vec(),
+        ],
+        vec![b"c1u0-prelude".to_vec(), b"c1u1".to_vec()],
+    ]
+}
+
+/// An honest session journal holding every record kind — a Pin, units,
+/// a negotiated truncation and its re-delivery, a class reset and its
+/// refetch, and the completion — recovered as its raw records.
+fn honest_session_records() -> (Arc<FaultFs>, Vec<Vec<u8>>) {
+    let payloads = mutation_payloads();
+    let manifest = UnitManifest::from_payloads(&payloads, 0x5eed_0001).encode();
+    let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(0)));
+    let mut s = DurableSession::new(fs.clone());
+    s.on_pin(2, &manifest).expect("pin");
+    for (ci, class) in payloads.iter().enumerate() {
+        let n = class.len() as u32;
+        for (ui, p) in class.iter().enumerate() {
+            s.on_unit(ci as u32, ui as u32, 1, n, p).expect("unit");
+        }
+    }
+    s.on_truncate(0, 2).expect("truncate");
+    s.on_unit(0, 2, 1, 3, &payloads[0][2]).expect("re-delivery");
+    s.on_reset_class(1, 1, 2).expect("reset");
+    for (ui, p) in payloads[1].iter().enumerate() {
+        s.on_unit(1, ui as u32, 1, 2, p).expect("refetch");
+    }
+    s.on_complete().expect("complete");
+    let records = JournalLog::new(fs.clone(), JOURNAL_NAME)
+        .recover(|_, frame| crc32(frame))
+        .expect("honest journal")
+        .records()
+        .map(<[u8]>::to_vec)
+        .collect();
+    (fs, records)
+}
+
+/// The byte ranges of a record's decoded fields, by its tag: the tag
+/// itself, then each little-endian u32 (a Pin's generation; a Unit's
+/// class, unit, epoch and units; a ResetClass's class, epoch and units;
+/// a Truncate's class and delivered count). Also the record's head
+/// length: everything before its variable-length body.
+fn record_fields(record: &[u8]) -> (Vec<std::ops::Range<usize>>, usize) {
+    let words = match record[0] {
+        PIN_TAG => 1,
+        UNIT_TAG => 4,
+        RESET_CLASS_TAG => 3,
+        TRUNCATE_TAG => 2,
+        _ => 0,
+    };
+    let fields = std::iter::once(0..1)
+        .chain((0..words).map(|w| 1 + 4 * w..5 + 4 * w))
+        .collect();
+    (fields, 1 + 4 * words)
+}
+
+/// Each class's recovered payloads, copied out.
+fn recovered_payloads(warm: &nonstrict_wire::WarmSession) -> Vec<Vec<Vec<u8>>> {
+    warm.classes
+        .iter()
+        .map(|c| warm.payloads(c).expect("spans lie in the recovered bytes"))
+        .collect()
+}
+
+/// A decoded-field fuzzer for the warm start: the frame CRC rejects
+/// a raw bit flip before any field is decoded, so each case mutates one
+/// decoded field of one record — to 0, 1, MAX−1, MAX or a seeded value
+/// — or cuts a record's head short, or cuts a Pin's manifest so it no
+/// longer decodes, and re-seals the log with valid CRCs. Recovery must
+/// return a typed error, a cold start, or a prefix of the honest
+/// recovery: never a payload the honest journal did not prove, and
+/// never a panic under the dev profile's overflow checks.
+#[test]
+fn mutated_record_fields_recover_a_prefix_or_fail_typed() {
+    let (fs, honest_records) = honest_session_records();
+    let honest = DurableSession::new(fs.clone())
+        .recover_session()
+        .expect("honest recovery")
+        .expect("the pin survives");
+    let honest_payloads = recovered_payloads(&honest.warm);
+    assert_eq!(honest_payloads, mutation_payloads());
+    let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
+    let mut rng = SplitMix64(0x00f1_e1d5);
+    let (mut typed, mut prefixes) = (0u64, 0u64);
+    for case in 0..common::fuzz_cases() {
+        let mut records = honest_records.clone();
+        let r = rng.below(records.len() as u64) as usize;
+        let (fields, head) = record_fields(&records[r]);
+        let record = &mut records[r];
+        let what = match rng.below(8) {
+            // Cut the head short: the record no longer fits its tag.
+            0 => {
+                record.truncate(rng.below(head as u64) as usize);
+                "short head"
+            }
+            // Cut a Pin's manifest short: it no longer decodes.
+            1 if record[0] == PIN_TAG => {
+                let body = (record.len() - head) as u64;
+                record.truncate(head + rng.below(body) as usize);
+                "cut manifest"
+            }
+            _ => {
+                let field = fields[rng.below(fields.len() as u64) as usize].clone();
+                let max = if field.len() == 1 {
+                    0xff
+                } else {
+                    u64::from(u32::MAX)
+                };
+                let value = match rng.below(5) {
+                    0 => 0,
+                    1 => 1,
+                    2 => max - 1,
+                    3 => max,
+                    _ => rng.below(max + 1),
+                };
+                record[field.clone()].copy_from_slice(&value.to_le_bytes()[..field.len()]);
+                "field"
+            }
+        };
+        log.rewrite(&records).expect("re-seal");
+        match DurableSession::new(fs.clone()).recover_session() {
+            Err(e) => {
+                assert!(
+                    matches!(e, StoreError::Malformed { .. }),
+                    "case {case} ({what} of record {r}): untyped failure {e}"
+                );
+                typed += 1;
+            }
+            Ok(None) => typed += 1,
+            Ok(Some(got)) => {
+                assert_eq!(
+                    got.warm.bytes[got.warm.manifest.clone()],
+                    honest.warm.bytes[honest.warm.manifest.clone()],
+                    "case {case} ({what} of record {r}): another manifest pinned"
+                );
+                let payloads = recovered_payloads(&got.warm);
+                assert_eq!(payloads.len(), honest_payloads.len(), "case {case}");
+                for (ci, (class, want)) in got
+                    .warm
+                    .classes
+                    .iter()
+                    .zip(&honest.warm.classes)
+                    .enumerate()
+                {
+                    let n = payloads[ci].len();
+                    assert!(
+                        n <= want.crcs.len()
+                            && payloads[ci][..] == honest_payloads[ci][..n]
+                            && class.crcs[..] == want.crcs[..n]
+                            && class.sizes[..] == want.sizes[..n],
+                        "case {case} ({what} of record {r}): class {ci} is not an honest prefix"
+                    );
+                }
+                prefixes += 1;
+            }
+        }
+    }
+    eprintln!("{typed} typed failures or cold starts, {prefixes} honest prefixes");
+}
+
+/// A journal with a malformed record *and*, after it, a rotted frame
+/// fails as rot: the frame error outranks the record error, however
+/// the walk that finds both is arranged.
+#[test]
+fn a_rotted_frame_after_a_malformed_record_still_fails_as_rot() {
+    let (fs, mut records) = honest_session_records();
+    records[1] = vec![0xee]; // an unknown record tag, well framed
+    let log = JournalLog::new(fs.clone(), JOURNAL_NAME);
+    log.rewrite(&records).expect("re-seal");
+    assert!(matches!(
+        DurableSession::new(fs.clone()).recover_session(),
+        Err(StoreError::Malformed { .. })
+    ));
+    let mut bytes = fs.durable(JOURNAL_NAME).expect("journal bytes");
+    // The last frame is the Complete record: its one byte sits before
+    // the 4-byte CRC trailer, well past the malformed record.
+    let flip = bytes.len() - 5;
+    bytes[flip] ^= 0x01;
+    fs.set_durable(JOURNAL_NAME, bytes);
+    assert_eq!(
+        DurableSession::new(fs.clone()).recover_session(),
+        Err(StoreError::CrcMismatch { what: "NSJL log" })
+    );
 }

@@ -11,7 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nonstrict_core::build_plan;
 use nonstrict_core::model::OrderingSource;
@@ -69,11 +69,10 @@ fn a_cold_jess_session_allocates_per_class_not_per_unit() {
     let report = WireClient::new(config).run().expect("session completes");
     // The server's handler counts its session complete after the client
     // has read the Bye; its allocations belong to the session too.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().completed == 0 || server.active_connections() != 0 {
-        assert!(Instant::now() < deadline, "the handler never exited");
-        std::thread::yield_now();
-    }
+    let idle = server.wait_until(Duration::from_secs(10), |s, active| {
+        s.completed > 0 && active == 0
+    });
+    assert!(idle, "the handler never exited");
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert!(report.complete);

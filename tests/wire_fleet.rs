@@ -231,8 +231,12 @@ fn supervised_fleet_survives_seeded_kills_and_restarts() {
     assert_eq!(loadgen.mirror_units.len(), 3);
     assert!(loadgen.mirror_units.iter().sum::<u64>() > 0);
 
-    // Let every scheduled kill fire even if the clients finished fast.
-    std::thread::sleep(Duration::from_millis(250));
+    // The clients may finish before every scheduled kill fires: wait for
+    // the three kills and the restarts after them.
+    assert!(
+        supervisor.wait_for(3, 6, Duration::from_secs(10)),
+        "every mirror is killed once and restarted"
+    );
     let report = supervisor.shutdown();
     assert_eq!(report.total_kills(), 3, "one seeded kill per mirror");
     assert_eq!(

@@ -10,28 +10,65 @@
 //! counter ever sees it; once the loop exits the listener closes and
 //! later connects are refused.
 //!
+//! Each accepted connection's handler — the job `on_accept` returns —
+//! runs on a handler thread the loop reuses. A handler that finishes
+//! its connection parks until the loop hands it the next job or the
+//! listener stops, whichever comes first. A job goes only to a handler
+//! parked at that moment; when none is, the loop spawns a new one, so
+//! no connection ever queues behind a busy handler. The parked handlers
+//! are therefore at most the peak number of connections in flight at
+//! once (for the server, at most `max_connections`), and none exists
+//! before the first connection. They wait on the signal's own condition
+//! variable with no timeout, and raising the signal wakes them; the
+//! loop joins every handler on its way out.
+//!
 //! The connections a listener has handed off block too, in reads and in
 //! writes against a full send buffer, with no poll timeout. They
 //! register their sockets with the signal, and [`StopSignal::close`]
 //! shuts every one down, which returns each blocked call at once.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A listener's stop flag, the address that wakes its `accept()`, and
-/// the live sockets of its connections.
+/// One accepted connection's work, run on a handler thread.
+pub(crate) trait Handler: Send {
+    /// Handles the connection; called once.
+    fn run(&mut self);
+}
+
+/// A closure runs once; what it captures is dropped as it returns.
+impl<F: FnOnce() + Send> Handler for Option<F> {
+    fn run(&mut self) {
+        if let Some(f) = self.take() {
+            f();
+        }
+    }
+}
+
+/// A handler thread's job. The thread drops it only once it has parked
+/// again, so what a job holds past `run` (the server's admission slot)
+/// is released when that thread can already take the next connection.
+pub(crate) type Job = Box<dyn Handler>;
+
+/// A listener's stop flag, the address that wakes its `accept()`, the
+/// live sockets of its connections and its parked handler threads.
 pub(crate) struct StopSignal {
     raised: AtomicBool,
     /// Notified under the `conns` lock when the flag is raised, so a
     /// [`StopSignal::wait`] cannot miss it.
     raised_cv: Condvar,
+    /// Parked handlers wait on it under the `conns` lock: notified once
+    /// per job handed off, and for all of them when the flag is raised.
+    handoff: Condvar,
     wake: SocketAddr,
     conns: Mutex<Conns>,
+    /// Handler threads the accept loop has spawned.
+    spawned: AtomicU64,
 }
 
 #[derive(Default)]
@@ -40,6 +77,11 @@ struct Conns {
     live: HashMap<u64, TcpStream>,
     /// Set by [`StopSignal::close`]: later registrations are refused.
     closed: bool,
+    /// Handlers waiting in [`StopSignal::park`] that no queued job is
+    /// meant for: the waiting handlers minus `jobs.len()`.
+    parked: usize,
+    /// Jobs handed to parked handlers and not yet taken.
+    jobs: VecDeque<Job>,
 }
 
 /// A registered socket; dropping it takes the socket off the registry,
@@ -63,8 +105,10 @@ impl StopSignal {
         Ok(StopSignal {
             raised: AtomicBool::new(false),
             raised_cv: Condvar::new(),
+            handoff: Condvar::new(),
             wake,
             conns: Mutex::default(),
+            spawned: AtomicU64::new(0),
         })
     }
 
@@ -81,6 +125,7 @@ impl StopSignal {
             {
                 let _conns = self.lock_conns();
                 self.raised_cv.notify_all();
+                self.handoff.notify_all();
             }
             // Loopback completes the handshake without the accept loop's
             // help; the timeout only bounds a full backlog, in which case
@@ -124,6 +169,50 @@ impl StopSignal {
         Some(Registered { signal: self, id })
     }
 
+    /// Queues `job` for a parked handler and wakes one, or gives `job`
+    /// back when no handler is parked.
+    fn hand_off(&self, job: Job) -> Option<Job> {
+        let mut conns = self.lock_conns();
+        if conns.parked == 0 {
+            return Some(job);
+        }
+        conns.parked -= 1;
+        conns.jobs.push_back(job);
+        drop(conns);
+        self.handoff.notify_one();
+        None
+    }
+
+    /// Parks the calling handler, then drops its finished job, and
+    /// waits until a job is handed to it — `Some` — or, with no job
+    /// queued, the flag is raised — `None`. A queued job is taken even
+    /// after a stop, so no connection the loop handed off is left
+    /// unhandled.
+    fn park(&self, done: Job) -> Option<Job> {
+        self.lock_conns().parked += 1;
+        drop(done);
+        let mut conns = self.lock_conns();
+        loop {
+            if let Some(job) = conns.jobs.pop_front() {
+                return Some(job);
+            }
+            if self.is_raised() {
+                conns.parked -= 1;
+                return None;
+            }
+            conns = self
+                .handoff
+                .wait(conns)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Handler threads the accept loop has spawned so far.
+    #[cfg(test)]
+    pub(crate) fn handlers_spawned(&self) -> u64 {
+        self.spawned.load(Ordering::SeqCst)
+    }
+
     /// Locks the registry, recovering from poison: a connection thread
     /// that panicked while holding the lock must not wedge a stop. Each
     /// update (a counter bump, a `HashMap` insert or remove, a flag)
@@ -155,13 +244,16 @@ impl Drop for Registered<'_> {
 }
 
 /// Accepts until `stop` is raised, handing each connection to
-/// `on_accept`, which may return the handle of a thread it spawned.
-/// On exit the listener is closed first, then every spawned thread
-/// still running is joined.
+/// `on_accept`, which may return a job to run it. A parked handler
+/// thread takes the job; with none parked, a new handler is spawned for
+/// it. On exit the listener is closed first, then every handler is
+/// joined: each finishes its job, and the raised flag ends its park. A
+/// loop that ends on an `accept()` error waits in that join until its
+/// owner raises the flag, as every owner does on stop and on drop.
 pub(crate) fn accept_until_stopped(
     listener: TcpListener,
-    stop: &StopSignal,
-    mut on_accept: impl FnMut(TcpStream) -> Option<JoinHandle<()>>,
+    stop: &Arc<StopSignal>,
+    mut on_accept: impl FnMut(TcpStream) -> Option<Job>,
 ) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !stop.is_raised() {
@@ -171,12 +263,32 @@ pub(crate) fn accept_until_stopped(
         if stop.is_raised() {
             break;
         }
-        handlers.extend(on_accept(stream));
+        let Some(job) = on_accept(stream).and_then(|job| stop.hand_off(job)) else {
+            continue;
+        };
+        // A handler that panicked is gone; forget its handle.
         handlers.retain(|h| !h.is_finished());
+        stop.spawned.fetch_add(1, Ordering::SeqCst);
+        let signal = Arc::clone(stop);
+        handlers.push(std::thread::spawn(move || run_handler(&signal, job)));
     }
     drop(listener);
     for h in handlers {
         let _ = h.join();
+    }
+}
+
+/// A handler thread: runs `job`, then each job handed to it while it is
+/// parked, until the listener stops. A panicking job ends the thread,
+/// which was not parked and so is never handed another; the job is
+/// dropped as the thread unwinds.
+fn run_handler(signal: &StopSignal, mut job: Job) {
+    loop {
+        job.run();
+        match signal.park(job) {
+            Some(next) => job = next,
+            None => return,
+        }
     }
 }
 

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::accept::{accept_until_stopped, pump, StopSignal};
+use crate::accept::{accept_until_stopped, pump, Job, StopSignal};
 use crate::config::FaultKnobs;
 use crate::crc::crc32;
 use crate::frame::{read_raw_frame, FRAME_OVERHEAD, KIND_UNIT};
@@ -195,9 +195,9 @@ fn accept_loop(
         let config = config.clone();
         let stop = Arc::clone(stop);
         let stats = Arc::clone(stats);
-        Some(std::thread::spawn(move || {
+        Some(Box::new(Some(move || {
             proxy_connection(client, server, n, &config, &stop, &stats);
-        }))
+        })) as Job)
     });
 }
 

@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::accept::{accept_until_stopped, pump, StopSignal};
+use crate::accept::{accept_until_stopped, pump, Job, StopSignal};
 use crate::plan::ServePlan;
 use crate::server::{ServerConfig, ServerStats, WireServer};
 use crate::SplitMix64;
@@ -534,7 +534,7 @@ fn slot_accept_loop(listener: TcpListener, backend_addr: &SharedAddr, stop: &Arc
         let target = get_backend_addr(backend_addr)?;
         let server = TcpStream::connect_timeout(&target, Duration::from_millis(500)).ok()?;
         let stop = Arc::clone(stop);
-        Some(std::thread::spawn(move || pump_pair(client, server, &stop)))
+        Some(Box::new(Some(move || pump_pair(client, server, &stop))) as Job)
     });
 }
 

@@ -29,9 +29,11 @@
 //!   restructured class-file bytes split at unit boundaries, plus the
 //!   watermark-based resume negotiation with typed
 //!   [`plan::ResumeVerdict`]s.
-//! * [`server`] — one thread per admitted connection; the socket send
-//!   buffer is the bounded queue. The full robustness ladder: token-
-//!   bucket admission ([`AdmissionController`]) with typed retry-after,
+//! * [`server`] — each admitted connection streams on a handler thread
+//!   of its own, reused from a finished connection when one is parked
+//!   (the `accept` module); the socket send buffer is the bounded
+//!   queue. The full robustness ladder: token-bucket admission
+//!   ([`AdmissionController`]) with typed retry-after,
 //!   per-connection read/write deadlines, slow-consumer (slow-loris)
 //!   eviction, and graceful drain at unit boundaries.
 //! * [`client`] — the resumable mirror-fleet client: watermark

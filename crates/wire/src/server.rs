@@ -1,11 +1,14 @@
 //! The fault-tolerant transfer server.
 //!
-//! A small threaded accept/stream stack (std only): one thread per
-//! admitted connection, which encodes its Welcome and then each unit,
-//! from the plan's bytes, back to back into one buffer it reuses, and
-//! writes that buffer with one `write_all` per [`WRITE_BATCH_BYTES`]
-//! instead of one per frame. It writes early before every pace wait,
-//! at the unit that fires the crash hook, and with the closing `Bye` or
+//! A small threaded accept/stream stack (std only). The accept loop
+//! hands each admitted connection to a parked handler thread and spawns
+//! one only when none is parked (the `accept` module), so a connection
+//! has a thread to itself while it streams, and the threads never
+//! outnumber `max_connections`. The handler encodes its Welcome and
+//! then each unit, from the plan's bytes, back to back into one buffer,
+//! and writes that buffer with one `write_all` per [`WRITE_BATCH_BYTES`]
+//! instead of one per frame. It writes early before every pace wait, at
+//! the unit that fires the crash hook, and with the closing `Bye` or
 //! drain `Evict`; the bytes a client reads are those of one write per
 //! frame. The socket send buffer is the bounded queue. The robustness
 //! ladder:
@@ -39,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::accept::{accept_until_stopped, StopSignal};
+use crate::accept::{accept_until_stopped, Handler, Job, StopSignal};
 use crate::frame::{append_unit, append_welcome, read_frame, EvictReason, Frame};
 use crate::plan::ServePlan;
 
@@ -164,12 +167,18 @@ struct Shared {
     /// accept loop; handlers honor it at the next unit boundary. Kill
     /// and a drain past its deadline close it, shutting down every
     /// admitted connection's socket.
-    stop: StopSignal,
+    stop: Arc<StopSignal>,
     killed: AtomicBool,
-    /// Admitted connections whose handler has not yet exited.
+    /// Admitted connections whose handler thread has not yet parked
+    /// again (or died).
     active: Mutex<usize>,
-    /// Signalled by every handler as it exits; drain waits on it.
-    handler_exited: Condvar,
+    /// Signalled as each admitted connection's slot is released; drain
+    /// waits on it.
+    slot_released: Condvar,
+    /// Makes the next connection's handler panic once its socket is
+    /// registered, the way a buggy handler would.
+    #[cfg(test)]
+    panic_next: AtomicBool,
 }
 
 impl Shared {
@@ -187,8 +196,8 @@ impl Shared {
         self.active.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Waits until no admitted handler is left or `until` passes;
-    /// returns how many are still running.
+    /// Waits until no admitted connection holds a slot or `until`
+    /// passes; returns how many still do.
     fn wait_for_handlers(&self, until: Instant) -> usize {
         let mut active = self.lock_active();
         while *active != 0 {
@@ -197,7 +206,7 @@ impl Shared {
                 break;
             }
             active = self
-                .handler_exited
+                .slot_released
                 .wait_timeout(active, left)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
@@ -235,10 +244,12 @@ impl WireServer {
                 .collect(),
             config,
             stats: StatsInner::default(),
-            stop,
+            stop: Arc::new(stop),
             killed: AtomicBool::new(false),
             active: Mutex::new(0),
-            handler_exited: Condvar::new(),
+            slot_released: Condvar::new(),
+            #[cfg(test)]
+            panic_next: AtomicBool::new(false),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || accept_loop(listener, &accept_shared));
@@ -281,9 +292,10 @@ impl WireServer {
 
     /// Blocks until `done` holds for a stats snapshot and the number of
     /// connections still being handled, or until `timeout` passes, and
-    /// returns whether it held. It re-checks each time a connection
-    /// handler exits, so it waits on the event that ends a connection
-    /// (completion, eviction, a closed peer) instead of polling.
+    /// returns whether it held. It re-checks each time a connection's
+    /// handler is done with it and parked again, so it waits on the
+    /// event that ends a connection (completion, eviction, a closed
+    /// peer) instead of polling.
     pub fn wait_until(
         &self,
         timeout: Duration,
@@ -301,7 +313,7 @@ impl WireServer {
             }
             active = self
                 .shared
-                .handler_exited
+                .slot_released
                 .wait_timeout(active, left)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
@@ -479,13 +491,34 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             return None;
         }
         shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-        let conn_shared = Arc::clone(shared);
-        Some(std::thread::spawn(move || {
-            handle_connection(stream, &conn_shared);
-            *conn_shared.lock_active() -= 1;
-            conn_shared.handler_exited.notify_all();
-        }))
+        Some(Box::new(Admitted {
+            stream: Some(stream),
+            shared: Arc::clone(shared),
+        }) as Job)
     });
+}
+
+/// An admitted connection, holding one of the `max_connections` slots.
+/// Its handler thread drops it once parked again, or as it unwinds from
+/// a panic; dropping it releases the slot and wakes drain.
+struct Admitted {
+    stream: Option<TcpStream>,
+    shared: Arc<Shared>,
+}
+
+impl Handler for Admitted {
+    fn run(&mut self) {
+        if let Some(stream) = self.stream.take() {
+            handle_connection(stream, &self.shared);
+        }
+    }
+}
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        *self.shared.lock_active() -= 1;
+        self.shared.slot_released.notify_all();
+    }
 }
 
 fn send_and_close(mut stream: TcpStream, frame: &Frame, write_timeout: Duration) {
@@ -514,6 +547,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let Some(_registered) = shared.stop.register(&stream) else {
         return;
     };
+    #[cfg(test)]
+    if shared.panic_next.swap(false, Ordering::SeqCst) {
+        panic!("deliberate: a connection handler panics");
+    }
 
     let hello = match read_frame(&mut &stream) {
         Ok(Frame::Hello {
@@ -743,11 +780,11 @@ pub(crate) mod tests {
             .expect("session survives a poisoned registry");
         assert!(report.complete);
         // The handler bumps `completed` after the client has already
-        // seen Bye, then exits; wait for the exit.
+        // seen Bye, then parks; wait for that.
         let left = server
             .shared
             .wait_for_handlers(Instant::now() + Duration::from_secs(2));
-        assert_eq!(left, 0, "the handler exits after Bye");
+        assert_eq!(left, 0, "the handler is done after Bye");
         assert_eq!(server.stats().completed, 1);
         // kill() walks the registry; drain() force-closes through it.
         server.kill();
@@ -867,7 +904,7 @@ pub(crate) mod tests {
         let left = server
             .shared
             .wait_for_handlers(Instant::now() + Duration::from_secs(10));
-        assert_eq!(left, 0, "the handler exits once its peer is gone");
+        assert_eq!(left, 0, "the handler is done once its peer is gone");
         assert_eq!(server.stats().completed, 0);
         assert_eq!(server.stats().evicted_slow, 0);
     }
@@ -883,6 +920,236 @@ pub(crate) mod tests {
             drop(server);
         });
         assert_eq!(shared.stats.accepted.load(Ordering::Relaxed), 0);
+    }
+
+    /// Runs one `tiny` session to completion and waits until its handler
+    /// has parked again: `completed` reaches `n` and no slot is held.
+    fn tiny_session(server: &WireServer, n: u64) {
+        let report = WireClient::new(ClientConfig::new(server.local_addr(), "tiny"))
+            .run()
+            .expect("tiny completes");
+        assert!(report.complete);
+        settle(server, |s| s.completed == n);
+    }
+
+    /// Waits until `done` holds and every admitted connection's handler
+    /// has parked again (or died).
+    fn settle(server: &WireServer, done: impl Fn(&ServerStats) -> bool) {
+        assert!(
+            server.wait_until(Duration::from_secs(10), |s, active| done(s) && active == 0),
+            "the server never settled: {:?}",
+            server.stats()
+        );
+    }
+
+    fn spawned(server: &WireServer) -> u64 {
+        server.shared.stop.handlers_spawned()
+    }
+
+    /// Sequential sessions run on one handler thread: each finished
+    /// handler parks and takes the next connection.
+    #[test]
+    fn sequential_sessions_reuse_one_handler_thread() {
+        let server = WireServer::bind("127.0.0.1:0", vec![tiny_plan()], ServerConfig::default())
+            .expect("bind");
+        assert_eq!(spawned(&server), 0, "bind spawns no handler");
+        for n in 1..=20 {
+            tiny_session(&server, n);
+        }
+        assert_eq!(spawned(&server), 1);
+        assert!(server.drain(Duration::from_secs(5)).clean);
+    }
+
+    /// k sessions at once spawn at most k handlers, and later sessions
+    /// run on the parked ones.
+    #[test]
+    fn concurrent_sessions_spawn_at_most_one_handler_each() {
+        const K: u64 = 4;
+        let server = WireServer::bind("127.0.0.1:0", vec![tiny_plan()], ServerConfig::default())
+            .expect("bind");
+        std::thread::scope(|s| {
+            for _ in 0..K {
+                s.spawn(|| {
+                    let report = WireClient::new(ClientConfig::new(server.local_addr(), "tiny"))
+                        .run()
+                        .expect("tiny completes");
+                    assert!(report.complete);
+                });
+            }
+        });
+        settle(&server, |s| s.completed == K);
+        let after_burst = spawned(&server);
+        assert!((1..=K).contains(&after_burst), "{after_burst} handlers");
+        for n in 1..=K {
+            tiny_session(&server, K + n);
+        }
+        assert_eq!(spawned(&server), after_burst, "parked handlers are reused");
+        assert!(server.drain(Duration::from_secs(5)).clean);
+    }
+
+    /// A handler that panics releases its admission slot as it unwinds,
+    /// and its dead thread is never handed another connection: with one
+    /// slot, the next session still completes, on a new handler.
+    #[test]
+    fn a_panicking_handler_releases_its_slot() {
+        let config = ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        };
+        let server = WireServer::bind("127.0.0.1:0", vec![tiny_plan()], config).expect("bind");
+        tiny_session(&server, 1);
+        server.shared.panic_next.store(true, Ordering::SeqCst);
+        let doomed = TcpStream::connect(server.local_addr()).expect("connect");
+        let _ = doomed.set_read_timeout(Some(Duration::from_secs(10)));
+        assert!(
+            read_frame(&mut &doomed).is_err(),
+            "the panicking handler sends nothing"
+        );
+        settle(&server, |s| s.admitted == 2);
+        assert_eq!(server.active_connections(), 0);
+        tiny_session(&server, 2);
+        assert_eq!(spawned(&server), 2, "the panicked thread is not reused");
+        let drained = returns_within_10s("drain", move || server.drain(Duration::from_secs(5)));
+        assert!(drained.clean, "{drained:?}");
+    }
+
+    /// One class of 32 units of 256 KiB each, served as `big`: more than
+    /// the kernel buffers on a loopback connection whose peer stops
+    /// reading, so the server's writes block.
+    fn big_plan() -> ServePlan {
+        let units: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 256 * 1024]).collect();
+        let manifest = UnitManifest::from_payloads(std::slice::from_ref(&units), 3);
+        ServePlan {
+            benchmark: "big".to_owned(),
+            generation: 0,
+            manifest_epoch: 3,
+            manifest: manifest.encode(),
+            classes: vec![ClassPlan { epoch: 1, units }],
+        }
+    }
+
+    /// Sends a Hello for `benchmark` and returns the socket unread.
+    fn hello(server: &WireServer, benchmark: &str) -> TcpStream {
+        let mut client = TcpStream::connect(server.local_addr()).expect("connect");
+        let hello = Frame::Hello {
+            version: crate::frame::PROTOCOL_VERSION,
+            benchmark: benchmark.to_owned(),
+            ordering: 0,
+            resume: Vec::new(),
+        };
+        client.write_all(&hello.encode()).expect("hello");
+        client
+    }
+
+    /// The concurrent-connection cap turns a connection past it away
+    /// with a Retry, though the bucket still holds tokens.
+    #[test]
+    fn the_connection_cap_turns_the_next_connection_away() {
+        let config = ServerConfig {
+            max_connections: 1,
+            pace_per_unit: Some(Duration::from_secs(30)),
+            ..ServerConfig::default()
+        };
+        let server = WireServer::bind("127.0.0.1:0", vec![tiny_plan()], config).expect("bind");
+        let _streaming = hello_tiny(&server);
+        let turned_away = hello(&server, "tiny");
+        assert!(matches!(
+            read_frame(&mut &turned_away),
+            Ok(Frame::Retry { .. })
+        ));
+        assert_eq!((server.stats().admitted, server.stats().retried), (1, 1));
+        let report = returns_within_10s("drain", move || server.drain(Duration::from_secs(5)));
+        assert!(report.clean, "{report:?}");
+    }
+
+    /// One handler serves an incompatible Hello, a slow consumer it
+    /// evicts and a peer that hangs up mid-stream, and then a normal
+    /// session byte for byte: nothing of one connection leaks into the
+    /// next.
+    #[test]
+    fn a_reused_handler_carries_nothing_across_connections() {
+        let config = ServerConfig {
+            write_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        };
+        let server =
+            WireServer::bind("127.0.0.1:0", vec![tiny_plan(), big_plan()], config).expect("bind");
+
+        let refused = hello(&server, "no such benchmark");
+        assert!(matches!(
+            read_frame(&mut &refused),
+            Ok(Frame::Evict {
+                reason: EvictReason::Incompatible,
+                ..
+            })
+        ));
+        settle(&server, |s| s.incompatible == 1);
+
+        // Never reads: the server's write blocks until its deadline.
+        let stalled = hello(&server, "big");
+        settle(&server, |s| s.evicted_slow == 1);
+        drop(stalled);
+
+        let hung_up = hello(&server, "big");
+        assert!(matches!(
+            read_frame(&mut &hung_up),
+            Ok(Frame::Welcome { .. })
+        ));
+        drop(hung_up);
+        settle(&server, |s| s.admitted == 3);
+
+        let mut config = ClientConfig::new(server.local_addr(), "tiny");
+        config.keep_payloads = true;
+        let report = WireClient::new(config).run().expect("tiny completes");
+        assert!(report.complete);
+        assert_eq!(
+            report.payloads,
+            Some(vec![tiny_plan().classes[0].units.clone()])
+        );
+        settle(&server, |s| s.completed == 1);
+
+        let stats = server.stats();
+        assert_eq!(
+            (stats.incompatible, stats.evicted_slow, stats.completed),
+            (1, 1, 1)
+        );
+        assert_eq!(spawned(&server), 1, "one handler served all four");
+        assert!(server.drain(Duration::from_secs(5)).clean);
+    }
+
+    /// Parked handlers never hold up a stop: after sessions have run,
+    /// drain is clean, and kill and drop return at once.
+    #[test]
+    fn parked_handlers_never_hold_up_a_stop() {
+        for stop in ["drain", "kill + drop", "drop"] {
+            let server =
+                WireServer::bind("127.0.0.1:0", vec![tiny_plan()], ServerConfig::default())
+                    .expect("bind");
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        WireClient::new(ClientConfig::new(server.local_addr(), "tiny"))
+                            .run()
+                            .expect("tiny completes")
+                    });
+                }
+            });
+            settle(&server, |s| s.completed == 2);
+            assert!(spawned(&server) >= 1);
+            match stop {
+                "drain" => {
+                    let report =
+                        returns_within_10s(stop, move || server.drain(Duration::from_secs(5)));
+                    assert!(report.clean, "{report:?}");
+                    assert_eq!(report.in_flight_at_drain, 0);
+                }
+                "kill + drop" => returns_within_10s(stop, move || {
+                    server.kill();
+                    drop(server);
+                }),
+                _ => returns_within_10s(stop, move || drop(server)),
+            }
+        }
     }
 
     fn bucket(burst: u32, refill_per_sec: u32) -> AdmissionController {
